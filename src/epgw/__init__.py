@@ -10,7 +10,6 @@ strain, and cross-checks everything against time-domain propagation.
 """
 
 from .core import (
-    CONSTANTS,
     C_LIGHT,
     HBAR,
     K_BOLTZMANN,
@@ -24,7 +23,6 @@ from .core import (
     NotAtEPError,
     OpticalCavity,
     Phase,
-    PhysicalConstants,
     SamplingTooCoarseError,
     SensitivityContext,
     SupermodePair,
@@ -73,7 +71,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
     "C_LIGHT",
     "HBAR",
     "K_BOLTZMANN",
@@ -89,7 +86,6 @@ __all__ = [
     "NotAtEPError",
     "OpticalCavity",
     "Phase",
-    "PhysicalConstants",
     "SamplingTooCoarseError",
     "SensitivityContext",
     "SensitivityPoint",

@@ -27,19 +27,15 @@ from .core import (
     EpgwError,
     InvalidRangeError,
     MechanicalResonator,
-    NoEPError,
-    NonPositiveParameterError,
-    NotAtEPError,
-    SamplingTooCoarseError,
     SensitivityContext,
-    TooFewSamplesError,
     UnknownKeyError,
     ValidationError,
-    ZeroCouplingError,
+    _check_positive,
     balanced_system,
     drive_amplitude_from_thickness,
+    require_positive,
+    require_strain,
     system_violations,
-    validate_system,
 )
 from .dynamics import estimate_spectrum, propagate_exact
 from .sensitivity import read_overlay_csv, sensitivity_curve
@@ -57,24 +53,6 @@ from .spectral import (
 
 TWO_PI = 2.0 * math.pi
 
-# Reference device. Order fixed: serialization follows this sequence.
-CONFIG_DEFAULTS: dict[str, float | None] = {
-    "resonator.frequency_hz": 1e9,
-    "resonator.mass_kg": 5.3e-15,
-    "resonator.thickness_m": 8e-8,
-    "resonator.quality_factor": 1e5,
-    "resonator.gamma_m_hz": 0.0,
-    "cavity.length_m": 1e-4,
-    "cavity.decay_rate_hz": 1e8,
-    "coupling.j_hz": 1e7,
-    "drive.photon_number": None,
-    "noise.temperature_k": 300.0,
-    "noise.sample_time_s": 1.0,
-    "sensitivity.t_max_s": 3600.0,
-}
-
-_ATTR = {key: key.replace(".", "_") for key in CONFIG_DEFAULTS}
-
 
 class _UsageError(EpgwError):
     """Bad command line (unknown flag, missing argument, bad choice)."""
@@ -87,7 +65,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run settings (user-facing units: Hz, kg, m, K, s)."""
+    """Fully resolved run settings (user-facing units: Hz, kg, m, K, s).
+
+    The config table: field ``resonator_frequency_hz`` is key
+    ``resonator.frequency_hz``, defaults describe the reference device, and
+    field order is serialization order."""
 
     resonator_frequency_hz: float = 1e9
     resonator_mass_kg: float = 5.3e-15
@@ -111,16 +93,14 @@ class RunConfig:
             gamma_m=TWO_PI * self.resonator_gamma_m_hz,
         )
 
-    def system(self, n_cav: float | None = None) -> CoupledSystem:
-        """Balanced blue/red system; n_cav defaults to drive.photon_number or 0."""
-        if n_cav is None:
-            n_cav = self.drive_photon_number if self.drive_photon_number is not None else 0.0
+    def system(self) -> CoupledSystem:
+        """Balanced blue/red system driven at drive.photon_number, or 0."""
         return balanced_system(
             self.resonator(),
             length=self.cavity_length_m,
             kappa=TWO_PI * self.cavity_decay_rate_hz,
             coupling_j=TWO_PI * self.coupling_j_hz,
-            n_cav=n_cav,
+            n_cav=self.drive_photon_number if self.drive_photon_number is not None else 0.0,
         )
 
     def context(self) -> SensitivityContext:
@@ -137,15 +117,31 @@ class RunConfig:
     def to_text(self) -> str:
         """Serialize to the config format (keys in canonical order)."""
         lines = []
-        for key in CONFIG_DEFAULTS:
-            value = getattr(self, _ATTR[key])
-            if value is None:
-                continue
-            lines.append(f"{key} = {value!r}")
+        for key, attr in _ATTR.items():
+            value = getattr(self, attr)
+            if value is not None:
+                lines.append(f"{key} = {value!r}")
         return "\n".join(lines) + "\n"
 
 
-def _parse_into(values: dict, text: str) -> None:
+# Config key -> RunConfig attribute, in serialization order.
+_ATTR = {f.name.replace("_", ".", 1): f.name for f in dataclasses.fields(RunConfig)}
+
+# Reference device, by config key.
+CONFIG_DEFAULTS: dict[str, float | None] = {key: getattr(RunConfig, attr) for key, attr in _ATTR.items()}
+
+
+def parse_config_text(text: str) -> RunConfig:
+    """Parse config text over the defaults, validate it and return it.
+
+    Later lines win over earlier ones. Every value must be finite and
+    within its range; ``coupling.j_hz = 0`` is valid (decoupled modes).
+
+    Raises:
+        ConfigParseError, UnknownKeyError: malformed input.
+        ValidationError: any physical field out of range or not finite.
+    """
+    values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,36 +151,24 @@ def _parse_into(values: dict, text: str) -> None:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_DEFAULTS:
+        if key not in _ATTR:
             raise UnknownKeyError(key)
         if not value:
             raise ConfigParseError(line_no, f"missing value for {key!r}")
         try:
-            values[key] = float(value)
+            values[_ATTR[key]] = float(value)
         except ValueError:
             raise ConfigParseError(line_no, f"not a number: {value!r}") from None
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    # coupling.j_hz = 0 deliberately survives config validation: ep-locate
-    # reports it as the domain condition ZeroCoupling, not a config error.
-    # Negative J and everything else still fail here.
-    system = cfg.system()
-    violations = [
-        v
-        for v in system_violations(system)
-        if not (v.name == "coupling_j" and system.coupling_j == 0.0)
-    ]
-    ctx_checks = (
-        ("temperature", cfg.noise_temperature_k, "noise"),
-        ("sample_time", cfg.noise_sample_time_s, "noise"),
-        ("t_max", cfg.sensitivity_t_max_s, "sensitivity"),
-    )
-    for name, value, where in ctx_checks:
-        if not value > 0:
-            violations.append(NonPositiveParameterError(name, value, where))
+    cfg = RunConfig(**values)
+    violations = system_violations(cfg.system())
+    for key in ("noise.temperature_k", "noise.sample_time_s", "sensitivity.t_max_s"):
+        where, name = key.split(".")
+        err = _check_positive(name, getattr(cfg, _ATTR[key]), where)
+        if err is not None:
+            violations.append(err)
     if violations:
         raise ValidationError(violations)
+    return cfg
 
 
 def parse_config(path: str | None, overrides: dict[str, float] | None = None) -> RunConfig:
@@ -196,29 +180,15 @@ def parse_config(path: str | None, overrides: dict[str, float] | None = None) ->
 
     Raises:
         ConfigParseError, UnknownKeyError: malformed input.
-        ValidationError: any physical field out of range.
+        ValidationError: any physical field out of range or not finite.
         OSError: unreadable file.
     """
-    values = dict(CONFIG_DEFAULTS)
+    lines = []
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            _parse_into(values, fh.read())
-    for key, value in (overrides or {}).items():
-        if key not in CONFIG_DEFAULTS:
-            raise UnknownKeyError(key)
-        values[key] = value
-    cfg = RunConfig(**{_ATTR[key]: value for key, value in values.items()})
-    _validate_config(cfg)
-    return cfg
-
-
-def parse_config_text(text: str) -> RunConfig:
-    """parse_config for in-memory text (tests, round-trips)."""
-    values = dict(CONFIG_DEFAULTS)
-    _parse_into(values, text)
-    cfg = RunConfig(**{_ATTR[key]: value for key, value in values.items()})
-    _validate_config(cfg)
-    return cfg
+            lines.append(fh.read())
+    lines += [f"{key} = {value!r}" for key, value in (overrides or {}).items()]
+    return parse_config_text("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +210,7 @@ def _cell(value) -> str:
 
 def _header_lines(cfg: RunConfig, command: str, flags: dict) -> list[str]:
     lines = [f"# command = {command}"]
-    for key in CONFIG_DEFAULTS:
-        value = getattr(cfg, _ATTR[key])
-        if value is None:
-            continue
-        lines.append(f"# {key} = {value!r}")
+    lines += [f"# {line}" for line in cfg.to_text().splitlines()]
     for name in sorted(flags):
         lines.append(f"# flag.{name} = {flags[name]!r}")
     return lines
@@ -280,7 +246,7 @@ def render_json(
 ) -> str:
     payload = {
         "command": command,
-        "config": {key: getattr(cfg, _ATTR[key]) for key in CONFIG_DEFAULTS},
+        "config": {key: getattr(cfg, attr) for key, attr in _ATTR.items()},
         "flags": flags,
         "columns": columns,
         "rows": rows,
@@ -306,19 +272,17 @@ def _emit(args, cfg, command, flags, columns, rows, overlays=None, default_forma
 # ---------------------------------------------------------------------------
 
 
+def _coupled_system(cfg: RunConfig) -> CoupledSystem:
+    """cfg.system() for the commands that need the modes coupled: to them
+    coupling.j_hz = 0 is a bad value (exit 1), while ep-locate reports it
+    as a missing EP (ZeroCouplingError, exit 2)."""
+    require_positive("j_hz", cfg.coupling_j_hz, "coupling")
+    return cfg.system()
+
+
 def cmd_ep_locate(cfg: RunConfig, args) -> int:
     convention = EpConvention(args.ep_convention)
-    system = cfg.system(n_cav=0.0)
-    violations = [
-        v
-        for v in system_violations(system)
-        if not (v.name == "coupling_j" and system.coupling_j == 0.0)
-    ]
-    if violations:
-        raise ValidationError(violations)
-    if system.coupling_j == 0.0:
-        raise ZeroCouplingError("coupling.j_hz is zero; the spectrum has no exceptional point")
-
+    system = cfg.system()
     n0 = ep_photon_number(system, convention)
     resonator = cfg.resonator()
     g0 = vacuum_coupling(system.cavity_1, zero_point_fluctuation(resonator))
@@ -345,9 +309,8 @@ def cmd_ep_locate(cfg: RunConfig, args) -> int:
 
 def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
     convention = EpConvention(args.ep_convention)
-    system = validate_system(cfg.system(n_cav=0.0))
     table = sweep_photon_number(
-        system, args.min, args.max, args.points, log=args.log, convention=convention
+        _coupled_system(cfg), args.min, args.max, args.points, log=args.log, convention=convention
     )
     columns = ["n_cav", "re_plus_hz", "re_minus_hz", "im_plus_hz", "im_minus_hz", "phase"]
     rows = [
@@ -376,7 +339,7 @@ def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
 
 def cmd_sweep_strain(cfg: RunConfig, args) -> int:
     convention = EpConvention(args.ep_convention)
-    system = validate_system(cfg.system(n_cav=0.0))
+    system = _coupled_system(cfg)
     n0 = ep_photon_number(system, convention)
     results = sweep_strain(
         system, n0, args.min, args.max, args.points, log=args.log, convention=convention
@@ -400,7 +363,6 @@ def cmd_sweep_strain(cfg: RunConfig, args) -> int:
 
 
 def cmd_sensitivity(cfg: RunConfig, args) -> int:
-    validate_system(cfg.system(n_cav=0.0))
     curve = sensitivity_curve(
         cfg.context(),
         cfg.resonator(),
@@ -433,7 +395,9 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     convention = EpConvention(args.ep_convention)
-    system = validate_system(cfg.system(n_cav=0.0))
+    h = args.strain
+    require_strain(h)
+    system = _coupled_system(cfg)
 
     if args.photon_number is not None:
         n_cav = args.photon_number
@@ -444,7 +408,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
     # Strain rescales both vacuum couplings g0 -> g0 (1 - 2h); in the mode
     # matrix that is exactly a photon-number rescale by (1 - 2h)^2.
-    h = args.strain
     strained = system.with_photon_number(n_cav * (1.0 - 2.0 * h) ** 2)
     pair = eigenvalues_general(strained, convention)
     predicted = (pair.lambda_plus.real, pair.lambda_minus.real)
@@ -452,10 +415,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     if args.dt is not None:
         dt = args.dt
     else:
-        fastest = max(abs(predicted[0]), abs(predicted[1]))
-        if fastest == 0.0:
-            raise InvalidRangeError("eigenfrequencies are zero; give --dt explicitly")
-        dt = 0.1 * TWO_PI / fastest
+        # nonzero: one of omega_m +- Re sqrt(disc) is at least omega_m > 0
+        dt = 0.1 * TWO_PI / max(abs(predicted[0]), abs(predicted[1]))
     if args.duration is not None:
         duration = args.duration
     else:
@@ -569,7 +530,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Entry point. Exit codes: 0 success, 1 config/usage, 2 domain, 3 I/O."""
+    """Entry point. Exit codes: 0 success, EpgwError.exit_code, 3 I/O."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -578,25 +539,9 @@ def main(argv=None) -> int:
             overrides["sensitivity.t_max_s"] = args.tmax
         cfg = parse_config(args.config, overrides)
         return _COMMANDS[args.command](cfg, args)
-    except (
-        _UsageError,
-        ConfigParseError,
-        UnknownKeyError,
-        NonPositiveParameterError,
-        ValidationError,
-        InvalidRangeError,
-    ) as exc:
+    except EpgwError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        NoEPError,
-        ZeroCouplingError,
-        NotAtEPError,
-        SamplingTooCoarseError,
-        TooFewSamplesError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,14 +3,23 @@
 All quantities are SI. Frequencies, damping rates and cavity decay rates
 are angular (rad/s) everywhere inside the library; the Hz values used in
 config files are converted at the interface layer only.
+
+Validation happens once per public call, with the validators below:
+``cli.parse_config`` checks a config, and the entry points of ``spectral``,
+``dynamics`` and ``sensitivity`` check their arguments (finite values,
+signs, ranges) before any per-point work. The leaf formulas of ``spectral``
+and the evaluators they feed (``eigenvalues_general``, ``eigenvalues_numeric``,
+``mode_matrix``) check nothing and expect values already validated.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 # CODATA 2018. Fixed by definition of the SI; not user-configurable.
 HBAR = 1.054571817e-34  # J s
@@ -22,29 +31,24 @@ K_BOLTZMANN = 1.380649e-23  # J / K
 CRITICAL_AMPLITUDE_FACTOR = 0.53
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the physical constants the model depends on."""
-
-    hbar: float = HBAR
-    c: float = C_LIGHT
-    k_B: float = K_BOLTZMANN
-
-
-CONSTANTS = PhysicalConstants()
-
-
 # ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------
 
 
 class EpgwError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the command line's exit status for the error: 1 for
+    bad input (usage, config, parameter and range errors), 2 for domain
+    errors, where valid input has no answer.
+    """
+
+    exit_code = 1
 
 
 class NonPositiveParameterError(EpgwError):
-    """A physical parameter violates its positivity constraint.
+    """A physical parameter is not finite or violates its sign constraint.
 
     Attributes:
         name: Field name, e.g. ``"mass"``.
@@ -57,7 +61,8 @@ class NonPositiveParameterError(EpgwError):
         self.value = value
         self.where = where
         prefix = f"{where}." if where else ""
-        super().__init__(f"{prefix}{name} = {value!r} violates its positivity constraint")
+        problem = "violates its positivity constraint" if math.isfinite(value) else "is not finite"
+        super().__init__(f"{prefix}{name} = {value!r} {problem}")
 
 
 class ValidationError(EpgwError):
@@ -75,13 +80,19 @@ class ValidationError(EpgwError):
 class NoEPError(EpgwError):
     """No photon number brings the system to an exceptional point."""
 
+    exit_code = 2
+
 
 class ZeroCouplingError(EpgwError):
     """The optomechanical tuning knob is absent (J = 0 or g0**2 * phi = 0)."""
 
+    exit_code = 2
+
 
 class NotAtEPError(EpgwError):
     """An operation that assumes exceptional-point bias was called away from one."""
+
+    exit_code = 2
 
 
 class InvalidRangeError(EpgwError):
@@ -91,9 +102,13 @@ class InvalidRangeError(EpgwError):
 class SamplingTooCoarseError(EpgwError):
     """The requested time step undersamples the fastest eigenfrequency."""
 
+    exit_code = 2
+
 
 class TooFewSamplesError(EpgwError):
     """The trajectory is too short for a meaningful spectral estimate."""
+
+    exit_code = 2
 
 
 class ConfigParseError(EpgwError):
@@ -295,29 +310,65 @@ class SensitivityContext:
 
 
 def _check_positive(name: str, value: float, where: str | None = None):
-    if not value > 0:
+    if not (math.isfinite(value) and value > 0):
         return NonPositiveParameterError(name, value, where)
     return None
 
 
 def _check_nonnegative(name: str, value: float, where: str | None = None):
-    if value < 0:
+    if not (math.isfinite(value) and value >= 0):
+        return NonPositiveParameterError(name, value, where)
+    return None
+
+
+def _check_finite(name: str, value: float, where: str | None = None):
+    if not math.isfinite(value):
         return NonPositiveParameterError(name, value, where)
     return None
 
 
 def require_positive(name: str, value: float, where: str | None = None) -> None:
-    """Raise NonPositiveParameterError unless ``value > 0``."""
+    """Raise NonPositiveParameterError unless ``value`` is finite and > 0."""
     err = _check_positive(name, value, where)
     if err is not None:
         raise err
 
 
 def require_nonnegative(name: str, value: float, where: str | None = None) -> None:
-    """Raise NonPositiveParameterError unless ``value >= 0``."""
+    """Raise NonPositiveParameterError unless ``value`` is finite and >= 0."""
     err = _check_nonnegative(name, value, where)
     if err is not None:
         raise err
+
+
+def require_strain(strain: float) -> None:
+    """Raise InvalidRangeError unless the strain is finite with |h| < 1/2,
+    below which the strained vacuum coupling g0 (1 - 2h) keeps its sign."""
+    if not abs(strain) < 0.5:
+        raise InvalidRangeError(f"strain h = {strain!r}; need a finite |h| < 1/2")
+
+
+def sweep_grid(name: str, lo: float, hi: float, points: int, log: bool) -> np.ndarray:
+    """Grid of ``points`` values from ``lo`` to ``hi``, linear or log-spaced.
+
+    Raises InvalidRangeError, naming the ends ``{name}_min``/``{name}_max``,
+    for fewer than two points, an end that is not finite, an empty or
+    reversed range, a negative start, or a log-spaced grid from zero.
+    """
+    if points < 2:
+        raise InvalidRangeError(f"points = {points}; need at least 2")
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise InvalidRangeError(f"{name}_{end} = {value!r} is not finite")
+    if not lo < hi:
+        raise InvalidRangeError(f"empty range [{name}_min, {name}_max] = [{lo!r}, {hi!r}]")
+    if lo < 0:
+        raise InvalidRangeError(f"{name}_min = {lo!r} is negative")
+    if log:
+        if lo == 0:
+            raise InvalidRangeError(f"a log-spaced grid needs {name}_min > 0")
+        return np.geomspace(lo, hi, points)
+    return np.linspace(lo, hi, points)
 
 
 def validate_resonator(resonator: MechanicalResonator, where: str | None = None) -> list[NonPositiveParameterError]:
@@ -337,6 +388,7 @@ def validate_cavity(cavity: OpticalCavity, where: str | None = None) -> list[Non
     checks = [
         _check_positive("length", cavity.length, where),
         _check_positive("kappa", cavity.kappa, where),
+        _check_finite("detuning", cavity.detuning, where),
         _check_nonnegative("n_cav", cavity.n_cav, where),
     ]
     return [c for c in checks if c is not None]
@@ -347,14 +399,16 @@ def system_violations(system: CoupledSystem) -> list[NonPositiveParameterError]:
 
     Dataclass construction never validates, so invalid systems can be
     built and inspected freely; this reports the complete list of
-    violations rather than stopping at the first.
+    violations rather than stopping at the first. A zero coupling J is
+    valid (two decoupled modes); the operations that need the coupling
+    reject it themselves, e.g. ep_photon_number with ZeroCouplingError.
     """
     violations: list[NonPositiveParameterError] = []
     violations += validate_resonator(system.resonator_1, "resonator_1")
     violations += validate_resonator(system.resonator_2, "resonator_2")
     violations += validate_cavity(system.cavity_1, "cavity_1")
     violations += validate_cavity(system.cavity_2, "cavity_2")
-    err = _check_positive("coupling_j", system.coupling_j)
+    err = _check_nonnegative("coupling_j", system.coupling_j)
     if err is not None:
         violations.append(err)
     return violations

@@ -18,6 +18,7 @@ from .core import (
     InvalidRangeError,
     SamplingTooCoarseError,
     TooFewSamplesError,
+    validate_system,
 )
 from .spectral import _arm_breakdown
 
@@ -93,7 +94,8 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
     """The 2x2 matrix M with da/dt = -i M a.
 
     Diagonal entries are omega_j - i Gamma_j / 2 with each arm's total
-    damping from its own cavity; off-diagonal entries are J.
+    damping from its own cavity; off-diagonal entries are J. The system is
+    not validated (see validate_system).
     """
     g1 = _arm_breakdown(system.resonator_1, system.cavity_1).gamma_total
     g2 = _arm_breakdown(system.resonator_2, system.cavity_2).gamma_total
@@ -107,10 +109,10 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
 
 
 def _sample_grid(duration: float, dt: float) -> np.ndarray:
-    if dt <= 0:
-        raise InvalidRangeError(f"dt = {dt!r}; need dt > 0")
-    if duration < dt:
-        raise InvalidRangeError(f"duration = {duration!r} shorter than one step dt = {dt!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
+    if not (math.isfinite(duration) and duration >= dt):
+        raise InvalidRangeError(f"duration = {duration!r}; need a finite duration >= dt = {dt!r}")
     n = int(math.floor(duration / dt + 1e-9)) + 1
     if n > _MAX_SAMPLES:
         raise InvalidRangeError(f"duration/dt yields {n} samples; limit is {_MAX_SAMPLES}")
@@ -156,10 +158,12 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
         dt: Sample step (s).
 
     Raises:
-        InvalidRangeError: non-positive dt, duration < dt, or a grid
-            beyond the sample-count limit.
+        ValidationError: invalid system.
+        InvalidRangeError: dt or duration not finite, non-positive dt,
+            duration < dt, or a grid beyond the sample-count limit.
         SamplingTooCoarseError: dt > 0.1 * 2 pi / max|Re lambda|.
     """
+    validate_system(system)
     a0 = _initial_vector(initial)
     m = mode_matrix(system)
     eigenvalues, vectors = np.linalg.eig(m)
@@ -186,6 +190,7 @@ def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> 
     Same contract as propagate_exact; global error O(dt^4). Kept as an
     independent cross-check of the closed-form propagator.
     """
+    validate_system(system)
     a0 = _initial_vector(initial)
     m = mode_matrix(system)
     _check_sampling(np.linalg.eigvals(m), dt)

@@ -13,11 +13,8 @@ out of scope.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     ConfigParseError,
@@ -26,6 +23,7 @@ from .core import (
     MechanicalResonator,
     SensitivityContext,
     require_positive,
+    sweep_grid,
 )
 
 
@@ -44,18 +42,18 @@ class SensitivityPoint:
     h_min: float
 
 
-def _validate_context(ctx: SensitivityContext) -> None:
+def _validate(ctx: SensitivityContext, resonator: MechanicalResonator) -> None:
     require_positive("temperature", ctx.temperature)
     require_positive("sample_time", ctx.sample_time)
     require_positive("drive_amplitude", ctx.drive_amplitude)
     require_positive("quality_factor", ctx.quality_factor)
+    require_positive("mass", resonator.mass)
+    require_positive("omega_m", resonator.omega_m)
 
 
 def thermal_frequency_noise(ctx: SensitivityContext, resonator: MechanicalResonator) -> float:
     """Thermal frequency fluctuation delta_omega (rad/s) after time tau."""
-    _validate_context(ctx)
-    require_positive("mass", resonator.mass)
-    require_positive("omega_m", resonator.omega_m)
+    _validate(ctx, resonator)
     mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
     return math.sqrt(
         K_BOLTZMANN
@@ -82,10 +80,15 @@ def min_detectable_strain(
     contract thermal_frequency_noise(ctx) == 4 sqrt(2) J sqrt(h_min)
     holds to rounding.
     """
-    _validate_context(ctx)
-    require_positive("mass", resonator.mass)
-    require_positive("omega_m", resonator.omega_m)
+    _validate(ctx, resonator)
     require_positive("coupling_j", coupling_j)
+    return _strain_floor(ctx, resonator, coupling_j, ctx.sample_time)
+
+
+def _strain_floor(
+    ctx: SensitivityContext, resonator: MechanicalResonator, coupling_j: float, sample_time: float
+) -> float:
+    """min_detectable_strain at integration time ``sample_time``, unchecked."""
     mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
     return (
         K_BOLTZMANN
@@ -93,7 +96,7 @@ def min_detectable_strain(
         / (
             64.0
             * math.pi
-            * ctx.sample_time
+            * sample_time
             * resonator.mass
             * resonator.omega_m
             * mean_square_drive
@@ -124,22 +127,20 @@ def sensitivity_curve(
     linearly in f above it.
 
     Raises:
-        InvalidRangeError: unusable frequency range, points < 2, or
-            non-positive t_max.
+        NonPositiveParameterError: invalid context, resonator or coupling.
+        InvalidRangeError: unusable frequency range (see core.sweep_grid),
+            or t_max not finite and positive.
     """
-    if not 0.0 < f_min < f_max:
-        raise InvalidRangeError(f"need 0 < f_min < f_max, got [{f_min!r}, {f_max!r}]")
-    if points < 2:
-        raise InvalidRangeError(f"points = {points}; need at least 2")
-    if t_max <= 0.0:
-        raise InvalidRangeError(f"t_max = {t_max!r}; need t_max > 0")
+    _validate(ctx, resonator)
+    require_positive("coupling_j", coupling_j)
+    grid = sweep_grid("f", f_min, f_max, points, log=True)
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise InvalidRangeError(f"t_max = {t_max!r}; need a finite t_max > 0")
     period_fraction = 0.5 if half_period_cap else 1.0
     curve: list[SensitivityPoint] = []
-    for f in np.geomspace(f_min, f_max, points):
+    for f in grid:
         tau = min(t_max, period_fraction / float(f))
-        h = min_detectable_strain(
-            dataclasses.replace(ctx, sample_time=tau), resonator, coupling_j
-        )
+        h = _strain_floor(ctx, resonator, coupling_j, tau)
         curve.append(SensitivityPoint(gw_frequency=float(f), observation_time=tau, h_min=h))
     return curve
 
@@ -151,7 +152,8 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
     (frequency_hz, strain) pair per row.
 
     Raises:
-        ConfigParseError: missing/wrong header or a non-numeric cell.
+        ConfigParseError: missing/wrong header, or a cell that is not a
+            finite number.
         OSError: unreadable file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -169,7 +171,10 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
         if len(row) != 2:
             raise ConfigParseError(line_no, f"expected 2 columns, got {len(row)}")
         try:
-            table.append((float(row[0]), float(row[1])))
+            pair = (float(row[0]), float(row[1]))
         except ValueError as exc:
             raise ConfigParseError(line_no, f"non-numeric cell: {exc}") from None
+        if not all(map(math.isfinite, pair)):
+            raise ConfigParseError(line_no, f"cell is not finite: {','.join(row)!r}")
+        table.append(pair)
     return table

@@ -38,7 +38,6 @@ from .core import (
     C_LIGHT,
     HBAR,
     CoupledSystem,
-    InvalidRangeError,
     MechanicalResonator,
     NoEPError,
     NotAtEPError,
@@ -47,7 +46,9 @@ from .core import (
     SupermodePair,
     ZeroCouplingError,
     require_nonnegative,
-    require_positive,
+    require_strain,
+    sweep_grid,
+    validate_system,
 )
 
 # Relative eigenvalue tolerance defining "at the exceptional point".
@@ -119,8 +120,6 @@ class SplittingResult:
 
 def zero_point_fluctuation(resonator: MechanicalResonator) -> float:
     """x_zpf = sqrt(hbar / (2 m omega_m)) in metres."""
-    require_positive("mass", resonator.mass)
-    require_positive("omega_m", resonator.omega_m)
     return math.sqrt(HBAR / (2.0 * resonator.mass * resonator.omega_m))
 
 
@@ -130,8 +129,6 @@ def vacuum_coupling(cavity: OpticalCavity, x_zpf: float) -> float:
     For a cavity whose resonance scales as 1/L the pull rate is
     g0 = (d omega_cav / d L) x_zpf = pi c x_zpf / L^2.
     """
-    require_positive("length", cavity.length)
-    require_nonnegative("x_zpf", x_zpf)
     return math.pi * C_LIGHT * x_zpf / (cavity.length * cavity.length)
 
 
@@ -144,8 +141,6 @@ def detuning_response(cavity: OpticalCavity, omega_m: float) -> float:
     Odd in the detuning: blue drive (Delta = +omega_m) gives phi < 0 and
     hence optical gain, red drive gives the sign-flipped loss.
     """
-    require_positive("kappa", cavity.kappa)
-    require_positive("omega_m", omega_m)
     k = cavity.kappa
     half_sq = (0.5 * k) * (0.5 * k)
     d = cavity.detuning
@@ -157,9 +152,6 @@ def optomech_damping(cavity: OpticalCavity, resonator: MechanicalResonator, g0: 
 
     gamma_opt = g0^2 n_cav phi; gamma_total adds the intrinsic gamma_m.
     """
-    require_nonnegative("n_cav", cavity.n_cav)
-    require_nonnegative("g0", g0)
-    require_nonnegative("gamma_m", resonator.gamma_m)
     phi = detuning_response(cavity, resonator.omega_m)
     gamma_opt = g0 * g0 * cavity.n_cav * phi
     return DampingBreakdown(phi=phi, gamma_opt=gamma_opt, gamma_total=resonator.gamma_m + gamma_opt)
@@ -221,6 +213,9 @@ def _pair_from_parts(
 
 def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConvention.EQ7) -> SupermodePair:
     """Supermode pair of a coupled system from the analytic discriminant.
+
+    The per-point evaluator of the sweeps and the EP search: it does not
+    validate ``system`` (see validate_system).
 
     Args:
         system: The system; each arm's damping is computed from its own
@@ -365,11 +360,13 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
     floor of ~8 eps J^2 otherwise.
 
     Raises:
+        ValidationError: invalid system.
         ZeroCouplingError: J = 0, or the photon number does not move the
             spectrum (g0^2 phi = 0 in both arms).
         NoEPError: the scan bottoms out above the acceptance threshold;
             no EP exists on the photon-number axis.
     """
+    validate_system(system)
     j = system.coupling_j
     if j == 0:
         raise ZeroCouplingError("coupling_j is zero; the spectrum has no tunable degeneracy")
@@ -413,7 +410,6 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
 
 def coupling_perturbation(g0: float, strain: float) -> float:
     """Shift of the vacuum coupling under strain h: dg = -2 g0 h."""
-    require_nonnegative("g0", g0)
     return -2.0 * g0 * strain
 
 
@@ -444,8 +440,8 @@ def splitting(
     Args:
         system: The system, biased at its EP by ``n0``.
         n0: Exceptional-point photon number (from ep_photon_number).
-        strain: Strain amplitude h; negative values are allowed and drive
-            the pair into the broken phase instead.
+        strain: Strain amplitude h, |h| < 1/2; negative values are allowed
+            and drive the pair into the broken phase instead.
         convention: Discriminant convention.
 
     Returns:
@@ -453,8 +449,20 @@ def splitting(
         magnitude of the predicted splitting for either sign.
 
     Raises:
+        ValidationError, NonPositiveParameterError: invalid system or n0.
+        InvalidRangeError: |h| >= 1/2, or h not finite.
         NotAtEPError: ``n0`` does not put the unstrained system at its EP.
     """
+    validate_system(system)
+    require_nonnegative("n0", n0)
+    require_strain(strain)
+    return _splittings(system, n0, [strain], convention)[0]
+
+
+def _splittings(
+    system: CoupledSystem, n0: float, strains, convention: EpConvention
+) -> list[SplittingResult]:
+    """splitting() at each strain, with the bias point evaluated once."""
     biased = system.with_photon_number(n0)
     pair0 = eigenvalues_general(biased, convention)
     if abs(pair0.discriminant) > _ep_acceptance(system.coupling_j):
@@ -462,27 +470,30 @@ def splitting(
             f"|disc| = {abs(pair0.discriminant):.3e} exceeds threshold "
             f"{_ep_acceptance(system.coupling_j):.3e} at n_cav = {n0!r}; locate the EP first"
         )
-    h = strain
     arm_1 = _arm_breakdown(biased.resonator_1, biased.cavity_1)
     arm_2 = _arm_breakdown(biased.resonator_2, biased.cavity_2)
     b0 = complex(
         biased.resonator_1.omega_m - biased.resonator_2.omega_m,
         0.5 * (arm_2.gamma_total - arm_1.gamma_total),
     )
-    scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
-    db = complex(0.0, 0.5 * (scale * arm_2.gamma_opt - scale * arm_1.gamma_opt))
     q = 0.25 if convention is EpConvention.EQ7 else 1.0
-    disc_h = q * (db * (2.0 * b0 + db))
-    alpha = cmath.sqrt(disc_h)
-
     g0_1 = vacuum_coupling(biased.cavity_1, zero_point_fluctuation(biased.resonator_1))
-    return SplittingResult(
-        strain=h,
-        dg=coupling_perturbation(g0_1, h),
-        d_exact=2.0 * alpha.real,
-        d_approx=4.0 * math.sqrt(2.0) * system.coupling_j * math.sqrt(abs(h)),
-        linewidth_split=2.0 * abs(alpha.imag),
-    )
+    results = []
+    for h in strains:
+        h = float(h)
+        scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
+        db = complex(0.0, 0.5 * (scale * arm_2.gamma_opt - scale * arm_1.gamma_opt))
+        alpha = cmath.sqrt(q * (db * (2.0 * b0 + db)))
+        results.append(
+            SplittingResult(
+                strain=h,
+                dg=coupling_perturbation(g0_1, h),
+                d_exact=2.0 * alpha.real,
+                d_approx=4.0 * math.sqrt(2.0) * system.coupling_j * math.sqrt(abs(h)),
+                linewidth_split=2.0 * abs(alpha.imag),
+            )
+        )
+    return results
 
 
 def sweep_photon_number(
@@ -500,22 +511,11 @@ def sweep_photon_number(
     point wins, so the plus branch never jumps across the gap at the EP.
 
     Raises:
-        InvalidRangeError: fewer than two points, reversed or negative
-            range, or a log ramp starting at zero.
+        ValidationError: invalid system.
+        InvalidRangeError: bad grid (see core.sweep_grid).
     """
-    if points < 2:
-        raise InvalidRangeError(f"points = {points}; need at least 2")
-    if not n_min < n_max:
-        raise InvalidRangeError(f"empty photon-number range [{n_min!r}, {n_max!r}]")
-    if n_min < 0:
-        raise InvalidRangeError(f"photon number cannot be negative (n_min = {n_min!r})")
-    if log:
-        if n_min <= 0:
-            raise InvalidRangeError("log-spaced ramp requires n_min > 0")
-        grid = np.geomspace(n_min, n_max, points)
-    else:
-        grid = np.linspace(n_min, n_max, points)
-
+    validate_system(system)
+    grid = sweep_grid("n", n_min, n_max, points, log)
     rows: list[tuple[float, SupermodePair]] = []
     prev: SupermodePair | None = None
     for n in grid:
@@ -544,19 +544,12 @@ def sweep_strain(
     """Splitting response over a strain range at fixed EP bias.
 
     Raises:
-        InvalidRangeError: bad grid (see sweep_photon_number).
+        ValidationError, NonPositiveParameterError: invalid system or n0.
+        InvalidRangeError: bad grid (see core.sweep_grid), or h_max >= 1/2.
         NotAtEPError: ``n0`` is not the exceptional-point photon number.
     """
-    if points < 2:
-        raise InvalidRangeError(f"points = {points}; need at least 2")
-    if not h_min < h_max:
-        raise InvalidRangeError(f"empty strain range [{h_min!r}, {h_max!r}]")
-    if h_min < 0:
-        raise InvalidRangeError(f"strain sweep starts below zero (h_min = {h_min!r})")
-    if log:
-        if h_min <= 0:
-            raise InvalidRangeError("log-spaced sweep requires h_min > 0")
-        grid = np.geomspace(h_min, h_max, points)
-    else:
-        grid = np.linspace(h_min, h_max, points)
-    return [splitting(system, n0, float(h), convention) for h in grid]
+    validate_system(system)
+    require_nonnegative("n0", n0)
+    grid = sweep_grid("h", h_min, h_max, points, log)
+    require_strain(h_max)
+    return _splittings(system, n0, grid, convention)

@@ -4,6 +4,16 @@ import math
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # Same examples on every run, and no timing-based failures on a slow or
+    # shared machine.
+    settings.register_profile("epgw", derandomize=True, deadline=None, database=None)
+    settings.load_profile("epgw")
+
 from epgw import MechanicalResonator, balanced_system, ep_photon_number
 from epgw.cli import main
 

@@ -288,3 +288,45 @@ def test_io_errors_exit_3(run_cli, tmp_path):
     assert run_cli("sensitivity", "--points", "20", "--overlay", str(missing_overlay))[0] == 3
     unwritable = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run_cli("ep-locate", "--output", str(unwritable))[0] == 3
+
+
+@pytest.mark.parametrize(
+    "config, argv, named",
+    [
+        ("resonator.gamma_m_hz = nan", ["ep-locate"], "gamma_m"),
+        ("coupling.j_hz = inf", ["ep-locate"], "coupling_j"),
+        ("drive.photon_number = nan", ["simulate"], "n_cav"),
+        ("", ["sweep-ncav", "--max", "inf", "--points", "5"], "n_max"),
+        ("", ["sensitivity", "--fmax", "inf", "--points", "5"], "f_max"),
+        ("", ["simulate", "--strain", "0.5"], "strain"),
+    ],
+)
+def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):
+    # values that are not finite, and |h| >= 1/2, are rejected before any
+    # work: one error line naming the input, and no file written
+    conf = tmp_path / "run.conf"
+    conf.write_text(config + "\n")
+    out = tmp_path / "out.dat"
+    code, _, err = run_cli(*argv, "--config", str(conf), "--output", str(out))
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["ep-locate"], 2),  # no EP exists without coupling: a domain error
+        (["sweep-ncav", "--points", "5"], 1),
+        (["sweep-strain", "--points", "5"], 1),
+        (["sensitivity", "--points", "5"], 1),
+        (["simulate"], 1),
+    ],
+)
+def test_zero_coupling_exit_code_per_command(run_cli, tmp_path, argv, exit_code):
+    conf = tmp_path / "j0.conf"
+    conf.write_text("coupling.j_hz = 0\n")
+    code, _, err = run_cli(*argv, "--config", str(conf))
+    assert code == exit_code
+    assert err.startswith("error:")

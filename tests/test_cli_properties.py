@@ -1,0 +1,107 @@
+"""Property tests of the command line over the config space.
+
+Every subcommand runs on a small grid (and ``simulate`` on an explicit
+short time grid), so one example costs milliseconds.
+"""
+
+import contextlib
+import io
+import math
+import os
+import re
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from epgw import EpgwError  # noqa: E402
+from epgw.cli import CONFIG_DEFAULTS, main, parse_config_text  # noqa: E402
+
+# log10 range of each config value, around the reference device. A key
+# left out of an example keeps its default (zero for gamma_m, unset for
+# drive.photon_number).
+LOG_RANGES = {
+    "resonator.frequency_hz": (8.0, 10.0),
+    "resonator.mass_kg": (-16.0, -13.0),
+    "resonator.thickness_m": (-8.0, -6.0),
+    "resonator.quality_factor": (3.0, 7.0),
+    "resonator.gamma_m_hz": (0.0, 6.0),
+    "cavity.length_m": (-5.0, -3.0),
+    "cavity.decay_rate_hz": (7.0, 9.0),
+    "coupling.j_hz": (5.0, 8.0),
+    "drive.photon_number": (9.0, 14.0),
+    "noise.temperature_k": (-3.0, 3.0),
+    "noise.sample_time_s": (-3.0, 3.0),
+    "sensitivity.t_max_s": (0.0, 5.0),
+}
+assert set(LOG_RANGES) == set(CONFIG_DEFAULTS)
+
+COMMANDS = ["ep-locate", "sweep-ncav", "sweep-strain", "sensitivity", "simulate"]
+NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
+
+
+@st.composite
+def finite_configs(draw):
+    """Config text setting a random subset of keys to finite values."""
+    values = {}
+    for key, (lo, hi) in LOG_RANGES.items():
+        if draw(st.booleans()):
+            values[key] = 10.0 ** draw(st.floats(min_value=lo, max_value=hi))
+    return values
+
+
+def _argv(command, values):
+    argv = [command]
+    if command == "simulate":
+        # a tenth of the sampling-guard step, over ~1100 samples
+        dt = 0.01 / values.get("resonator.frequency_hz", CONFIG_DEFAULTS["resonator.frequency_hz"])
+        argv += ["--dt", repr(dt), "--duration", repr(1100.0 * dt)]
+    elif command != "ep-locate":
+        argv += ["--points", "8"]
+    return argv
+
+
+def _run(command, values, fmt="csv"):
+    """Run one command on the config; (exit code, output text or None)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "run.conf")
+        with open(conf, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {value!r}\n" for key, value in values.items())
+        out = os.path.join(tmp, "out.dat")
+        argv = _argv(command, values) + ["--config", conf, "--output", out, "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if not os.path.exists(out):
+            return code, None
+        with open(out, encoding="utf-8") as fh:
+            return code, fh.read()
+
+
+@settings(max_examples=25)
+@given(values=finite_configs(), command=st.sampled_from(COMMANDS), fmt=st.sampled_from(["csv", "json"]))
+def test_finite_accepted_config_succeeds_or_is_a_domain_error(values, command, fmt):
+    try:
+        parse_config_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    except EpgwError:
+        assume(False)
+    code, text = _run(command, values, fmt)
+    assert code in (0, 2)
+    if code == 0:
+        assert text is not None
+    if text is not None:
+        assert not NON_FINITE.search(text)
+
+
+@settings(max_examples=40)
+@given(
+    values=finite_configs(),
+    key=st.sampled_from(sorted(CONFIG_DEFAULTS)),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    command=st.sampled_from(COMMANDS),
+)
+def test_any_non_finite_value_exits_1(values, key, bad, command):
+    code, text = _run(command, {**values, key: bad})
+    assert code == 1
+    assert text is None

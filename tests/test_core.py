@@ -5,7 +5,6 @@ import pytest
 
 from epgw import (
     C_LIGHT,
-    CONSTANTS,
     ConfigParseError,
     CoupledSystem,
     EpgwError,
@@ -43,31 +42,25 @@ def test_constants_are_codata_values():
     assert HBAR == 1.054571817e-34
     assert C_LIGHT == 299792458.0
     assert K_BOLTZMANN == 1.380649e-23
-    assert CONSTANTS.hbar == HBAR
-    assert CONSTANTS.c == C_LIGHT
-    assert CONSTANTS.k_B == K_BOLTZMANN
     assert CRITICAL_AMPLITUDE_FACTOR == 0.53
 
 
-def test_constants_bundle_is_immutable():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        CONSTANTS.hbar = 1.0
-
-
 def test_error_taxonomy_shares_base_class():
-    for exc in (
-        NonPositiveParameterError("x", -1.0),
-        ValidationError([NonPositiveParameterError("x", -1.0)]),
-        NoEPError(),
-        ZeroCouplingError(),
-        NotAtEPError(),
-        InvalidRangeError(),
-        SamplingTooCoarseError(),
-        TooFewSamplesError(),
-        ConfigParseError(3, "bad"),
-        UnknownKeyError("nope"),
+    # exit codes as in the README table: 1 bad input, 2 domain error
+    for exc, exit_code in (
+        (NonPositiveParameterError("x", -1.0), 1),
+        (ValidationError([NonPositiveParameterError("x", -1.0)]), 1),
+        (NoEPError(), 2),
+        (ZeroCouplingError(), 2),
+        (NotAtEPError(), 2),
+        (InvalidRangeError(), 1),
+        (SamplingTooCoarseError(), 2),
+        (TooFewSamplesError(), 2),
+        (ConfigParseError(3, "bad"), 1),
+        (UnknownKeyError("nope"), 1),
     ):
         assert isinstance(exc, EpgwError)
+        assert type(exc).exit_code == exit_code
 
 
 def test_nonpositive_error_carries_context():

@@ -178,10 +178,11 @@ def test_overlay_rejects_wrong_header(tmp_path):
 
 def test_overlay_rejects_bad_cell(tmp_path):
     path = tmp_path / "curve.csv"
-    path.write_text("frequency_hz,strain\n1.0,2.0\n\n3.0,oops\n")
-    with pytest.raises(ConfigParseError) as info:
-        read_overlay_csv(str(path))
-    assert info.value.line == 4  # blank line counted, row numbers preserved
+    for cell in ("oops", "nan", "-inf"):
+        path.write_text(f"frequency_hz,strain\n1.0,2.0\n\n3.0,{cell}\n")
+        with pytest.raises(ConfigParseError) as info:
+            read_overlay_csv(str(path))
+        assert info.value.line == 4  # blank line counted, row numbers preserved
 
 
 def test_overlay_rejects_wrong_width(tmp_path):
