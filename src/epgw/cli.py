@@ -196,16 +196,15 @@ def parse_config(path: str | None, overrides: dict[str, float] | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
+def _csv_code(value) -> str:
+    """%-format code of one CSV cell: strings (and bools) as str() gives
+    them, ints as digits, every other value as a float with 17 significant
+    digits."""
+    if isinstance(value, (str, bool)):
+        return "%s"
     if isinstance(value, int):
-        return str(value)
-    return _fmt(value)
+        return "%d"
+    return "%.16e"
 
 
 def _header_lines(cfg: RunConfig, command: str, flags: dict) -> list[str]:
@@ -226,14 +225,45 @@ def render_csv(
 ) -> str:
     out = _header_lines(cfg, command, flags)
     out.append(",".join(columns))
+    formats: dict[tuple, str] = {}  # row format by the types of its cells
     for row in rows:
-        out.append(",".join(_cell(value) for value in row))
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(map(_csv_code, row))
+        out.append(fmt % tuple(row))
     for name in sorted(overlays or {}):
         out.append(f"# overlay = {name}")
         out.append("frequency_hz,strain")
-        for f, h in overlays[name]:
-            out.append(f"{_fmt(f)},{_fmt(h)}")
+        out += ["%.16e,%.16e" % (f, h) for f, h in overlays[name]]
     return "\n".join(out) + "\n"
+
+
+def _json_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+_JSON_CELL = {float: _json_float, int: int.__repr__, str: json.encoder.encode_basestring_ascii}
+
+
+def _json_cell(value) -> str:
+    encode = _JSON_CELL.get(type(value))
+    return encode(value) if encode else json.dumps(value, allow_nan=False)
+
+
+def _json_table(table, level: int) -> str:
+    """json.dumps(table, indent=2) for a list of rows, at nesting ``level``."""
+    if not table:
+        return "[]"
+    outer = "\n" + "  " * (level + 1)
+    inner = outer + "  "
+    rows = [
+        "[" + inner + ("," + inner).join(map(_json_cell, row)) + outer + "]" if row else "[]"
+        for row in table
+    ]
+    return "[" + outer + ("," + outer).join(rows) + "\n" + "  " * level + "]"
 
 
 def render_json(
@@ -244,16 +274,23 @@ def render_json(
     rows: list[list],
     overlays: dict[str, list[tuple[float, float]]] | None = None,
 ) -> str:
-    payload = {
+    """The payload as json.dumps(sort_keys=True, indent=2, allow_nan=False)
+    writes it. Only the small fields go through json.dumps; the row and
+    overlay tables, the last keys in sorted order, are written directly."""
+    head = {
         "command": command,
         "config": {key: getattr(cfg, attr) for key, attr in _ATTR.items()},
         "flags": flags,
         "columns": columns,
-        "rows": rows,
     }
+    out = [json.dumps(head, sort_keys=True, indent=2, allow_nan=False)[: -len("\n}")]]
     if overlays:
-        payload["overlays"] = {name: [list(pair) for pair in table] for name, table in overlays.items()}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        tables = ",\n    ".join(
+            f"{json.dumps(name)}: {_json_table(overlays[name], 2)}" for name in sorted(overlays)
+        )
+        out.append(',\n  "overlays": {\n    ' + tables + "\n  }")
+    out.append(',\n  "rows": ' + _json_table(rows, 1) + "\n}\n")
+    return "".join(out)
 
 
 def _emit(args, cfg, command, flags, columns, rows, overlays=None, default_format="csv"):
@@ -261,7 +298,10 @@ def _emit(args, cfg, command, flags, columns, rows, overlays=None, default_forma
         return
     fmt = args.format or default_format
     render = render_csv if fmt == "csv" else render_json
-    text = render(cfg, command, flags, columns, rows, overlays)
+    try:
+        text = render(cfg, command, flags, columns, rows, overlays)
+    except ValueError as exc:  # a value that is not finite
+        raise InvalidRangeError(f"{args.output} not written: {exc}") from None
     with open(args.output, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.output} ({fmt}, {len(rows)} rows)")

@@ -20,7 +20,7 @@ from .core import (
     TooFewSamplesError,
     validate_system,
 )
-from .spectral import _arm_breakdown
+from .spectral import _arms
 
 # Eigenvector condition number beyond which the matrix is treated as
 # defective and propagated with the generalized (Jordan) form.
@@ -97,8 +97,9 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
     damping from its own cavity; off-diagonal entries are J. The system is
     not validated (see validate_system).
     """
-    g1 = _arm_breakdown(system.resonator_1, system.cavity_1).gamma_total
-    g2 = _arm_breakdown(system.resonator_2, system.cavity_2).gamma_total
+    arm_1, arm_2 = _arms(system)
+    g1 = arm_1.damping(system.cavity_1.n_cav)
+    g2 = arm_2.damping(system.cavity_2.n_cav)
     j = system.coupling_j
     return np.array(
         [

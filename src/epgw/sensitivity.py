@@ -16,6 +16,8 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     ConfigParseError,
     InvalidRangeError,
@@ -88,7 +90,8 @@ def min_detectable_strain(
 def _strain_floor(
     ctx: SensitivityContext, resonator: MechanicalResonator, coupling_j: float, sample_time: float
 ) -> float:
-    """min_detectable_strain at integration time ``sample_time``, unchecked."""
+    """min_detectable_strain at integration time ``sample_time`` (a float or
+    an array), unchecked."""
     mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
     return (
         K_BOLTZMANN
@@ -124,12 +127,13 @@ def sensitivity_curve(
     signal averages itself out beyond that. Pass half_period_cap=False
     for the full-period convention tau(f) = min(t_max, 1/f). The curve is
     flat at h_min(t_max) below the knee f = 1/(2 t_max) and rises
-    linearly in f above it.
+    linearly in f above it. The grid is evaluated as one array.
 
     Raises:
         NonPositiveParameterError: invalid context, resonator or coupling.
         InvalidRangeError: unusable frequency range (see core.sweep_grid),
-            or t_max not finite and positive.
+            t_max not finite and positive, or an f_max so high that the
+            strain floor overflows.
     """
     _validate(ctx, resonator)
     require_positive("coupling_j", coupling_j)
@@ -137,12 +141,18 @@ def sensitivity_curve(
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise InvalidRangeError(f"t_max = {t_max!r}; need a finite t_max > 0")
     period_fraction = 0.5 if half_period_cap else 1.0
-    curve: list[SensitivityPoint] = []
-    for f in grid:
-        tau = min(t_max, period_fraction / float(f))
-        h = _strain_floor(ctx, resonator, coupling_j, tau)
-        curve.append(SensitivityPoint(gw_frequency=float(f), observation_time=tau, h_min=h))
-    return curve
+    tau = np.minimum(t_max, period_fraction / grid)
+    with np.errstate(all="ignore"):
+        h_min = _strain_floor(ctx, resonator, coupling_j, tau)
+    if not np.isfinite(h_min).all():
+        raise InvalidRangeError(
+            f"f_max = {f_max!r}: the integration time {float(tau[-1])!r} s is too short "
+            f"for a finite strain floor"
+        )
+    return [
+        SensitivityPoint(gw_frequency=f, observation_time=t, h_min=h)
+        for f, t, h in zip(grid.tolist(), tau.tolist(), h_min.tolist())
+    ]
 
 
 def read_overlay_csv(path: str) -> list[tuple[float, float]]:

@@ -21,16 +21,29 @@ so the balanced EP sits at Gamma = 2J. EQ8 is a widely used simplified
 form, disc = J^2 + B^2, which places the balanced EP at Gamma = J and
 therefore at half the EQ7 threshold photon number. EQ7 is the default;
 EQ8 is provided for comparison with results quoted in that convention.
+
+One kernel, ``_spectrum``, evaluates this closed form for every caller:
+single points (``eigenvalues_general``, the golden-section step of the EP
+search) and whole grids (the EP scan and float polish, both sweeps). It
+takes the photon-number-independent constants of each arm (g0^2, phi,
+computed once per system) and a photon number that is a float or an
+array, and works on real and imaginary parts written out the way CPython
+evaluates the complex expressions, so a grid point is bit for bit the
+value a single-point call gives. numpy's complex ``*`` and ``abs`` are
+not used: they differ from CPython's in the last bit for some operands.
+Magnitudes come from ``np.hypot``, the C library hypot that CPython's
+``abs(complex)`` calls, and array square roots follow ``cmath.sqrt``'s
+algorithm (numpy's complex sqrt differs from it on the imaginary axis).
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +51,7 @@ from .core import (
     C_LIGHT,
     HBAR,
     CoupledSystem,
+    InvalidRangeError,
     MechanicalResonator,
     NoEPError,
     NotAtEPError,
@@ -68,6 +82,16 @@ _DISC_FLOOR_FACTOR = 8.0 * _EPS
 _SCAN_BOUNDS = (1.0, 1e16)
 _SCAN_POINTS = 512
 _POLISH_STEPS = 512
+
+# Float-step offsets of the polish window, in the order the neighbours are
+# tried: the guess, then one step down and one step up, two down, two up...
+_POLISH_OFFSETS = np.concatenate(
+    [[0], np.stack([-np.arange(1, _POLISH_STEPS + 1), np.arange(1, _POLISH_STEPS + 1)], axis=1).ravel()]
+)
+_INF_BITS = int(np.float64(np.inf).view(np.int64))
+
+# Phases by the index sweep_photon_number classifies a grid into.
+_PHASES = (Phase.PT_SYMMETRIC, Phase.BROKEN, Phase.EXCEPTIONAL_POINT)
 
 
 class EpConvention(Enum):
@@ -157,15 +181,103 @@ def optomech_damping(cavity: OpticalCavity, resonator: MechanicalResonator, g0: 
     return DampingBreakdown(phi=phi, gamma_opt=gamma_opt, gamma_total=resonator.gamma_m + gamma_opt)
 
 
-def _arm_breakdown(resonator: MechanicalResonator, cavity: OpticalCavity) -> DampingBreakdown:
-    g0 = vacuum_coupling(cavity, zero_point_fluctuation(resonator))
-    return optomech_damping(cavity, resonator, g0)
+class _Arm(NamedTuple):
+    """The constants of one arm that do not depend on the photon number."""
+
+    omega_m: float
+    gamma_m: float
+    g0_sq: float
+    phi: float
+
+    def optical_damping(self, n):
+        """gamma_opt = g0^2 n phi, rounded as optomech_damping rounds it."""
+        return self.g0_sq * n * self.phi
+
+    def damping(self, n):
+        """Total damping Gamma = gamma_m + gamma_opt at photon number n."""
+        return self.gamma_m + self.optical_damping(n)
 
 
-def _damping_slope(resonator: MechanicalResonator, cavity: OpticalCavity) -> float:
-    """d gamma_opt / d n_cav for one arm (rad/s per photon)."""
-    g0 = vacuum_coupling(cavity, zero_point_fluctuation(resonator))
-    return g0 * g0 * detuning_response(cavity, resonator.omega_m)
+def _arms(system: CoupledSystem) -> tuple[_Arm, _Arm]:
+    """Per-arm constants of a system, each from its own cavity and resonator."""
+    arms = []
+    for resonator, cavity in ((system.resonator_1, system.cavity_1), (system.resonator_2, system.cavity_2)):
+        g0 = vacuum_coupling(cavity, zero_point_fluctuation(resonator))
+        arms.append(_Arm(resonator.omega_m, resonator.gamma_m, g0 * g0, detuning_response(cavity, resonator.omega_m)))
+    return arms[0], arms[1]
+
+
+def _complex(re, im):
+    """complex(re, im); a complex array when ``im`` is an array."""
+    if not isinstance(im, np.ndarray):
+        return complex(re, im)
+    z = np.empty(im.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _magnitude(z):
+    """abs(z); for an array, the same hypot elementwise."""
+    if isinstance(z, np.ndarray):
+        return np.hypot(z.real, z.imag)
+    return abs(z)
+
+
+def _root(z):
+    """cmath.sqrt(z); for an array, cmath's algorithm elementwise.
+
+    Finite values only: cmath's special-value table for inf and nan is not
+    reproduced.
+    """
+    if not isinstance(z, np.ndarray):
+        return cmath.sqrt(z)
+    re, im = z.real, z.imag
+    ax, ay = np.abs(re), np.abs(im)
+    with np.errstate(all="ignore"):
+        s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+        tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
+        if tiny.any():  # hypot(ax, ay) is subnormal: scale up first
+            ax_up = np.ldexp(ax[tiny], 53)
+            s[tiny] = np.ldexp(np.sqrt(ax_up + np.hypot(ax_up, np.ldexp(ay[tiny], 53))), -27)
+        d = ay / (2.0 * s)
+    right = re >= 0.0
+    zero = (re == 0.0) & (im == 0.0)
+    return _complex(
+        np.where(zero, 0.0, np.where(right, s, d)),
+        np.where(zero, im, np.copysign(np.where(right, d, s), im)),
+    )
+
+
+def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2, convention: EpConvention):
+    """Center, discriminant and sqrt(discriminant) at photon numbers n_1, n_2.
+
+    The one closed-form evaluator. ``n_1`` and ``n_2`` (the photon numbers
+    of the two cavities) are floats, giving Python complex results, or
+    arrays, giving complex arrays; either way each value is bit for bit
+    what CPython's complex arithmetic gives for
+
+        center = complex((w1 + w2)/2, -(G1 + G2)/4)
+        b = complex(w1 - w2, (G2 - G1)/2)
+        disc = J*J + 0.25*(b*b)   (EQ7),   J*J + b*b   (EQ8)
+
+    The principal root has Re >= 0 (Im >= 0 on the branch cut), so
+    center + root is the canonical lambda_plus: larger Re, larger Im on ties.
+    """
+    arm_1, arm_2 = arms
+    gamma_1 = arm_1.damping(n_1)
+    gamma_2 = arm_2.damping(n_2)
+    center = _complex(0.5 * (arm_1.omega_m + arm_2.omega_m), -0.25 * (gamma_1 + gamma_2))
+    b_re = arm_1.omega_m - arm_2.omega_m
+    b_im = 0.5 * (gamma_2 - gamma_1)
+    sq_re = b_re * b_re - b_im * b_im
+    sq_im = b_re * b_im + b_im * b_re
+    if convention is EpConvention.EQ7:
+        # CPython's 0.25 * z is the full product with complex(0.25, 0.0);
+        # its zero terms matter where a part is not finite (0.0 * inf)
+        sq_re, sq_im = 0.25 * sq_re - 0.0 * sq_im, 0.25 * sq_im + 0.0 * sq_re
+    # J*J enters as complex(J*J, 0.0): an imaginary -0.0 becomes +0.0
+    disc = _complex(coupling_j * coupling_j + sq_re, 0.0 + sq_im)
+    return center, disc, _root(disc)
 
 
 def ep_tolerance(coupling_j: float) -> float:
@@ -186,36 +298,11 @@ def _classify(disc: complex, tol: float) -> Phase:
     return Phase.BROKEN
 
 
-def _pair_from_parts(
-    omega_1: float,
-    omega_2: float,
-    gamma_1: float,
-    gamma_2: float,
-    coupling_j: float,
-    convention: EpConvention,
-) -> SupermodePair:
-    center = complex(0.5 * (omega_1 + omega_2), -0.25 * (gamma_1 + gamma_2))
-    b = complex(omega_1 - omega_2, 0.5 * (gamma_2 - gamma_1))
-    if convention is EpConvention.EQ7:
-        disc = coupling_j * coupling_j + 0.25 * (b * b)
-    else:
-        disc = coupling_j * coupling_j + b * b
-    # principal sqrt has Re >= 0 (Im >= 0 on the branch cut), so center+alpha
-    # is already the canonical lambda_plus: larger Re, larger Im on ties.
-    alpha = cmath.sqrt(disc)
-    return SupermodePair(
-        lambda_plus=center + alpha,
-        lambda_minus=center - alpha,
-        discriminant=disc,
-        phase=_classify(disc, ep_tolerance(coupling_j)),
-    )
-
-
 def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConvention.EQ7) -> SupermodePair:
     """Supermode pair of a coupled system from the analytic discriminant.
 
-    The per-point evaluator of the sweeps and the EP search: it does not
-    validate ``system`` (see validate_system).
+    The single-point evaluator: it does not validate ``system`` (see
+    validate_system).
 
     Args:
         system: The system; each arm's damping is computed from its own
@@ -225,15 +312,14 @@ def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConv
     Returns:
         SupermodePair with canonically labeled branches.
     """
-    g1 = _arm_breakdown(system.resonator_1, system.cavity_1).gamma_total
-    g2 = _arm_breakdown(system.resonator_2, system.cavity_2).gamma_total
-    return _pair_from_parts(
-        system.resonator_1.omega_m,
-        system.resonator_2.omega_m,
-        g1,
-        g2,
-        system.coupling_j,
-        convention,
+    center, disc, root = _spectrum(
+        _arms(system), system.coupling_j, system.cavity_1.n_cav, system.cavity_2.n_cav, convention
+    )
+    return SupermodePair(
+        lambda_plus=center + root,
+        lambda_minus=center - root,
+        discriminant=disc,
+        phase=_classify(disc, ep_tolerance(system.coupling_j)),
     )
 
 
@@ -247,11 +333,11 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
     eigenvalues nearly coincide. Always equivalent to the EQ7 convention,
     which is exact for M.
     """
-    g1 = _arm_breakdown(system.resonator_1, system.cavity_1).gamma_total
-    g2 = _arm_breakdown(system.resonator_2, system.cavity_2).gamma_total
-    a11 = complex(system.resonator_1.omega_m, -0.5 * g1)
-    a22 = complex(system.resonator_2.omega_m, -0.5 * g2)
+    arms = _arms(system)
     j = system.coupling_j
+    n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
+    a11 = complex(arms[0].omega_m, -0.5 * arms[0].damping(n_1))
+    a22 = complex(arms[1].omega_m, -0.5 * arms[1].damping(n_2))
     b = -(a11 + a22)
     c = a11 * a22 - j * j
     s = cmath.sqrt(b * b - 4.0 * c)
@@ -263,11 +349,10 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
     else:
         r1 = q
         r2 = c / q
-    reference = _pair_from_parts(
-        system.resonator_1.omega_m, system.resonator_2.omega_m, g1, g2, j, EpConvention.EQ7
-    )
-    keep = abs(r1 - reference.lambda_plus) + abs(r2 - reference.lambda_minus)
-    swap = abs(r2 - reference.lambda_plus) + abs(r1 - reference.lambda_minus)
+    center, _, root = _spectrum(arms, j, n_1, n_2, EpConvention.EQ7)
+    plus, minus = center + root, center - root
+    keep = abs(r1 - plus) + abs(r2 - minus)
+    swap = abs(r2 - plus) + abs(r1 - minus)
     lp, lm = (r1, r2) if keep <= swap else (r2, r1)
     disc = 0.25 * (b * b - 4.0 * c)
     return SupermodePair(
@@ -278,38 +363,26 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
     )
 
 
-def _disc_magnitude(system: CoupledSystem, n_cav: float, convention: EpConvention) -> float:
-    return abs(eigenvalues_general(system.with_photon_number(n_cav), convention).discriminant)
-
-
-def _polish_photon_number(
-    system: CoupledSystem, n_guess: float, convention: EpConvention
-) -> tuple[float, float]:
-    """Walk n_cav one float at a time to minimize the discriminant magnitude.
+def _polish_photon_number(magnitude, n_guess: float) -> tuple[float, float]:
+    """The float within +-_POLISH_STEPS steps of n_guess that minimizes |disc|.
 
     The degeneracy tolerance is a tiny fraction of an ulp of J^2, so the
     discriminant must cancel essentially bit-exactly; an analytic guess is
     only good to a few ulps because it cannot anticipate the rounding of
-    the damping chain. Scanning neighbouring floats of n_cav and keeping
-    the best value closes that gap.
+    the damping chain. The neighbouring floats of n_guess >= 0 (clipped at
+    0.0 and +inf) are evaluated in one call, in the order
+    [n, down 1, up 1, down 2, up 2, ...], and the first minimum in that
+    order wins; a NaN magnitude never wins, unless it is the guess's.
+
+    Returns:
+        (n, |disc(n)|) at the chosen float.
     """
-    best_n = n_guess
-    best = _disc_magnitude(system, n_guess, convention)
-    if best == 0.0:
-        return best_n, best
-    down = n_guess
-    up = n_guess
-    for _ in range(_POLISH_STEPS):
-        down = math.nextafter(down, 0.0)
-        up = math.nextafter(up, math.inf)
-        for n in (down, up):
-            val = _disc_magnitude(system, n, convention)
-            if val < best:
-                best = val
-                best_n = n
-                if best == 0.0:
-                    return best_n, best
-    return best_n, best
+    bits = np.clip(np.float64(n_guess).view(np.int64) + _POLISH_OFFSETS, 0, _INF_BITS)
+    window = bits.view(np.float64)
+    with np.errstate(all="ignore"):
+        values = magnitude(window)
+    best = 0 if np.isnan(values[0]) else int(np.argmin(np.where(np.isnan(values), np.inf, values)))
+    return float(window[best]), float(values[best])
 
 
 def _golden_refine(f, lo: float, hi: float, max_iter: int = 200) -> float:
@@ -319,8 +392,8 @@ def _golden_refine(f, lo: float, hi: float, max_iter: int = 200) -> float:
     sqrt(eps) because a quadratic minimum is flat below that. The
     discriminant magnitude is V-shaped (linear) at its root, so ordering
     comparisons stay informative all the way down to one ulp of n; this
-    loop has no tolerance floor and hands the polish loop a candidate
-    within its +-512-float reach.
+    loop has no tolerance floor and hands the polish a candidate within
+    its +-512-float reach.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -371,14 +444,17 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
     if j == 0:
         raise ZeroCouplingError("coupling_j is zero; the spectrum has no tunable degeneracy")
     accept = _ep_acceptance(j)
+    arms = _arms(system)
+
+    def magnitude(n):
+        return _magnitude(_spectrum(arms, j, n, n, convention)[1])
 
     if system.is_balanced:
-        slope = abs(_damping_slope(system.resonator_1, system.cavity_1))
+        slope = abs(arms[0].g0_sq * arms[0].phi)
         if slope == 0.0:
             raise ZeroCouplingError("g0^2 * phi vanishes; photon number cannot tune the spectrum")
         factor = 2.0 if convention is EpConvention.EQ7 else 1.0
-        n_guess = factor * j / slope
-        best_n, best = _polish_photon_number(system, n_guess, convention)
+        best_n, best = _polish_photon_number(magnitude, factor * j / slope)
         if best > accept:
             raise NoEPError(
                 f"discriminant magnitude {best:.3e} above threshold {accept:.3e} "
@@ -386,20 +462,16 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
             )
         return best_n
 
-    slope_1 = _damping_slope(system.resonator_1, system.cavity_1)
-    slope_2 = _damping_slope(system.resonator_2, system.cavity_2)
-    if slope_1 == 0.0 and slope_2 == 0.0:
+    if arms[0].g0_sq * arms[0].phi == 0.0 and arms[1].g0_sq * arms[1].phi == 0.0:
         raise ZeroCouplingError("g0^2 * phi vanishes in both arms; photon number cannot tune the spectrum")
 
     grid = np.geomspace(_SCAN_BOUNDS[0], _SCAN_BOUNDS[1], _SCAN_POINTS)
-    values = np.array([_disc_magnitude(system, float(n), convention) for n in grid])
-    seed = int(np.argmin(values))
+    with np.errstate(all="ignore"):
+        seed = int(np.argmin(magnitude(grid)))
     lo = grid[max(seed - 1, 0)]
     hi = grid[min(seed + 1, len(grid) - 1)]
-    refined = _golden_refine(
-        lambda n: _disc_magnitude(system, n, convention), float(lo), float(hi)
-    )
-    best_n, best = _polish_photon_number(system, refined, convention)
+    refined = _golden_refine(magnitude, float(lo), float(hi))
+    best_n, best = _polish_photon_number(magnitude, refined)
     if best > accept:
         raise NoEPError(
             f"discriminant magnitude {best:.3e} above threshold {accept:.3e} after scanning n in "
@@ -450,50 +522,72 @@ def splitting(
 
     Raises:
         ValidationError, NonPositiveParameterError: invalid system or n0.
-        InvalidRangeError: |h| >= 1/2, or h not finite.
+        InvalidRangeError: |h| >= 1/2, or h not finite; or the response
+            overflows.
         NotAtEPError: ``n0`` does not put the unstrained system at its EP.
     """
     validate_system(system)
     require_nonnegative("n0", n0)
     require_strain(strain)
-    return _splittings(system, n0, [strain], convention)[0]
-
-
-def _splittings(
-    system: CoupledSystem, n0: float, strains, convention: EpConvention
-) -> list[SplittingResult]:
-    """splitting() at each strain, with the bias point evaluated once."""
-    biased = system.with_photon_number(n0)
-    pair0 = eigenvalues_general(biased, convention)
-    if abs(pair0.discriminant) > _ep_acceptance(system.coupling_j):
-        raise NotAtEPError(
-            f"|disc| = {abs(pair0.discriminant):.3e} exceeds threshold "
-            f"{_ep_acceptance(system.coupling_j):.3e} at n_cav = {n0!r}; locate the EP first"
-        )
-    arm_1 = _arm_breakdown(biased.resonator_1, biased.cavity_1)
-    arm_2 = _arm_breakdown(biased.resonator_2, biased.cavity_2)
-    b0 = complex(
-        biased.resonator_1.omega_m - biased.resonator_2.omega_m,
-        0.5 * (arm_2.gamma_total - arm_1.gamma_total),
+    strain = float(strain)
+    dg, d_exact, d_approx, linewidth = _strain_response(system, n0, strain, convention)
+    return SplittingResult(
+        strain=strain, dg=dg, d_exact=d_exact, d_approx=float(d_approx), linewidth_split=linewidth
     )
-    q = 0.25 if convention is EpConvention.EQ7 else 1.0
-    g0_1 = vacuum_coupling(biased.cavity_1, zero_point_fluctuation(biased.resonator_1))
-    results = []
-    for h in strains:
-        h = float(h)
-        scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
-        db = complex(0.0, 0.5 * (scale * arm_2.gamma_opt - scale * arm_1.gamma_opt))
-        alpha = cmath.sqrt(q * (db * (2.0 * b0 + db)))
-        results.append(
-            SplittingResult(
-                strain=h,
-                dg=coupling_perturbation(g0_1, h),
-                d_exact=2.0 * alpha.real,
-                d_approx=4.0 * math.sqrt(2.0) * system.coupling_j * math.sqrt(abs(h)),
-                linewidth_split=2.0 * abs(alpha.imag),
-            )
+
+
+def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConvention):
+    """(dg, d_exact, d_approx, linewidth_split) at strain h, a float or an
+    array, for a system biased at n0 (see splitting)."""
+    arms = _arms(system)
+    j = system.coupling_j
+    disc0 = _spectrum(arms, j, n0, n0, convention)[1]
+    if abs(disc0) > _ep_acceptance(j):
+        raise NotAtEPError(
+            f"|disc| = {abs(disc0):.3e} exceeds threshold "
+            f"{_ep_acceptance(j):.3e} at n_cav = {n0!r}; locate the EP first"
         )
-    return results
+    arm_1, arm_2 = arms
+    b0_re = arm_1.omega_m - arm_2.omega_m
+    b0_im = 0.5 * (arm_2.damping(n0) - arm_1.damping(n0))
+    q = 0.25 if convention is EpConvention.EQ7 else 1.0
+    g0_1 = vacuum_coupling(system.cavity_1, zero_point_fluctuation(system.resonator_1))
+    with np.errstate(all="ignore"):
+        scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
+        # disc(h) = q db (2 b0 + db) with db = i db_im. CPython's complex
+        # product adds zero terms here that can only flip the sign of a
+        # zero part, which neither output below keeps.
+        db_im = 0.5 * (scale * arm_2.optical_damping(n0) - scale * arm_1.optical_damping(n0))
+        t_im = 2.0 * b0_im + db_im
+        alpha = _root(_complex(q * -(db_im * t_im), q * (db_im * (2.0 * b0_re))))
+        response = (
+            coupling_perturbation(g0_1, h),
+            2.0 * alpha.real,
+            4.0 * math.sqrt(2.0) * j * np.sqrt(abs(h)),
+            2.0 * abs(alpha.imag),
+        )
+    if not all(np.isfinite(x).all() for x in response):
+        raise InvalidRangeError(f"the strain response at n0 = {n0!r} overflows double precision")
+    return response
+
+
+def _continuity_swaps(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Points of a canonically labeled branch pair to swap for continuity.
+
+    Walking the grid, point k keeps or swaps its labels, whichever moves
+    the branches less from the relabeled point k-1 (keep on a tie). In
+    terms of the canonical pairs at k-1 and k, a strictly shorter swap
+    flips the labeling of k-1, a strictly shorter keep carries it, and an
+    exact tie (or NaN) resets it to canonical. So the labeling at k is the
+    parity of the swaps since the last reset: a cumulative XOR restarted
+    at every tie.
+    """
+    keep = _magnitude(plus[1:] - plus[:-1]) + _magnitude(minus[1:] - minus[:-1])
+    swap = _magnitude(plus[1:] - minus[:-1]) + _magnitude(minus[1:] - plus[:-1])
+    flips = np.concatenate([[0], np.cumsum(swap < keep)]) & 1
+    resets = np.concatenate([[True], ~((swap < keep) | (keep < swap))])
+    last_reset = np.maximum.accumulate(np.where(resets, np.arange(len(plus)), 0))
+    return (flips ^ flips[last_reset]).astype(bool)
 
 
 def sweep_photon_number(
@@ -512,24 +606,25 @@ def sweep_photon_number(
 
     Raises:
         ValidationError: invalid system.
-        InvalidRangeError: bad grid (see core.sweep_grid).
+        InvalidRangeError: bad grid (see core.sweep_grid), or eigenvalues
+            that overflow double precision on it.
     """
     validate_system(system)
     grid = sweep_grid("n", n_min, n_max, points, log)
-    rows: list[tuple[float, SupermodePair]] = []
-    prev: SupermodePair | None = None
-    for n in grid:
-        pair = eigenvalues_general(system.with_photon_number(float(n)), convention)
-        if prev is not None:
-            keep = abs(pair.lambda_plus - prev.lambda_plus) + abs(pair.lambda_minus - prev.lambda_minus)
-            swap = abs(pair.lambda_plus - prev.lambda_minus) + abs(pair.lambda_minus - prev.lambda_plus)
-            if swap < keep:
-                pair = dataclasses.replace(
-                    pair, lambda_plus=pair.lambda_minus, lambda_minus=pair.lambda_plus
-                )
-        rows.append((float(n), pair))
-        prev = pair
-    return rows
+    with np.errstate(all="ignore"):
+        center, disc, root = _spectrum(_arms(system), system.coupling_j, grid, grid, convention)
+        plus, minus = center + root, center - root
+        if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+            raise InvalidRangeError(f"n_max = {n_max!r}: the eigenvalues overflow double precision")
+        phase = np.where(
+            _magnitude(disc) <= ep_tolerance(system.coupling_j), 2, np.where(disc.real >= 0.0, 0, 1)
+        )
+    swapped = _continuity_swaps(plus, minus)
+    plus, minus = np.where(swapped, minus, plus), np.where(swapped, plus, minus)
+    return [
+        (n, SupermodePair(lambda_plus=lp, lambda_minus=lm, discriminant=d, phase=_PHASES[k]))
+        for n, lp, lm, d, k in zip(grid.tolist(), plus.tolist(), minus.tolist(), disc.tolist(), phase.tolist())
+    ]
 
 
 def sweep_strain(
@@ -552,4 +647,8 @@ def sweep_strain(
     require_nonnegative("n0", n0)
     grid = sweep_grid("h", h_min, h_max, points, log)
     require_strain(h_max)
-    return _splittings(system, n0, grid, convention)
+    columns = _strain_response(system, n0, grid, convention)
+    return [
+        SplittingResult(strain=h, dg=dg, d_exact=d, d_approx=a, linewidth_split=w)
+        for h, dg, d, a, w in zip(grid.tolist(), *(column.tolist() for column in columns))
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -176,6 +177,46 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
     assert ja.read_bytes() == jb.read_bytes()
 
 
+# sha256 of each subcommand's output file at its default size, and of the
+# JSON renderer on a sweep and on embedded overlays. They pin the bytes
+# across implementations: a change that moves one last digit fails here.
+# Recorded on x86-64 Linux with CPython 3.11 and numpy 2.4; the simulate
+# digest also rests on numpy's FFT and LAPACK.
+GOLDEN = {
+    "ep-locate": "ead27a67ccf2b1884b0d1c6c98d0340ff01edad6a1931a40785d074c1dc42f30",
+    "sweep-ncav": "fcd831485bc4f248b4481959e7098c65d68b90f301761da1ff2b9aa560f064e2",
+    "sweep-ncav-json": "cacc33ae06746ad126b27c248c9ccaca35beeb31df5400bf9d39d0afc9b09764",
+    "sweep-strain": "876803b552af82d8fcdbb171814d77c52086db1ca9d7f67babbdf9fab715a8d9",
+    "sensitivity": "92fb1128ea340d44807b8b15e5efaac209e4af81ae221be81e7c89ffcd8309bc",
+    "simulate": "93a616751b750b70d8af6849a8c5f0c9099eab0fd5350814e359e0b455764709",
+    "sensitivity-overlay-json": "f98367eb5ae7d51f150ceb349ab05e841a96baec0dcea53649330619475b9b2f",
+    "sensitivity-overlay-csv": "64695e6ff422b3b885c2973488c367ed607a2cdda2a203b76498edfdf92d290f",
+}
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("ep-locate", ["ep-locate"]),
+        ("sweep-ncav", ["sweep-ncav"]),
+        ("sweep-ncav-json", ["sweep-ncav", "--format", "json"]),
+        ("sweep-strain", ["sweep-strain"]),
+        ("sensitivity", ["sensitivity"]),
+        ("simulate", ["simulate"]),
+        ("sensitivity-overlay-json", ["sensitivity", "--format", "json", "--overlay"]),
+        ("sensitivity-overlay-csv", ["sensitivity", "--overlay"]),
+    ],
+)
+def test_output_bytes_match_golden_digest(run_cli, tmp_path, name, argv):
+    if argv[-1] == "--overlay":
+        overlay = tmp_path / "reference.csv"
+        overlay.write_text("frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\n0.1,3.5e-22\n")
+        argv = argv + [str(overlay)]
+    out = tmp_path / f"{name}.out"
+    assert run_cli(*argv, "--output", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+
+
 def test_csv_schema(run_cli, tmp_path):
     path = tmp_path / "sweep.csv"
     run_cli("sweep-ncav", "--points", "25", "--output", str(path))
@@ -299,6 +340,11 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("", ["sweep-ncav", "--max", "inf", "--points", "5"], "n_max"),
         ("", ["sensitivity", "--fmax", "inf", "--points", "5"], "f_max"),
         ("", ["simulate", "--strain", "0.5"], "strain"),
+        # finite but extreme: the eigenvalues overflow, or the integration
+        # time 0.5/f is subnormal and the strain floor's denominator underflows
+        ("", ["sweep-ncav", "--max", "1e300", "--points", "3"], "n_max"),
+        ("", ["sweep-ncav", "--max", "1e300", "--points", "3", "--format", "json"], "n_max"),
+        ("", ["sensitivity", "--fmax", "1e308", "--points", "5"], "f_max"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):
@@ -311,6 +357,19 @@ def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+    assert not out.exists()
+
+
+def test_non_finite_json_value_exits_1_without_output(run_cli, tmp_path, monkeypatch):
+    # render_json refuses NaN and inf, as json.dumps(allow_nan=False) does,
+    # and the command reports it instead of writing the file
+    from epgw import SensitivityPoint, cli
+
+    monkeypatch.setattr(cli, "sensitivity_curve", lambda *args, **kwargs: [SensitivityPoint(1.0, 0.5, math.nan)])
+    out = tmp_path / "sens.json"
+    code, _, err = run_cli("sensitivity", "--format", "json", "--output", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "not JSON compliant" in err
     assert not out.exists()
 
 

@@ -1,0 +1,314 @@
+"""Bitwise equivalence of the array-native spectral kernel with a scalar
+reference.
+
+The library evaluates the closed form on whole arrays. The reference below
+is the same mathematics evaluated one point at a time with CPython complex
+arithmetic, with the float polish as a nextafter walk and the branch
+relabeling as a loop. Every value must agree bit for bit, signed zeros
+included.
+"""
+
+import cmath
+import dataclasses
+import math
+import sys
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from epgw import (  # noqa: E402
+    EpConvention,
+    MechanicalResonator,
+    NoEPError,
+    Phase,
+    balanced_system,
+    detuning_response,
+    ep_photon_number,
+    ep_tolerance,
+    optomech_damping,
+    splitting,
+    sweep_photon_number,
+    sweep_strain,
+    vacuum_coupling,
+    zero_point_fluctuation,
+)
+from epgw.spectral import _complex, _continuity_swaps, _golden_refine, _polish_photon_number, _root  # noqa: E402
+
+EPS = sys.float_info.epsilon
+
+
+def _bits(value):
+    """Bit pattern of a float, a complex, or a structure of them."""
+    if isinstance(value, complex):
+        return (value.real.hex(), value.imag.hex())
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return value
+
+
+def _ref_pair(system, convention=EpConvention.EQ7):
+    """eigenvalues_general as one CPython-complex evaluation."""
+    gammas = []
+    for res, cav in ((system.resonator_1, system.cavity_1), (system.resonator_2, system.cavity_2)):
+        g0 = vacuum_coupling(cav, zero_point_fluctuation(res))
+        gammas.append(optomech_damping(cav, res, g0).gamma_total)
+    w1, w2 = system.resonator_1.omega_m, system.resonator_2.omega_m
+    g1, g2 = gammas
+    j = system.coupling_j
+    center = complex(0.5 * (w1 + w2), -0.25 * (g1 + g2))
+    b = complex(w1 - w2, 0.5 * (g2 - g1))
+    disc = j * j + 0.25 * (b * b) if convention is EpConvention.EQ7 else j * j + b * b
+    alpha = cmath.sqrt(disc)
+    if abs(disc) <= ep_tolerance(j):
+        phase = Phase.EXCEPTIONAL_POINT
+    else:
+        phase = Phase.PT_SYMMETRIC if disc.real >= 0.0 else Phase.BROKEN
+    return center + alpha, center - alpha, disc, phase
+
+
+def _ref_magnitude(system, n, convention):
+    return abs(_ref_pair(system.with_photon_number(n), convention)[2])
+
+
+def _ref_polish(magnitude, n_guess):
+    best_n = n_guess
+    best = magnitude(n_guess)
+    if best == 0.0:
+        return best_n, best
+    down = up = n_guess
+    for _ in range(512):
+        down = math.nextafter(down, 0.0)
+        up = math.nextafter(up, math.inf)
+        for n in (down, up):
+            val = magnitude(n)
+            if val < best:
+                best, best_n = val, n
+                if best == 0.0:
+                    return best_n, best
+    return best_n, best
+
+
+def _ref_ep(system, convention):
+    """(n0, |disc(n0)|) as ep_photon_number finds them, before its accept gate."""
+    magnitude = lambda n: _ref_magnitude(system, n, convention)  # noqa: E731
+    res, cav = system.resonator_1, system.cavity_1
+    if system.is_balanced:
+        g0 = vacuum_coupling(cav, zero_point_fluctuation(res))
+        slope = abs(g0 * g0 * detuning_response(cav, res.omega_m))
+        factor = 2.0 if convention is EpConvention.EQ7 else 1.0
+        return _ref_polish(magnitude, factor * system.coupling_j / slope)
+    grid = np.geomspace(1.0, 1e16, 512)
+    seed = int(np.argmin(np.array([magnitude(float(n)) for n in grid])))
+    lo, hi = grid[max(seed - 1, 0)], grid[min(seed + 1, len(grid) - 1)]
+    return _ref_polish(magnitude, _golden_refine(magnitude, float(lo), float(hi)))
+
+
+def _ref_relabel(pairs):
+    """The continuity relabeling loop over canonical (plus, minus) pairs."""
+    out, prev = [], None
+    for lp, lm in pairs:
+        if prev is not None:
+            keep = abs(lp - prev[0]) + abs(lm - prev[1])
+            swap = abs(lp - prev[1]) + abs(lm - prev[0])
+            if swap < keep:
+                lp, lm = lm, lp
+        out.append((lp, lm))
+        prev = (lp, lm)
+    return out
+
+
+def _ref_sweep(system, n_min, n_max, points, log, convention):
+    grid = np.geomspace(n_min, n_max, points) if log else np.linspace(n_min, n_max, points)
+    pairs = [_ref_pair(system.with_photon_number(float(n)), convention) for n in grid]
+    labels = _ref_relabel([(lp, lm) for lp, lm, _, _ in pairs])
+    return [
+        (float(n), (lp, lm, disc, phase.value))
+        for n, (lp, lm), (_, _, disc, phase) in zip(grid, labels, pairs)
+    ]
+
+
+def _ref_splittings(system, n0, strains, convention):
+    res_1, cav_1 = system.resonator_1, system.cavity_1
+    res_2, cav_2 = system.resonator_2, system.cavity_2
+    g0_1 = vacuum_coupling(cav_1, zero_point_fluctuation(res_1))
+    g0_2 = vacuum_coupling(cav_2, zero_point_fluctuation(res_2))
+    arm_1 = optomech_damping(dataclasses.replace(cav_1, n_cav=n0), res_1, g0_1)
+    arm_2 = optomech_damping(dataclasses.replace(cav_2, n_cav=n0), res_2, g0_2)
+    b0 = complex(res_1.omega_m - res_2.omega_m, 0.5 * (arm_2.gamma_total - arm_1.gamma_total))
+    q = 0.25 if convention is EpConvention.EQ7 else 1.0
+    rows = []
+    for h in strains:
+        h = float(h)
+        scale = -4.0 * h * (1.0 - h)
+        db = complex(0.0, 0.5 * (scale * arm_2.gamma_opt - scale * arm_1.gamma_opt))
+        alpha = cmath.sqrt(q * (db * (2.0 * b0 + db)))
+        d_approx = 4.0 * math.sqrt(2.0) * system.coupling_j * math.sqrt(abs(h))
+        rows.append((h, -2.0 * g0_1 * h, 2.0 * alpha.real, d_approx, 2.0 * abs(alpha.imag)))
+    return rows
+
+
+log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0**e)  # noqa: E731
+conventions = st.sampled_from(list(EpConvention))
+
+
+@st.composite
+def balanced_systems(draw):
+    res = MechanicalResonator(
+        omega_m=draw(log_uniform(6.0, 10.0)),
+        mass=draw(log_uniform(-17.0, -13.0)),
+        quality_factor=1e5,
+        thickness=1e-7,
+    )
+    return balanced_system(
+        res,
+        length=draw(log_uniform(-4.3, -3.3)),
+        kappa=draw(log_uniform(7.0, 9.0)),
+        coupling_j=res.omega_m * draw(log_uniform(-3.0, -1.3)),
+    )
+
+
+@st.composite
+def mismatched_systems(draw):
+    """Balanced systems whose red cavity decays faster, as in a real device."""
+    system = draw(balanced_systems())
+    red = dataclasses.replace(system.cavity_2, kappa=system.cavity_2.kappa * draw(st.floats(1.02, 1.5)))
+    return dataclasses.replace(system, cavity_2=red)
+
+
+@st.composite
+def detuned_systems(draw):
+    """Systems whose mechanical frequencies differ: the discriminant is
+    complex, with neither part zero, all along the photon-number axis."""
+    system = draw(balanced_systems())
+    shift = system.coupling_j * draw(st.floats(-0.5, 0.5))
+    res_2 = dataclasses.replace(system.resonator_2, omega_m=system.resonator_2.omega_m + shift)
+    return dataclasses.replace(system, resonator_2=res_2)
+
+
+any_systems = balanced_systems() | mismatched_systems() | detuned_systems()
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200)
+@given(
+    parts=st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=20),
+    on_axis=st.lists(finite_floats, max_size=10),
+)
+def test_array_root_matches_cmath_sqrt_bitwise(parts, on_axis):
+    # numpy's own complex sqrt differs from cmath.sqrt on the imaginary axis
+    parts += [(0.0, y) for y in on_axis] + [(-0.0, y) for y in on_axis]
+    roots = _root(_complex(np.array([x for x, _ in parts]), np.array([y for _, y in parts])))
+    assert _bits(roots.tolist()) == _bits([cmath.sqrt(complex(x, y)) for x, y in parts])
+
+
+@settings(max_examples=30)
+@given(system=balanced_systems() | mismatched_systems(), convention=conventions)
+def test_ep_photon_number_matches_scalar_reference_bitwise(system, convention):
+    n_ref, best = _ref_ep(system, convention)
+    if best > max(ep_tolerance(system.coupling_j), 8.0 * EPS * system.coupling_j**2):
+        with pytest.raises(NoEPError):
+            ep_photon_number(system, convention)
+    else:
+        assert _bits(ep_photon_number(system, convention)) == _bits(n_ref)
+
+
+@settings(max_examples=40)
+@given(
+    system=any_systems,
+    convention=conventions,
+    lo=st.floats(0.05, 0.99),
+    hi=st.floats(1.01, 6.0),
+    points=st.integers(2, 60),
+    log=st.booleans(),
+)
+def test_sweep_photon_number_matches_scalar_reference_bitwise(system, convention, lo, hi, points, log):
+    # n0 from the closed form of the blue arm, so that the grid spans the EP
+    res, cav = system.resonator_1, system.cavity_1
+    g0 = vacuum_coupling(cav, zero_point_fluctuation(res))
+    n0 = 2.0 * system.coupling_j / abs(g0 * g0 * detuning_response(cav, res.omega_m))
+    table = sweep_photon_number(system, lo * n0, hi * n0, points, log=log, convention=convention)
+    got = [(n, (p.lambda_plus, p.lambda_minus, p.discriminant, p.phase.value)) for n, p in table]
+    assert _bits(got) == _bits(_ref_sweep(system, lo * n0, hi * n0, points, log, convention))
+
+
+@pytest.mark.parametrize("lo, hi, points", [(0.5, 1.5, 3), (0.5, 1.0, 2), (1.0, 2.0, 2), (0.07, 3.6, 500)])
+def test_sweep_through_the_device_ep_has_an_exact_tie(device, device_n0, lo, hi, points):
+    # where the grid steps from the PT-symmetric into the broken phase (or
+    # onto the EP, at an end of the grid that is n0 exactly), the kept and
+    # the swapped pairing move the branches by exactly the same distance
+    table = sweep_photon_number(device, lo * device_n0, hi * device_n0, points)
+    pairs = [(p.lambda_plus, p.lambda_minus) for _, p in table]
+    ties = [
+        abs(p1 - p0) + abs(m1 - m0) == abs(p1 - m0) + abs(m1 - p0)
+        for (p0, m0), (p1, m1) in zip(pairs, pairs[1:])
+    ]
+    assert sum(ties) == 1
+    assert _bits(pairs) == _bits(_ref_relabel(pairs))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=12))
+def test_continuity_swaps_match_relabel_loop(points):
+    # branch pairs on a small integer lattice, so that exact ties between
+    # the kept and the swapped pairing are common, after swaps too
+    pairs = [(complex(a, b), complex(a, c)) for a, b, c in points]
+    plus = np.array([p for p, _ in pairs])
+    minus = np.array([m for _, m in pairs])
+    swapped = _continuity_swaps(plus, minus)
+    got = [(m, p) if s else (p, m) for (p, m), s in zip(pairs, swapped.tolist())]
+    assert _bits(got) == _bits(_ref_relabel(pairs))
+
+
+@settings(max_examples=30)
+@given(
+    system=balanced_systems() | mismatched_systems(),
+    convention=conventions,
+    h_max=log_uniform(-20.0, -1.0),
+    points=st.integers(2, 40),
+    log=st.booleans(),
+)
+def test_sweep_strain_matches_scalar_reference_bitwise(system, convention, h_max, points, log):
+    try:
+        n0 = ep_photon_number(system, convention)
+    except NoEPError:
+        return
+    h_min = h_max * 1e-6 if log else 0.0  # a linear grid starts at the h = 0 row
+    rows = sweep_strain(system, n0, h_min, h_max, points, log=log, convention=convention)
+    got = [(r.strain, r.dg, r.d_exact, r.d_approx, r.linewidth_split) for r in rows]
+    grid = np.geomspace(h_min, h_max, points) if log else np.linspace(h_min, h_max, points)
+    assert _bits(got) == _bits(_ref_splittings(system, n0, grid, convention))
+    single = splitting(system, n0, float(grid[-1]), convention)
+    assert _bits(single) == _bits(rows[-1])
+
+
+@pytest.mark.parametrize(
+    "n_guess",
+    [3 * 5e-324, 1.4e12, math.nextafter(sys.float_info.max, 0.0), sys.float_info.max, math.inf],
+    ids=["3-ulps-above-zero", "unclipped", "1-ulp-below-dbl-max", "dbl-max", "inf"],
+)
+@pytest.mark.parametrize("target", [0.0, math.inf, 1.0])
+def test_polish_window_clips_at_zero_and_infinity(n_guess, target):
+    # the window holds the floats the nextafter walk visits, in its order,
+    # with 0.0 and +inf repeated where the walk stops there
+    seen = []
+
+    def magnitude(n):
+        if isinstance(n, np.ndarray):
+            seen.append(n.copy())
+            return np.abs(n - target) if math.isfinite(target) else np.where(n == target, 0.0, 1.0)
+        return abs(n - target) if math.isfinite(target) else (0.0 if n == target else 1.0)
+
+    got = _polish_photon_number(magnitude, n_guess)
+    assert _bits(got) == _bits(_ref_polish(magnitude, n_guess))
+    walk, down, up = [n_guess], n_guess, n_guess
+    for _ in range(512):
+        down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+        walk += [down, up]
+    assert _bits(seen[0].tolist()) == _bits(walk)
