@@ -51,7 +51,6 @@ from .sensitivity import (
     thermal_frequency_noise,
 )
 from .spectral import (
-    DampingBreakdown,
     EpConvention,
     SplittingResult,
     coupling_perturbation,
@@ -60,7 +59,6 @@ from .spectral import (
     eigenvalues_numeric,
     ep_photon_number,
     ep_tolerance,
-    optomech_damping,
     splitting,
     sweep_photon_number,
     sweep_strain,
@@ -76,7 +74,6 @@ __all__ = [
     "K_BOLTZMANN",
     "ConfigParseError",
     "CoupledSystem",
-    "DampingBreakdown",
     "EpConvention",
     "EpgwError",
     "InvalidRangeError",
@@ -108,7 +105,6 @@ __all__ = [
     "estimate_spectrum",
     "min_detectable_strain",
     "mode_matrix",
-    "optomech_damping",
     "propagate_exact",
     "propagate_rk",
     "read_overlay_csv",

@@ -41,14 +41,11 @@ from .dynamics import estimate_spectrum, propagate_exact
 from .sensitivity import read_overlay_csv, sensitivity_curve
 from .spectral import (
     EpConvention,
+    _arms,
     ep_photon_number,
     eigenvalues_general,
-    optomech_damping,
-    detuning_response,
     sweep_photon_number,
     sweep_strain,
-    vacuum_coupling,
-    zero_point_fluctuation,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -324,25 +321,22 @@ def cmd_ep_locate(cfg: RunConfig, args) -> int:
     convention = EpConvention(args.ep_convention)
     system = cfg.system()
     n0 = ep_photon_number(system, convention)
-    resonator = cfg.resonator()
-    g0 = vacuum_coupling(system.cavity_1, zero_point_fluctuation(resonator))
-    phi = detuning_response(system.cavity_1, resonator.omega_m)
-    biased = system.with_photon_number(n0)
-    arm_1 = optomech_damping(biased.cavity_1, resonator, g0)
-    arm_2 = optomech_damping(biased.cavity_2, resonator, g0)
-    pair = eigenvalues_general(biased, convention)
+    arm_1, arm_2 = _arms(system)
+    g0, phi = arm_1.g0, arm_1.phi
+    gamma_1, gamma_2 = arm_1.damping(n0), arm_2.damping(n0)
+    pair = eigenvalues_general(system.with_photon_number(n0), convention)
 
     print(f"n0 = {n0:.6e}")
     print(f"g0 = {g0:.6e} rad/s ({g0 / TWO_PI:.6e} Hz)")
     print(f"phi = {phi:.6e} s  (arm 1, blue-detuned)")
-    print(f"gamma_1 = {arm_1.gamma_total:.6e} rad/s")
-    print(f"gamma_2 = {arm_2.gamma_total:.6e} rad/s")
+    print(f"gamma_1 = {gamma_1:.6e} rad/s")
+    print(f"gamma_2 = {gamma_2:.6e} rad/s")
     print(f"convention = {convention.value}")
     print(f"phase at n0 = {pair.phase.value}")
 
     flags = {"ep_convention": convention.value}
     columns = ["n0", "g0_rad_s", "phi_s", "gamma_1_rad_s", "gamma_2_rad_s"]
-    rows = [[n0, g0, phi, arm_1.gamma_total, arm_2.gamma_total]]
+    rows = [[n0, g0, phi, gamma_1, gamma_2]]
     _emit(args, cfg, "ep-locate", flags, columns, rows, default_format="json")
     return 0
 

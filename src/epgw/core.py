@@ -9,7 +9,9 @@ Validation happens once per public call, with the validators below:
 ``dynamics`` and ``sensitivity`` check their arguments (finite values,
 signs, ranges) before any per-point work. The leaf formulas of ``spectral``
 and the evaluators they feed (``eigenvalues_general``, ``eigenvalues_numeric``,
-``mode_matrix``) check nothing and expect values already validated.
+``mode_matrix``) check no input and expect values already validated. Valid
+but extreme values that overflow the model's arithmetic are rejected where
+that arises, as InvalidRangeError (see ``spectral``).
 """
 
 from __future__ import annotations

@@ -96,17 +96,23 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
     Diagonal entries are omega_j - i Gamma_j / 2 with each arm's total
     damping from its own cavity; off-diagonal entries are J. The system is
     not validated (see validate_system).
+
+    Raises:
+        InvalidRangeError: an entry, or an arm constant behind it (see
+            spectral._arms), overflows double precision.
     """
     arm_1, arm_2 = _arms(system)
-    g1 = arm_1.damping(system.cavity_1.n_cav)
-    g2 = arm_2.damping(system.cavity_2.n_cav)
+    n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
     j = system.coupling_j
-    return np.array(
+    m = np.array(
         [
-            [complex(system.resonator_1.omega_m, -0.5 * g1), j],
-            [j, complex(system.resonator_2.omega_m, -0.5 * g2)],
+            [complex(system.resonator_1.omega_m, -0.5 * arm_1.damping(n_1)), j],
+            [j, complex(system.resonator_2.omega_m, -0.5 * arm_2.damping(n_2))],
         ]
     )
+    if not np.isfinite(m).all():
+        raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the mode matrix overflows double precision")
+    return m
 
 
 def _sample_grid(duration: float, dt: float) -> np.ndarray:
@@ -246,12 +252,10 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     n = len(trajectory)
     if n < 1024:
         raise TooFewSamplesError(f"{n} samples; need at least 1024 for a spectral estimate")
-    dt = trajectory.dt
-    window = np.hanning(n)
-    spectrum = np.fft.fftshift(np.fft.fft(trajectory.a1 * window))
-    freqs = np.fft.fftshift(np.fft.fftfreq(n, d=dt))
-    mag = np.abs(spectrum)
-    df = 1.0 / (n * dt)
+    mag = np.fft.fftshift(np.abs(np.fft.fft(trajectory.a1 * np.hanning(n))))
+    df = 1.0 / (n * trajectory.dt)
+    # the lowest bin after the shift, as np.fft.fftfreq computes it
+    f_first = np.float64(-(n // 2)) * df
     resolution = 2.0 * math.pi * df
 
     interior = np.arange(1, n - 1)
@@ -261,11 +265,8 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
         candidates = np.array([int(np.argmax(mag[1:-1])) + 1])
     candidates = candidates[np.argsort(mag[candidates])[::-1]]
 
-    peaks = [int(candidates[0])]
-    for k in candidates[1:]:
-        if mag[int(k)] >= _SECOND_PEAK_FRACTION * mag[peaks[0]]:
-            peaks.append(int(k))
-        break
+    second = candidates.size > 1 and mag[candidates[1]] >= _SECOND_PEAK_FRACTION * mag[candidates[0]]
+    peaks = candidates[: 2 if second else 1].tolist()
 
     frequencies: list[float] = []
     widths: list[float] = []
@@ -279,7 +280,7 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
             if curvature < 0.0:
                 delta = 0.5 * (lm_ - lp_) / curvature
                 width = 2.0 * resolution / math.sqrt(-curvature)
-        f_peak = freqs[0] + (k + delta) * df
+        f_peak = f_first + (k + delta) * df
         frequencies.append(-2.0 * math.pi * f_peak)
         widths.append(width)
     return SpectralEstimate(

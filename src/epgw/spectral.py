@@ -25,7 +25,7 @@ EQ8 is provided for comparison with results quoted in that convention.
 One kernel, ``_spectrum``, evaluates this closed form for every caller:
 single points (``eigenvalues_general``, the golden-section step of the EP
 search) and whole grids (the EP scan and float polish, both sweeps). It
-takes the photon-number-independent constants of each arm (g0^2, phi,
+takes the photon-number-independent constants of each arm (``_arms``,
 computed once per system) and a photon number that is a float or an
 array, and works on real and imaginary parts written out the way CPython
 evaluates the complex expressions, so a grid point is bit for bit the
@@ -34,6 +34,14 @@ not used: they differ from CPython's in the last bit for some operands.
 Magnitudes come from ``np.hypot``, the C library hypot that CPython's
 ``abs(complex)`` calls, and array square roots follow ``cmath.sqrt``'s
 algorithm (numpy's complex sqrt differs from it on the imaginary axis).
+
+Each rule of the model is written once: ``_arms`` evaluates the arm
+constants (g0, phi; ``_Arm.damping`` is Gamma), ``_classify`` is the phase
+rule for a point or a grid, and ``_at_ep`` the EP gate of both the EP
+search and the strain response. Overflow of valid but extreme inputs is
+an InvalidRangeError, checked where it arises: ``_arms`` checks the arm
+constants and J^2, ``eigenvalues_general`` and ``dynamics.mode_matrix``
+their one result, the sweeps and the strain response their arrays.
 """
 
 from __future__ import annotations
@@ -90,7 +98,7 @@ _POLISH_OFFSETS = np.concatenate(
 )
 _INF_BITS = int(np.float64(np.inf).view(np.int64))
 
-# Phases by the index sweep_photon_number classifies a grid into.
+# Phases by the index _classify returns.
 _PHASES = (Phase.PT_SYMMETRIC, Phase.BROKEN, Phase.EXCEPTIONAL_POINT)
 
 
@@ -99,21 +107,6 @@ class EpConvention(Enum):
 
     EQ7 = "eq7"
     EQ8 = "eq8"
-
-
-@dataclass(frozen=True)
-class DampingBreakdown:
-    """Damping budget of one arm.
-
-    Attributes:
-        phi: Detuning response function (s); negative for blue drive.
-        gamma_opt: Optical damping g0^2 n_cav phi (rad/s); negative = gain.
-        gamma_total: gamma_m + gamma_opt (rad/s).
-    """
-
-    phi: float
-    gamma_opt: float
-    gamma_total: float
 
 
 @dataclass(frozen=True)
@@ -171,26 +164,17 @@ def detuning_response(cavity: OpticalCavity, omega_m: float) -> float:
     return -k / (half_sq + (d - omega_m) ** 2) + k / (half_sq + (d + omega_m) ** 2)
 
 
-def optomech_damping(cavity: OpticalCavity, resonator: MechanicalResonator, g0: float) -> DampingBreakdown:
-    """Optical damping of one arm at the cavity's photon number.
-
-    gamma_opt = g0^2 n_cav phi; gamma_total adds the intrinsic gamma_m.
-    """
-    phi = detuning_response(cavity, resonator.omega_m)
-    gamma_opt = g0 * g0 * cavity.n_cav * phi
-    return DampingBreakdown(phi=phi, gamma_opt=gamma_opt, gamma_total=resonator.gamma_m + gamma_opt)
-
-
 class _Arm(NamedTuple):
     """The constants of one arm that do not depend on the photon number."""
 
     omega_m: float
     gamma_m: float
+    g0: float
     g0_sq: float
     phi: float
 
     def optical_damping(self, n):
-        """gamma_opt = g0^2 n phi, rounded as optomech_damping rounds it."""
+        """gamma_opt = g0^2 n phi (a float or an array n); negative = gain."""
         return self.g0_sq * n * self.phi
 
     def damping(self, n):
@@ -199,11 +183,29 @@ class _Arm(NamedTuple):
 
 
 def _arms(system: CoupledSystem) -> tuple[_Arm, _Arm]:
-    """Per-arm constants of a system, each from its own cavity and resonator."""
+    """Per-arm constants of a system, each from its own cavity and resonator.
+
+    The only caller of the leaf formulas. An overflow or a zero divisor in
+    them, or a g0^2, phi or J^2 that is not finite, raises InvalidRangeError
+    naming the arm (or coupling_j) and the quantity."""
+    if not math.isfinite(system.coupling_j * system.coupling_j):
+        raise InvalidRangeError(f"coupling_j = {system.coupling_j!r}: J^2 overflows double precision")
     arms = []
-    for resonator, cavity in ((system.resonator_1, system.cavity_1), (system.resonator_2, system.cavity_2)):
-        g0 = vacuum_coupling(cavity, zero_point_fluctuation(resonator))
-        arms.append(_Arm(resonator.omega_m, resonator.gamma_m, g0 * g0, detuning_response(cavity, resonator.omega_m)))
+    for k, resonator, cavity in ((1, system.resonator_1, system.cavity_1), (2, system.resonator_2, system.cavity_2)):
+        quantity = "x_zpf"
+        try:
+            x_zpf = zero_point_fluctuation(resonator)
+            quantity = "g0"
+            g0 = vacuum_coupling(cavity, x_zpf)
+            quantity = "phi"
+            phi = detuning_response(cavity, resonator.omega_m)
+        except ArithmeticError:
+            raise InvalidRangeError(f"arm {k}: {quantity} is out of double-precision range") from None
+        arm = _Arm(resonator.omega_m, resonator.gamma_m, g0, g0 * g0, phi)
+        for quantity, value in (("g0^2", arm.g0_sq), ("phi", arm.phi)):
+            if not math.isfinite(value):
+                raise InvalidRangeError(f"arm {k}: {quantity} = {value!r} is out of double-precision range")
+        arms.append(arm)
     return arms[0], arms[1]
 
 
@@ -290,12 +292,19 @@ def _ep_acceptance(coupling_j: float) -> float:
     return max(ep_tolerance(coupling_j), _DISC_FLOOR_FACTOR * coupling_j * coupling_j)
 
 
-def _classify(disc: complex, tol: float) -> Phase:
-    if abs(disc) <= tol:
-        return Phase.EXCEPTIONAL_POINT
-    if disc.real >= 0.0:
-        return Phase.PT_SYMMETRIC
-    return Phase.BROKEN
+def _at_ep(disc_magnitude: float, coupling_j: float) -> bool:
+    """The EP gate: |disc| <= _ep_acceptance(J). A NaN magnitude fails it."""
+    return disc_magnitude <= _ep_acceptance(coupling_j)
+
+
+def _classify(disc, tol: float):
+    """Index into _PHASES of a discriminant, a complex or a complex array:
+    the EP (2) when |disc| <= tol, else PT-symmetric (0) when Re(disc) >= 0,
+    else broken (1), NaN included. Written on bools, so a complex gives an
+    int and an array an int array."""
+    at_ep = _magnitude(disc) <= tol
+    broken = (at_ep | (disc.real >= 0.0)) ^ True
+    return 2 * at_ep + broken
 
 
 def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConvention.EQ7) -> SupermodePair:
@@ -311,15 +320,21 @@ def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConv
 
     Returns:
         SupermodePair with canonically labeled branches.
+
+    Raises:
+        InvalidRangeError: the arm constants or the eigenvalues overflow
+            double precision (see _arms), e.g. at an extreme photon number.
     """
-    center, disc, root = _spectrum(
-        _arms(system), system.coupling_j, system.cavity_1.n_cav, system.cavity_2.n_cav, convention
-    )
+    n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
+    center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, convention)
+    plus, minus = center + root, center - root
+    if not (cmath.isfinite(plus) and cmath.isfinite(minus) and cmath.isfinite(disc)):
+        raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
     return SupermodePair(
-        lambda_plus=center + root,
-        lambda_minus=center - root,
+        lambda_plus=plus,
+        lambda_minus=minus,
         discriminant=disc,
-        phase=_classify(disc, ep_tolerance(system.coupling_j)),
+        phase=_PHASES[_classify(disc, ep_tolerance(system.coupling_j))],
     )
 
 
@@ -359,7 +374,7 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
         lambda_plus=lp,
         lambda_minus=lm,
         discriminant=disc,
-        phase=_classify(disc, ep_tolerance(j)),
+        phase=_PHASES[_classify(disc, ep_tolerance(j))],
     )
 
 
@@ -434,49 +449,40 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
 
     Raises:
         ValidationError: invalid system.
+        InvalidRangeError: an arm constant or J^2 overflows (see _arms).
         ZeroCouplingError: J = 0, or the photon number does not move the
             spectrum (g0^2 phi = 0 in both arms).
-        NoEPError: the scan bottoms out above the acceptance threshold;
-            no EP exists on the photon-number axis.
+        NoEPError: the polished candidate fails the EP gate (|disc| above
+            the acceptance threshold, or NaN); no EP exists on the
+            photon-number axis.
     """
     validate_system(system)
     j = system.coupling_j
     if j == 0:
         raise ZeroCouplingError("coupling_j is zero; the spectrum has no tunable degeneracy")
-    accept = _ep_acceptance(j)
     arms = _arms(system)
+    # A balanced system has phi_2 = -phi_1 exactly, so this covers it too.
+    if arms[0].g0_sq * arms[0].phi == 0.0 and arms[1].g0_sq * arms[1].phi == 0.0:
+        raise ZeroCouplingError("g0^2 * phi vanishes in both arms; photon number cannot tune the spectrum")
 
     def magnitude(n):
         return _magnitude(_spectrum(arms, j, n, n, convention)[1])
 
     if system.is_balanced:
-        slope = abs(arms[0].g0_sq * arms[0].phi)
-        if slope == 0.0:
-            raise ZeroCouplingError("g0^2 * phi vanishes; photon number cannot tune the spectrum")
         factor = 2.0 if convention is EpConvention.EQ7 else 1.0
-        best_n, best = _polish_photon_number(magnitude, factor * j / slope)
-        if best > accept:
-            raise NoEPError(
-                f"discriminant magnitude {best:.3e} above threshold {accept:.3e} "
-                f"at the balanced closed-form photon number"
-            )
-        return best_n
-
-    if arms[0].g0_sq * arms[0].phi == 0.0 and arms[1].g0_sq * arms[1].phi == 0.0:
-        raise ZeroCouplingError("g0^2 * phi vanishes in both arms; photon number cannot tune the spectrum")
-
-    grid = np.geomspace(_SCAN_BOUNDS[0], _SCAN_BOUNDS[1], _SCAN_POINTS)
-    with np.errstate(all="ignore"):
-        seed = int(np.argmin(magnitude(grid)))
-    lo = grid[max(seed - 1, 0)]
-    hi = grid[min(seed + 1, len(grid) - 1)]
-    refined = _golden_refine(magnitude, float(lo), float(hi))
-    best_n, best = _polish_photon_number(magnitude, refined)
-    if best > accept:
-        raise NoEPError(
-            f"discriminant magnitude {best:.3e} above threshold {accept:.3e} after scanning n in "
-            f"[{_SCAN_BOUNDS[0]:g}, {_SCAN_BOUNDS[1]:g}]"
-        )
+        guess = factor * j / abs(arms[0].g0_sq * arms[0].phi)
+        where = "at the balanced closed-form photon number"
+    else:
+        grid = np.geomspace(_SCAN_BOUNDS[0], _SCAN_BOUNDS[1], _SCAN_POINTS)
+        with np.errstate(all="ignore"):
+            seed = int(np.argmin(magnitude(grid)))
+        lo = grid[max(seed - 1, 0)]
+        hi = grid[min(seed + 1, len(grid) - 1)]
+        guess = _golden_refine(magnitude, float(lo), float(hi))
+        where = f"after scanning n in [{_SCAN_BOUNDS[0]:g}, {_SCAN_BOUNDS[1]:g}]"
+    best_n, best = _polish_photon_number(magnitude, guess)
+    if not _at_ep(best, j):
+        raise NoEPError(f"discriminant magnitude {best:.3e} above threshold {_ep_acceptance(j):.3e} {where}")
     return best_n
 
 
@@ -522,8 +528,8 @@ def splitting(
 
     Raises:
         ValidationError, NonPositiveParameterError: invalid system or n0.
-        InvalidRangeError: |h| >= 1/2, or h not finite; or the response
-            overflows.
+        InvalidRangeError: |h| >= 1/2, or h not finite; or an arm
+            constant (see _arms) or the response overflows.
         NotAtEPError: ``n0`` does not put the unstrained system at its EP.
     """
     validate_system(system)
@@ -541,17 +547,15 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
     array, for a system biased at n0 (see splitting)."""
     arms = _arms(system)
     j = system.coupling_j
-    disc0 = _spectrum(arms, j, n0, n0, convention)[1]
-    if abs(disc0) > _ep_acceptance(j):
+    disc0 = _magnitude(_spectrum(arms, j, n0, n0, convention)[1])
+    if not _at_ep(disc0, j):
         raise NotAtEPError(
-            f"|disc| = {abs(disc0):.3e} exceeds threshold "
-            f"{_ep_acceptance(j):.3e} at n_cav = {n0!r}; locate the EP first"
+            f"|disc| = {disc0:.3e} exceeds threshold {_ep_acceptance(j):.3e} at n_cav = {n0!r}; locate the EP first"
         )
     arm_1, arm_2 = arms
     b0_re = arm_1.omega_m - arm_2.omega_m
     b0_im = 0.5 * (arm_2.damping(n0) - arm_1.damping(n0))
     q = 0.25 if convention is EpConvention.EQ7 else 1.0
-    g0_1 = vacuum_coupling(system.cavity_1, zero_point_fluctuation(system.resonator_1))
     with np.errstate(all="ignore"):
         scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
         # disc(h) = q db (2 b0 + db) with db = i db_im. CPython's complex
@@ -561,7 +565,7 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
         t_im = 2.0 * b0_im + db_im
         alpha = _root(_complex(q * -(db_im * t_im), q * (db_im * (2.0 * b0_re))))
         response = (
-            coupling_perturbation(g0_1, h),
+            coupling_perturbation(arm_1.g0, h),
             2.0 * alpha.real,
             4.0 * math.sqrt(2.0) * j * np.sqrt(abs(h)),
             2.0 * abs(alpha.imag),
@@ -616,9 +620,7 @@ def sweep_photon_number(
         plus, minus = center + root, center - root
         if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
             raise InvalidRangeError(f"n_max = {n_max!r}: the eigenvalues overflow double precision")
-        phase = np.where(
-            _magnitude(disc) <= ep_tolerance(system.coupling_j), 2, np.where(disc.real >= 0.0, 0, 1)
-        )
+        phase = _classify(disc, ep_tolerance(system.coupling_j))
     swapped = _continuity_swaps(plus, minus)
     plus, minus = np.where(swapped, minus, plus), np.where(swapped, plus, minus)
     return [

@@ -345,6 +345,17 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("", ["sweep-ncav", "--max", "1e300", "--points", "3"], "n_max"),
         ("", ["sweep-ncav", "--max", "1e300", "--points", "3", "--format", "json"], "n_max"),
         ("", ["sensitivity", "--fmax", "1e308", "--points", "5"], "f_max"),
+        # finite but extreme config values: an arm constant or J^2 leaves
+        # double precision, or the eigenvalues overflow at the drive
+        ("coupling.j_hz = 1e300", ["ep-locate"], "coupling_j"),
+        ("coupling.j_hz = 1e300", ["sweep-strain"], "coupling_j"),
+        ("resonator.frequency_hz = 1e300", ["sweep-ncav"], "phi"),
+        ("cavity.decay_rate_hz = 1e-300", ["sweep-ncav"], "phi"),
+        ("cavity.length_m = 1e-300", ["ep-locate"], "g0"),
+        ("cavity.length_m = 1e-160", ["ep-locate", "--format", "csv"], "g0"),
+        ("resonator.frequency_hz = 1e-300", ["ep-locate", "--format", "csv"], "g0"),
+        ("cavity.length_m = 1e-100", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "g0"),
+        ("drive.photon_number = 1e289", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "n_cav"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

@@ -43,6 +43,13 @@ NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
 
 
 @st.composite
+def extreme_configs(draw):
+    """Config values for one to three keys, anywhere from 1e-300 to 1e300."""
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_DEFAULTS)), min_size=1, max_size=3, unique=True))
+    return {key: 10.0 ** draw(st.floats(min_value=-300.0, max_value=300.0)) for key in keys}
+
+
+@st.composite
 def finite_configs(draw):
     """Config text setting a random subset of keys to finite values."""
     values = {}
@@ -64,19 +71,20 @@ def _argv(command, values):
 
 
 def _run(command, values, fmt="csv"):
-    """Run one command on the config; (exit code, output text or None)."""
+    """Run one command on the config; (exit code, output text or None, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         conf = os.path.join(tmp, "run.conf")
         with open(conf, "w", encoding="utf-8") as fh:
             fh.writelines(f"{key} = {value!r}\n" for key, value in values.items())
         out = os.path.join(tmp, "out.dat")
         argv = _argv(command, values) + ["--config", conf, "--output", out, "--format", fmt]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
         if not os.path.exists(out):
-            return code, None
+            return code, None, err.getvalue()
         with open(out, encoding="utf-8") as fh:
-            return code, fh.read()
+            return code, fh.read(), err.getvalue()
 
 
 @settings(max_examples=25)
@@ -86,7 +94,7 @@ def test_finite_accepted_config_succeeds_or_is_a_domain_error(values, command, f
         parse_config_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
     except EpgwError:
         assume(False)
-    code, text = _run(command, values, fmt)
+    code, text, _ = _run(command, values, fmt)
     assert code in (0, 2)
     if code == 0:
         assert text is not None
@@ -102,6 +110,19 @@ def test_finite_accepted_config_succeeds_or_is_a_domain_error(values, command, f
     command=st.sampled_from(COMMANDS),
 )
 def test_any_non_finite_value_exits_1(values, key, bad, command):
-    code, text = _run(command, {**values, key: bad})
+    code, text, _ = _run(command, {**values, key: bad})
     assert code == 1
     assert text is None
+
+
+@settings(max_examples=100)
+@given(values=extreme_configs(), command=st.sampled_from(COMMANDS), fmt=st.sampled_from(["csv", "json"]))
+def test_extreme_finite_config_exits_cleanly(values, command, fmt):
+    # out-of-range results of valid inputs are errors with one message,
+    # never a traceback, and a written file holds no inf or nan
+    code, text, err = _run(command, values, fmt)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert text is not None and not NON_FINITE.search(text)
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -23,13 +23,13 @@ from epgw import (
     eigenvalues_numeric,
     ep_photon_number,
     ep_tolerance,
-    optomech_damping,
     splitting,
     sweep_photon_number,
     sweep_strain,
     vacuum_coupling,
     zero_point_fluctuation,
 )
+from epgw.spectral import _arms
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -121,34 +121,32 @@ def test_detuning_response_narrow_cavity_limit():
     assert detuning_response(cav, omega_m) == pytest.approx(4.0 / kappa, rel=1e-6)
 
 
-def test_optomech_damping_zero_drive(device, device_resonator):
-    arm = optomech_damping(device.cavity_1, device_resonator, 118.5)
-    assert arm.gamma_opt == 0.0
-    assert arm.gamma_total == device_resonator.gamma_m
+def test_optomech_damping_zero_drive(device):
+    blue, _ = _arms(device)
+    assert blue.optical_damping(0.0) == 0.0
+    assert blue.damping(0.0) == device.resonator_1.gamma_m
 
 
-def test_optomech_damping_linear_in_photon_number(device, device_resonator):
-    g0 = vacuum_coupling(device.cavity_1, zero_point_fluctuation(device_resonator))
-    one = optomech_damping(dataclasses.replace(device.cavity_1, n_cav=1e12), device_resonator, g0)
-    two = optomech_damping(dataclasses.replace(device.cavity_1, n_cav=2e12), device_resonator, g0)
-    assert two.gamma_opt == pytest.approx(2 * one.gamma_opt, rel=1e-15)
-    assert (one.gamma_opt < 0.0) == (one.phi < 0.0)
+def test_optomech_damping_linear_in_photon_number(device):
+    blue, _ = _arms(device)
+    one, two = blue.optical_damping(1e12), blue.optical_damping(2e12)
+    assert two == pytest.approx(2 * one, rel=1e-15)
+    assert (one < 0.0) == (blue.phi < 0.0)
 
 
-def test_optomech_damping_red_arm_near_2j_at_reference_bias(device, device_resonator):
+def test_optomech_damping_red_arm_near_2j_at_reference_bias(device):
     # at the reference bias of 1.48e12 photons the red arm's damping is
     # within 10% of 2J, the balanced threshold condition
-    g0 = vacuum_coupling(device.cavity_2, zero_point_fluctuation(device_resonator))
-    arm = optomech_damping(dataclasses.replace(device.cavity_2, n_cav=1.48e12), device_resonator, g0)
-    assert arm.gamma_opt == pytest.approx(2 * device.coupling_j, rel=0.10)
+    _, red = _arms(device)
+    assert red.optical_damping(1.48e12) == pytest.approx(2 * device.coupling_j, rel=0.10)
 
 
 def test_gamma_total_adds_intrinsic_damping(device_resonator):
     res = dataclasses.replace(device_resonator, gamma_m=123.25)
-    cav = OpticalCavity(length=1e-4, kappa=TWO_PI * 1e8, detuning=-res.omega_m, n_cav=5e11)
-    g0 = vacuum_coupling(cav, zero_point_fluctuation(res))
-    arm = optomech_damping(cav, res, g0)
-    assert arm.gamma_total == res.gamma_m + arm.gamma_opt  # exact
+    system = balanced_system(res, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=TWO_PI * 1e7, n_cav=5e11)
+    _, red = _arms(system)
+    n = system.cavity_2.n_cav
+    assert red.damping(n) == res.gamma_m + red.optical_damping(n)  # exact
 
 
 # ---------------------------------------------------------------------------

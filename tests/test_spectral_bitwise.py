@@ -28,7 +28,6 @@ from epgw import (  # noqa: E402
     detuning_response,
     ep_photon_number,
     ep_tolerance,
-    optomech_damping,
     splitting,
     sweep_photon_number,
     sweep_strain,
@@ -58,7 +57,7 @@ def _ref_pair(system, convention=EpConvention.EQ7):
     gammas = []
     for res, cav in ((system.resonator_1, system.cavity_1), (system.resonator_2, system.cavity_2)):
         g0 = vacuum_coupling(cav, zero_point_fluctuation(res))
-        gammas.append(optomech_damping(cav, res, g0).gamma_total)
+        gammas.append(res.gamma_m + g0 * g0 * cav.n_cav * detuning_response(cav, res.omega_m))
     w1, w2 = system.resonator_1.omega_m, system.resonator_2.omega_m
     g1, g2 = gammas
     j = system.coupling_j
@@ -139,15 +138,15 @@ def _ref_splittings(system, n0, strains, convention):
     res_2, cav_2 = system.resonator_2, system.cavity_2
     g0_1 = vacuum_coupling(cav_1, zero_point_fluctuation(res_1))
     g0_2 = vacuum_coupling(cav_2, zero_point_fluctuation(res_2))
-    arm_1 = optomech_damping(dataclasses.replace(cav_1, n_cav=n0), res_1, g0_1)
-    arm_2 = optomech_damping(dataclasses.replace(cav_2, n_cav=n0), res_2, g0_2)
-    b0 = complex(res_1.omega_m - res_2.omega_m, 0.5 * (arm_2.gamma_total - arm_1.gamma_total))
+    gamma_opt_1 = g0_1 * g0_1 * n0 * detuning_response(cav_1, res_1.omega_m)
+    gamma_opt_2 = g0_2 * g0_2 * n0 * detuning_response(cav_2, res_2.omega_m)
+    b0 = complex(res_1.omega_m - res_2.omega_m, 0.5 * ((res_2.gamma_m + gamma_opt_2) - (res_1.gamma_m + gamma_opt_1)))
     q = 0.25 if convention is EpConvention.EQ7 else 1.0
     rows = []
     for h in strains:
         h = float(h)
         scale = -4.0 * h * (1.0 - h)
-        db = complex(0.0, 0.5 * (scale * arm_2.gamma_opt - scale * arm_1.gamma_opt))
+        db = complex(0.0, 0.5 * (scale * gamma_opt_2 - scale * gamma_opt_1))
         alpha = cmath.sqrt(q * (db * (2.0 * b0 + db)))
         d_approx = 4.0 * math.sqrt(2.0) * system.coupling_j * math.sqrt(abs(h))
         rows.append((h, -2.0 * g0_1 * h, 2.0 * alpha.real, d_approx, 2.0 * abs(alpha.imag)))
