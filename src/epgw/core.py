@@ -86,7 +86,8 @@ class NoEPError(EpgwError):
 
 
 class ZeroCouplingError(EpgwError):
-    """The optomechanical tuning knob is absent (J = 0 or g0**2 * phi = 0)."""
+    """The optomechanical tuning knob is absent: J = 0, or g0**2 * phi is the
+    same in both arms, so the photon number does not move the discriminant."""
 
     exit_code = 2
 
@@ -218,8 +219,8 @@ class CoupledSystem:
         Both resonators must be identical field by field, both cavities
         must agree on length, decay rate and photon number, and the
         detunings must be +omega_m and -omega_m exactly. This is the
-        gain/loss-balanced configuration for which the threshold photon
-        number has a closed form.
+        gain/loss-balanced configuration, whose threshold photon number is
+        2 J / (g0^2 |phi|) (EQ7).
         """
         r1, r2 = self.resonator_1, self.resonator_2
         c1, c2 = self.cavity_1, self.cavity_2

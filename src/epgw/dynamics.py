@@ -146,6 +146,20 @@ def _initial_vector(initial) -> np.ndarray:
     return a0
 
 
+def _finite_trajectory(times: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
+    """The trajectory of the samples, checked: a sample that is not finite
+    (a mode in runaway gain overflows) raises InvalidRangeError naming the
+    time of the first one."""
+    finite = np.isfinite(a1) & np.isfinite(a2)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise InvalidRangeError(
+            f"the trajectory overflows double precision at t = {times[first]:.6e} s"
+            f" (sample {first} of {len(times)})"
+        )
+    return Trajectory(times=times, a1=a1, a2=a2)
+
+
 def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
     """Closed-form evolution a(t) = V diag(e^{-i lambda t}) V^-1 a(0).
 
@@ -167,7 +181,9 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
     Raises:
         ValidationError: invalid system.
         InvalidRangeError: dt or duration not finite, non-positive dt,
-            duration < dt, or a grid beyond the sample-count limit.
+            duration < dt, or a grid beyond the sample-count limit; or a
+            sample overflows double precision (a mode in runaway gain),
+            named by the time of the first one.
         SamplingTooCoarseError: dt > 0.1 * 2 pi / max|Re lambda|.
     """
     validate_system(system)
@@ -178,24 +194,27 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
     times = _sample_grid(duration, dt)
 
     cond = np.linalg.cond(vectors)
-    if not np.isfinite(cond) or cond > DEFECTIVE_COND_THRESHOLD:
-        lam = 0.5 * (m[0, 0] + m[1, 1])
-        nilpotent = m - lam * np.eye(2)
-        drift = nilpotent @ a0
-        base = np.exp(-1j * lam * times)
-        amplitudes = base[None, :] * (a0[:, None] - 1j * drift[:, None] * times[None, :])
-    else:
-        coeffs = np.linalg.solve(vectors, a0)
-        phases = np.exp(-1j * np.outer(eigenvalues, times))
-        amplitudes = vectors @ (coeffs[:, None] * phases)
-    return Trajectory(times=times, a1=amplitudes[0], a2=amplitudes[1])
+    with np.errstate(all="ignore"):  # runaway gain overflows: checked below
+        if not np.isfinite(cond) or cond > DEFECTIVE_COND_THRESHOLD:
+            lam = 0.5 * (m[0, 0] + m[1, 1])
+            nilpotent = m - lam * np.eye(2)
+            drift = nilpotent @ a0
+            base = np.exp(-1j * lam * times)
+            amplitudes = base[None, :] * (a0[:, None] - 1j * drift[:, None] * times[None, :])
+        else:
+            coeffs = np.linalg.solve(vectors, a0)
+            phases = np.exp(-1j * np.outer(eigenvalues, times))
+            amplitudes = vectors @ (coeffs[:, None] * phases)
+    return _finite_trajectory(times, amplitudes[0], amplitudes[1])
 
 
 def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
     """Fourth-order Runge-Kutta integration of da/dt = -i M a.
 
     Same contract as propagate_exact; global error O(dt^4). Kept as an
-    independent cross-check of the closed-form propagator.
+    independent cross-check of the closed-form propagator. The steps are
+    CPython complex arithmetic, which overflows to inf and nan without a
+    warning; the samples are checked once at the end.
     """
     validate_system(system)
     a0 = _initial_vector(initial)
@@ -231,7 +250,7 @@ def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> 
         x2 = x2 + sixth * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
         a1[k] = x1
         a2[k] = x2
-    return Trajectory(times=times, a1=a1, a2=a2)
+    return _finite_trajectory(times, a1, a2)
 
 
 def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:

@@ -23,13 +23,13 @@ therefore at half the EQ7 threshold photon number. EQ7 is the default;
 EQ8 is provided for comparison with results quoted in that convention.
 
 One kernel, ``_spectrum``, evaluates this closed form for every caller:
-single points (``eigenvalues_general``, the golden-section step of the EP
-search) and whole grids (the EP scan and float polish, both sweeps). It
-takes the photon-number-independent constants of each arm (``_arms``,
-computed once per system) and a photon number that is a float or an
-array, and works on real and imaginary parts written out the way CPython
-evaluates the complex expressions, so a grid point is bit for bit the
-value a single-point call gives. numpy's complex ``*`` and ``abs`` are
+single points (``eigenvalues_general``) and whole grids (the float polish
+of the closed-form EP photon number, both sweeps). It takes the
+photon-number-independent constants of each arm (``_arms``, computed once
+per system) and a photon number that is a float or an array, and works
+on real and imaginary parts written out the way CPython evaluates the
+complex expressions, so a grid point is bit for bit the value a
+single-point call gives. numpy's complex ``*`` and ``abs`` are
 not used: they differ from CPython's in the last bit for some operands.
 Magnitudes come from ``np.hypot``, the C library hypot that CPython's
 ``abs(complex)`` calls, and array square roots follow ``cmath.sqrt``'s
@@ -37,11 +37,12 @@ algorithm (numpy's complex sqrt differs from it on the imaginary axis).
 
 Each rule of the model is written once: ``_arms`` evaluates the arm
 constants (g0, phi; ``_Arm.damping`` is Gamma), ``_classify`` is the phase
-rule for a point or a grid, and ``_at_ep`` the EP gate of both the EP
-search and the strain response. Overflow of valid but extreme inputs is
-an InvalidRangeError, checked where it arises: ``_arms`` checks the arm
-constants and J^2, ``eigenvalues_general`` and ``dynamics.mode_matrix``
-their one result, the sweeps and the strain response their arrays.
+rule for a point or a grid, and ``_at_ep`` the EP gate of both
+``ep_photon_number`` and the strain response. Overflow of valid but
+extreme inputs is an InvalidRangeError, checked where it arises: ``_arms``
+checks the arm constants and J^2, ``eigenvalues_general`` and
+``dynamics.mode_matrix`` their one result, the sweeps and the strain
+response their arrays.
 """
 
 from __future__ import annotations
@@ -86,9 +87,8 @@ EP_REL_TOL = 1e-9
 _EPS = sys.float_info.epsilon
 _DISC_FLOOR_FACTOR = 8.0 * _EPS
 
-# Search space for the threshold photon number when no closed form applies.
-_SCAN_BOUNDS = (1.0, 1e16)
-_SCAN_POINTS = 512
+# Reach of the float polish of the closed-form EP photon number, in floats
+# each side of it.
 _POLISH_STEPS = 512
 
 # Float-step offsets of the polish window, in the order the neighbours are
@@ -400,89 +400,57 @@ def _polish_photon_number(magnitude, n_guess: float) -> tuple[float, float]:
     return float(window[best]), float(values[best])
 
 
-def _golden_refine(f, lo: float, hi: float, max_iter: int = 200) -> float:
-    """Golden-section minimum of f on [lo, hi], refined to a few ulps.
-
-    Standard bounded minimizers stop at a relative x-resolution of
-    sqrt(eps) because a quadratic minimum is flat below that. The
-    discriminant magnitude is V-shaped (linear) at its root, so ordering
-    comparisons stay informative all the way down to one ulp of n; this
-    loop has no tolerance floor and hands the polish a candidate within
-    its +-512-float reach.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(max_iter):
-        if b - a <= 8.0 * math.ulp(max(abs(a), abs(b))):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return c if fc < fd else d
-
-
 def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvention.EQ7) -> float:
-    """Photon number that drives the system to its exceptional point.
+    """Photon number that drives the system to its (lowest) exceptional point.
 
-    For a balanced system the threshold is closed-form: the arm dampings
-    are equal and opposite, the discriminant is J^2 - (gamma/2)^2 (EQ7) or
-    J^2 - gamma^2 (EQ8) with gamma = g0^2 n |phi|, so
+    The threshold is closed-form for any system. With both cavities at n
+    photons each arm's damping is Gamma_k = gamma_m,k + s_k n, with slope
+    s_k = g0_k^2 phi_k, and the discriminant J^2 + q B^2 (q = 1/4 for EQ7,
+    1 for EQ8) vanishes only when omega_1 = omega_2 and Gamma_2 - Gamma_1 =
+    +-c J (c = 4 for EQ7, 2 for EQ8), that is at
 
-        n0 = 2 J / (g0^2 |phi|)   (EQ7),    n0 = J / (g0^2 |phi|)   (EQ8).
+        n = (+-c J - (gamma_m,2 - gamma_m,1)) / (s_2 - s_1).
 
-    Unbalanced systems are scanned over n in [1, 1e16] (512 log-spaced
-    seeds, bounded local refinement around the best seed). Either way the
-    candidate is float-polished: neighbouring floats of n are scanned so
-    that feeding the result back through eigenvalues_general cancels the
-    discriminant bit-exactly whenever the float grid allows it (it does
-    for the reference device), and to the documented representability
-    floor of ~8 eps J^2 otherwise.
+    The smaller nonnegative root is float-polished: neighbouring floats of
+    n are tried so that feeding the result back through
+    eigenvalues_general cancels the discriminant bit-exactly whenever the
+    float grid allows it (it does for the reference device), and to the
+    documented representability floor of ~8 eps J^2 otherwise. A balanced
+    system has gamma_m,2 = gamma_m,1 and s_2 = -s_1, so n0 = 2 J / (g0^2
+    |phi|) (EQ7) or J / (g0^2 |phi|) (EQ8). No search bounds apply.
 
     Raises:
         ValidationError: invalid system.
         InvalidRangeError: an arm constant or J^2 overflows (see _arms).
         ZeroCouplingError: J = 0, or the photon number does not move the
-            spectrum (g0^2 phi = 0 in both arms).
-        NoEPError: the polished candidate fails the EP gate (|disc| above
-            the acceptance threshold, or NaN); no EP exists on the
-            photon-number axis.
+            discriminant (equal slopes, s_2 = s_1).
+        NoEPError: both roots are negative (or NaN), or the polished root
+            fails the EP gate (|disc| above the acceptance threshold, or
+            NaN). No exact EP exists when omega_1 != omega_2; the gate
+            decides.
     """
     validate_system(system)
     j = system.coupling_j
     if j == 0:
         raise ZeroCouplingError("coupling_j is zero; the spectrum has no tunable degeneracy")
     arms = _arms(system)
-    # A balanced system has phi_2 = -phi_1 exactly, so this covers it too.
-    if arms[0].g0_sq * arms[0].phi == 0.0 and arms[1].g0_sq * arms[1].phi == 0.0:
-        raise ZeroCouplingError("g0^2 * phi vanishes in both arms; photon number cannot tune the spectrum")
-
-    def magnitude(n):
-        return _magnitude(_spectrum(arms, j, n, n, convention)[1])
-
-    if system.is_balanced:
-        factor = 2.0 if convention is EpConvention.EQ7 else 1.0
-        guess = factor * j / abs(arms[0].g0_sq * arms[0].phi)
-        where = "at the balanced closed-form photon number"
-    else:
-        grid = np.geomspace(_SCAN_BOUNDS[0], _SCAN_BOUNDS[1], _SCAN_POINTS)
-        with np.errstate(all="ignore"):
-            seed = int(np.argmin(magnitude(grid)))
-        lo = grid[max(seed - 1, 0)]
-        hi = grid[min(seed + 1, len(grid) - 1)]
-        guess = _golden_refine(magnitude, float(lo), float(hi))
-        where = f"after scanning n in [{_SCAN_BOUNDS[0]:g}, {_SCAN_BOUNDS[1]:g}]"
-    best_n, best = _polish_photon_number(magnitude, guess)
+    arm_1, arm_2 = arms
+    d_slope = arm_2.g0_sq * arm_2.phi - arm_1.g0_sq * arm_1.phi
+    if d_slope == 0.0:
+        raise ZeroCouplingError("g0^2 * phi is equal in both arms; photon number cannot tune the discriminant")
+    d_gamma = arm_2.gamma_m - arm_1.gamma_m
+    c = 4.0 if convention is EpConvention.EQ7 else 2.0
+    roots = ((c * j - d_gamma) / d_slope, (-c * j - d_gamma) / d_slope)
+    nonnegative = [n for n in roots if n >= 0.0]
+    if not nonnegative:
+        raise NoEPError(f"no EP at n >= 0: the closed form gives n = {roots[0]:.6e} and {roots[1]:.6e}")
+    # + 0.0 turns a root of -0.0 into 0.0, the bottom of the polish window
+    guess = min(nonnegative) + 0.0
+    best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n, convention)[1]), guess)
     if not _at_ep(best, j):
-        raise NoEPError(f"discriminant magnitude {best:.3e} above threshold {_ep_acceptance(j):.3e} {where}")
+        raise NoEPError(
+            f"discriminant magnitude {best:.3e} above threshold {_ep_acceptance(j):.3e} near n = {guess:.6e}"
+        )
     return best_n
 
 

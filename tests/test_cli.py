@@ -356,6 +356,12 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("resonator.frequency_hz = 1e-300", ["ep-locate", "--format", "csv"], "g0"),
         ("cavity.length_m = 1e-100", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "g0"),
         ("drive.photon_number = 1e289", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "n_cav"),
+        # runaway gain: the finite eigenvalues put a mode on e^{7e121 t}
+        (
+            "drive.photon_number = 1.6217565213242456e+126",
+            ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"],
+            "trajectory",
+        ),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

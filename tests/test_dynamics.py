@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,22 @@ def test_grid_range_errors(device):
         propagate_exact(device, (1.0, 0.0), 0.5 * dt, dt)
     with pytest.raises(InvalidRangeError):
         propagate_exact(device, (1.0, 0.0), 2e-3, dt)  # > 1 << 24 samples
+
+
+@pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])
+def test_runaway_gain_raises_at_the_first_overflowing_sample(device, device_n0, propagate):
+    # far above the EP the gain supermode grows as e^{Im(lambda) t}, here
+    # about 1.4 e-folds a sample: the samples overflow some 500 steps in
+    dt = 0.05 * TWO_PI / device.resonator_1.omega_m
+    runaway = device.with_photon_number(device_n0 * (710.0 / (500 * dt)) / device.coupling_j)
+    with pytest.raises(InvalidRangeError, match=r"overflows double precision at t = ") as info:
+        propagate(runaway, (1.0, 0.0), 2000 * dt, dt)
+    first = int(re.search(r"sample (\d+) of 2001", str(info.value)).group(1))
+    assert 0 < first < 2000
+    # the samples before it are finite
+    head = propagate(runaway, (1.0, 0.0), (first - 1) * dt, dt)
+    assert len(head) == first
+    assert np.isfinite(head.a1).all() and np.isfinite(head.a2).all()
 
 
 def test_initial_state_must_be_a_pair(device):

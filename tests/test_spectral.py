@@ -267,8 +267,8 @@ def test_ep_photon_number_rejects_untunable_spectrum(device_resonator):
 
 
 def test_ep_search_unbalanced_asymmetric_arms(device_resonator):
-    # arm 2 has a longer cavity, so its g0 is 16x weaker; the closed form
-    # does not apply and the EP must come out of the numeric scan
+    # arm 2 has a longer cavity, so its g0 is 16x weaker; the slopes
+    # g0^2 phi differ in magnitude, and the general closed form applies
     res = device_resonator
     blue = OpticalCavity(length=1e-4, kappa=TWO_PI * 1e8, detuning=res.omega_m, n_cav=0.0)
     red = OpticalCavity(length=2e-4, kappa=TWO_PI * 1e8, detuning=-res.omega_m, n_cav=0.0)
@@ -280,6 +280,54 @@ def test_ep_search_unbalanced_asymmetric_arms(device_resonator):
     pair = eigenvalues_general(system.with_photon_number(n0))
     j = system.coupling_j
     assert abs(pair.discriminant) <= max(ep_tolerance(j), 8.0 * EPS * j * j)
+
+
+def _kappa_mismatched(system, factor=1.2):
+    red = dataclasses.replace(system.cavity_2, kappa=factor * system.cavity_2.kappa)
+    return dataclasses.replace(system, cavity_2=red)
+
+
+def test_ep_beyond_1e16_photons_for_a_kappa_mismatched_1mm_device(device_resonator):
+    # 1 mm cavities put the balanced EP at 1.406e16 photons and the
+    # mismatched one at 1.534e16: no search bound cuts it off
+    balanced = balanced_system(device_resonator, length=1e-3, kappa=TWO_PI * 1e8, coupling_j=TWO_PI * 1e7)
+    assert ep_photon_number(balanced) == pytest.approx(1.406e16, rel=1e-3)
+    system = _kappa_mismatched(balanced)
+    n0 = ep_photon_number(system)
+    assert n0 == pytest.approx(1.534e16, rel=1e-3)
+    j = system.coupling_j
+    assert abs(eigenvalues_general(system.with_photon_number(n0)).discriminant) <= 8.0 * EPS * j * j
+
+
+def test_two_ep_device_returns_the_lower_ep(device, device_resonator):
+    # arm 1's intrinsic loss of 20 J puts Gamma_2 - Gamma_1 below -4J at
+    # n = 0: the pair is broken, turns PT-symmetric at the lower EP
+    # (6.137e12) and broken again at the upper one (9.206e12)
+    system = _kappa_mismatched(device)
+    lossy = dataclasses.replace(device_resonator, gamma_m=20.0 * system.coupling_j)
+    system = dataclasses.replace(system, resonator_1=lossy)
+    n0 = ep_photon_number(system)
+    assert n0 == pytest.approx(6.137e12, rel=1e-3)
+    j = system.coupling_j
+    assert abs(eigenvalues_general(system.with_photon_number(n0)).discriminant) <= 8.0 * EPS * j * j
+    assert eigenvalues_general(system.with_photon_number(n0 * (1.0 - 1e-6))).phase is Phase.BROKEN
+    assert eigenvalues_general(system.with_photon_number(n0 * (1.0 + 1e-6))).phase is Phase.PT_SYMMETRIC
+
+
+def test_no_ep_at_nonnegative_photon_number(device, device_resonator):
+    # arm 2's intrinsic loss of 5 J already exceeds the 4J threshold at
+    # n = 0, and the photon number only widens the gap: both roots < 0
+    lossy = dataclasses.replace(device_resonator, gamma_m=5.0 * device.coupling_j)
+    with pytest.raises(NoEPError, match="n >= 0"):
+        ep_photon_number(dataclasses.replace(device, resonator_2=lossy))
+
+
+def test_equal_slopes_raise_zero_coupling(device):
+    # two identical blue-detuned arms: the photon number moves both
+    # dampings alike and never their difference
+    system = dataclasses.replace(device, cavity_2=device.cavity_1)
+    with pytest.raises(ZeroCouplingError):
+        ep_photon_number(system)
 
 
 def test_no_ep_for_detuned_resonators(device, device_resonator):
