@@ -23,6 +23,7 @@ from .core import (
     NotAtEPError,
     OpticalCavity,
     Phase,
+    RunawayGainError,
     SamplingTooCoarseError,
     SensitivityContext,
     SupermodePair,
@@ -83,6 +84,7 @@ __all__ = [
     "NotAtEPError",
     "OpticalCavity",
     "Phase",
+    "RunawayGainError",
     "SamplingTooCoarseError",
     "SensitivityContext",
     "SensitivityPoint",

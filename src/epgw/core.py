@@ -102,6 +102,12 @@ class InvalidRangeError(EpgwError):
     """A sweep or integration range is empty, reversed, or otherwise unusable."""
 
 
+class RunawayGainError(EpgwError):
+    """Valid input whose trajectory overflows double precision (runaway gain)."""
+
+    exit_code = 2
+
+
 class SamplingTooCoarseError(EpgwError):
     """The requested time step undersamples the fastest eigenfrequency."""
 
@@ -142,7 +148,7 @@ class Phase(Enum):
 
     PT_SYMMETRIC: eigenvalues split in real frequency (below threshold).
     BROKEN: eigenvalues split in linewidth instead (above threshold).
-    EXCEPTIONAL_POINT: both splittings vanish to within tolerance.
+    EXCEPTIONAL_POINT: |disc| <= ep_tolerance(J), the one EP rule.
     """
 
     PT_SYMMETRIC = "pt_symmetric"

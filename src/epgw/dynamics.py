@@ -1,9 +1,10 @@
 """Time-domain propagation of the coupled-mode equation and spectral readout.
 
-Provides an exact propagator (eigendecomposition, with a Jordan-form path
-for the defective matrix at an exceptional point), an independent RK4
-integrator for cross-checking, and a windowed-DFT peak estimator that
-recovers supermode frequencies from simulated trajectories.
+Provides an exact propagator (the closed-form 2x2 exponential at an
+exceptional point, eigendecomposition elsewhere, chosen by the one EP rule
+``spectral._at_ep``), an independent RK4 integrator for cross-checking,
+and a windowed-DFT peak estimator that recovers supermode frequencies from
+simulated trajectories.
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ import numpy as np
 from .core import (
     CoupledSystem,
     InvalidRangeError,
+    RunawayGainError,
     SamplingTooCoarseError,
     TooFewSamplesError,
     validate_system,
 )
-from .spectral import _arms
-
-# Eigenvector condition number beyond which the matrix is treated as
-# defective and propagated with the generalized (Jordan) form.
-DEFECTIVE_COND_THRESHOLD = 1e8
+from .spectral import EpConvention, _arms, _at_ep, _spectrum
 
 # Hann sidelobes peak at -31.5 dB (2.7% in magnitude); a 5% floor rejects
 # them while keeping any genuine secondary line.
@@ -148,12 +146,12 @@ def _initial_vector(initial) -> np.ndarray:
 
 def _finite_trajectory(times: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
     """The trajectory of the samples, checked: a sample that is not finite
-    (a mode in runaway gain overflows) raises InvalidRangeError naming the
+    (a mode in runaway gain overflows) raises RunawayGainError naming the
     time of the first one."""
     finite = np.isfinite(a1) & np.isfinite(a2)
     if not finite.all():
         first = int(np.argmin(finite))
-        raise InvalidRangeError(
+        raise RunawayGainError(
             f"the trajectory overflows double precision at t = {times[first]:.6e} s"
             f" (sample {first} of {len(times)})"
         )
@@ -161,16 +159,17 @@ def _finite_trajectory(times: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Tra
 
 
 def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
-    """Closed-form evolution a(t) = V diag(e^{-i lambda t}) V^-1 a(0).
+    """Closed-form evolution a(t) = e^{-i M t} a(0).
 
-    When the eigenvector matrix is ill-conditioned beyond
-    DEFECTIVE_COND_THRESHOLD (the defective-matrix signature at an
-    exceptional point) the generalized form
+    Near an exceptional point the eigenvector method loses accuracy (Moler
+    & Van Loan, SIAM Rev. 45, 3 (2003)), so where the one EP rule holds
+    (spectral._at_ep) the exact 2x2 exponential is used. With lambda the
+    center of the pair, s = sqrt(disc) and N = M - lambda I, N^2 = disc I and
 
-        a(t) = e^{-i lambda t} (a0 - i t (M - lambda I) a0)
+        a(t) = e^{-i lambda t} (cos(s t) a0 - i (sin(s t) / s) N a0),
 
-    is used instead; (M - lambda I) is then nilpotent and the secular
-    linear-in-t term replaces the vanished second exponential.
+    with sin(s t) / s = t at s = 0 (the Jordan form's secular term).
+    Elsewhere a(t) = V diag(e^{-i lambda_k t}) V^-1 a(0).
 
     Args:
         system: The coupled system.
@@ -181,10 +180,10 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
     Raises:
         ValidationError: invalid system.
         InvalidRangeError: dt or duration not finite, non-positive dt,
-            duration < dt, or a grid beyond the sample-count limit; or a
-            sample overflows double precision (a mode in runaway gain),
-            named by the time of the first one.
+            duration < dt, or a grid beyond the sample-count limit.
         SamplingTooCoarseError: dt > 0.1 * 2 pi / max|Re lambda|.
+        RunawayGainError: a sample overflows double precision (a mode in
+            runaway gain), named by the time of the first one.
     """
     validate_system(system)
     a0 = _initial_vector(initial)
@@ -193,14 +192,14 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
     _check_sampling(eigenvalues, dt)
     times = _sample_grid(duration, dt)
 
-    cond = np.linalg.cond(vectors)
+    j = system.coupling_j
+    center, disc, root = _spectrum(_arms(system), j, system.cavity_1.n_cav, system.cavity_2.n_cav, EpConvention.EQ7)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
-        if not np.isfinite(cond) or cond > DEFECTIVE_COND_THRESHOLD:
-            lam = 0.5 * (m[0, 0] + m[1, 1])
-            nilpotent = m - lam * np.eye(2)
-            drift = nilpotent @ a0
-            base = np.exp(-1j * lam * times)
-            amplitudes = base[None, :] * (a0[:, None] - 1j * drift[:, None] * times[None, :])
+        if _at_ep(abs(disc), j):
+            drift = (m - center * np.eye(2)) @ a0
+            cos_st = np.cos(root * times)
+            sin_st_over_s = times if root == 0 else np.sin(root * times) / root
+            amplitudes = np.exp(-1j * center * times) * (cos_st * a0[:, None] - 1j * sin_st_over_s * drift[:, None])
         else:
             coeffs = np.linalg.solve(vectors, a0)
             phases = np.exp(-1j * np.outer(eigenvalues, times))

@@ -37,9 +37,11 @@ algorithm (numpy's complex sqrt differs from it on the imaginary axis).
 
 Each rule of the model is written once: ``_arms`` evaluates the arm
 constants (g0, phi; ``_Arm.damping`` is Gamma), ``_classify`` is the phase
-rule for a point or a grid, and ``_at_ep`` the EP gate of both
-``ep_photon_number`` and the strain response. Overflow of valid but
-extreme inputs is an InvalidRangeError, checked where it arises: ``_arms``
+rule for a point or a grid, and ``_at_ep`` the one EP rule, |disc| <=
+``ep_tolerance(J)`` = 8 eps J^2: the phase label, the EP gate of
+``ep_photon_number`` and the strain response, and the EP branch of
+``dynamics.propagate_exact`` all ask it. Overflow of valid but extreme
+inputs is an InvalidRangeError, checked where it arises: ``_arms``
 checks the arm constants and J^2, ``eigenvalues_general`` and
 ``dynamics.mode_matrix`` their one result, the sweeps and the strain
 response their arrays.
@@ -74,18 +76,12 @@ from .core import (
     validate_system,
 )
 
-# Relative eigenvalue tolerance defining "at the exceptional point".
-EP_REL_TOL = 1e-9
-
-# Representability floor of the discriminant arithmetic, relative to J^2.
-# The damping gamma(n_cav) moves on a grid of ~1 ulp as the photon number
-# steps through adjacent floats; when that grid happens to skip the exact
-# cancellation value the closest achievable |disc| is bounded by
-# 2 J * ulp(2J) <= 4 eps J^2. EP location and the splitting gate accept
-# down to twice that, since ep_tolerance (1e-18 relative) lies below one
-# ulp of J^2 and is only reachable when the cancellation lands bit-exactly.
+# The EP rule's threshold relative to J^2. The damping gamma(n_cav) moves on
+# a grid of ~1 ulp as the photon number steps through adjacent floats; when
+# that grid happens to skip the exact cancellation value the closest
+# achievable |disc| is bounded by 2 J * ulp(2J) <= 4 eps J^2. The EP rule
+# accepts down to twice that floor.
 _EPS = sys.float_info.epsilon
-_DISC_FLOOR_FACTOR = 8.0 * _EPS
 
 # Reach of the float polish of the closed-form EP photon number, in floats
 # each side of it.
@@ -283,26 +279,23 @@ def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2, convention: 
 
 
 def ep_tolerance(coupling_j: float) -> float:
-    """Discriminant magnitude below which a pair counts as degenerate."""
-    return (EP_REL_TOL * coupling_j) ** 2
+    """The one EP rule's threshold: a pair is at its exceptional point when
+    |disc| <= 8 eps J^2, twice the discriminant's representability floor."""
+    return 8.0 * _EPS * coupling_j * coupling_j
 
 
-def _ep_acceptance(coupling_j: float) -> float:
-    """ep_tolerance, opened up to the double-precision representability floor."""
-    return max(ep_tolerance(coupling_j), _DISC_FLOOR_FACTOR * coupling_j * coupling_j)
+def _at_ep(disc_magnitude, coupling_j: float):
+    """The one EP rule: |disc| <= ep_tolerance(J), for a magnitude or an
+    array of them. A NaN magnitude fails it."""
+    return disc_magnitude <= ep_tolerance(coupling_j)
 
 
-def _at_ep(disc_magnitude: float, coupling_j: float) -> bool:
-    """The EP gate: |disc| <= _ep_acceptance(J). A NaN magnitude fails it."""
-    return disc_magnitude <= _ep_acceptance(coupling_j)
-
-
-def _classify(disc, tol: float):
+def _classify(disc, coupling_j: float):
     """Index into _PHASES of a discriminant, a complex or a complex array:
-    the EP (2) when |disc| <= tol, else PT-symmetric (0) when Re(disc) >= 0,
-    else broken (1), NaN included. Written on bools, so a complex gives an
-    int and an array an int array."""
-    at_ep = _magnitude(disc) <= tol
+    the EP (2) when _at_ep, else PT-symmetric (0) when Re(disc) >= 0, else
+    broken (1), NaN included. Written on bools, so a complex gives an int
+    and an array an int array."""
+    at_ep = _at_ep(_magnitude(disc), coupling_j)
     broken = (at_ep | (disc.real >= 0.0)) ^ True
     return 2 * at_ep + broken
 
@@ -334,7 +327,7 @@ def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConv
         lambda_plus=plus,
         lambda_minus=minus,
         discriminant=disc,
-        phase=_PHASES[_classify(disc, ep_tolerance(system.coupling_j))],
+        phase=_PHASES[_classify(disc, system.coupling_j)],
     )
 
 
@@ -374,20 +367,21 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
         lambda_plus=lp,
         lambda_minus=lm,
         discriminant=disc,
-        phase=_PHASES[_classify(disc, ep_tolerance(j))],
+        phase=_PHASES[_classify(disc, j)],
     )
 
 
 def _polish_photon_number(magnitude, n_guess: float) -> tuple[float, float]:
     """The float within +-_POLISH_STEPS steps of n_guess that minimizes |disc|.
 
-    The degeneracy tolerance is a tiny fraction of an ulp of J^2, so the
-    discriminant must cancel essentially bit-exactly; an analytic guess is
-    only good to a few ulps because it cannot anticipate the rounding of
-    the damping chain. The neighbouring floats of n_guess >= 0 (clipped at
-    0.0 and +inf) are evaluated in one call, in the order
-    [n, down 1, up 1, down 2, up 2, ...], and the first minimum in that
-    order wins; a NaN magnitude never wins, unless it is the guess's.
+    An analytic guess is only good to a few ulps because it cannot
+    anticipate the rounding of the damping chain, so the discriminant at
+    the guess may sit far above the few ulps of J^2 that the EP rule
+    allows, where a neighbour cancels it bit-exactly. The neighbouring
+    floats of n_guess >= 0 (clipped at 0.0 and +inf) are evaluated in one
+    call, in the order [n, down 1, up 1, down 2, up 2, ...], and the first
+    minimum in that order wins; a NaN magnitude never wins, unless it is
+    the guess's.
 
     Returns:
         (n, |disc(n)|) at the chosen float.
@@ -414,10 +408,10 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
     The smaller nonnegative root is float-polished: neighbouring floats of
     n are tried so that feeding the result back through
     eigenvalues_general cancels the discriminant bit-exactly whenever the
-    float grid allows it (it does for the reference device), and to the
-    documented representability floor of ~8 eps J^2 otherwise. A balanced
-    system has gamma_m,2 = gamma_m,1 and s_2 = -s_1, so n0 = 2 J / (g0^2
-    |phi|) (EQ7) or J / (g0^2 |phi|) (EQ8). No search bounds apply.
+    float grid allows it (it does for the reference device), and to within
+    ep_tolerance(J) = 8 eps J^2 otherwise. A balanced system has gamma_m,2
+    = gamma_m,1 and s_2 = -s_1, so n0 = 2 J / (g0^2 |phi|) (EQ7) or
+    J / (g0^2 |phi|) (EQ8). No search bounds apply.
 
     Raises:
         ValidationError: invalid system.
@@ -425,9 +419,8 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
         ZeroCouplingError: J = 0, or the photon number does not move the
             discriminant (equal slopes, s_2 = s_1).
         NoEPError: both roots are negative (or NaN), or the polished root
-            fails the EP gate (|disc| above the acceptance threshold, or
-            NaN). No exact EP exists when omega_1 != omega_2; the gate
-            decides.
+            fails the EP rule (|disc| above ep_tolerance(J), or NaN). No
+            exact EP exists when omega_1 != omega_2; the rule decides.
     """
     validate_system(system)
     j = system.coupling_j
@@ -449,7 +442,7 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
     best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n, convention)[1]), guess)
     if not _at_ep(best, j):
         raise NoEPError(
-            f"discriminant magnitude {best:.3e} above threshold {_ep_acceptance(j):.3e} near n = {guess:.6e}"
+            f"discriminant magnitude {best:.3e} above threshold {ep_tolerance(j):.3e} near n = {guess:.6e}"
         )
     return best_n
 
@@ -479,7 +472,7 @@ def splitting(
     with q the convention factor (1/4 for EQ7, 1 for EQ8). This is the
     same polynomial identity evaluated without catastrophic cancellation,
     so it stays accurate down to arbitrarily small strain. The unstrained
-    discriminant is gated against the EP acceptance threshold and then
+    discriminant is gated by the EP rule (see ep_tolerance) and then
     treated as exactly zero, so the response vanishes identically at
     h = 0 instead of sitting on sub-ulp residue from the bias point.
 
@@ -518,7 +511,7 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
     disc0 = _magnitude(_spectrum(arms, j, n0, n0, convention)[1])
     if not _at_ep(disc0, j):
         raise NotAtEPError(
-            f"|disc| = {disc0:.3e} exceeds threshold {_ep_acceptance(j):.3e} at n_cav = {n0!r}; locate the EP first"
+            f"|disc| = {disc0:.3e} exceeds threshold {ep_tolerance(j):.3e} at n_cav = {n0!r}; locate the EP first"
         )
     arm_1, arm_2 = arms
     b0_re = arm_1.omega_m - arm_2.omega_m
@@ -588,7 +581,7 @@ def sweep_photon_number(
         plus, minus = center + root, center - root
         if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
             raise InvalidRangeError(f"n_max = {n_max!r}: the eigenvalues overflow double precision")
-        phase = _classify(disc, ep_tolerance(system.coupling_j))
+        phase = _classify(disc, system.coupling_j)
     swapped = _continuity_swaps(plus, minus)
     plus, minus = np.where(swapped, minus, plus), np.where(swapped, plus, minus)
     return [

@@ -356,12 +356,6 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("resonator.frequency_hz = 1e-300", ["ep-locate", "--format", "csv"], "g0"),
         ("cavity.length_m = 1e-100", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "g0"),
         ("drive.photon_number = 1e289", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "n_cav"),
-        # runaway gain: the finite eigenvalues put a mode on e^{7e121 t}
-        (
-            "drive.photon_number = 1.6217565213242456e+126",
-            ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"],
-            "trajectory",
-        ),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):
@@ -374,6 +368,32 @@ def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        # the finite eigenvalues put a mode on e^{7e121 t}
+        ("drive.photon_number = 1.6217565213242456e+126", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"]),
+        # every value inside the ranges the config properties draw from
+        (
+            "cavity.length_m = 1e-05\nresonator.frequency_hz = 1e8\ndrive.photon_number = 1e14",
+            ["simulate", "--dt", "1e-10", "--duration", "1.1e-7"],
+        ),
+    ],
+    ids=["photon_number_1e126", "short_cavity"],
+)
+def test_runaway_gain_exits_2_without_output(run_cli, tmp_path, config, argv):
+    # valid input whose trajectory overflows double precision is a domain
+    # error: one error line naming the trajectory, and no file written
+    conf = tmp_path / "run.conf"
+    conf.write_text(config + "\n")
+    out = tmp_path / "out.dat"
+    code, _, err = run_cli(*argv, "--config", str(conf), "--output", str(out))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "trajectory" in err
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+import epgw
 from epgw import (
     C_LIGHT,
     ConfigParseError,
@@ -17,6 +20,7 @@ from epgw import (
     NotAtEPError,
     OpticalCavity,
     Phase,
+    RunawayGainError,
     SamplingTooCoarseError,
     TooFewSamplesError,
     UnknownKeyError,
@@ -36,6 +40,7 @@ from epgw.core import (
 )
 
 TWO_PI = 2.0 * math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_constants_are_codata_values():
@@ -54,6 +59,7 @@ def test_error_taxonomy_shares_base_class():
         (ZeroCouplingError(), 2),
         (NotAtEPError(), 2),
         (InvalidRangeError(), 1),
+        (RunawayGainError(), 2),
         (SamplingTooCoarseError(), 2),
         (TooFewSamplesError(), 2),
         (ConfigParseError(3, "bad"), 1),
@@ -61,6 +67,17 @@ def test_error_taxonomy_shares_base_class():
     ):
         assert isinstance(exc, EpgwError)
         assert type(exc).exit_code == exit_code
+
+
+def test_readme_exit_code_table_lists_every_public_error():
+    # each public EpgwError subclass is named in the row of its exit code
+    section = README.read_text(encoding="utf-8").split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    rows = dict(re.findall(r"^\| (\d) +\|(.*)\|$", section, flags=re.M))
+    errors = [getattr(epgw, name) for name in epgw.__all__]
+    errors = [cls for cls in errors if isinstance(cls, type) and issubclass(cls, EpgwError) and cls is not EpgwError]
+    assert len(errors) >= 10
+    undocumented = [cls.__name__ for cls in errors if f"`{cls.__name__}`" not in rows.get(str(cls.exit_code), "")]
+    assert undocumented == []
 
 
 def test_nonpositive_error_carries_context():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -10,6 +11,7 @@ from epgw import (
     InvalidRangeError,
     MechanicalResonator,
     OpticalCavity,
+    RunawayGainError,
     SamplingTooCoarseError,
     TooFewSamplesError,
     Trajectory,
@@ -145,30 +147,34 @@ def test_energy_decays_when_both_arms_lossy():
     assert energy[-1] < 0.9 * energy[0]
 
 
-def test_exact_propagator_matches_expm_at_device_ep(device, device_n0):
-    system = device.with_photon_number(device_n0)
+@pytest.mark.parametrize("kappa_2_factor", [1.0, 1.2], ids=["reference", "kappa_mismatched"])
+def test_exact_propagator_matches_expm_at_device_ep(device, kappa_2_factor):
+    # each device at its own EP, where the exact 2x2 exponential runs
+    device = dataclasses.replace(
+        device, cavity_2=dataclasses.replace(device.cavity_2, kappa=kappa_2_factor * device.cavity_2.kappa)
+    )
+    system = device.with_photon_number(ep_photon_number(device))
     traj = propagate_exact(system, (1.0, 0.0), 2e-8, 1e-10)
     picks = [1, 17, 101, len(traj) - 1]
     ref = _expm_reference(system, np.array([1.0, 0.0], dtype=complex), traj.times[picks])
     got = np.stack([traj.a1[picks], traj.a2[picks]], axis=1)
     err = np.abs(got - ref).max() / np.abs(ref).max()
-    # the eigenvector matrix is nearly parallel here (cond ~ 1e7), so the
-    # reconstruction carries cond * eps ~ 1e-8 of noise; 1e-6 bounds it
-    assert err < 1e-6
+    assert err < 1e-12
 
 
 def test_defective_propagator_matches_expm():
     # deep strong coupling: J = 20 omega_m; the eigenvector matrix at the
-    # EP is numerically defective and the secular branch takes over
+    # EP is numerically defective, and the EP rule picks the exact 2x2
+    # exponential
     res = MechanicalResonator(omega_m=TWO_PI * 1e6, mass=5.3e-15, quality_factor=1e5, thickness=8e-8)
     system = balanced_system(res, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=TWO_PI * 2e7)
     biased = system.with_photon_number(ep_photon_number(system))
     cond = np.linalg.cond(np.linalg.eig(mode_matrix(biased))[1])
     assert cond > 1e8  # premise: this parameter set really is defective
 
-    # the float grid leaves |disc| ~ 8 eps J^2 (sqrt ~ 2 rad/s here), so the
-    # secular model and the true exponential part ways as (sqrt(disc) t)^3;
-    # within a few thousand cycles the match is still parts in 1e10
+    # the float grid leaves |disc| ~ 8 eps J^2 (sqrt ~ 2 rad/s here), which
+    # the exact exponential keeps: over a few thousand cycles the match is
+    # parts in 1e10
     a0 = np.array([1.0, 0.0], dtype=complex)
     traj = propagate_exact(biased, a0, 3.2e-6, 8e-8)
     picks = [1, 5, 20, len(traj) - 1]
@@ -185,7 +191,9 @@ def test_defective_growth_is_linear_in_time():
     traj = propagate_exact(biased, (1.0, 0.0), 4e-5, 8e-8)
     norm = np.sqrt(np.abs(traj.a1) ** 2 + np.abs(traj.a2) ** 2)
     half = (len(traj) - 1) // 2
-    # n(t) ~ t |N a0| for J t >> 1: doubling t doubles the norm
+    # at the EP n(t) ~ t |N a0| for J t >> 1 (sqrt(disc) t stays small
+    # here, so the exact exponential grows linearly): doubling t doubles
+    # the norm
     assert norm[-1] / norm[half] == pytest.approx(2.0, rel=1e-3)
     assert norm[-1] > 100.0  # secular growth actually happened
 
@@ -229,7 +237,7 @@ def test_runaway_gain_raises_at_the_first_overflowing_sample(device, device_n0, 
     # about 1.4 e-folds a sample: the samples overflow some 500 steps in
     dt = 0.05 * TWO_PI / device.resonator_1.omega_m
     runaway = device.with_photon_number(device_n0 * (710.0 / (500 * dt)) / device.coupling_j)
-    with pytest.raises(InvalidRangeError, match=r"overflows double precision at t = ") as info:
+    with pytest.raises(RunawayGainError, match=r"overflows double precision at t = ") as info:
         propagate(runaway, (1.0, 0.0), 2000 * dt, dt)
     first = int(re.search(r"sample (\d+) of 2001", str(info.value)).group(1))
     assert 0 < first < 2000

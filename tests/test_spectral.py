@@ -244,7 +244,7 @@ def test_ep_discriminant_within_tolerance_for_random_balanced_systems():
         n0 = ep_photon_number(system)
         pair = eigenvalues_general(system.with_photon_number(n0))
         j = system.coupling_j
-        assert abs(pair.discriminant) <= max(ep_tolerance(j), 8.0 * EPS * j * j)
+        assert abs(pair.discriminant) <= ep_tolerance(j)
 
 
 def test_ep_photon_number_rejects_zero_coupling(device):
@@ -279,7 +279,7 @@ def test_ep_search_unbalanced_asymmetric_arms(device_resonator):
     n0 = ep_photon_number(system)
     pair = eigenvalues_general(system.with_photon_number(n0))
     j = system.coupling_j
-    assert abs(pair.discriminant) <= max(ep_tolerance(j), 8.0 * EPS * j * j)
+    assert abs(pair.discriminant) <= ep_tolerance(j)
 
 
 def _kappa_mismatched(system, factor=1.2):
@@ -296,7 +296,7 @@ def test_ep_beyond_1e16_photons_for_a_kappa_mismatched_1mm_device(device_resonat
     n0 = ep_photon_number(system)
     assert n0 == pytest.approx(1.534e16, rel=1e-3)
     j = system.coupling_j
-    assert abs(eigenvalues_general(system.with_photon_number(n0)).discriminant) <= 8.0 * EPS * j * j
+    assert abs(eigenvalues_general(system.with_photon_number(n0)).discriminant) <= ep_tolerance(j)
 
 
 def test_two_ep_device_returns_the_lower_ep(device, device_resonator):
@@ -309,7 +309,7 @@ def test_two_ep_device_returns_the_lower_ep(device, device_resonator):
     n0 = ep_photon_number(system)
     assert n0 == pytest.approx(6.137e12, rel=1e-3)
     j = system.coupling_j
-    assert abs(eigenvalues_general(system.with_photon_number(n0)).discriminant) <= 8.0 * EPS * j * j
+    assert abs(eigenvalues_general(system.with_photon_number(n0)).discriminant) <= ep_tolerance(j)
     assert eigenvalues_general(system.with_photon_number(n0 * (1.0 - 1e-6))).phase is Phase.BROKEN
     assert eigenvalues_general(system.with_photon_number(n0 * (1.0 + 1e-6))).phase is Phase.PT_SYMMETRIC
 
@@ -543,5 +543,8 @@ def test_sweep_strain_range_errors(device, device_n0):
 
 
 def test_ep_tolerance_is_relative_band():
-    assert ep_tolerance(TWO_PI * 1e7) == (1e-9 * TWO_PI * 1e7) ** 2
-    assert ep_tolerance(2.0) == pytest.approx(4e-18, rel=1e-15)
+    # the one EP rule: twice the discriminant's representability floor
+    # 2 J ulp(2J) <= 4 eps J^2
+    for j in (TWO_PI * 1e7, 2.0, 1e-3):
+        assert ep_tolerance(j) == 8 * EPS * j * j
+    assert ep_tolerance(2.0) == 32.0 * EPS

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from epgw import (  # noqa: E402
     EpConvention,
@@ -26,6 +26,7 @@ from epgw import (  # noqa: E402
     Phase,
     balanced_system,
     detuning_response,
+    eigenvalues_general,
     ep_photon_number,
     ep_tolerance,
     splitting,
@@ -35,8 +36,6 @@ from epgw import (  # noqa: E402
     zero_point_fluctuation,
 )
 from epgw.spectral import _complex, _continuity_swaps, _polish_photon_number, _root  # noqa: E402
-
-EPS = sys.float_info.epsilon
 
 
 def _bits(value):
@@ -228,11 +227,26 @@ def test_array_root_matches_cmath_sqrt_bitwise(parts, on_axis):
 @given(system=balanced_systems() | mismatched_systems(), convention=conventions)
 def test_ep_photon_number_matches_scalar_reference_bitwise(system, convention):
     ref = _ref_ep(system, convention)
-    if ref is None or ref[1] > max(ep_tolerance(system.coupling_j), 8.0 * EPS * system.coupling_j**2):
+    if ref is None or ref[1] > ep_tolerance(system.coupling_j):
         with pytest.raises(NoEPError):
             ep_photon_number(system, convention)
     else:
         assert _bits(ep_photon_number(system, convention)) == _bits(ref[0])
+
+
+@settings(max_examples=100)
+@given(system=balanced_systems() | mismatched_systems(), convention=conventions)
+def test_located_ep_is_labeled_an_ep_and_the_phase_flips_across_it(system, convention):
+    # one EP rule: the n0 that the EP gate accepts is the n0 the phase label
+    # calls an EP; a two-EP device flips the other way at its lower EP
+    try:
+        n0 = ep_photon_number(system, convention)
+    except NoEPError:
+        n0 = 0.0
+    assume(n0 > 0.0)
+    phase = lambda n: eigenvalues_general(system.with_photon_number(n), convention).phase  # noqa: E731
+    assert phase(n0) is Phase.EXCEPTIONAL_POINT
+    assert {phase(n0 * (1.0 - 1e-6)), phase(n0 * (1.0 + 1e-6))} == {Phase.PT_SYMMETRIC, Phase.BROKEN}
 
 
 @settings(max_examples=40)
