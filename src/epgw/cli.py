@@ -443,7 +443,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     # Strain rescales both vacuum couplings g0 -> g0 (1 - 2h); in the mode
     # matrix that is exactly a photon-number rescale by (1 - 2h)^2.
     strained = system.with_photon_number(n_cav * (1.0 - 2.0 * h) ** 2)
-    pair = eigenvalues_general(strained, convention)
+    # The convention only picks the EP drive above. What is propagated is
+    # the exact M, so the predictions and defaults come from its EQ7 pair.
+    pair = eigenvalues_general(strained)
     predicted = (pair.lambda_plus.real, pair.lambda_minus.real)
 
     if args.dt is not None:

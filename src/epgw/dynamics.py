@@ -1,10 +1,10 @@
 """Time-domain propagation of the coupled-mode equation and spectral readout.
 
-Provides an exact propagator (the closed-form 2x2 exponential at an
-exceptional point, eigendecomposition elsewhere, chosen by the one EP rule
-``spectral._at_ep``), an independent RK4 integrator for cross-checking,
-and a windowed-DFT peak estimator that recovers supermode frequencies from
-simulated trajectories.
+Both propagators take the spectrum of the mode matrix M from
+``spectral._spectrum``. The exact one is e^{-i M t} in closed form: the 2x2
+exponential where the one EP rule ``spectral._at_ep`` holds, the spectral
+projectors elsewhere. The RK4 cross-check steps by its one-step matrix. A
+windowed-DFT peak estimator recovers supermode frequencies from trajectories.
 """
 
 from __future__ import annotations
@@ -118,30 +118,41 @@ def _sample_grid(duration: float, dt: float) -> np.ndarray:
         raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
     if not (math.isfinite(duration) and duration >= dt):
         raise InvalidRangeError(f"duration = {duration!r}; need a finite duration >= dt = {dt!r}")
-    n = int(math.floor(duration / dt + 1e-9)) + 1
-    if n > _MAX_SAMPLES:
-        raise InvalidRangeError(f"duration/dt yields {n} samples; limit is {_MAX_SAMPLES}")
-    return np.arange(n) * dt
+    steps = duration / dt + 1e-9  # compared as a float: it may be inf
+    if steps >= _MAX_SAMPLES:
+        raise InvalidRangeError(f"duration/dt = {duration / dt:.6e} yields more than {_MAX_SAMPLES} samples")
+    return np.arange(int(steps) + 1) * dt
 
 
-def _check_sampling(eigenvalues: np.ndarray, dt: float) -> None:
-    fastest = float(np.max(np.abs(eigenvalues.real)))
+def _check_sampling(center: complex, root: complex, dt: float) -> None:
+    """Raise SamplingTooCoarseError when dt > 0.1 * 2 pi / max|Re lambda|,
+    where for lambda = center +- root max|Re lambda| = |Re center| + |Re root|."""
+    fastest = abs(center.real) + abs(root.real)
     if fastest > 0.0:
         limit = 0.1 * 2.0 * math.pi / fastest
-        # 1e-6 relative slack: near a degeneracy the eigensolver's Re(lambda)
-        # wobbles by ~sqrt(eps), and a dt derived analytically from the same
-        # 0.1 * 2 pi / max|Re lambda| bound must not trip the guard.
+        # 1e-6 relative slack: a caller that computes the same bound with
+        # other rounding, or rounds it to a decimal (dt = 1e-10 at 1 GHz),
+        # must not trip the guard.
         if dt > limit * (1.0 + 1e-6):
             raise SamplingTooCoarseError(
                 f"dt = {dt:.6e} s exceeds 0.1 * 2 pi / max|Re lambda| = {limit:.6e} s"
             )
 
 
-def _initial_vector(initial) -> np.ndarray:
+def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
+    """Both propagators' checked inputs: a0, M, M's spectrum (center, disc,
+    root) from spectral._spectrum, and the sample grid."""
+    validate_system(system)
     a0 = np.asarray(initial, dtype=complex)
     if a0.shape != (2,):
         raise ValueError("initial must be a pair of complex amplitudes")
-    return a0
+    m = mode_matrix(system)
+    n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
+    center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, EpConvention.EQ7)
+    if not np.isfinite(disc):
+        raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
+    _check_sampling(center, root, dt)
+    return a0, m, (center, disc, root), _sample_grid(duration, dt)
 
 
 def _finite_trajectory(times: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
@@ -161,15 +172,16 @@ def _finite_trajectory(times: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Tra
 def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
     """Closed-form evolution a(t) = e^{-i M t} a(0).
 
-    Near an exceptional point the eigenvector method loses accuracy (Moler
-    & Van Loan, SIAM Rev. 45, 3 (2003)), so where the one EP rule holds
-    (spectral._at_ep) the exact 2x2 exponential is used. With lambda the
-    center of the pair, s = sqrt(disc) and N = M - lambda I, N^2 = disc I and
+    With lambda the center of the pair, s = sqrt(disc) and N = M - lambda I,
+    all from spectral._spectrum, N^2 = disc I. Where the one EP rule holds
+    (spectral._at_ep) the exact 2x2 exponential is used,
 
         a(t) = e^{-i lambda t} (cos(s t) a0 - i (sin(s t) / s) N a0),
 
     with sin(s t) / s = t at s = 0 (the Jordan form's secular term).
-    Elsewhere a(t) = V diag(e^{-i lambda_k t}) V^-1 a(0).
+    Elsewhere a0 splits with the spectral projectors (I +- N / s) / 2 onto
+    the supermodes (Sylvester's formula; Moler & Van Loan, SIAM Rev. 45, 3
+    (2003)), and each part evolves as e^{-i (lambda +- s) t}.
 
     Args:
         system: The coupled system.
@@ -180,30 +192,22 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
     Raises:
         ValidationError: invalid system.
         InvalidRangeError: dt or duration not finite, non-positive dt,
-            duration < dt, or a grid beyond the sample-count limit.
+            duration < dt, a grid beyond the sample-count limit, or M or
+            its eigenvalues overflow double precision.
         SamplingTooCoarseError: dt > 0.1 * 2 pi / max|Re lambda|.
         RunawayGainError: a sample overflows double precision (a mode in
             runaway gain), named by the time of the first one.
     """
-    validate_system(system)
-    a0 = _initial_vector(initial)
-    m = mode_matrix(system)
-    eigenvalues, vectors = np.linalg.eig(m)
-    _check_sampling(eigenvalues, dt)
-    times = _sample_grid(duration, dt)
-
-    j = system.coupling_j
-    center, disc, root = _spectrum(_arms(system), j, system.cavity_1.n_cav, system.cavity_2.n_cav, EpConvention.EQ7)
+    a0, m, (center, disc, root), times = _prepare(system, initial, duration, dt)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
-        if _at_ep(abs(disc), j):
-            drift = (m - center * np.eye(2)) @ a0
+        drift = (m - center * np.eye(2)) @ a0
+        if _at_ep(abs(disc), system.coupling_j):
             cos_st = np.cos(root * times)
             sin_st_over_s = times if root == 0 else np.sin(root * times) / root
             amplitudes = np.exp(-1j * center * times) * (cos_st * a0[:, None] - 1j * sin_st_over_s * drift[:, None])
         else:
-            coeffs = np.linalg.solve(vectors, a0)
-            phases = np.exp(-1j * np.outer(eigenvalues, times))
-            amplitudes = vectors @ (coeffs[:, None] * phases)
+            modes = 0.5 * (a0[:, None] + np.outer(drift / root, [1, -1]))
+            amplitudes = modes @ np.exp(-1j * np.outer([center + root, center - root], times))
     return _finite_trajectory(times, amplitudes[0], amplitudes[1])
 
 
@@ -211,44 +215,25 @@ def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> 
     """Fourth-order Runge-Kutta integration of da/dt = -i M a.
 
     Same contract as propagate_exact; global error O(dt^4). Kept as an
-    independent cross-check of the closed-form propagator. The steps are
-    CPython complex arithmetic, which overflows to inf and nan without a
-    warning; the samples are checked once at the end.
+    independent cross-check of the closed-form propagator. The system is
+    linear, so a step is the matrix P = I + A + A^2/2 + A^3/6 + A^4/24 with
+    A = -i dt M, RK4's stability polynomial (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.1). The steps are CPython complex arithmetic, which
+    overflows to inf and nan without a warning; the samples are checked
+    once at the end.
     """
-    validate_system(system)
-    a0 = _initial_vector(initial)
-    m = mode_matrix(system)
-    _check_sampling(np.linalg.eigvals(m), dt)
-    times = _sample_grid(duration, dt)
-
-    m11, m12 = complex(m[0, 0]), complex(m[0, 1])
-    m21, m22 = complex(m[1, 0]), complex(m[1, 1])
-    n = len(times)
-    a1 = np.empty(n, dtype=complex)
-    a2 = np.empty(n, dtype=complex)
+    a0, m, _, times = _prepare(system, initial, duration, dt)
+    eye = np.eye(2)
+    with np.errstate(all="ignore"):  # runaway gain overflows: checked below
+        a = -1j * dt * m
+        (p11, p12), (p21, p22) = (eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)).tolist()
+    a1 = np.empty(len(times), dtype=complex)
+    a2 = np.empty(len(times), dtype=complex)
     x1, x2 = complex(a0[0]), complex(a0[1])
     a1[0], a2[0] = x1, x2
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for k in range(1, n):
-        k1_1 = -1j * (m11 * x1 + m12 * x2)
-        k1_2 = -1j * (m21 * x1 + m22 * x2)
-        y1 = x1 + half * k1_1
-        y2 = x2 + half * k1_2
-        k2_1 = -1j * (m11 * y1 + m12 * y2)
-        k2_2 = -1j * (m21 * y1 + m22 * y2)
-        y1 = x1 + half * k2_1
-        y2 = x2 + half * k2_2
-        k3_1 = -1j * (m11 * y1 + m12 * y2)
-        k3_2 = -1j * (m21 * y1 + m22 * y2)
-        y1 = x1 + dt * k3_1
-        y2 = x2 + dt * k3_2
-        k4_1 = -1j * (m11 * y1 + m12 * y2)
-        k4_2 = -1j * (m21 * y1 + m22 * y2)
-        x1 = x1 + sixth * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
-        x2 = x2 + sixth * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2)
-        a1[k] = x1
-        a2[k] = x2
+    for k in range(1, len(times)):
+        x1, x2 = p11 * x1 + p12 * x2, p21 * x1 + p22 * x2
+        a1[k], a2[k] = x1, x2
     return _finite_trajectory(times, a1, a2)
 
 

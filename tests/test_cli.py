@@ -158,6 +158,20 @@ def test_simulate_below_threshold_resolves_two_peaks(run_cli):
     assert "peak 1:" in out
 
 
+def test_simulate_eq8_drives_at_its_ep_and_predicts_the_exact_peaks(run_cli, tmp_path):
+    # the convention picks only the drive, at the eq8 EP; the propagated
+    # matrix is exact, so its eq7 pair sets the defaults and the predictions
+    path = tmp_path / "sim.csv"
+    code, out, _ = run_cli("simulate", "--ep-convention", "eq8", "--output", str(path))
+    assert code == 0
+    _, n0_out, _ = run_cli("ep-locate", "--ep-convention", "eq8")
+    assert _stdout_float(out, "n_cav") == pytest.approx(_stdout_float(n0_out, "n0"), rel=1e-6)
+    rows = [line.split(",") for line in path.read_text().splitlines() if line[:1].isdigit()]
+    assert len(rows) == 2
+    for _, freq, _, predicted, resolution in rows:
+        assert abs(float(freq) - float(predicted)) < 0.1 * float(resolution)
+
+
 # ---------------------------------------------------------------------------
 # subcommands: output files
 # ---------------------------------------------------------------------------
@@ -181,14 +195,14 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # JSON renderer on a sweep and on embedded overlays. They pin the bytes
 # across implementations: a change that moves one last digit fails here.
 # Recorded on x86-64 Linux with CPython 3.11 and numpy 2.4; the simulate
-# digest also rests on numpy's FFT and LAPACK.
+# digest also rests on numpy's FFT and matrix product.
 GOLDEN = {
     "ep-locate": "ead27a67ccf2b1884b0d1c6c98d0340ff01edad6a1931a40785d074c1dc42f30",
     "sweep-ncav": "fcd831485bc4f248b4481959e7098c65d68b90f301761da1ff2b9aa560f064e2",
     "sweep-ncav-json": "cacc33ae06746ad126b27c248c9ccaca35beeb31df5400bf9d39d0afc9b09764",
     "sweep-strain": "876803b552af82d8fcdbb171814d77c52086db1ca9d7f67babbdf9fab715a8d9",
     "sensitivity": "92fb1128ea340d44807b8b15e5efaac209e4af81ae221be81e7c89ffcd8309bc",
-    "simulate": "93a616751b750b70d8af6849a8c5f0c9099eab0fd5350814e359e0b455764709",
+    "simulate": "79caadd4c08bb0713ddbdc481b425c6da0b21cf9cad8351f525c2a4c015cb0bf",
     "sensitivity-overlay-json": "f98367eb5ae7d51f150ceb349ab05e841a96baec0dcea53649330619475b9b2f",
     "sensitivity-overlay-csv": "64695e6ff422b3b885c2973488c367ed607a2cdda2a203b76498edfdf92d290f",
 }
@@ -356,6 +370,9 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("resonator.frequency_hz = 1e-300", ["ep-locate", "--format", "csv"], "g0"),
         ("cavity.length_m = 1e-100", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "g0"),
         ("drive.photon_number = 1e289", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "n_cav"),
+        # a sample count beyond the limit, inf included
+        ("", ["simulate", "--duration", "1e300"], "duration"),
+        ("", ["simulate", "--dt", "1e-300"], "dt"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

@@ -149,17 +149,21 @@ def test_energy_decays_when_both_arms_lossy():
 
 @pytest.mark.parametrize("kappa_2_factor", [1.0, 1.2], ids=["reference", "kappa_mismatched"])
 def test_exact_propagator_matches_expm_at_device_ep(device, kappa_2_factor):
-    # each device at its own EP, where the exact 2x2 exponential runs
+    # each device at its own EP, where the exact 2x2 exponential runs, and
+    # on both sides of it, where the spectral projectors run
     device = dataclasses.replace(
         device, cavity_2=dataclasses.replace(device.cavity_2, kappa=kappa_2_factor * device.cavity_2.kappa)
     )
-    system = device.with_photon_number(ep_photon_number(device))
-    traj = propagate_exact(system, (1.0, 0.0), 2e-8, 1e-10)
-    picks = [1, 17, 101, len(traj) - 1]
-    ref = _expm_reference(system, np.array([1.0, 0.0], dtype=complex), traj.times[picks])
-    got = np.stack([traj.a1[picks], traj.a2[picks]], axis=1)
-    err = np.abs(got - ref).max() / np.abs(ref).max()
-    assert err < 1e-12
+    n0 = ep_photon_number(device)
+    for ratio, bound in [(1.0, 1e-12), (0.0, 1e-10), (0.3, 1e-10), (0.999, 1e-10), (1.001, 1e-10), (3.0, 1e-10)]:
+        system = device.with_photon_number(ratio * n0)
+        dt = min(1e-10, _sampling_limit(system))
+        traj = propagate_exact(system, (1.0, 0.0), 200 * dt, dt)
+        picks = [1, 17, 101, len(traj) - 1]
+        ref = _expm_reference(system, np.array([1.0, 0.0], dtype=complex), traj.times[picks])
+        got = np.stack([traj.a1[picks], traj.a2[picks]], axis=1)
+        err = np.abs(got - ref).max() / np.abs(ref).max()
+        assert err < bound, ratio
 
 
 def test_defective_propagator_matches_expm():
@@ -247,6 +251,13 @@ def test_runaway_gain_raises_at_the_first_overflowing_sample(device, device_n0, 
     assert np.isfinite(head.a1).all() and np.isfinite(head.a2).all()
 
 
+@pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])
+def test_overflowing_spectrum_is_a_range_error(device, propagate):
+    # M is finite here, but its discriminant overflows: no sample is valid
+    with pytest.raises(InvalidRangeError, match="n_cav = 1e[+]200, 1e[+]200: the eigenvalues overflow"):
+        propagate(device.with_photon_number(1e200), (1.0, 0.0), 1e-8, 1e-11)
+
+
 def test_initial_state_must_be_a_pair(device):
     with pytest.raises(ValueError):
         propagate_exact(device, (1.0, 0.0, 0.0), 1e-8, 1e-10)
@@ -255,6 +266,36 @@ def test_initial_state_must_be_a_pair(device):
 # ---------------------------------------------------------------------------
 # Runge-Kutta cross-check
 # ---------------------------------------------------------------------------
+
+
+def _rk4_stages(m, a0, dt, steps):
+    # the classical four-stage step of da/dt = -i M a, written out
+    x = np.array(a0, dtype=complex)
+    samples = [x]
+    for _ in range(steps):
+        k1 = -1j * (m @ x)
+        k2 = -1j * (m @ (x + 0.5 * dt * k1))
+        k3 = -1j * (m @ (x + 0.5 * dt * k2))
+        k4 = -1j * (m @ (x + dt * k3))
+        x = x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        samples.append(x)
+    return np.array(samples)
+
+
+@pytest.mark.parametrize("steps", [1, 1000])
+@pytest.mark.parametrize("name", ["device_half_n0", "lossy_pair"])
+def test_rk_step_is_the_four_stage_step(device, device_n0, name, steps):
+    if name == "device_half_n0":
+        system = device.with_photon_number(0.5 * device_n0)
+    else:
+        system = _lossless_pair(gamma_m=TWO_PI * 1e4)
+    dt = 0.5 * _sampling_limit(system)
+    a0 = (0.8, 0.6j)
+    rk = propagate_rk(system, a0, steps * dt, dt)
+    assert len(rk) == steps + 1
+    ref = _rk4_stages(mode_matrix(system), a0, dt, steps)
+    got = np.stack([rk.a1, rk.a2], axis=1)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_rk_converges_at_fourth_order():
