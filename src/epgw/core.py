@@ -357,15 +357,20 @@ def require_strain(strain: float) -> None:
         raise InvalidRangeError(f"strain h = {strain!r}; need a finite |h| < 1/2")
 
 
+# A sweep holds about 1 KB per point, so the largest grid stays near 1 GB.
+_MAX_POINTS = 1 << 20
+
+
 def sweep_grid(name: str, lo: float, hi: float, points: int, log: bool) -> np.ndarray:
     """Grid of ``points`` values from ``lo`` to ``hi``, linear or log-spaced.
 
     Raises InvalidRangeError, naming the ends ``{name}_min``/``{name}_max``,
-    for fewer than two points, an end that is not finite, an empty or
-    reversed range, a negative start, or a log-spaced grid from zero.
+    for fewer than 2 or more than 2**20 points, an end that is not finite,
+    an empty or reversed range, a negative start, or a log-spaced grid from
+    zero. Nothing is allocated before the checks.
     """
-    if points < 2:
-        raise InvalidRangeError(f"points = {points}; need at least 2")
+    if not 2 <= points <= _MAX_POINTS:
+        raise InvalidRangeError(f"points = {points}; need 2 to {_MAX_POINTS} points")
     for end, value in (("min", lo), ("max", hi)):
         if not math.isfinite(value):
             raise InvalidRangeError(f"{name}_{end} = {value!r} is not finite")

@@ -4,7 +4,9 @@ Both propagators take the spectrum of the mode matrix M from
 ``spectral._spectrum``. The exact one is e^{-i M t} in closed form: the 2x2
 exponential where the one EP rule ``spectral._at_ep`` holds, the spectral
 projectors elsewhere. The RK4 cross-check steps by its one-step matrix. A
-windowed-DFT peak estimator recovers supermode frequencies from trajectories.
+trajectory is n samples dt apart from t = 0; it keeps dt and the samples,
+and derives its times. A windowed-DFT peak estimator recovers supermode
+frequencies from trajectories.
 """
 
 from __future__ import annotations
@@ -33,43 +35,40 @@ _MAX_SAMPLES = 1 << 24
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly sampled complex amplitudes of the two modes.
+    """Complex amplitudes of the two modes; sample k is at t = k * dt.
 
     Attributes:
-        times: Sample instants (s), strictly increasing, uniform step.
-        a1: Complex amplitude of mode 1 per sample.
-        a2: Complex amplitude of mode 2 per sample.
+        dt: Sample step (s), finite and > 0.
+        a1: Complex amplitude of mode 1 per sample (read-only).
+        a2: Complex amplitude of mode 2 per sample (read-only).
     """
 
-    times: np.ndarray
+    dt: float
     a1: np.ndarray
     a2: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt = {self.dt!r}; need a finite dt > 0")
         a1 = np.asarray(self.a1, dtype=complex)
         a2 = np.asarray(self.a2, dtype=complex)
-        if times.ndim != 1 or len(times) < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        if len(a1) != len(times) or len(a2) != len(times):
-            raise ValueError("times, a1 and a2 must have equal length")
-        steps = np.diff(times)
-        if not (steps > 0).all():
-            raise ValueError("times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("times must be uniformly spaced")
-        for arr in (times, a1, a2):
+        if a1.ndim != 1 or a1.shape != a2.shape or len(a1) < 2:
+            raise ValueError("a1 and a2 must be 1-D, of equal length, with at least two samples")
+        for arr in (a1, a2):
             arr.flags.writeable = False
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        """Sample instants (s), np.arange(len(self)) * dt, read-only."""
+        times = np.arange(len(self)) * self.dt
+        times.flags.writeable = False
+        return times
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.a1)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,8 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
     return m
 
 
-def _sample_grid(duration: float, dt: float) -> np.ndarray:
+def _sample_count(duration: float, dt: float) -> int:
+    """The number of samples dt apart that span ``duration``, t = 0 included."""
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
     if not (math.isfinite(duration) and duration >= dt):
@@ -121,7 +121,7 @@ def _sample_grid(duration: float, dt: float) -> np.ndarray:
     steps = duration / dt + 1e-9  # compared as a float: it may be inf
     if steps >= _MAX_SAMPLES:
         raise InvalidRangeError(f"duration/dt = {duration / dt:.6e} yields more than {_MAX_SAMPLES} samples")
-    return np.arange(int(steps) + 1) * dt
+    return int(steps) + 1
 
 
 def _check_sampling(center: complex, root: complex, dt: float) -> None:
@@ -141,7 +141,8 @@ def _check_sampling(center: complex, root: complex, dt: float) -> None:
 
 def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
     """Both propagators' checked inputs: a0, M, M's spectrum (center, disc,
-    root) from spectral._spectrum, and the sample grid."""
+    root) from spectral._spectrum, and the sample count n: the grid is n
+    samples dt apart from t = 0."""
     validate_system(system)
     a0 = np.asarray(initial, dtype=complex)
     if a0.shape != (2,):
@@ -152,21 +153,21 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
     if not np.isfinite(disc):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
     _check_sampling(center, root, dt)
-    return a0, m, (center, disc, root), _sample_grid(duration, dt)
+    return a0, m, (center, disc, root), _sample_count(duration, dt)
 
 
-def _finite_trajectory(times: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
-    """The trajectory of the samples, checked: a sample that is not finite
-    (a mode in runaway gain overflows) raises RunawayGainError naming the
-    time of the first one."""
+def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
+    """The trajectory of the samples dt apart, checked: a sample that is not
+    finite (a mode in runaway gain overflows) raises RunawayGainError
+    naming the time k * dt of the first one."""
     finite = np.isfinite(a1) & np.isfinite(a2)
     if not finite.all():
         first = int(np.argmin(finite))
         raise RunawayGainError(
-            f"the trajectory overflows double precision at t = {times[first]:.6e} s"
-            f" (sample {first} of {len(times)})"
+            f"the trajectory overflows double precision at t = {first * dt:.6e} s"
+            f" (sample {first} of {len(a1)})"
         )
-    return Trajectory(times=times, a1=a1, a2=a2)
+    return Trajectory(dt=dt, a1=a1, a2=a2)
 
 
 def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
@@ -198,7 +199,8 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
         RunawayGainError: a sample overflows double precision (a mode in
             runaway gain), named by the time of the first one.
     """
-    a0, m, (center, disc, root), times = _prepare(system, initial, duration, dt)
+    a0, m, (center, disc, root), n = _prepare(system, initial, duration, dt)
+    times = np.arange(n) * dt
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
         drift = (m - center * np.eye(2)) @ a0
         if _at_ep(abs(disc), system.coupling_j):
@@ -208,7 +210,7 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
         else:
             modes = 0.5 * (a0[:, None] + np.outer(drift / root, [1, -1]))
             amplitudes = modes @ np.exp(-1j * np.outer([center + root, center - root], times))
-    return _finite_trajectory(times, amplitudes[0], amplitudes[1])
+    return _finite_trajectory(dt, amplitudes[0], amplitudes[1])
 
 
 def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
@@ -222,19 +224,19 @@ def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> 
     overflows to inf and nan without a warning; the samples are checked
     once at the end.
     """
-    a0, m, _, times = _prepare(system, initial, duration, dt)
+    a0, m, _, n = _prepare(system, initial, duration, dt)
     eye = np.eye(2)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
         a = -1j * dt * m
         (p11, p12), (p21, p22) = (eye + a @ (eye + a @ (eye + a @ (eye + a / 4) / 3) / 2)).tolist()
-    a1 = np.empty(len(times), dtype=complex)
-    a2 = np.empty(len(times), dtype=complex)
+    a1 = np.empty(n, dtype=complex)
+    a2 = np.empty(n, dtype=complex)
     x1, x2 = complex(a0[0]), complex(a0[1])
     a1[0], a2[0] = x1, x2
-    for k in range(1, len(times)):
+    for k in range(1, n):
         x1, x2 = p11 * x1 + p12 * x2, p21 * x1 + p22 * x2
         a1[k], a2[k] = x1, x2
-    return _finite_trajectory(times, a1, a2)
+    return _finite_trajectory(dt, a1, a2)
 
 
 def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:

@@ -53,23 +53,17 @@ def _validate(ctx: SensitivityContext, resonator: MechanicalResonator) -> None:
     require_positive("omega_m", resonator.omega_m)
 
 
+def _noise_denominator(ctx: SensitivityContext, resonator: MechanicalResonator, sample_time):
+    """2 pi tau m omega_m <x_c^2> Q at integration time ``sample_time`` (a
+    float or an array), unchecked: the thermal noise is sqrt(k_B T / den)."""
+    mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
+    return 2.0 * math.pi * sample_time * resonator.mass * resonator.omega_m * mean_square_drive * ctx.quality_factor
+
+
 def thermal_frequency_noise(ctx: SensitivityContext, resonator: MechanicalResonator) -> float:
     """Thermal frequency fluctuation delta_omega (rad/s) after time tau."""
     _validate(ctx, resonator)
-    mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
-    return math.sqrt(
-        K_BOLTZMANN
-        * ctx.temperature
-        / (
-            2.0
-            * math.pi
-            * ctx.sample_time
-            * resonator.mass
-            * resonator.omega_m
-            * mean_square_drive
-            * ctx.quality_factor
-        )
-    )
+    return math.sqrt(K_BOLTZMANN * ctx.temperature / _noise_denominator(ctx, resonator, ctx.sample_time))
 
 
 def min_detectable_strain(
@@ -91,23 +85,10 @@ def _strain_floor(
     ctx: SensitivityContext, resonator: MechanicalResonator, coupling_j: float, sample_time: float
 ) -> float:
     """min_detectable_strain at integration time ``sample_time`` (a float or
-    an array), unchecked."""
-    mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
-    return (
-        K_BOLTZMANN
-        * ctx.temperature
-        / (
-            64.0
-            * math.pi
-            * sample_time
-            * resonator.mass
-            * resonator.omega_m
-            * mean_square_drive
-            * ctx.quality_factor
-            * coupling_j
-            * coupling_j
-        )
-    )
+    an array), unchecked: k_B T / (32 den J^2) with den the noise
+    denominator, which is 64 pi tau m omega_m <x_c^2> Q J^2 term by term."""
+    den = _noise_denominator(ctx, resonator, sample_time)
+    return K_BOLTZMANN * ctx.temperature / (32.0 * den * coupling_j * coupling_j)
 
 
 def sensitivity_curve(

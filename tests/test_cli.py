@@ -2,13 +2,15 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 from epgw import ConfigParseError, UnknownKeyError, ValidationError
-from epgw.cli import CONFIG_DEFAULTS, RunConfig, parse_config, parse_config_text
+from epgw.cli import CONFIG_DEFAULTS, RunConfig, build_parser, parse_config, parse_config_text
 
 TWO_PI = 2.0 * math.pi
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _stdout_float(out, key):
@@ -98,6 +100,36 @@ def test_serialization_order_is_canonical():
     keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
     expected = [key for key in CONFIG_DEFAULTS if CONFIG_DEFAULTS[key] is not None]
     assert keys == expected
+
+
+def test_readme_tables_match_the_parser_and_config():
+    text = README.read_text(encoding="utf-8")
+    # the config table: every key once, with the RunConfig default
+    section = text.split("### Config file", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` +\| (`[^`]*`|\(unset\)) +\|", section, flags=re.M)
+    documented = {key: None if value == "(unset)" else float(value.strip("`")) for key, value in rows}
+    assert len(rows) == len(documented)
+    assert documented == CONFIG_DEFAULTS
+    # the command table: every subcommand's own flags, each `--flag value`
+    # at the parser default; a placeholder (T, FILE) means no default
+    section = text.split("## CLI", 1)[1].split("### Config file", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` +\|[^|]*\|(.*)\|$", section, flags=re.M)
+    commands = next(action for action in build_parser()._actions if action.dest == "command").choices
+    options = {name: {o: a for a in sub._actions for o in a.option_strings} for name, sub in commands.items()}
+    assert [command for command, _ in rows] == list(commands)
+    for command, cell in rows:
+        flags = dict(re.findall(r"(--[a-z-]+)(?: ([^-\s`][^\s`]*))?", cell))
+        assert set(flags) == set(options[command]) - set(options["ep-locate"]), command
+        for flag, value in flags.items():
+            action = options[command][flag]
+            if not value:
+                assert action.nargs == 0 and action.default is False, flag
+            elif value.startswith("{"):
+                assert value == "{" + ",".join(action.choices) + "}" and action.default in action.choices, flag
+            elif value.isupper():
+                assert action.default is None, flag
+            else:
+                assert float(value) == action.default, flag
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +405,10 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         # a sample count beyond the limit, inf included
         ("", ["simulate", "--duration", "1e300"], "duration"),
         ("", ["simulate", "--dt", "1e-300"], "dt"),
+        # a grid beyond the point-count limit, refused before it is allocated
+        ("", ["sweep-ncav", "--points", "10000000000000"], "points"),
+        ("", ["sweep-strain", "--points", "10000000000000"], "points"),
+        ("", ["sensitivity", "--points", "10000000000000"], "points"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

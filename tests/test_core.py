@@ -35,6 +35,7 @@ from epgw.core import (
     CRITICAL_AMPLITUDE_FACTOR,
     require_nonnegative,
     require_positive,
+    sweep_grid,
     validate_cavity,
     validate_resonator,
 )
@@ -210,3 +211,11 @@ def test_balanced_system_factory_shares_resonator(device):
     assert device.resonator_1 is device.resonator_2
     assert device.cavity_1.length == device.cavity_2.length
     assert device.cavity_1.n_cav == 0.0
+
+
+def test_sweep_grid_caps_the_point_count():
+    # 1 << 20 points is the largest grid; more are refused before allocation
+    assert len(sweep_grid("n", 0.0, 1.0, 1 << 20, log=False)) == 1 << 20
+    for points in (1, (1 << 20) + 1, 10**13):
+        with pytest.raises(InvalidRangeError, match=f"points = {points}; need 2 to 1048576 points"):
+            sweep_grid("n", 0.0, 1.0, points, log=False)

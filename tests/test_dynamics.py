@@ -74,26 +74,25 @@ def test_mode_matrix_agrees_with_analytic_eigenvalues(device, device_n0):
 
 
 def test_trajectory_validation():
-    t = np.linspace(0.0, 1.0, 8)
+    # the grid is dt and the sample count: only those can be wrong
     z = np.zeros(8, dtype=complex)
     with pytest.raises(ValueError):
-        Trajectory(times=t[:1], a1=z[:1], a2=z[:1])
+        Trajectory(dt=0.1, a1=z[:1], a2=z[:1])
     with pytest.raises(ValueError):
-        Trajectory(times=t, a1=z[:-1], a2=z)
+        Trajectory(dt=0.1, a1=z[:-1], a2=z)
     with pytest.raises(ValueError):
-        Trajectory(times=t[::-1], a1=z, a2=z)
-    bad = t.copy()
-    bad[3] += 0.05
-    with pytest.raises(ValueError):
-        Trajectory(times=bad, a1=z, a2=z)
+        Trajectory(dt=0.1, a1=z.reshape(2, 4), a2=z.reshape(2, 4))
+    for dt in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="need a finite dt > 0"):
+            Trajectory(dt=dt, a1=z, a2=z)
 
 
 def test_trajectory_is_frozen():
-    t = np.linspace(0.0, 1.0, 8)
     z = np.zeros(8, dtype=complex)
-    traj = Trajectory(times=t, a1=z + 1.0, a2=z)
+    traj = Trajectory(dt=1.0 / 7.0, a1=z + 1.0, a2=z)
     assert len(traj) == 8
-    assert traj.dt == pytest.approx(1.0 / 7.0, rel=1e-15)
+    assert traj.dt == 1.0 / 7.0
+    assert [f.name for f in dataclasses.fields(Trajectory)] == ["dt", "a1", "a2"]
     with pytest.raises(ValueError):
         traj.a1[0] = 0.0
     with pytest.raises(ValueError):
@@ -258,6 +257,26 @@ def test_overflowing_spectrum_is_a_range_error(device, propagate):
         propagate(device.with_photon_number(1e200), (1.0, 0.0), 1e-8, 1e-11)
 
 
+@pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])
+def test_trajectory_grid_is_its_step_and_count(device, device_n0, propagate):
+    # the trajectory keeps the caller's dt, and its times are k * dt, bit for bit
+    system = device.with_photon_number(0.5 * device_n0)
+    dt = 0.37 * _sampling_limit(system)
+    traj = propagate(system, (1.0, 0.0), 333 * dt, dt)
+    assert len(traj) == 334
+    assert traj.dt == dt
+    assert np.array_equal(traj.times, np.arange(len(traj)) * dt)
+
+
+def test_long_grid_is_not_rechecked(device):
+    # np.arange(n) * dt rounds by more than 1e-9 dt beyond ~6M samples; a
+    # spacing check over the sample times used to reject this run
+    dt = 7.9e-11
+    traj = propagate_exact(device.with_photon_number(1e12), (1.0, 0.0), 4.9e-4, dt)
+    assert len(traj) == 6_202_532
+    assert traj.dt == 7.9e-11
+
+
 def test_initial_state_must_be_a_pair(device):
     with pytest.raises(ValueError):
         propagate_exact(device, (1.0, 0.0, 0.0), 1e-8, 1e-10)
@@ -347,7 +366,7 @@ def _tone_trajectory(n, dt, tones):
     a1 = np.zeros(n, dtype=complex)
     for amp, omega, gamma in tones:
         a1 = a1 + amp * np.exp((-1j * omega - 0.5 * gamma) * times)
-    return Trajectory(times=times, a1=a1, a2=np.zeros(n, dtype=complex))
+    return Trajectory(dt=dt, a1=a1, a2=np.zeros(n, dtype=complex))
 
 
 def test_spectrum_locates_pure_tone():

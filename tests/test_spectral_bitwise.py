@@ -5,7 +5,8 @@ The library evaluates the closed form on whole arrays. The reference below
 is the same mathematics evaluated one point at a time with CPython complex
 arithmetic, with the float polish as a nextafter walk and the branch
 relabeling as a loop. Every value must agree bit for bit, signed zeros
-included.
+included. The thermal noise and the strain floor, which share one
+denominator, are checked against their formulas written out in full.
 """
 
 import cmath
@@ -21,20 +22,25 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from epgw import (  # noqa: E402
     EpConvention,
+    K_BOLTZMANN,
     MechanicalResonator,
     NoEPError,
     Phase,
+    SensitivityContext,
     balanced_system,
     detuning_response,
     eigenvalues_general,
     ep_photon_number,
     ep_tolerance,
+    min_detectable_strain,
     splitting,
     sweep_photon_number,
     sweep_strain,
+    thermal_frequency_noise,
     vacuum_coupling,
     zero_point_fluctuation,
 )
+from epgw.sensitivity import _strain_floor  # noqa: E402
 from epgw.spectral import _complex, _continuity_swaps, _polish_photon_number, _root  # noqa: E402
 
 
@@ -342,3 +348,28 @@ def test_polish_window_clips_at_zero_and_infinity(n_guess, target):
         down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
         walk += [down, up]
     assert _bits(seen[0].tolist()) == _bits(walk)
+
+
+@settings(max_examples=300)
+@given(
+    temperature=log_uniform(-3.0, 4.0),
+    tau=log_uniform(-6.0, 6.0),
+    amplitude=log_uniform(-12.0, -6.0),
+    quality_factor=log_uniform(1.0, 9.0),
+    omega_m=log_uniform(3.0, 12.0),
+    mass=log_uniform(-20.0, -9.0),
+    coupling_j=log_uniform(0.0, 10.0),
+)
+def test_noise_and_strain_floor_match_their_written_out_formulas_bitwise(
+    temperature, tau, amplitude, quality_factor, omega_m, mass, coupling_j
+):
+    ctx = SensitivityContext(
+        temperature=temperature, sample_time=tau, drive_amplitude=amplitude, quality_factor=quality_factor
+    )
+    res = MechanicalResonator(omega_m=omega_m, mass=mass, quality_factor=quality_factor, thickness=1e-7)
+    kt, msd = K_BOLTZMANN * temperature, amplitude * amplitude
+    noise = math.sqrt(kt / (2.0 * math.pi * tau * mass * omega_m * msd * quality_factor))
+    h_min = kt / (64.0 * math.pi * tau * mass * omega_m * msd * quality_factor * coupling_j * coupling_j)
+    assert _bits(thermal_frequency_noise(ctx, res)) == _bits(noise)
+    assert _bits(min_detectable_strain(ctx, res, coupling_j)) == _bits(h_min)
+    assert _bits(_strain_floor(ctx, res, coupling_j, np.array([tau])).tolist()) == _bits([h_min])
