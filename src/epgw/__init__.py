@@ -45,7 +45,7 @@ from .dynamics import (
     propagate_rk,
 )
 from .sensitivity import (
-    SensitivityPoint,
+    SensitivityCurve,
     min_detectable_strain,
     read_overlay_csv,
     sensitivity_curve,
@@ -87,7 +87,7 @@ __all__ = [
     "RunawayGainError",
     "SamplingTooCoarseError",
     "SensitivityContext",
-    "SensitivityPoint",
+    "SensitivityCurve",
     "SpectralEstimate",
     "SplittingResult",
     "SupermodePair",

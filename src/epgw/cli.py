@@ -21,6 +21,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     ConfigParseError,
     CoupledSystem,
@@ -33,6 +35,7 @@ from .core import (
     _check_positive,
     balanced_system,
     drive_amplitude_from_thickness,
+    require_nonnegative,
     require_positive,
     require_strain,
     system_violations,
@@ -182,7 +185,7 @@ def parse_config(path: str | None, overrides: dict[str, float] | None = None) ->
     """
     lines = []
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
             lines.append(fh.read())
     lines += [f"{key} = {value!r}" for key, value in (overrides or {}).items()]
     return parse_config_text("\n".join(lines))
@@ -202,6 +205,14 @@ def _csv_code(value) -> str:
     if isinstance(value, int):
         return "%d"
     return "%.16e"
+
+
+def _rows(*columns) -> list[tuple]:
+    """Table rows from equal-length array columns, as Python scalars."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+_phase_values = np.frompyfunc(lambda phase: phase.value, 1, 1)  # Phase.value, elementwise
 
 
 def _header_lines(cfg: RunConfig, command: str, flags: dict) -> list[str]:
@@ -343,22 +354,13 @@ def cmd_ep_locate(cfg: RunConfig, args) -> int:
 
 def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
     convention = EpConvention(args.ep_convention)
-    table = sweep_photon_number(
+    grid, pair = sweep_photon_number(
         _coupled_system(cfg), args.min, args.max, args.points, log=args.log, convention=convention
     )
     columns = ["n_cav", "re_plus_hz", "re_minus_hz", "im_plus_hz", "im_minus_hz", "phase"]
-    rows = [
-        [
-            n,
-            pair.lambda_plus.real / TWO_PI,
-            pair.lambda_minus.real / TWO_PI,
-            pair.lambda_plus.imag / TWO_PI,
-            pair.lambda_minus.imag / TWO_PI,
-            pair.phase.value,
-        ]
-        for n, pair in table
-    ]
-    transitions = sum(1 for a, b in zip(table, table[1:]) if a[1].phase is not b[1].phase)
+    parts = (pair.lambda_plus.real, pair.lambda_minus.real, pair.lambda_plus.imag, pair.lambda_minus.imag)
+    rows = _rows(grid, *(part / TWO_PI for part in parts), _phase_values(pair.phase))
+    transitions = np.count_nonzero(pair.phase[1:] != pair.phase[:-1])
     print(f"{len(rows)} rows, {transitions} phase transition(s)")
     flags = {
         "min": args.min,
@@ -375,15 +377,11 @@ def cmd_sweep_strain(cfg: RunConfig, args) -> int:
     convention = EpConvention(args.ep_convention)
     system = _coupled_system(cfg)
     n0 = ep_photon_number(system, convention)
-    results = sweep_strain(
-        system, n0, args.min, args.max, args.points, log=args.log, convention=convention
-    )
+    r = sweep_strain(system, n0, args.min, args.max, args.points, log=args.log, convention=convention)
     columns = ["h", "d_exact_rad_s", "d_approx_rad_s", "linewidth_split_rad_s", "rel_err"]
-    rows = [
-        [r.strain, r.d_exact, r.d_approx, r.linewidth_split, r.rel_error] for r in results
-    ]
-    worst = max((r.rel_error for r in results), default=0.0)
-    print(f"{len(rows)} rows at n0 = {n0:.6e}; max |d_exact - d_approx|/d_approx = {worst:.3e}")
+    rel_error = r.rel_error
+    rows = _rows(r.strain, r.d_exact, r.d_approx, r.linewidth_split, rel_error)
+    print(f"{len(rows)} rows at n0 = {n0:.6e}; max |d_exact - d_approx|/d_approx = {rel_error.max():.3e}")
     flags = {
         "min": args.min,
         "max": args.max,
@@ -411,9 +409,9 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
     for path in args.overlay or []:
         overlays[os.path.basename(path)] = read_overlay_csv(path)
     columns = ["frequency_hz", "observation_time_s", "h_min"]
-    rows = [[p.gw_frequency, p.observation_time, p.h_min] for p in curve]
+    rows = _rows(curve.gw_frequency, curve.observation_time, curve.h_min)
     print(
-        f"{len(rows)} rows; floor h_min = {min(p.h_min for p in curve):.6e} "
+        f"{len(rows)} rows; floor h_min = {curve.h_min.min():.6e} "
         f"at t_max = {cfg.sensitivity_t_max_s:g} s"
     )
     flags = {
@@ -434,6 +432,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     system = _coupled_system(cfg)
 
     if args.photon_number is not None:
+        require_nonnegative("photon_number", args.photon_number)
         n_cav = args.photon_number
     elif cfg.drive_photon_number is not None:
         n_cav = cfg.drive_photon_number

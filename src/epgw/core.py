@@ -275,10 +275,11 @@ def balanced_system(
 
 @dataclass(frozen=True)
 class SupermodePair:
-    """Eigenvalue pair of the coupled-mode matrix.
+    """Eigenvalue pair of the coupled-mode matrix: complex fields at one
+    point, arrays over a sweep's grid (``phase`` an object array of Phase).
 
     ``lambda_plus`` is the branch with the larger real part (larger
-    imaginary part on ties), except inside sweeps where branches are
+    imaginary part on ties), except in a sweep, where branches are
     relabeled for continuity. Eigenvalues satisfy the trace identity
     lambda_plus + lambda_minus = (omega_1 + omega_2) - i(Gamma_1 + Gamma_2)/2.
 
@@ -290,10 +291,10 @@ class SupermodePair:
         phase: Phase classification of the pair.
     """
 
-    lambda_plus: complex
-    lambda_minus: complex
-    discriminant: complex
-    phase: Phase
+    lambda_plus: complex | np.ndarray
+    lambda_minus: complex | np.ndarray
+    discriminant: complex | np.ndarray
+    phase: Phase | np.ndarray
 
 
 @dataclass(frozen=True)

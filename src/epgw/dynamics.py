@@ -50,12 +50,11 @@ class Trajectory:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt = {self.dt!r}; need a finite dt > 0")
-        a1 = np.asarray(self.a1, dtype=complex)
-        a2 = np.asarray(self.a2, dtype=complex)
+        a1 = np.asarray(self.a1, dtype=complex).view()
+        a2 = np.asarray(self.a2, dtype=complex).view()
         if a1.ndim != 1 or a1.shape != a2.shape or len(a1) < 2:
             raise ValueError("a1 and a2 must be 1-D, of equal length, with at least two samples")
-        for arr in (a1, a2):
-            arr.flags.writeable = False
+        a1.flags.writeable = a2.flags.writeable = False  # views: the caller's arrays stay writable
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)

@@ -7,7 +7,8 @@ driven resonator,
 
 and the strain floor follows by equating it to the splitting response
 4 sqrt(2) J sqrt(h). Shot noise, backaction and seismic contributions are
-out of scope.
+out of scope. ``sensitivity_curve`` evaluates its frequency grid as one
+array and returns one SensitivityCurve of arrays.
 """
 
 from __future__ import annotations
@@ -30,18 +31,18 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class SensitivityPoint:
-    """One point of the sensitivity curve.
+class SensitivityCurve:
+    """The sensitivity curve, one array per column, over the frequency grid.
 
     Attributes:
-        gw_frequency: Signal frequency (Hz).
-        observation_time: Integration time tau used at this frequency (s).
-        h_min: Minimum detectable strain (dimensionless).
+        gw_frequency: Signal frequencies (Hz), increasing.
+        observation_time: Integration time tau used at each frequency (s).
+        h_min: Minimum detectable strain at each frequency (dimensionless).
     """
 
-    gw_frequency: float
-    observation_time: float
-    h_min: float
+    gw_frequency: np.ndarray
+    observation_time: np.ndarray
+    h_min: np.ndarray
 
 
 def _validate(ctx: SensitivityContext, resonator: MechanicalResonator) -> None:
@@ -100,7 +101,7 @@ def sensitivity_curve(
     points: int,
     t_max: float,
     half_period_cap: bool = True,
-) -> list[SensitivityPoint]:
+) -> SensitivityCurve:
     """Strain floor over a log-spaced signal-frequency grid.
 
     At each frequency f the integration time is capped by the signal
@@ -108,7 +109,8 @@ def sensitivity_curve(
     signal averages itself out beyond that. Pass half_period_cap=False
     for the full-period convention tau(f) = min(t_max, 1/f). The curve is
     flat at h_min(t_max) below the knee f = 1/(2 t_max) and rises
-    linearly in f above it. The grid is evaluated as one array.
+    linearly in f above it. The grid is evaluated as one array, and each
+element of ``h_min`` is bit for bit min_detectable_strain at its tau.
 
     Raises:
         NonPositiveParameterError: invalid context, resonator or coupling.
@@ -130,24 +132,21 @@ def sensitivity_curve(
             f"f_max = {f_max!r}: the integration time {float(tau[-1])!r} s is too short "
             f"for a finite strain floor"
         )
-    return [
-        SensitivityPoint(gw_frequency=f, observation_time=t, h_min=h)
-        for f, t, h in zip(grid.tolist(), tau.tolist(), h_min.tolist())
-    ]
+    return SensitivityCurve(grid, tau, h_min)
 
 
 def read_overlay_csv(path: str) -> list[tuple[float, float]]:
     """Read a comparison curve: CSV with header ``frequency_hz, strain``.
 
     Rows may come in any order and are returned as parsed, one
-    (frequency_hz, strain) pair per row.
+    (frequency_hz, strain) pair per row. A UTF-8 byte-order mark is skipped.
 
     Raises:
         ConfigParseError: missing/wrong header, or a cell that is not a
             finite number.
         OSError: unreadable file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(line_no, row) for line_no, row in enumerate(reader, start=1) if row]
     if not rows:

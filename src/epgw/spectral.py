@@ -29,8 +29,10 @@ photon-number-independent constants of each arm (``_arms``, computed once
 per system) and a photon number that is a float or an array, and works
 on real and imaginary parts written out the way CPython evaluates the
 complex expressions, so a grid point is bit for bit the value a
-single-point call gives. numpy's complex ``*`` and ``abs`` are
-not used: they differ from CPython's in the last bit for some operands.
+single-point call gives. A sweep returns its arrays as they are, in the
+record a single point fills with floats (SupermodePair, SplittingResult).
+numpy's complex ``*`` and ``abs`` are not used: they differ from
+CPython's in the last bit for some operands.
 Magnitudes come from ``np.hypot``, the C library hypot that CPython's
 ``abs(complex)`` calls, and array square roots follow ``cmath.sqrt``'s
 algorithm (numpy's complex sqrt differs from it on the imaginary axis).
@@ -94,8 +96,8 @@ _POLISH_OFFSETS = np.concatenate(
 )
 _INF_BITS = int(np.float64(np.inf).view(np.int64))
 
-# Phases by the index _classify returns.
-_PHASES = (Phase.PT_SYMMETRIC, Phase.BROKEN, Phase.EXCEPTIONAL_POINT)
+# Phases by the index _classify returns; an index array picks an object array.
+_PHASES = np.array([Phase.PT_SYMMETRIC, Phase.BROKEN, Phase.EXCEPTIONAL_POINT], dtype=object)
 
 
 class EpConvention(Enum):
@@ -107,7 +109,8 @@ class EpConvention(Enum):
 
 @dataclass(frozen=True)
 class SplittingResult:
-    """Supermode response to a strain-induced coupling perturbation.
+    """Supermode response to a strain-induced coupling perturbation: floats
+    at one strain (``splitting``), arrays over a grid (``sweep_strain``).
 
     Attributes:
         strain: Applied strain h (dimensionless).
@@ -117,18 +120,20 @@ class SplittingResult:
         linewidth_split: Magnitude of the imaginary splitting (rad/s).
     """
 
-    strain: float
-    dg: float
-    d_exact: float
-    d_approx: float
-    linewidth_split: float
+    strain: float | np.ndarray
+    dg: float | np.ndarray
+    d_exact: float | np.ndarray
+    d_approx: float | np.ndarray
+    linewidth_split: float | np.ndarray
 
     @property
-    def rel_error(self) -> float:
-        """|d_exact - d_approx| / d_approx, or 0.0 when d_approx is zero."""
-        if self.d_approx == 0.0:
-            return 0.0
-        return abs(self.d_exact - self.d_approx) / self.d_approx
+    def rel_error(self) -> float | np.ndarray:
+        """|d_exact - d_approx| / d_approx, or 0.0 where d_approx is zero;
+        a float or an array, like the fields."""
+        d, a = self.d_exact, self.d_approx
+        if isinstance(a, np.ndarray):
+            return np.divide(abs(d - a), a, out=np.zeros_like(a), where=a != 0.0)
+        return 0.0 if a == 0.0 else abs(d - a) / a
 
 
 def zero_point_fluctuation(resonator: MechanicalResonator) -> float:
@@ -498,9 +503,7 @@ def splitting(
     require_strain(strain)
     strain = float(strain)
     dg, d_exact, d_approx, linewidth = _strain_response(system, n0, strain, convention)
-    return SplittingResult(
-        strain=strain, dg=dg, d_exact=d_exact, d_approx=float(d_approx), linewidth_split=linewidth
-    )
+    return SplittingResult(strain, dg, d_exact, float(d_approx), linewidth)
 
 
 def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConvention):
@@ -562,12 +565,16 @@ def sweep_photon_number(
     points: int,
     log: bool = False,
     convention: EpConvention = EpConvention.EQ7,
-) -> list[tuple[float, SupermodePair]]:
+) -> tuple[np.ndarray, SupermodePair]:
     """Eigenvalue branches along a photon-number ramp.
 
     Branches are relabeled for continuity: at each grid point the pairing
     (kept or swapped) that minimizes total displacement from the previous
     point wins, so the plus branch never jumps across the gap at the EP.
+
+    Returns:
+        (grid, pair): the photon-number grid, and one SupermodePair of
+        arrays over it (``pair.phase[k] is Phase.BROKEN`` works).
 
     Raises:
         ValidationError: invalid system.
@@ -581,13 +588,10 @@ def sweep_photon_number(
         plus, minus = center + root, center - root
         if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
             raise InvalidRangeError(f"n_max = {n_max!r}: the eigenvalues overflow double precision")
-        phase = _classify(disc, system.coupling_j)
+        phase = _PHASES[_classify(disc, system.coupling_j)]
     swapped = _continuity_swaps(plus, minus)
     plus, minus = np.where(swapped, minus, plus), np.where(swapped, plus, minus)
-    return [
-        (n, SupermodePair(lambda_plus=lp, lambda_minus=lm, discriminant=d, phase=_PHASES[k]))
-        for n, lp, lm, d, k in zip(grid.tolist(), plus.tolist(), minus.tolist(), disc.tolist(), phase.tolist())
-    ]
+    return grid, SupermodePair(lambda_plus=plus, lambda_minus=minus, discriminant=disc, phase=phase)
 
 
 def sweep_strain(
@@ -598,8 +602,10 @@ def sweep_strain(
     points: int,
     log: bool = False,
     convention: EpConvention = EpConvention.EQ7,
-) -> list[SplittingResult]:
-    """Splitting response over a strain range at fixed EP bias.
+) -> SplittingResult:
+    """Splitting response over a strain range at fixed EP bias: one
+    SplittingResult of arrays over the grid, each element (rel_error too)
+    bit for bit what ``splitting`` gives at that strain.
 
     Raises:
         ValidationError, NonPositiveParameterError: invalid system or n0.
@@ -610,8 +616,4 @@ def sweep_strain(
     require_nonnegative("n0", n0)
     grid = sweep_grid("h", h_min, h_max, points, log)
     require_strain(h_max)
-    columns = _strain_response(system, n0, grid, convention)
-    return [
-        SplittingResult(strain=h, dg=dg, d_exact=d, d_approx=a, linewidth_split=w)
-        for h, dg, d, a, w in zip(grid.tolist(), *(column.tolist() for column in columns))
-    ]
+    return SplittingResult(grid, *_strain_response(system, n0, grid, convention))

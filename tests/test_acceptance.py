@@ -78,12 +78,10 @@ def test_criterion_3_cryogenic_floor(device_resonator):
 
 def test_criterion_4_square_root_law(device, device_n0):
     start = time.perf_counter()
-    results = sweep_strain(device, device_n0, 1e-26, 1e-20, 100, log=True)
+    sweep = sweep_strain(device, device_n0, 1e-26, 1e-20, 100, log=True)
     elapsed = time.perf_counter() - start
-    h = np.array([r.strain for r in results])
-    d = np.array([r.d_exact for r in results])
-    slope = float(np.polyfit(np.log(h), np.log(d), 1)[0])
-    worst = max(r.rel_error for r in results)
+    slope = float(np.polyfit(np.log(sweep.strain), np.log(sweep.d_exact), 1)[0])
+    worst = float(sweep.rel_error.max())
     ok = abs(slope - 0.5) < 1e-3 and worst < 1e-2 and elapsed < 1.0
     _report(4, ok, f"slope = {slope:.6f}, max rel err = {worst:.2e}, {elapsed * 1e3:.1f} ms")
 

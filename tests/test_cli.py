@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from epgw import ConfigParseError, UnknownKeyError, ValidationError
@@ -369,6 +370,32 @@ def test_simulate_beyond_ep_needs_explicit_duration(run_cli):
     assert "error:" in err
 
 
+def test_config_with_a_byte_order_mark_reads_as_without(run_cli, tmp_path):
+    # spreadsheet "CSV UTF-8" exports and some editors start text with a BOM
+    outputs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(bom + "coupling.j_hz = 2e7\nnoise.temperature_k = 4.0\n", encoding="utf-8")
+        out = tmp_path / f"{name}.json"
+        assert run_cli("ep-locate", "--config", str(conf), "--output", str(out))[0] == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b'"coupling.j_hz": 20000000.0' in outputs[0]
+
+
+def test_overlay_with_a_byte_order_mark_reads_as_without(run_cli, tmp_path):
+    outputs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / name).mkdir()
+        overlay = tmp_path / name / "reference.csv"  # one basename: the overlay's key
+        overlay.write_text(bom + "frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\n", encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("sensitivity", "--points", "20", "--overlay", str(overlay), "--output", str(out))[0] == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"# overlay = reference.csv\nfrequency_hz,strain\n1.0000000000000000e+00," in outputs[0]
+
+
 def test_io_errors_exit_3(run_cli, tmp_path):
     assert run_cli("ep-locate", "--config", str(tmp_path / "missing.conf"))[0] == 3
     missing_overlay = tmp_path / "missing.csv"
@@ -409,6 +436,10 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("", ["sweep-ncav", "--points", "10000000000000"], "points"),
         ("", ["sweep-strain", "--points", "10000000000000"], "points"),
         ("", ["sensitivity", "--points", "10000000000000"], "points"),
+        # the photon-number flag, checked before the drive is strained
+        ("", ["simulate", "--photon-number", "nan"], "photon_number"),
+        ("", ["simulate", "--photon-number", "inf"], "photon_number"),
+        ("", ["simulate", "--photon-number", "-1"], "photon_number"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):
@@ -453,9 +484,10 @@ def test_runaway_gain_exits_2_without_output(run_cli, tmp_path, config, argv):
 def test_non_finite_json_value_exits_1_without_output(run_cli, tmp_path, monkeypatch):
     # render_json refuses NaN and inf, as json.dumps(allow_nan=False) does,
     # and the command reports it instead of writing the file
-    from epgw import SensitivityPoint, cli
+    from epgw import SensitivityCurve, cli
 
-    monkeypatch.setattr(cli, "sensitivity_curve", lambda *args, **kwargs: [SensitivityPoint(1.0, 0.5, math.nan)])
+    curve = SensitivityCurve(np.array([1.0]), np.array([0.5]), np.array([math.nan]))
+    monkeypatch.setattr(cli, "sensitivity_curve", lambda *args, **kwargs: curve)
     out = tmp_path / "sens.json"
     code, _, err = run_cli("sensitivity", "--format", "json", "--output", str(out))
     assert code == 1

@@ -70,6 +70,17 @@ def test_error_taxonomy_shares_base_class():
         assert type(exc).exit_code == exit_code
 
 
+def test_readme_python_blocks_run():
+    # the python blocks of the README run in order in one namespace, as a
+    # reader pastes them, against the current API
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["sweep"].d_exact.shape == (7,)
+
+
 def test_readme_exit_code_table_lists_every_public_error():
     # each public EpgwError subclass is named in the row of its exit code
     section = README.read_text(encoding="utf-8").split("### Exit codes", 1)[1].split("\n#", 1)[0]

@@ -99,6 +99,16 @@ def test_trajectory_is_frozen():
         traj.times[0] = -1.0
 
 
+def test_trajectory_leaves_the_callers_arrays_writable():
+    # the trajectory freezes views of the samples it is given, not the
+    # caller's arrays; no copy is made
+    a = np.zeros(4, dtype=complex)
+    traj = Trajectory(0.1, a, a)
+    assert a.flags.writeable
+    assert not traj.a1.flags.writeable and not traj.a2.flags.writeable
+    assert np.shares_memory(traj.a1, a) and np.shares_memory(traj.a2, a)
+
+
 # ---------------------------------------------------------------------------
 # exact propagator
 # ---------------------------------------------------------------------------

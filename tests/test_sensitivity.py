@@ -106,16 +106,16 @@ def test_validation_of_inputs(device_resonator):
 def test_curve_shape(device_resonator):
     t_max = 3600.0
     curve = sensitivity_curve(CTX, device_resonator, COUPLING_J, 1e-7, 1e3, 200, t_max)
-    assert len(curve) == 200
+    assert len(curve.gw_frequency) == len(curve.observation_time) == len(curve.h_min) == 200
     knee = 1.0 / (2.0 * t_max)
-    floor = curve[0].h_min
-    for point in curve:
-        if point.gw_frequency < knee:
-            assert point.h_min == floor  # flat below the knee, bitwise
-            assert point.observation_time == t_max
+    floor = curve.h_min[0]
+    for f, tau, h_min in zip(curve.gw_frequency, curve.observation_time, curve.h_min):
+        if f < knee:
+            assert h_min == floor  # flat below the knee, bitwise
+            assert tau == t_max
         else:
-            assert point.observation_time == pytest.approx(0.5 / point.gw_frequency, rel=1e-15)
-    h = [point.h_min for point in curve]
+            assert tau == pytest.approx(0.5 / f, rel=1e-15)
+    h = curve.h_min.tolist()
     assert all(b >= a for a, b in zip(h, h[1:]))
     # no jump at the knee: adjacent points never differ by more than the
     # grid ratio (the curve is continuous in f)
@@ -125,9 +125,9 @@ def test_curve_shape(device_resonator):
 
 def test_curve_floor_value(device_resonator):
     curve = sensitivity_curve(CTX, device_resonator, COUPLING_J, 1e-7, 1e3, 64, 3600.0)
-    floor = min(point.h_min for point in curve)
+    floor = curve.h_min.min()
     assert floor == pytest.approx(2.4211684280450596e-28, rel=1e-12)
-    assert floor == curve[0].h_min
+    assert floor == curve.h_min[0]
 
 
 def test_full_period_convention_halves_the_floor(device_resonator):
@@ -135,9 +135,9 @@ def test_full_period_convention_halves_the_floor(device_resonator):
     full = sensitivity_curve(
         CTX, device_resonator, COUPLING_J, 1.0, 1e3, 16, 3600.0, half_period_cap=False
     )
-    for a, b in zip(half, full):
-        assert a.h_min == 2.0 * b.h_min
-        assert a.observation_time == 0.5 * b.observation_time
+    assert np.array_equal(half.gw_frequency, full.gw_frequency)
+    assert np.array_equal(half.h_min, 2.0 * full.h_min)
+    assert np.array_equal(half.observation_time, 0.5 * full.observation_time)
 
 
 def test_curve_range_errors(device_resonator):

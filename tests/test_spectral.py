@@ -471,39 +471,32 @@ def test_splitting_dg_matches_coupling_perturbation(device, device_resonator, de
 
 
 def test_sweep_photon_number_structure(device, device_n0):
-    table = sweep_photon_number(device, 1e11, 5e12, 200)
-    assert len(table) == 200
+    grid, pair = sweep_photon_number(device, 1e11, 5e12, 200)
+    assert len(grid) == 200
+    for column in (pair.lambda_plus, pair.lambda_minus, pair.discriminant, pair.phase):
+        assert column.shape == grid.shape
+    assert all(isinstance(phase, Phase) for phase in pair.phase)
     omega_m = device.resonator_1.omega_m
-    transitions = 0
-    for (n_lo, lo), (n_hi, hi) in zip(table, table[1:]):
-        assert n_hi > n_lo
-        if lo.phase is not hi.phase:
-            transitions += 1
-    assert transitions == 1
-    for n, pair in table:
-        if n < device_n0:
-            assert pair.lambda_plus.imag == 0.0
-            assert pair.lambda_minus.imag == 0.0
-        elif n > device_n0:
-            assert pair.lambda_plus.real == omega_m
-            assert pair.lambda_minus.real == omega_m
+    assert (grid[1:] > grid[:-1]).all()
+    assert np.count_nonzero(pair.phase[1:] != pair.phase[:-1]) == 1
+    below, above = grid < device_n0, grid > device_n0
+    assert (pair.lambda_plus.imag[below] == 0.0).all()
+    assert (pair.lambda_minus.imag[below] == 0.0).all()
+    assert (pair.lambda_plus.real[above] == omega_m).all()
+    assert (pair.lambda_minus.real[above] == omega_m).all()
 
 
 def test_sweep_branch_continuity(device):
-    table = sweep_photon_number(device, 1e11, 5e12, 400)
-    jumps = [
-        abs(hi.lambda_plus - lo.lambda_plus) + abs(hi.lambda_minus - lo.lambda_minus)
-        for (_, lo), (_, hi) in zip(table, table[1:])
-    ]
+    _, pair = sweep_photon_number(device, 1e11, 5e12, 400)
+    plus, minus = pair.lambda_plus, pair.lambda_minus
+    jumps = np.abs(plus[1:] - plus[:-1]) + np.abs(minus[1:] - minus[:-1])
     # relabeled branches move smoothly; a swap artifact would jump by ~2J
-    assert max(jumps) < 0.5 * device.coupling_j
+    assert jumps.max() < 0.5 * device.coupling_j
 
 
 def test_sweep_photon_number_log_spacing(device):
-    table = sweep_photon_number(device, 1e10, 1e13, 4, log=True)
-    ns = [n for n, _ in table]
-    ratios = [b / a for a, b in zip(ns, ns[1:])]
-    assert ratios == pytest.approx([10.0, 10.0, 10.0], rel=1e-12)
+    ns, _ = sweep_photon_number(device, 1e10, 1e13, 4, log=True)
+    assert ns[1:] / ns[:-1] == pytest.approx([10.0, 10.0, 10.0], rel=1e-12)
 
 
 def test_sweep_photon_number_range_errors(device):
@@ -518,19 +511,20 @@ def test_sweep_photon_number_range_errors(device):
 
 
 def test_sweep_strain_table(device, device_n0):
-    results = sweep_strain(device, device_n0, 1e-26, 1e-20, 50, log=True)
-    assert len(results) == 50
-    for result in results:
-        assert result.rel_error < 1e-2
-    d = [r.d_exact for r in results]
-    assert all(b > a for a, b in zip(d, d[1:]))
+    sweep = sweep_strain(device, device_n0, 1e-26, 1e-20, 50, log=True)
+    for column in (sweep.strain, sweep.dg, sweep.d_exact, sweep.d_approx, sweep.linewidth_split, sweep.rel_error):
+        assert column.shape == (50,)
+    assert (sweep.rel_error < 1e-2).all()
+    d = sweep.d_exact
+    assert (d[1:] > d[:-1]).all()
 
 
 def test_sweep_strain_zero_start_row(device, device_n0):
-    results = sweep_strain(device, device_n0, 0.0, 1e-22, 3)
-    assert results[0].d_exact == 0.0
-    assert results[0].d_approx == 0.0
-    assert results[0].linewidth_split == 0.0
+    sweep = sweep_strain(device, device_n0, 0.0, 1e-22, 3)
+    assert sweep.d_exact[0] == 0.0
+    assert sweep.d_approx[0] == 0.0
+    assert sweep.linewidth_split[0] == 0.0
+    assert sweep.rel_error[0] == 0.0
 
 
 def test_sweep_strain_range_errors(device, device_n0):

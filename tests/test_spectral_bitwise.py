@@ -269,8 +269,9 @@ def test_sweep_photon_number_matches_scalar_reference_bitwise(system, convention
     res, cav = system.resonator_1, system.cavity_1
     g0 = vacuum_coupling(cav, zero_point_fluctuation(res))
     n0 = 2.0 * system.coupling_j / abs(g0 * g0 * detuning_response(cav, res.omega_m))
-    table = sweep_photon_number(system, lo * n0, hi * n0, points, log=log, convention=convention)
-    got = [(n, (p.lambda_plus, p.lambda_minus, p.discriminant, p.phase.value)) for n, p in table]
+    grid, pair = sweep_photon_number(system, lo * n0, hi * n0, points, log=log, convention=convention)
+    columns = (pair.lambda_plus.tolist(), pair.lambda_minus.tolist(), pair.discriminant.tolist())
+    got = list(zip(grid.tolist(), zip(*columns, [phase.value for phase in pair.phase])))
     assert _bits(got) == _bits(_ref_sweep(system, lo * n0, hi * n0, points, log, convention))
 
 
@@ -279,8 +280,8 @@ def test_sweep_through_the_device_ep_has_an_exact_tie(device, device_n0, lo, hi,
     # where the grid steps from the PT-symmetric into the broken phase (or
     # onto the EP, at an end of the grid that is n0 exactly), the kept and
     # the swapped pairing move the branches by exactly the same distance
-    table = sweep_photon_number(device, lo * device_n0, hi * device_n0, points)
-    pairs = [(p.lambda_plus, p.lambda_minus) for _, p in table]
+    _, pair = sweep_photon_number(device, lo * device_n0, hi * device_n0, points)
+    pairs = list(zip(pair.lambda_plus.tolist(), pair.lambda_minus.tolist()))
     ties = [
         abs(p1 - p0) + abs(m1 - m0) == abs(p1 - m0) + abs(m1 - p0)
         for (p0, m0), (p1, m1) in zip(pairs, pairs[1:])
@@ -316,12 +317,35 @@ def test_sweep_strain_matches_scalar_reference_bitwise(system, convention, h_max
     except NoEPError:
         return
     h_min = h_max * 1e-6 if log else 0.0  # a linear grid starts at the h = 0 row
-    rows = sweep_strain(system, n0, h_min, h_max, points, log=log, convention=convention)
-    got = [(r.strain, r.dg, r.d_exact, r.d_approx, r.linewidth_split) for r in rows]
+    sweep = sweep_strain(system, n0, h_min, h_max, points, log=log, convention=convention)
+    columns = (sweep.strain, sweep.dg, sweep.d_exact, sweep.d_approx, sweep.linewidth_split)
+    got = list(zip(*(column.tolist() for column in columns)))
     grid = np.geomspace(h_min, h_max, points) if log else np.linspace(h_min, h_max, points)
     assert _bits(got) == _bits(_ref_splittings(system, n0, grid, convention))
     single = splitting(system, n0, float(grid[-1]), convention)
-    assert _bits(single) == _bits(rows[-1])
+    assert _bits(single) == _bits(got[-1])
+
+
+@settings(max_examples=30)
+@given(
+    system=balanced_systems() | mismatched_systems(),
+    convention=conventions,
+    h_max=log_uniform(-20.0, -1.0),
+    points=st.integers(2, 40),
+    log=st.booleans(),
+)
+def test_sweep_rel_error_matches_splitting_bitwise(system, convention, h_max, points, log):
+    # the array rel_error is the scalar property point by point, including
+    # its 0.0 on the h = 0 row of a linear grid, where d_approx is zero
+    try:
+        n0 = ep_photon_number(system, convention)
+    except NoEPError:
+        return
+    h_min = h_max * 1e-6 if log else 0.0
+    sweep = sweep_strain(system, n0, h_min, h_max, points, log=log, convention=convention)
+    expected = [splitting(system, n0, h, convention).rel_error for h in sweep.strain.tolist()]
+    assert _bits(sweep.rel_error.tolist()) == _bits(expected)
+    assert log or sweep.d_approx[0] == sweep.rel_error[0] == 0.0
 
 
 @pytest.mark.parametrize(
