@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ from .core import (
     require_strain,
     system_violations,
 )
-from .dynamics import estimate_spectrum, propagate_exact
+from .dynamics import _fft_duration, estimate_spectrum, propagate_exact
 from .sensitivity import read_overlay_csv, sensitivity_curve
 from .spectral import (
     EpConvention,
@@ -59,6 +60,12 @@ class _UsageError(EpgwError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so `--strain -1e-4` would
+        # read -1e-4 as an option and refuse the flag its value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # keep exit-code control in main()
         raise _UsageError(message)
 
@@ -426,6 +433,13 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
+    """Propagate the strained pair and read its peaks off the spectrum.
+
+    The step defaults to a tenth of the fastest period. The duration
+    defaults to 100 beat periods of the predicted splitting, extended to a
+    5-smooth sample count (dynamics._fft_duration), so the readout's DFT
+    runs on fast radix passes; an explicit --duration is used as given.
+    """
     convention = EpConvention(args.ep_convention)
     h = args.strain
     require_strain(h)
@@ -460,7 +474,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             raise InvalidRangeError(
                 "frequency splitting is zero (at or beyond the EP); give --duration explicitly"
             )
-        duration = 100.0 * TWO_PI / split
+        duration = _fft_duration(100.0 * TWO_PI / split, dt)
 
     trajectory = propagate_exact(strained, (1.0 + 0.0j, 0.0j), duration, dt)
     estimate = estimate_spectrum(trajectory)

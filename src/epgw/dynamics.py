@@ -6,7 +6,9 @@ exponential where the one EP rule ``spectral._at_ep`` holds, the spectral
 projectors elsewhere. The RK4 cross-check steps by its one-step matrix. A
 trajectory is n samples dt apart from t = 0; it keeps dt and the samples,
 and derives its times. A windowed-DFT peak estimator recovers supermode
-frequencies from trajectories.
+frequencies from trajectories; ``_fft_duration`` extends a duration to a
+sample count of only the factors 2, 3 and 5, on which the DFT runs its
+fast radix passes.
 """
 
 from __future__ import annotations
@@ -121,6 +123,36 @@ def _sample_count(duration: float, dt: float) -> int:
     if steps >= _MAX_SAMPLES:
         raise InvalidRangeError(f"duration/dt = {duration / dt:.6e} yields more than {_MAX_SAMPLES} samples")
     return int(steps) + 1
+
+
+def _fft_duration(duration: float, dt: float) -> float:
+    """``duration``, extended so that its sample count is 5-smooth.
+
+    With n = _sample_count(duration, dt) and m the smallest 2^a 3^b 5^c >=
+    n, this is ``duration`` itself when m = n and (m - 1) * dt otherwise,
+    which spans exactly m samples: fl((m - 1) dt) / dt lies within one ulp
+    of m - 1 < 2^24, and the 1e-9 that _sample_count adds lifts it to
+    m - 1 at least. The count grows with the duration, so the result is
+    never shorter than ``duration``, and m never passes the cap
+    _MAX_SAMPLES = 2^24, itself 5-smooth. A duration below dt is returned
+    as it is, for the propagator to refuse with its sampling guard first.
+
+    Raises:
+        InvalidRangeError: dt or duration not finite, non-positive dt, or
+            more samples than the cap.
+    """
+    n = _sample_count(max(duration, dt), dt)
+    # the next power of two; then, for each odd 3^b 5^c below the best
+    # count so far, its least multiple 2^a 3^b 5^c >= n
+    m = 1 << (n - 1).bit_length()
+    power_3 = 1
+    while power_3 < m:
+        odd = power_3
+        while odd < m:
+            m = min(m, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 5
+        power_3 *= 3
+    return duration if m == n else (m - 1) * dt
 
 
 def _check_sampling(center: complex, root: complex, dt: float) -> None:
@@ -238,17 +270,41 @@ def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> 
     return _finite_trajectory(dt, a1, a2)
 
 
+def _peak_bins(mag: np.ndarray) -> list[int]:
+    """The bins of the reported peaks of a magnitude spectrum, at most two.
+
+    Candidates are the interior local maxima (the global interior maximum
+    when there are none). The largest is reported, and the next largest
+    when it reaches _SECOND_PEAK_FRACTION of it; of exactly equal
+    magnitudes the lower bin comes first. Only the top two candidates are
+    sorted: a long trajectory has hundreds of thousands of them.
+    """
+    candidates = np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])) + 1
+    if candidates.size == 0:
+        candidates = np.array([int(np.argmax(mag[1:-1])) + 1])
+    if candidates.size > 2:
+        values = mag[candidates]
+        candidates = candidates[values >= np.partition(values, -2)[-2]]
+    candidates = candidates[np.argsort(-mag[candidates], kind="stable")]
+    second = candidates.size > 1 and mag[candidates[1]] >= _SECOND_PEAK_FRACTION * mag[candidates[0]]
+    return candidates[: 2 if second else 1].tolist()
+
+
 def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     """Peak frequencies of a1(t) from a Hann-windowed DFT.
 
     Amplitudes evolve as e^{-i lambda t}, so a supermode at Re(lambda) =
     Omega appears at DFT frequency -Omega / 2 pi; bins are mapped back
-    with that sign flip. Up to two local maxima are reported, each
-    refined by three-bin parabolic interpolation of the log magnitude
+    with that sign flip. The peaks are those of _peak_bins, each refined
+    by three-bin parabolic interpolation of the log magnitude
     (which is exact for a Gaussian peak and reduces the bin-center bias
     far below the raw resolution). The linewidth comes from matching the
     parabola curvature to a Lorentzian: full width 2 dOmega / sqrt(-c)
     for log-magnitude curvature c per bin^2.
+
+    The DFT's cost rests on the factors of the sample count: on 2^a 3^b 5^c
+    it runs fast radix passes, while a large prime factor takes a slow
+    generic pass (see _fft_duration).
 
     Raises:
         TooFewSamplesError: fewer than 1024 samples.
@@ -262,19 +318,9 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     f_first = np.float64(-(n // 2)) * df
     resolution = 2.0 * math.pi * df
 
-    interior = np.arange(1, n - 1)
-    is_max = (mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])
-    candidates = interior[is_max]
-    if candidates.size == 0:
-        candidates = np.array([int(np.argmax(mag[1:-1])) + 1])
-    candidates = candidates[np.argsort(mag[candidates])[::-1]]
-
-    second = candidates.size > 1 and mag[candidates[1]] >= _SECOND_PEAK_FRACTION * mag[candidates[0]]
-    peaks = candidates[: 2 if second else 1].tolist()
-
     frequencies: list[float] = []
     widths: list[float] = []
-    for k in peaks:
+    for k in _peak_bins(mag):
         ym, y0, yp = mag[k - 1], mag[k], mag[k + 1]
         delta = 0.0
         width = 0.0

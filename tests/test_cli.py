@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epgw import ConfigParseError, UnknownKeyError, ValidationError
+from epgw import ConfigParseError, UnknownKeyError, ValidationError, eigenvalues_general
 from epgw.cli import CONFIG_DEFAULTS, RunConfig, build_parser, parse_config, parse_config_text
 
 TWO_PI = 2.0 * math.pi
@@ -182,13 +183,20 @@ def test_sensitivity_tmax_override_scales_floor(run_cli):
     assert floor == pytest.approx(2.4211684e-26, rel=1e-5)
 
 
-def test_simulate_below_threshold_resolves_two_peaks(run_cli):
+def test_simulate_below_threshold_resolves_two_peaks(run_cli, tmp_path):
+    path = tmp_path / "sim.csv"
     code, out, _ = run_cli(
-        "simulate", "--photon-number", "7.0313629496777e11", "--strain", "0"
+        "simulate", "--photon-number", "7.0313629496777e11", "--strain", "0", "--output", str(path)
     )
     assert code == 0
     assert "peak 0:" in out
     assert "peak 1:" in out
+    # 100 beat periods span 58,236 samples; the default extends them to
+    # 58,320 = 2^4 3^6 5, the next count with no prime factor above 5
+    assert out.startswith("58320 samples,")
+    pair = eigenvalues_general(parse_config(None).system().with_photon_number(7.0313629496777e11))
+    duration = float(re.search(r"^# flag\.duration = (.*)$", path.read_text(), flags=re.M).group(1))
+    assert duration >= 100.0 * TWO_PI / (pair.lambda_plus.real - pair.lambda_minus.real)
 
 
 def test_simulate_eq8_drives_at_its_ep_and_predicts_the_exact_peaks(run_cli, tmp_path):
@@ -229,13 +237,16 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # across implementations: a change that moves one last digit fails here.
 # Recorded on x86-64 Linux with CPython 3.11 and numpy 2.4; the simulate
 # digest also rests on numpy's FFT and matrix product.
+# The simulate digest was re-recorded when its default duration took the
+# next 5-smooth sample count (1,769,472, was 1,768,533): flag.duration,
+# both peaks, both linewidths and the resolution moved.
 GOLDEN = {
     "ep-locate": "ead27a67ccf2b1884b0d1c6c98d0340ff01edad6a1931a40785d074c1dc42f30",
     "sweep-ncav": "fcd831485bc4f248b4481959e7098c65d68b90f301761da1ff2b9aa560f064e2",
     "sweep-ncav-json": "cacc33ae06746ad126b27c248c9ccaca35beeb31df5400bf9d39d0afc9b09764",
     "sweep-strain": "876803b552af82d8fcdbb171814d77c52086db1ca9d7f67babbdf9fab715a8d9",
     "sensitivity": "92fb1128ea340d44807b8b15e5efaac209e4af81ae221be81e7c89ffcd8309bc",
-    "simulate": "79caadd4c08bb0713ddbdc481b425c6da0b21cf9cad8351f525c2a4c015cb0bf",
+    "simulate": "c33c81ad958a0bb09c43abed31da5927d006dfaf71467406b6d7eef043f82a5d",
     "sensitivity-overlay-json": "f98367eb5ae7d51f150ceb349ab05e841a96baec0dcea53649330619475b9b2f",
     "sensitivity-overlay-csv": "64695e6ff422b3b885c2973488c367ed607a2cdda2a203b76498edfdf92d290f",
 }
@@ -358,6 +369,8 @@ def test_domain_errors_exit_2(run_cli, tmp_path):
 
     # coarse explicit dt trips the sampling guard
     assert run_cli("simulate", "--dt", "1e-9", "--duration", "1e-6")[0] == 2
+    # also when it is coarser than the whole default duration
+    assert run_cli("simulate", "--dt", "1e-3")[0] == 2
     # too short a run for the spectral estimator
     assert run_cli("simulate", "--dt", "9e-11", "--duration", "5e-8")[0] == 2
 
@@ -368,6 +381,37 @@ def test_simulate_beyond_ep_needs_explicit_duration(run_cli):
     code, _, err = run_cli("simulate", "--strain", "-1e-4")
     assert code == 1
     assert "error:" in err
+    assert "give --duration explicitly" in err
+
+
+@pytest.mark.parametrize("token", ["-1e-4", "-2.5E+3", "-.5e1"])
+def test_negative_flag_value_in_exponent_form_is_a_number(token):
+    # argparse alone takes such a token for an option string
+    args = build_parser().parse_args(["sweep-strain", "--min", token])
+    assert args.min == float(token)
+
+
+def test_negative_strain_spellings_write_the_same_bytes(run_cli, tmp_path):
+    outputs = []
+    for index, spelling in enumerate((["--strain", "-1e-4"], ["--strain", "-0.0001"], ["--strain=-1e-4"])):
+        out = tmp_path / f"{index}.csv"
+        assert run_cli("simulate", *spelling, "--duration", "1e-6", "--output", str(out))[0] == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert b"# flag.strain = -0.0001\n" in outputs[0]
+
+
+def test_readme_cli_examples_run(run_cli, tmp_path, monkeypatch):
+    # each `epgw ...` line of README's sh blocks runs as written, in a
+    # directory that holds the overlay file the examples name
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("epgw ")]
+    assert len(lines) >= 5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reference.csv").write_text("frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\n0.1,3.5e-22\n")
+    for line in lines:
+        code, _, err = run_cli(*shlex.split(line, comments=True)[1:])
+        assert code == 0, f"{line}: {err}"
 
 
 def test_config_with_a_byte_order_mark_reads_as_without(run_cli, tmp_path):

@@ -23,6 +23,7 @@ from epgw import (
     propagate_exact,
     propagate_rk,
 )
+from epgw.dynamics import _peak_bins
 
 TWO_PI = 2.0 * math.pi
 
@@ -440,3 +441,10 @@ def test_spectrum_needs_enough_samples():
     traj = _tone_trajectory(512, 1e-3, [(1.0, 100.0, 0.0)])
     with pytest.raises(TooFewSamplesError):
         estimate_spectrum(traj)
+
+
+def test_peak_bins_of_equal_magnitudes_take_the_lower_bin_first():
+    # three equal maxima: the two lowest bins, in bin order
+    assert _peak_bins(np.array([0.0, 1.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0])) == [3, 5]
+    assert _peak_bins(np.array([0.0, 2.0, 0.0, 2.0, 0.0])) == [1, 3]
+
