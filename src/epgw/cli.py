@@ -62,9 +62,11 @@ class _UsageError(EpgwError):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent, so `--strain -1e-4` would
-        # read -1e-4 as an option and refuse the flag its value
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own pattern has no exponent, inf or nan (float()'s
+        # spellings), so it would read `--strain -1e-4` or `-inf` as an option
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):  # keep exit-code control in main()
         raise _UsageError(message)

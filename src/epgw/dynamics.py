@@ -3,12 +3,14 @@
 Both propagators take the spectrum of the mode matrix M from
 ``spectral._spectrum``. The exact one is e^{-i M t} in closed form: the 2x2
 exponential where the one EP rule ``spectral._at_ep`` holds, the spectral
-projectors elsewhere. The RK4 cross-check steps by its one-step matrix. A
-trajectory is n samples dt apart from t = 0; it keeps dt and the samples,
-and derives its times. A windowed-DFT peak estimator recovers supermode
-frequencies from trajectories; ``_fft_duration`` extends a duration to a
-sample count of only the factors 2, 3 and 5, on which the DFT runs its
-fast radix passes.
+projectors elsewhere, with phases from two short tables (table-driven exp;
+Tang, ACM TOMS 15, 144 (1989)) whose block length is a power of two, so
+that the block span is exact. The RK4 cross-check steps by its one-step
+matrix. A trajectory is n samples dt apart from t = 0; it keeps dt and the
+samples, and derives its times. A windowed-DFT peak estimator recovers
+supermode frequencies from trajectories; ``_fft_duration`` extends a
+duration to a sample count of only the factors 2, 3 and 5, on which the
+DFT runs its fast radix passes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .spectral import EpConvention, _arms, _at_ep, _spectrum
 _SECOND_PEAK_FRACTION = 0.05
 
 _MAX_SAMPLES = 1 << 24
+
+_PHASE_BLOCK = 1 << 10  # samples per block of the phase tables (see _phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +117,14 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
     return m
 
 
-def _sample_count(duration: float, dt: float) -> int:
-    """The number of samples dt apart that span ``duration``, t = 0 included."""
+def _require_step(dt: float) -> None:
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
+
+
+def _sample_count(duration: float, dt: float) -> int:
+    """The number of samples dt apart that span ``duration``, t = 0 included."""
+    _require_step(dt)
     if not (math.isfinite(duration) and duration >= dt):
         raise InvalidRangeError(f"duration = {duration!r}; need a finite duration >= dt = {dt!r}")
     steps = duration / dt + 1e-9  # compared as a float: it may be inf
@@ -183,6 +191,7 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
     center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, EpConvention.EQ7)
     if not np.isfinite(disc):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
+    _require_step(dt)  # before the guard: a dt that is not a step is an input error
     _check_sampling(center, root, dt)
     return a0, m, (center, disc, root), _sample_count(duration, dt)
 
@@ -201,6 +210,19 @@ def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
     return Trajectory(dt=dt, a1=a1, a2=a2)
 
 
+def _phases(rates, n: int, dt: float) -> np.ndarray:
+    """e^{-i rate k dt} for k < n, one row per rate: a (len(rates), n) array.
+
+    With B = _PHASE_BLOCK and k = q B + r, the phase is the product
+    e^{-i rate q (B dt)} e^{-i rate r dt} of two table entries. A block start
+    k = q B takes the argument rate * fl(k dt) of a direct exponential.
+    """
+    minus_i_rates = -1j * np.asarray(rates, dtype=complex)[:, None]
+    hi = np.exp(minus_i_rates * (np.arange(-(-n // _PHASE_BLOCK)) * (_PHASE_BLOCK * dt)))
+    lo = np.exp(minus_i_rates * (np.arange(_PHASE_BLOCK) * dt))
+    return (hi[:, :, None] * lo[:, None, :]).reshape(len(minus_i_rates), -1)[:, :n]
+
+
 def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
     """Closed-form evolution a(t) = e^{-i M t} a(0).
 
@@ -214,6 +236,12 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
     Elsewhere a0 splits with the spectral projectors (I +- N / s) / 2 onto
     the supermodes (Sylvester's formula; Moler & Van Loan, SIAM Rev. 45, 3
     (2003)), and each part evolves as e^{-i (lambda +- s) t}.
+
+    The phases e^{-i lambda k dt} are products of two tables, of about N / B
+    and B exponentials with B = _PHASE_BLOCK a power of two, so that the
+    block span B dt is exact (_phases; Tang, ACM TOMS 15, 144 (1989)). At the
+    EP cos(s t) and sin(s t) / s stay direct: built from e^{+-i s t} they
+    would cancel for small s t.
 
     Args:
         system: The coupled system.
@@ -231,16 +259,16 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
             runaway gain), named by the time of the first one.
     """
     a0, m, (center, disc, root), n = _prepare(system, initial, duration, dt)
-    times = np.arange(n) * dt
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
         drift = (m - center * np.eye(2)) @ a0
         if _at_ep(abs(disc), system.coupling_j):
+            times = np.arange(n) * dt
             cos_st = np.cos(root * times)
             sin_st_over_s = times if root == 0 else np.sin(root * times) / root
-            amplitudes = np.exp(-1j * center * times) * (cos_st * a0[:, None] - 1j * sin_st_over_s * drift[:, None])
+            amplitudes = _phases([center], n, dt) * (cos_st * a0[:, None] - 1j * sin_st_over_s * drift[:, None])
         else:
             modes = 0.5 * (a0[:, None] + np.outer(drift / root, [1, -1]))
-            amplitudes = modes @ np.exp(-1j * np.outer([center + root, center - root], times))
+            amplitudes = modes @ _phases([center + root, center - root], n, dt)
     return _finite_trajectory(dt, amplitudes[0], amplitudes[1])
 
 

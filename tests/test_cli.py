@@ -239,14 +239,16 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # digest also rests on numpy's FFT and matrix product.
 # The simulate digest was re-recorded when its default duration took the
 # next 5-smooth sample count (1,769,472, was 1,768,533): flag.duration,
-# both peaks, both linewidths and the resolution moved.
+# both peaks, both linewidths and the resolution moved. It was re-recorded
+# again when the propagator took its phases from two tables (dynamics._phases):
+# only the two linewidth cells moved, by about 1e-13 relative.
 GOLDEN = {
     "ep-locate": "ead27a67ccf2b1884b0d1c6c98d0340ff01edad6a1931a40785d074c1dc42f30",
     "sweep-ncav": "fcd831485bc4f248b4481959e7098c65d68b90f301761da1ff2b9aa560f064e2",
     "sweep-ncav-json": "cacc33ae06746ad126b27c248c9ccaca35beeb31df5400bf9d39d0afc9b09764",
     "sweep-strain": "876803b552af82d8fcdbb171814d77c52086db1ca9d7f67babbdf9fab715a8d9",
     "sensitivity": "92fb1128ea340d44807b8b15e5efaac209e4af81ae221be81e7c89ffcd8309bc",
-    "simulate": "c33c81ad958a0bb09c43abed31da5927d006dfaf71467406b6d7eef043f82a5d",
+    "simulate": "1bfa647ff32615803d680591987fa28e3a60ac133898b2c28ac0b6bd01b03eda",
     "sensitivity-overlay-json": "f98367eb5ae7d51f150ceb349ab05e841a96baec0dcea53649330619475b9b2f",
     "sensitivity-overlay-csv": "64695e6ff422b3b885c2973488c367ed607a2cdda2a203b76498edfdf92d290f",
 }
@@ -484,6 +486,15 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("", ["simulate", "--photon-number", "nan"], "photon_number"),
         ("", ["simulate", "--photon-number", "inf"], "photon_number"),
         ("", ["simulate", "--photon-number", "-1"], "photon_number"),
+        # a step that is not finite is an input error, not a coarse sampling
+        ("", ["simulate", "--dt", "inf", "--duration", "1e-6"], "dt = inf"),
+        # negative non-finite spellings are values, named with their flag
+        ("", ["simulate", "--strain", "-inf"], "h = -inf"),
+        ("", ["simulate", "--dt", "-inf"], "dt = -inf"),
+        ("", ["sensitivity", "--fmin", "-inf", "--points", "5"], "f_min = -inf"),
+        ("", ["simulate", "--strain", "-nan"], "h = nan"),
+        ("", ["sweep-ncav", "--min", "-Infinity", "--points", "5"], "n_min = -inf"),
+        ("", ["sweep-strain", "--min", "-NaN", "--points", "5"], "h_min = nan"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):
@@ -496,6 +507,7 @@ def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+    assert "expected one argument" not in err
     assert not out.exists()
 
 

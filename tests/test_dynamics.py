@@ -23,7 +23,7 @@ from epgw import (
     propagate_exact,
     propagate_rk,
 )
-from epgw.dynamics import _peak_bins
+from epgw.dynamics import _PHASE_BLOCK, _peak_bins
 
 TWO_PI = 2.0 * math.pi
 
@@ -210,6 +210,42 @@ def test_defective_growth_is_linear_in_time():
     # the norm
     assert norm[-1] / norm[half] == pytest.approx(2.0, rel=1e-3)
     assert norm[-1] > 100.0  # secular growth actually happened
+
+
+@pytest.mark.parametrize(
+    "kappa_2_factor, drive",
+    # the default simulate drive, strained by h = 1e-4 off the EP; and the
+    # mismatched device at its own EP, where the exact 2x2 exponential runs
+    [(1.0, (1.0 - 2.0 * 1e-4) ** 2), (1.2, 1.0)],
+    ids=["strained_default", "kappa_mismatched_ep"],
+)
+def test_exact_propagator_matches_high_precision_reference_across_table_seams(device, kappa_2_factor, drive):
+    # The phases come from tables of B = _PHASE_BLOCK entries, so a run of
+    # more than 5 B samples crosses five block seams; the picks sit on both
+    # sides of the first two. The reference is e^{-i M t} a0 at 40 digits,
+    # for the double M and t = k dt exactly. Both the direct and the table
+    # path round the phase argument |lambda| t, hence the bound; the error
+    # is relative to the state's size, since a2 starts near 0.
+    mpmath = pytest.importorskip("mpmath")
+    device = dataclasses.replace(
+        device, cavity_2=dataclasses.replace(device.cavity_2, kappa=kappa_2_factor * device.cavity_2.kappa)
+    )
+    system = device.with_photon_number(drive * ep_photon_number(device))
+    m = mode_matrix(system)
+    speed = float(np.abs(np.linalg.eigvals(m)).max())
+    dt = _sampling_limit(system)
+    block = _PHASE_BLOCK
+    n = 5 * block + 7
+    traj = propagate_exact(system, (1.0, 0.0), (n - 1) * dt, dt)
+    assert len(traj) == n
+    with mpmath.workdps(40):
+        minus_i_m = -1j * mpmath.matrix(m.tolist())
+        for k in [1, block - 1, block, block + 1, 2 * block, n - 1]:
+            t = mpmath.mpf(k) * mpmath.mpf(dt)
+            ref = np.array((mpmath.expm(minus_i_m * t) * mpmath.matrix([1, 0])).tolist(), dtype=complex)[:, 0]
+            got = np.array([traj.a1[k], traj.a2[k]])
+            err = np.abs(got - ref).max() / np.abs(ref).max()
+            assert err <= 16 * np.finfo(float).eps * (1.0 + speed * k * dt), k
 
 
 # ---------------------------------------------------------------------------
