@@ -57,7 +57,6 @@ from .spectral import (
     coupling_perturbation,
     detuning_response,
     eigenvalues_general,
-    eigenvalues_numeric,
     ep_photon_number,
     ep_tolerance,
     splitting,
@@ -101,7 +100,6 @@ __all__ = [
     "detuning_response",
     "drive_amplitude_from_thickness",
     "eigenvalues_general",
-    "eigenvalues_numeric",
     "ep_photon_number",
     "ep_tolerance",
     "estimate_spectrum",

@@ -416,7 +416,10 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
     )
     overlays = {}
     for path in args.overlay or []:
-        overlays[os.path.basename(path)] = read_overlay_csv(path)
+        name = os.path.basename(path)
+        if name in overlays:
+            raise _UsageError(f"argument --overlay: two overlays named {name!r}; an overlay's file name is its key")
+        overlays[name] = read_overlay_csv(path)
     columns = ["frequency_hz", "observation_time_s", "h_min"]
     rows = _rows(curve.gw_frequency, curve.observation_time, curve.h_min)
     print(

@@ -8,10 +8,10 @@ Validation happens once per public call, with the validators below:
 ``cli.parse_config`` checks a config, and the entry points of ``spectral``,
 ``dynamics`` and ``sensitivity`` check their arguments (finite values,
 signs, ranges) before any per-point work. The leaf formulas of ``spectral``
-and the evaluators they feed (``eigenvalues_general``, ``eigenvalues_numeric``,
-``mode_matrix``) check no input and expect values already validated. Valid
-but extreme values that overflow the model's arithmetic are rejected where
-that arises, as InvalidRangeError (see ``spectral``).
+and the evaluators they feed (``eigenvalues_general``, ``mode_matrix``)
+check no input and expect values already validated. Valid but extreme
+values that overflow the model's arithmetic are rejected where that
+arises, as InvalidRangeError (see ``spectral``).
 """
 
 from __future__ import annotations
@@ -194,11 +194,6 @@ class OpticalCavity:
     detuning: float
     n_cav: float
 
-    @property
-    def omega_cav(self) -> float:
-        """Resonance frequency of the fundamental mode, pi*c/L (rad/s)."""
-        return math.pi * C_LIGHT / self.length
-
 
 @dataclass(frozen=True)
 class CoupledSystem:
@@ -217,27 +212,6 @@ class CoupledSystem:
     cavity_1: OpticalCavity
     cavity_2: OpticalCavity
     coupling_j: float
-
-    @property
-    def is_balanced(self) -> bool:
-        """True when the two arms differ only by the sign of the detuning.
-
-        Both resonators must be identical field by field, both cavities
-        must agree on length, decay rate and photon number, and the
-        detunings must be +omega_m and -omega_m exactly. This is the
-        gain/loss-balanced configuration, whose threshold photon number is
-        2 J / (g0^2 |phi|) (EQ7).
-        """
-        r1, r2 = self.resonator_1, self.resonator_2
-        c1, c2 = self.cavity_1, self.cavity_2
-        return (
-            r1 == r2
-            and c1.length == c2.length
-            and c1.kappa == c2.kappa
-            and c1.n_cav == c2.n_cav
-            and c1.detuning == r1.omega_m
-            and c2.detuning == -r1.omega_m
-        )
 
     def with_photon_number(self, n_cav: float) -> "CoupledSystem":
         """Copy of the system with both cavities driven at ``n_cav`` photons."""
@@ -366,15 +340,15 @@ def sweep_grid(name: str, lo: float, hi: float, points: int, log: bool) -> np.nd
     """Grid of ``points`` values from ``lo`` to ``hi``, linear or log-spaced.
 
     Raises InvalidRangeError, naming the ends ``{name}_min``/``{name}_max``,
-    for fewer than 2 or more than 2**20 points, an end that is not finite,
-    an empty or reversed range, a negative start, or a log-spaced grid from
-    zero. Nothing is allocated before the checks.
+    for an end that is not finite (checked first), fewer than 2 or more
+    than 2**20 points, an empty or reversed range, a negative start, or a
+    log-spaced grid from zero. Nothing is allocated before the checks.
     """
-    if not 2 <= points <= _MAX_POINTS:
-        raise InvalidRangeError(f"points = {points}; need 2 to {_MAX_POINTS} points")
     for end, value in (("min", lo), ("max", hi)):
         if not math.isfinite(value):
             raise InvalidRangeError(f"{name}_{end} = {value!r} is not finite")
+    if not 2 <= points <= _MAX_POINTS:
+        raise InvalidRangeError(f"points = {points}; need 2 to {_MAX_POINTS} points")
     if not lo < hi:
         raise InvalidRangeError(f"empty range [{name}_min, {name}_max] = [{lo!r}, {hi!r}]")
     if lo < 0:

@@ -16,7 +16,7 @@ DFT runs its fast radix passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,9 +87,9 @@ class SpectralEstimate:
         resolution: Bin spacing 2*pi/(N*dt) (rad/s).
     """
 
-    peak_frequencies: list[float] = field(default_factory=list)
-    peak_linewidths: list[float] = field(default_factory=list)
-    resolution: float = 0.0
+    peak_frequencies: list[float]
+    peak_linewidths: list[float]
+    resolution: float
 
 
 def mode_matrix(system: CoupledSystem) -> np.ndarray:
@@ -117,15 +117,19 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
     return m
 
 
-def _require_step(dt: float) -> None:
+def _require_finite_grid(duration: float, dt: float) -> None:
+    """The checks made before the sampling guard: a dt that is not finite
+    and > 0, or a duration that is not finite, is an input error."""
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
+    if not math.isfinite(duration):
+        raise InvalidRangeError(f"duration = {duration!r} is not finite")
 
 
 def _sample_count(duration: float, dt: float) -> int:
     """The number of samples dt apart that span ``duration``, t = 0 included."""
-    _require_step(dt)
-    if not (math.isfinite(duration) and duration >= dt):
+    _require_finite_grid(duration, dt)
+    if not duration >= dt:
         raise InvalidRangeError(f"duration = {duration!r}; need a finite duration >= dt = {dt!r}")
     steps = duration / dt + 1e-9  # compared as a float: it may be inf
     if steps >= _MAX_SAMPLES:
@@ -191,7 +195,7 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
     center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, EpConvention.EQ7)
     if not np.isfinite(disc):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
-    _require_step(dt)  # before the guard: a dt that is not a step is an input error
+    _require_finite_grid(duration, dt)
     _check_sampling(center, root, dt)
     return a0, m, (center, disc, root), _sample_count(duration, dt)
 

@@ -18,7 +18,6 @@ from epgw import (
     detuning_response,
     drive_amplitude_from_thickness,
     eigenvalues_general,
-    eigenvalues_numeric,
     estimate_spectrum,
     min_detectable_strain,
     mode_matrix,
@@ -28,6 +27,7 @@ from epgw import (
     vacuum_coupling,
     zero_point_fluctuation,
 )
+from oracle import eigenvalues_numeric
 
 TWO_PI = 2.0 * math.pi
 

@@ -442,6 +442,21 @@ def test_overlay_with_a_byte_order_mark_reads_as_without(run_cli, tmp_path):
     assert b"# overlay = reference.csv\nfrequency_hz,strain\n1.0000000000000000e+00," in outputs[0]
 
 
+@pytest.mark.parametrize("second", ["b/ref.csv", "a/ref.csv"], ids=["same-basename", "same-file"])
+def test_overlays_with_one_basename_exit_1_without_output(run_cli, tmp_path, second):
+    # the basename keys the overlay in the output; a second one would
+    # silently replace the first
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "ref.csv").write_text("frequency_hz,strain\n1.0,1e-24\n")
+    out = tmp_path / "x.csv"
+    overlays = ["--overlay", str(tmp_path / "a" / "ref.csv"), "--overlay", str(tmp_path / second)]
+    code, _, err = run_cli("sensitivity", "--points", "3", *overlays, "--output", str(out))
+    assert code == 1
+    assert not out.exists()
+    assert err.startswith("error:") and "'ref.csv'" in err
+
+
 def test_io_errors_exit_3(run_cli, tmp_path):
     assert run_cli("ep-locate", "--config", str(tmp_path / "missing.conf"))[0] == 3
     missing_overlay = tmp_path / "missing.csv"
@@ -495,6 +510,9 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("", ["simulate", "--strain", "-nan"], "h = nan"),
         ("", ["sweep-ncav", "--min", "-Infinity", "--points", "5"], "n_min = -inf"),
         ("", ["sweep-strain", "--min", "-NaN", "--points", "5"], "h_min = nan"),
+        # a value that is not finite is named before any other fault
+        ("", ["simulate", "--dt", "1e300", "--duration", "nan"], "duration = nan"),
+        ("", ["sweep-ncav", "--min", "nan", "--points", "0"], "n_min = nan"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

@@ -70,14 +70,15 @@ def _argv(command, values):
     return argv
 
 
-def _run(command, values, fmt="csv"):
-    """Run one command on the config; (exit code, output text or None, stderr)."""
+def _run(command, values, fmt="csv", argv=None):
+    """Run one command on the config, with the flags of _argv or ``argv``;
+    (exit code, output text or None, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         conf = os.path.join(tmp, "run.conf")
         with open(conf, "w", encoding="utf-8") as fh:
             fh.writelines(f"{key} = {value!r}\n" for key, value in values.items())
         out = os.path.join(tmp, "out.dat")
-        argv = _argv(command, values) + ["--config", conf, "--output", out, "--format", fmt]
+        argv = (argv or _argv(command, values)) + ["--config", conf, "--output", out, "--format", fmt]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -132,3 +133,74 @@ def test_extreme_finite_config_exits_cleanly(values, command, fmt):
         assert text is not None and not NON_FINITE.search(text)
     else:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Each command's numeric flags: a typical value, and the name under which an
+# error reports the flag's value. ep-locate has none.
+FLAGS = {
+    "sweep-ncav": {"--min": (1e11, "n_min"), "--max": (5e12, "n_max")},
+    "sweep-strain": {"--min": (1e-26, "h_min"), "--max": (1e-20, "h_max")},
+    "sensitivity": {"--fmin": (1e-7, "f_min"), "--fmax": (1e3, "f_max"), "--tmax": (36.0, "t_max_s")},
+    "simulate": {
+        "--strain": (1e-4, "h"),
+        "--photon-number": (1e12, "photon_number"),
+        "--duration": (2e-7, "duration"),
+        "--dt": (5e-11, "dt"),
+    },
+}
+POINTS = [0, 1, 2, 8, (1 << 20) + 1]
+
+
+def _flag_values(flag, typical):
+    """Absent (None), typical, +-1e+-300, 0, negative, nan and +-inf. A
+    simulate run keeps an explicit duration and a dt of at least 1e-11, so
+    an accepted run has at most 2e4 samples: others are refused before any
+    allocation."""
+    values = [None, typical, 1e300, -1e300, 1e-300, -1e-300, 0.0, -typical, math.nan, math.inf, -math.inf]
+    if flag == "--duration":
+        values.remove(None)
+    if flag == "--dt":
+        values[values.index(1e-300)] = 1e-11
+    return values
+
+
+@st.composite
+def flag_draws(draw, command):
+    """({flag: value} for the flags given, argv)."""
+    drawn = {}
+    for flag, (typical, _) in FLAGS[command].items():
+        value = draw(st.sampled_from(_flag_values(flag, typical)))
+        if value is not None:
+            drawn[flag] = value
+    # "--strain -inf" as two words, the spelling the parser must not take
+    # for an option
+    argv = [command] + [word for flag, value in drawn.items() for word in (flag, repr(value))]
+    if command != "simulate":
+        argv += ["--points", str(draw(st.sampled_from(POINTS)))]
+        if command != "sensitivity" and draw(st.booleans()):
+            argv.append("--log")
+    return drawn, argv
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@settings(max_examples=150)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
+def test_every_numeric_flag_exits_cleanly(command, data, fmt):
+    # no traceback (main raises nothing), an exit code from README's table,
+    # a non-finite value exits 1 naming the flag and value when it is the
+    # only odd value, and a written file holds no nan or inf
+    drawn, argv = data.draw(flag_draws(command))
+    code, text, err = _run(command, {}, fmt, argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert text is not None and not NON_FINITE.search(text)
+    else:
+        assert text is None
+        assert err.startswith("error:") and err.count("\n") == 1
+    non_finite = [flag for flag, value in drawn.items() if not math.isfinite(value)]
+    if non_finite:
+        assert code == 1
+        others = [flag for flag in drawn if flag not in non_finite]
+        if len(non_finite) == 1 and all(drawn[flag] == FLAGS[command][flag][0] for flag in others):
+            (flag,) = non_finite
+            assert re.search(rf"\b{FLAGS[command][flag][1]} = {re.escape(repr(drawn[flag]))}", err), err

@@ -117,27 +117,9 @@ def test_resonator_is_frozen(device_resonator):
         device_resonator.mass = 1.0
 
 
-def test_cavity_resonance_frequency():
-    cav = OpticalCavity(length=1e-4, kappa=1.0, detuning=0.0, n_cav=0.0)
-    assert cav.omega_cav == pytest.approx(math.pi * C_LIGHT / 1e-4, rel=1e-15)
-    # omega_cav is derived, not stored
-    assert "omega_cav" not in {f.name for f in dataclasses.fields(OpticalCavity)}
-
-
 def test_balanced_system_detunings(device, device_resonator):
     assert device.cavity_1.detuning == device_resonator.omega_m
     assert device.cavity_2.detuning == -device_resonator.omega_m
-    assert device.is_balanced
-
-
-def test_balanced_predicate_rejects_mismatched_arms(device, device_resonator):
-    other = dataclasses.replace(device_resonator, mass=device_resonator.mass * 2)
-    assert not dataclasses.replace(device, resonator_2=other).is_balanced
-    lop = dataclasses.replace(device.cavity_2, kappa=device.cavity_2.kappa * 2)
-    assert not dataclasses.replace(device, cavity_2=lop).is_balanced
-    # both detunings blue is not balanced either
-    blue2 = dataclasses.replace(device.cavity_2, detuning=device_resonator.omega_m)
-    assert not dataclasses.replace(device, cavity_2=blue2).is_balanced
 
 
 def test_with_photon_number_updates_both_cavities(device):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from epgw import (  # noqa: E402
     EpConvention,
@@ -41,7 +41,7 @@ from epgw import (  # noqa: E402
     zero_point_fluctuation,
 )
 from epgw.sensitivity import _strain_floor  # noqa: E402
-from epgw.spectral import _complex, _continuity_swaps, _polish_photon_number, _root  # noqa: E402
+from epgw.spectral import _POLISH_STEPS, _arms, _complex, _continuity_swaps, _polish_photon_number, _root  # noqa: E402
 
 
 def _bits(value):
@@ -81,13 +81,13 @@ def _ref_magnitude(system, n, convention):
     return abs(_ref_pair(system.with_photon_number(n), convention)[2])
 
 
-def _ref_polish(magnitude, n_guess):
+def _ref_polish(magnitude, n_guess, reach):
     best_n = n_guess
     best = magnitude(n_guess)
     if best == 0.0:
         return best_n, best
     down = up = n_guess
-    for _ in range(512):
+    for _ in range(reach):
         down = math.nextafter(down, 0.0)
         up = math.nextafter(up, math.inf)
         for n in (down, up):
@@ -115,7 +115,9 @@ def _ref_ep(system, convention):
     roots = [n for n in ((c * j - d_gamma) / d_slope, (-c * j - d_gamma) / d_slope) if n >= 0.0]
     if not roots:
         return None
-    return _ref_polish(magnitude, min(roots) + 0.0)
+    # 512 floats each way, 32 times the library's reach, which must not
+    # change the n0 it finds
+    return _ref_polish(magnitude, min(roots) + 0.0, 512)
 
 
 def _ref_relabel(pairs):
@@ -183,13 +185,13 @@ def balanced_systems(draw):
 
 
 @st.composite
-def mismatched_systems(draw):
+def mismatched_systems(draw, kinds=("kappa", "length", "gamma_m")):
     """Balanced systems with one arm changed: the red cavity decays faster,
     as in a real device, or has another length (the slopes g0^2 phi differ
     in magnitude), or one resonator has intrinsic damping (gamma_m,2 -
     gamma_m,1 is nonzero: up to two EPs, or none at n >= 0)."""
     system = draw(balanced_systems())
-    kind = draw(st.sampled_from(["kappa", "length", "gamma_m"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "kappa":
         red = dataclasses.replace(system.cavity_2, kappa=system.cavity_2.kappa * draw(st.floats(1.02, 1.5)))
         return dataclasses.replace(system, cavity_2=red)
@@ -238,6 +240,37 @@ def test_ep_photon_number_matches_scalar_reference_bitwise(system, convention):
             ep_photon_number(system, convention)
     else:
         assert _bits(ep_photon_number(system, convention)) == _bits(ref[0])
+
+
+def _closed_form_root(system, convention):
+    """The lower nonnegative root of the closed form, from _arms."""
+    arm_1, arm_2 = _arms(system)
+    d_slope = arm_2.g0_sq * arm_2.phi - arm_1.g0_sq * arm_1.phi
+    c = 4.0 if convention is EpConvention.EQ7 else 2.0
+    return min(n for n in (c * system.coupling_j / d_slope, -c * system.coupling_j / d_slope) if n >= 0.0) + 0.0
+
+
+def _longer_red_cavity(factor):
+    """The reference device with its red cavity ``factor`` times longer."""
+    res = MechanicalResonator(omega_m=2.0 * math.pi * 1e9, mass=5.3e-15, quality_factor=1e5, thickness=8e-8)
+    system = balanced_system(res, length=1e-4, kappa=2.0 * math.pi * 1e8, coupling_j=2.0 * math.pi * 1e7)
+    return dataclasses.replace(system, cavity_2=dataclasses.replace(system.cavity_2, length=1e-4 * factor))
+
+
+@settings(max_examples=200)
+@given(system=balanced_systems() | mismatched_systems(kinds=("kappa", "length")), convention=conventions)
+# its smallest |disc| is 2 floats above the closed-form root
+@example(system=_longer_red_cavity(1.08), convention=EpConvention.EQ7)
+def test_polished_ep_is_the_smallest_disc_within_4_floats_of_the_closed_form_root(system, convention):
+    # the closed form is good to a few floats; a polish window that does
+    # not reach the float with the smallest |disc| near it fails here
+    root_bits = int(np.float64(_closed_form_root(system, convention)).view(np.int64))
+    n0 = ep_photon_number(system, convention)
+    assert abs(int(np.float64(n0).view(np.int64)) - root_bits) <= 4
+    # the 9 floats around the root, in the window's order: 0, -1, +1, -2, ...
+    near = [float(np.int64(root_bits + k).view(np.float64)) for k in (0, -1, 1, -2, 2, -3, 3, -4, 4)]
+    magnitudes = [abs(eigenvalues_general(system.with_photon_number(n), convention).discriminant) for n in near]
+    assert n0 == near[magnitudes.index(min(magnitudes))]
 
 
 @settings(max_examples=100)
@@ -366,9 +399,9 @@ def test_polish_window_clips_at_zero_and_infinity(n_guess, target):
         return abs(n - target) if math.isfinite(target) else (0.0 if n == target else 1.0)
 
     got = _polish_photon_number(magnitude, n_guess)
-    assert _bits(got) == _bits(_ref_polish(magnitude, n_guess))
+    assert _bits(got) == _bits(_ref_polish(magnitude, n_guess, _POLISH_STEPS))
     walk, down, up = [n_guess], n_guess, n_guess
-    for _ in range(512):
+    for _ in range(_POLISH_STEPS):
         down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
         walk += [down, up]
     assert _bits(seen[0].tolist()) == _bits(walk)
