@@ -90,7 +90,6 @@ class RunConfig:
     coupling_j_hz: float = 1e7
     drive_photon_number: float | None = None
     noise_temperature_k: float = 300.0
-    noise_sample_time_s: float = 1.0
     sensitivity_t_max_s: float = 3600.0
 
     def resonator(self) -> MechanicalResonator:
@@ -115,7 +114,7 @@ class RunConfig:
     def context(self) -> SensitivityContext:
         return SensitivityContext(
             temperature=self.noise_temperature_k,
-            sample_time=self.noise_sample_time_s,
+            sample_time=self.sensitivity_t_max_s,
             drive_amplitude=drive_amplitude_from_thickness(self.resonator_thickness_m),
             quality_factor=self.resonator_quality_factor,
         )
@@ -170,7 +169,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigParseError(line_no, f"not a number: {value!r}") from None
     cfg = RunConfig(**values)
     violations = system_violations(cfg.system())
-    for key in ("noise.temperature_k", "noise.sample_time_s", "sensitivity.t_max_s"):
+    for key in ("noise.temperature_k", "sensitivity.t_max_s"):
         where, name = key.split(".")
         err = _check_positive(name, getattr(cfg, _ATTR[key]), where)
         if err is not None:
@@ -180,24 +179,20 @@ def parse_config_text(text: str) -> RunConfig:
     return cfg
 
 
-def parse_config(path: str | None, overrides: dict[str, float] | None = None) -> RunConfig:
-    """Load a config file (optional), apply overrides, validate, return.
+def parse_config(path: str | None) -> RunConfig:
+    """Load a config file, or the defaults for None, validated.
 
-    Args:
-        path: Config file path, or None for pure defaults.
-        overrides: Dotted-key values that win over the file (CLI flags).
+    A command's own flags are applied by the command, after this.
 
     Raises:
         ConfigParseError, UnknownKeyError: malformed input.
         ValidationError: any physical field out of range or not finite.
         OSError: unreadable file.
     """
-    lines = []
-    if path is not None:
-        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            lines.append(fh.read())
-    lines += [f"{key} = {value!r}" for key, value in (overrides or {}).items()]
-    return parse_config_text("\n".join(lines))
+    if path is None:
+        return parse_config_text("")
+    with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
+        return parse_config_text(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +399,9 @@ def cmd_sweep_strain(cfg: RunConfig, args) -> int:
 
 
 def cmd_sensitivity(cfg: RunConfig, args) -> int:
+    if args.tmax is not None:
+        require_positive("tmax", args.tmax)
+        cfg = dataclasses.replace(cfg, sensitivity_t_max_s=args.tmax)
     curve = sensitivity_curve(
         cfg.context(),
         cfg.resonator(),
@@ -411,7 +409,6 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
         args.fmin,
         args.fmax,
         args.points,
-        t_max=cfg.sensitivity_t_max_s,
         half_period_cap=(args.tau_rule == "half"),
     )
     overlays = {}
@@ -523,7 +520,8 @@ def build_parser() -> _Parser:
     common.add_argument("--config", help="config file (flat dotted keys)")
     common.add_argument("--output", help="output data file; omit for a dry run")
     common.add_argument("--format", choices=["csv", "json"], default=None)
-    common.add_argument(
+    spectral_flags = argparse.ArgumentParser(add_help=False)  # every command but sensitivity
+    spectral_flags.add_argument(
         "--ep-convention",
         choices=[c.value for c in EpConvention],
         default=EpConvention.EQ7.value,
@@ -534,15 +532,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="epgw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("ep-locate", parents=[common], help="find the exceptional-point photon number")
+    sub.add_parser("ep-locate", parents=[common, spectral_flags], help="find the exceptional-point photon number")
 
-    p = sub.add_parser("sweep-ncav", parents=[common], help="eigenvalue branches vs photon number")
+    p = sub.add_parser("sweep-ncav", parents=[common, spectral_flags], help="eigenvalue branches vs photon number")
     p.add_argument("--min", type=float, default=1e11)
     p.add_argument("--max", type=float, default=5e12)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--log", action="store_true", help="log-spaced grid")
 
-    p = sub.add_parser("sweep-strain", parents=[common], help="splitting vs strain at the EP")
+    p = sub.add_parser("sweep-strain", parents=[common, spectral_flags], help="splitting vs strain at the EP")
     p.add_argument("--min", type=float, default=1e-26)
     p.add_argument("--max", type=float, default=1e-20)
     p.add_argument("--points", type=int, default=100)
@@ -565,7 +563,7 @@ def build_parser() -> _Parser:
         help="comparison curve CSV (frequency_hz,strain) to embed; repeatable",
     )
 
-    p = sub.add_parser("simulate", parents=[common], help="time-domain run and spectral readout")
+    p = sub.add_parser("simulate", parents=[common, spectral_flags], help="time-domain run and spectral readout")
     p.add_argument("--strain", type=float, default=1e-4, help="applied strain h")
     p.add_argument("--photon-number", type=float, default=None, help="override drive photon number")
     p.add_argument("--duration", type=float, default=None, help="simulated time (s)")
@@ -588,10 +586,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {}
-        if getattr(args, "tmax", None) is not None:
-            overrides["sensitivity.t_max_s"] = args.tmax
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except EpgwError as exc:
         print(f"error: {exc}", file=sys.stderr)

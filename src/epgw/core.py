@@ -277,7 +277,8 @@ class SensitivityContext:
 
     Attributes:
         temperature: Bath temperature (K).
-        sample_time: Frequency-counting integration time tau (s).
+        sample_time: Longest frequency-counting integration time tau (s);
+            sensitivity_curve caps it per frequency by the signal period.
         drive_amplitude: rms coherent drive amplitude of the readout mode (m).
         quality_factor: Mechanical quality factor used in the noise model.
     """

@@ -7,8 +7,10 @@ driven resonator,
 
 and the strain floor follows by equating it to the splitting response
 4 sqrt(2) J sqrt(h). Shot noise, backaction and seismic contributions are
-out of scope. ``sensitivity_curve`` evaluates its frequency grid as one
-array and returns one SensitivityCurve of arrays.
+out of scope. ``SensitivityContext.sample_time`` is the one integration
+time: ``min_detectable_strain`` uses it as given, and ``sensitivity_curve``
+caps it per frequency by the signal period, evaluating its frequency grid
+as one array and returning one SensitivityCurve of arrays.
 """
 
 from __future__ import annotations
@@ -99,39 +101,37 @@ def sensitivity_curve(
     f_min: float,
     f_max: float,
     points: int,
-    t_max: float,
     half_period_cap: bool = True,
 ) -> SensitivityCurve:
     """Strain floor over a log-spaced signal-frequency grid.
 
-    At each frequency f the integration time is capped by the signal
-    itself: tau(f) = min(t_max, 1/(2f)), a half period, since a strain
-    signal averages itself out beyond that. Pass half_period_cap=False
-    for the full-period convention tau(f) = min(t_max, 1/f). The curve is
-    flat at h_min(t_max) below the knee f = 1/(2 t_max) and rises
-    linearly in f above it. The grid is evaluated as one array, and each
-element of ``h_min`` is bit for bit min_detectable_strain at its tau.
+    At each frequency f the integration time ctx.sample_time is capped by
+    the signal itself: tau(f) = min(ctx.sample_time, 1/(2f)), a half
+    period, since a strain signal averages itself out beyond that. Pass
+    half_period_cap=False for the full-period convention
+    tau(f) = min(ctx.sample_time, 1/f). The curve is flat at
+    min_detectable_strain(ctx) below the knee f = 1/(2 ctx.sample_time)
+    and rises linearly in f above it. The grid is evaluated as one array,
+    and each element of ``h_min`` is bit for bit min_detectable_strain at
+    its tau.
 
     Raises:
         NonPositiveParameterError: invalid context, resonator or coupling.
         InvalidRangeError: unusable frequency range (see core.sweep_grid),
-            t_max not finite and positive, or an f_max so high that the
-            strain floor overflows.
+            or an integration time so short at f_max that the strain floor
+            overflows; the message names the cap that set it.
     """
     _validate(ctx, resonator)
     require_positive("coupling_j", coupling_j)
     grid = sweep_grid("f", f_min, f_max, points, log=True)
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise InvalidRangeError(f"t_max = {t_max!r}; need a finite t_max > 0")
     period_fraction = 0.5 if half_period_cap else 1.0
-    tau = np.minimum(t_max, period_fraction / grid)
+    tau = np.minimum(ctx.sample_time, period_fraction / grid)
     with np.errstate(all="ignore"):
         h_min = _strain_floor(ctx, resonator, coupling_j, tau)
     if not np.isfinite(h_min).all():
-        raise InvalidRangeError(
-            f"f_max = {f_max!r}: the integration time {float(tau[-1])!r} s is too short "
-            f"for a finite strain floor"
-        )
+        shortest = float(tau[-1])
+        cap = "" if shortest == ctx.sample_time else f"f_max = {f_max!r}: "
+        raise InvalidRangeError(f"{cap}the integration time {shortest!r} s is too short for a finite strain floor")
     return SensitivityCurve(grid, tau, h_min)
 
 

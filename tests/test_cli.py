@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epgw import ConfigParseError, UnknownKeyError, ValidationError, eigenvalues_general
+from epgw import ConfigParseError, UnknownKeyError, ValidationError, eigenvalues_general, min_detectable_strain
 from epgw.cli import CONFIG_DEFAULTS, RunConfig, build_parser, parse_config, parse_config_text
 
 TWO_PI = 2.0 * math.pi
@@ -39,7 +40,7 @@ def test_defaults_describe_reference_device():
 def test_config_round_trip():
     cfg = parse_config(None)
     assert parse_config_text(cfg.to_text()) == cfg
-    tweaked = parse_config(None, {"coupling.j_hz": 2.5e7, "noise.temperature_k": 4.2})
+    tweaked = parse_config_text("coupling.j_hz = 2.5e7\nnoise.temperature_k = 4.2\n")
     assert parse_config_text(tweaked.to_text()) == tweaked
 
 
@@ -57,18 +58,26 @@ def test_config_file_with_comments(tmp_path):
     assert cfg.resonator_mass_kg == 5.3e-15  # untouched default
 
 
-def test_overrides_win_over_file(tmp_path):
+def test_overrides_win_over_file(run_cli, tmp_path):
+    # a later config line wins over an earlier one, and a command's flag
+    # wins over the file; the header records the value used
+    assert parse_config_text("coupling.j_hz = 5e6\ncoupling.j_hz = 7e6\n").coupling_j_hz == 7e6
     path = tmp_path / "run.conf"
-    path.write_text("coupling.j_hz = 5e6\n")
-    cfg = parse_config(str(path), {"coupling.j_hz": 7e6})
-    assert cfg.coupling_j_hz == 7e6
+    path.write_text("sensitivity.t_max_s = 3600\n")
+    out = tmp_path / "floor.csv"
+    code, _, _ = run_cli("sensitivity", "--points", "5", "--tmax", "36", "--config", str(path), "--output", str(out))
+    assert code == 0
+    assert "# sensitivity.t_max_s = 36.0\n" in out.read_text()
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(UnknownKeyError):
         parse_config_text("resonator.bogus = 1\n")
     with pytest.raises(UnknownKeyError):
-        parse_config(None, {"coupling.bogus": 1.0})
+        parse_config_text("coupling.j_hz = 1e7\ncoupling.bogus = 1\n")
+    # the integration time is sensitivity.t_max_s alone
+    with pytest.raises(UnknownKeyError):
+        parse_config_text("noise.sample_time_s = 1.0\n")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -134,6 +143,108 @@ def test_readme_tables_match_the_parser_and_config():
                 assert float(value) == action.default, flag
 
 
+# Every setting is read: one alternative value per config key and per flag
+# of each command, with a command whose data rows (the lines without '#')
+# it must change. A key or flag that no command reads fails here.
+SMALL_RUN = {
+    "ep-locate": [],
+    "sweep-ncav": ["--points", "5"],
+    "sweep-strain": ["--points", "5"],
+    "sensitivity": ["--points", "5"],
+    "simulate": ["--duration", "2e-7"],
+}
+KEY_READERS = {
+    "resonator.frequency_hz": (2e9, "ep-locate"),
+    "resonator.mass_kg": (1e-14, "ep-locate"),
+    "resonator.thickness_m": (1e-7, "sensitivity"),
+    "resonator.quality_factor": (1e6, "sensitivity"),
+    "resonator.gamma_m_hz": (1e3, "ep-locate"),
+    "cavity.length_m": (2e-4, "ep-locate"),
+    "cavity.decay_rate_hz": (2e8, "ep-locate"),
+    "coupling.j_hz": (2e7, "ep-locate"),
+    "drive.photon_number": (1e12, "simulate"),
+    "noise.temperature_k": (4.0, "sensitivity"),
+    "sensitivity.t_max_s": (36.0, "sensitivity"),
+}
+# (command, flag): its alternative value; None for a switch, FILE for a path
+FLAG_VALUES = {
+    ("ep-locate", "--ep-convention"): "eq8",
+    ("sweep-ncav", "--ep-convention"): "eq8",
+    ("sweep-ncav", "--min"): "2e11",
+    ("sweep-ncav", "--max"): "4e12",
+    ("sweep-ncav", "--points"): "6",
+    ("sweep-ncav", "--log"): None,
+    ("sweep-strain", "--ep-convention"): "eq8",
+    ("sweep-strain", "--min"): "1e-25",
+    ("sweep-strain", "--max"): "1e-21",
+    ("sweep-strain", "--points"): "6",
+    ("sweep-strain", "--log"): None,
+    ("sensitivity", "--fmin"): "1e-6",
+    ("sensitivity", "--fmax"): "1e2",
+    ("sensitivity", "--points"): "6",
+    ("sensitivity", "--tmax"): "36",
+    ("sensitivity", "--tau-rule"): "full",
+    ("sensitivity", "--overlay"): "FILE",
+    ("simulate", "--ep-convention"): "eq8",
+    ("simulate", "--strain"): "2e-4",
+    ("simulate", "--photon-number"): "1e12",
+    ("simulate", "--duration"): "3e-7",
+    ("simulate", "--dt"): "1e-11",
+}
+# The one setting that moves only a header line: at the EP of a balanced
+# pair (every config is one) the strained splitting is J^2 (1 - (1 - 2h)^4)
+# under either convention, bit for bit, so the convention moves only the n0
+# that the sweep runs at, which the header records.
+HEADER_ONLY = {("sweep-strain", "--ep-convention"): "# flag.n0 = "}
+# the options every command takes to read and write files
+FILE_OPTIONS = {"-h", "--help", "--config", "--output", "--format"}
+
+
+def test_every_setting_has_a_reader():
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert {key.replace(".", "_", 1) for key in KEY_READERS} == fields
+    commands = next(action for action in build_parser()._actions if action.dest == "command").choices
+    options = {
+        (name, option)
+        for name, sub in commands.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option not in FILE_OPTIONS
+    }
+    assert set(FLAG_VALUES) == options
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, header",
+    [pytest.param(command, f"{key} = {value!r}\n", [], None, id=key) for key, (value, command) in KEY_READERS.items()]
+    + [
+        pytest.param(
+            command, "", [flag] + ([value] if value else []), HEADER_ONLY.get((command, flag)), id=f"{command} {flag}"
+        )
+        for (command, flag), value in FLAG_VALUES.items()
+    ],
+)
+def test_every_setting_changes_the_data_rows(run_cli, tmp_path, command, config, flags, header):
+    overlay = tmp_path / "reference.csv"
+    overlay.write_text("frequency_hz,strain\n1.0,1e-24\n")
+    conf = tmp_path / "run.conf"
+    conf.write_text(config)
+    flags = [str(overlay) if word == "FILE" else word for word in flags]
+    rows, headers = [], []
+    for extra in ([], ["--config", str(conf), *flags]):
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(command, *SMALL_RUN[command], *extra, "--format", "csv", "--output", str(out))
+        assert code == 0, err
+        lines = out.read_text().splitlines()
+        rows.append([line for line in lines if not line.startswith("#")])
+        headers.append([line for line in lines if header and line.startswith(header)])
+    if header is None:
+        assert rows[0] != rows[1]
+    else:
+        assert rows[0] == rows[1]
+        assert headers[0] != headers[1]
+
+
 # ---------------------------------------------------------------------------
 # subcommands: happy paths
 # ---------------------------------------------------------------------------
@@ -181,6 +292,39 @@ def test_sensitivity_tmax_override_scales_floor(run_cli):
     assert code == 0
     floor = _stdout_float(out, "floor h_min")
     assert floor == pytest.approx(2.4211684e-26, rel=1e-5)
+
+
+@pytest.mark.parametrize("config", ["", "sensitivity.t_max_s = 36.0\n"], ids=["default", "t_max_36"])
+def test_sensitivity_floor_is_the_config_context_floor(run_cli, tmp_path, config):
+    # sensitivity.t_max_s is the context's one integration time: the first
+    # point lies below the knee, where the floor is min_detectable_strain
+    # of cfg.context() as it stands, bit for bit
+    conf = tmp_path / "run.conf"
+    conf.write_text(config)
+    out = tmp_path / "floor.csv"
+    code, _, _ = run_cli("sensitivity", "--points", "5", "--config", str(conf), "--output", str(out))
+    assert code == 0
+    cfg = parse_config_text(config)
+    rows = [line.split(",") for line in out.read_text().splitlines() if line[:1].isdigit()]
+    assert float(rows[0][2]) == min_detectable_strain(cfg.context(), cfg.resonator(), cfg.coupling_rad_s())
+
+
+@pytest.mark.parametrize(
+    "flags, cap",
+    [
+        (["--tmax", "1e-310"], "the integration time 1e-310 s"),
+        (["--fmax", "1e308"], "f_max = 1e+308"),
+    ],
+    ids=["integration-time", "half-period"],
+)
+def test_sensitivity_overflow_names_the_cap_that_set_tau(run_cli, flags, cap):
+    # the strain floor overflows where tau is shortest, at f_max; the error
+    # blames f_max only when the half-period cap set tau there
+    code, _, err = run_cli("sensitivity", "--points", "5", *flags)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert cap in err
+    assert ("f_max" in err) == (flags[0] == "--fmax")
 
 
 def test_simulate_below_threshold_resolves_two_peaks(run_cli, tmp_path):
@@ -242,15 +386,19 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # both peaks, both linewidths and the resolution moved. It was re-recorded
 # again when the propagator took its phases from two tables (dynamics._phases):
 # only the two linewidth cells moved, by about 1e-13 relative.
+# All eight were re-recorded when the config key noise.sample_time_s, which
+# no command read, was deleted: each file lost that one header line (CSV
+# "# noise.sample_time_s = 1.0", JSON "noise.sample_time_s": 1.0,) and no
+# other byte moved.
 GOLDEN = {
-    "ep-locate": "ead27a67ccf2b1884b0d1c6c98d0340ff01edad6a1931a40785d074c1dc42f30",
-    "sweep-ncav": "fcd831485bc4f248b4481959e7098c65d68b90f301761da1ff2b9aa560f064e2",
-    "sweep-ncav-json": "cacc33ae06746ad126b27c248c9ccaca35beeb31df5400bf9d39d0afc9b09764",
-    "sweep-strain": "876803b552af82d8fcdbb171814d77c52086db1ca9d7f67babbdf9fab715a8d9",
-    "sensitivity": "92fb1128ea340d44807b8b15e5efaac209e4af81ae221be81e7c89ffcd8309bc",
-    "simulate": "1bfa647ff32615803d680591987fa28e3a60ac133898b2c28ac0b6bd01b03eda",
-    "sensitivity-overlay-json": "f98367eb5ae7d51f150ceb349ab05e841a96baec0dcea53649330619475b9b2f",
-    "sensitivity-overlay-csv": "64695e6ff422b3b885c2973488c367ed607a2cdda2a203b76498edfdf92d290f",
+    "ep-locate": "fdd4e4e67b981b5474a16760fc3c7da86b9251cfae2b1f455e1da615d7a302b3",
+    "sweep-ncav": "9bc099c8a8923426cfca1f86d06c9631e26f4e6276e01b51374ce31fe2cff223",
+    "sweep-ncav-json": "47e6adbb4914b71f24ca4dd302e6096e315da90ddd4f4cc8303c823fef7a5f21",
+    "sweep-strain": "9d7acf1f1b12b19da5bd45fdfac3c107977950682a1c256e12d46847793fc63f",
+    "sensitivity": "287dcc8329400dd7d7267196611322235e23293cf9bf7d2dcdca450c96bf8708",
+    "simulate": "4eef8b106757c3ae9bf6986117f74706d34af9fca0c02c586625cf9c88a373de",
+    "sensitivity-overlay-json": "f9bb4d871a27105d1ad9fa9c7bbb9e8841c953420fb60cd48c35e78176ecee98",
+    "sensitivity-overlay-csv": "b9873cd0a8cf659ca419c00889abfe64c034335332d05e86e38b59f4fc717f6b",
 }
 
 
@@ -513,6 +661,14 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         # a value that is not finite is named before any other fault
         ("", ["simulate", "--dt", "1e300", "--duration", "nan"], "duration = nan"),
         ("", ["sweep-ncav", "--min", "nan", "--points", "0"], "n_min = nan"),
+        # the integration-time flag, checked as the command applies it; the
+        # config key is named as a key
+        ("", ["sensitivity", "--tmax", "nan", "--points", "5"], "tmax = nan"),
+        ("", ["sensitivity", "--tmax", "-1", "--points", "5"], "tmax = -1.0"),
+        ("sensitivity.t_max_s = nan", ["sensitivity", "--points", "5"], "sensitivity.t_max_s = nan"),
+        # the strain floor does not depend on the convention, so sensitivity
+        # does not offer it rather than ignore it
+        ("", ["sensitivity", "--ep-convention", "eq8", "--points", "5"], "--ep-convention"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

@@ -33,7 +33,6 @@ LOG_RANGES = {
     "coupling.j_hz": (5.0, 8.0),
     "drive.photon_number": (9.0, 14.0),
     "noise.temperature_k": (-3.0, 3.0),
-    "noise.sample_time_s": (-3.0, 3.0),
     "sensitivity.t_max_s": (0.0, 5.0),
 }
 assert set(LOG_RANGES) == set(CONFIG_DEFAULTS)
@@ -140,7 +139,7 @@ def test_extreme_finite_config_exits_cleanly(values, command, fmt):
 FLAGS = {
     "sweep-ncav": {"--min": (1e11, "n_min"), "--max": (5e12, "n_max")},
     "sweep-strain": {"--min": (1e-26, "h_min"), "--max": (1e-20, "h_max")},
-    "sensitivity": {"--fmin": (1e-7, "f_min"), "--fmax": (1e3, "f_max"), "--tmax": (36.0, "t_max_s")},
+    "sensitivity": {"--fmin": (1e-7, "f_min"), "--fmax": (1e3, "f_max"), "--tmax": (36.0, "tmax")},
     "simulate": {
         "--strain": (1e-4, "h"),
         "--photon-number": (1e12, "photon_number"),

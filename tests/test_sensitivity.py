@@ -103,18 +103,24 @@ def test_validation_of_inputs(device_resonator):
 # ---------------------------------------------------------------------------
 
 
+# the curve integrates for at most an hour
+HOUR = dataclasses.replace(CTX, sample_time=3600.0)
+
+
 def test_curve_shape(device_resonator):
-    t_max = 3600.0
-    curve = sensitivity_curve(CTX, device_resonator, COUPLING_J, 1e-7, 1e3, 200, t_max)
+    curve = sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1e-7, 1e3, 200)
     assert len(curve.gw_frequency) == len(curve.observation_time) == len(curve.h_min) == 200
-    knee = 1.0 / (2.0 * t_max)
-    floor = curve.h_min[0]
+    knee = 1.0 / (2.0 * HOUR.sample_time)
+    # below the knee the integration time is the context's own, so the
+    # floor is min_detectable_strain of the same context, bitwise
+    floor = min_detectable_strain(HOUR, device_resonator, COUPLING_J)
     for f, tau, h_min in zip(curve.gw_frequency, curve.observation_time, curve.h_min):
         if f < knee:
-            assert h_min == floor  # flat below the knee, bitwise
-            assert tau == t_max
+            assert h_min == floor
+            assert tau == HOUR.sample_time
         else:
             assert tau == pytest.approx(0.5 / f, rel=1e-15)
+    assert curve.gw_frequency[0] < knee
     h = curve.h_min.tolist()
     assert all(b >= a for a, b in zip(h, h[1:]))
     # no jump at the knee: adjacent points never differ by more than the
@@ -124,17 +130,15 @@ def test_curve_shape(device_resonator):
 
 
 def test_curve_floor_value(device_resonator):
-    curve = sensitivity_curve(CTX, device_resonator, COUPLING_J, 1e-7, 1e3, 64, 3600.0)
+    curve = sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1e-7, 1e3, 64)
     floor = curve.h_min.min()
     assert floor == pytest.approx(2.4211684280450596e-28, rel=1e-12)
     assert floor == curve.h_min[0]
 
 
 def test_full_period_convention_halves_the_floor(device_resonator):
-    half = sensitivity_curve(CTX, device_resonator, COUPLING_J, 1.0, 1e3, 16, 3600.0)
-    full = sensitivity_curve(
-        CTX, device_resonator, COUPLING_J, 1.0, 1e3, 16, 3600.0, half_period_cap=False
-    )
+    half = sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1.0, 1e3, 16)
+    full = sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1.0, 1e3, 16, half_period_cap=False)
     assert np.array_equal(half.gw_frequency, full.gw_frequency)
     assert np.array_equal(half.h_min, 2.0 * full.h_min)
     assert np.array_equal(half.observation_time, 0.5 * full.observation_time)
@@ -142,13 +146,14 @@ def test_full_period_convention_halves_the_floor(device_resonator):
 
 def test_curve_range_errors(device_resonator):
     with pytest.raises(InvalidRangeError):
-        sensitivity_curve(CTX, device_resonator, COUPLING_J, 0.0, 1e3, 10, 3600.0)
+        sensitivity_curve(HOUR, device_resonator, COUPLING_J, 0.0, 1e3, 10)
     with pytest.raises(InvalidRangeError):
-        sensitivity_curve(CTX, device_resonator, COUPLING_J, 1e3, 1e-7, 10, 3600.0)
+        sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1e3, 1e-7, 10)
     with pytest.raises(InvalidRangeError):
-        sensitivity_curve(CTX, device_resonator, COUPLING_J, 1e-7, 1e3, 1, 3600.0)
-    with pytest.raises(InvalidRangeError):
-        sensitivity_curve(CTX, device_resonator, COUPLING_J, 1e-7, 1e3, 10, 0.0)
+        sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1e-7, 1e3, 1)
+    # the integration time is the context's, checked with the rest of it
+    with pytest.raises(NonPositiveParameterError):
+        sensitivity_curve(dataclasses.replace(CTX, sample_time=0.0), device_resonator, COUPLING_J, 1e-7, 1e3, 10)
 
 
 # ---------------------------------------------------------------------------
