@@ -33,13 +33,13 @@ from .core import (
     SensitivityContext,
     UnknownKeyError,
     ValidationError,
+    _check_nonnegative,
     _check_positive,
     balanced_system,
     drive_amplitude_from_thickness,
     require_nonnegative,
     require_positive,
     require_strain,
-    system_violations,
 )
 from .dynamics import _fft_duration, estimate_spectrum, propagate_exact
 from .sensitivity import read_overlay_csv, sensitivity_curve
@@ -138,6 +138,9 @@ _ATTR = {f.name.replace("_", ".", 1): f.name for f in dataclasses.fields(RunConf
 # Reference device, by config key.
 CONFIG_DEFAULTS: dict[str, float | None] = {key: getattr(RunConfig, attr) for key, attr in _ATTR.items()}
 
+# The keys that may be zero; every other value must be > 0.
+_MAY_BE_ZERO = {"resonator.gamma_m_hz", "coupling.j_hz", "drive.photon_number"}
+
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse config text over the defaults, validate it and return it.
@@ -147,7 +150,8 @@ def parse_config_text(text: str) -> RunConfig:
 
     Raises:
         ConfigParseError, UnknownKeyError: malformed input.
-        ValidationError: any physical field out of range or not finite.
+        ValidationError: any value out of range or not finite, named by
+            its key as written.
     """
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -168,12 +172,13 @@ def parse_config_text(text: str) -> RunConfig:
         except ValueError:
             raise ConfigParseError(line_no, f"not a number: {value!r}") from None
     cfg = RunConfig(**values)
-    violations = system_violations(cfg.system())
-    for key in ("noise.temperature_k", "sensitivity.t_max_s"):
-        where, name = key.split(".")
-        err = _check_positive(name, getattr(cfg, _ATTR[key]), where)
-        if err is not None:
-            violations.append(err)
+    violations = []
+    for key, attr in _ATTR.items():
+        value = getattr(cfg, attr)
+        if value is not None:  # an unset photon number
+            err = (_check_nonnegative if key in _MAY_BE_ZERO else _check_positive)(key, value)
+            if err is not None:
+                violations.append(err)
     if violations:
         raise ValidationError(violations)
     return cfg
@@ -200,15 +205,9 @@ def parse_config(path: str | None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _csv_code(value) -> str:
-    """%-format code of one CSV cell: strings (and bools) as str() gives
-    them, ints as digits, every other value as a float with 17 significant
-    digits."""
-    if isinstance(value, (str, bool)):
-        return "%s"
-    if isinstance(value, int):
-        return "%d"
-    return "%.16e"
+# %-format code of a CSV cell by its type; any other value is a float with
+# 17 significant digits
+_CSV_CODE = {str: "%s", bool: "%s", int: "%d"}
 
 
 def _rows(*columns) -> list[tuple]:
@@ -237,13 +236,9 @@ def render_csv(
 ) -> str:
     out = _header_lines(cfg, command, flags)
     out.append(",".join(columns))
-    formats: dict[tuple, str] = {}  # row format by the types of its cells
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(map(_csv_code, row))
-        out.append(fmt % tuple(row))
+    if rows:  # each column holds one type, so the first row formats them all
+        fmt = ",".join(_CSV_CODE.get(type(cell), "%.16e") for cell in rows[0])
+        out += [fmt % tuple(row) for row in rows]
     for name in sorted(overlays or {}):
         out.append(f"# overlay = {name}")
         out.append("frequency_hz,strain")

@@ -405,17 +405,8 @@ def system_violations(system: CoupledSystem) -> list[NonPositiveParameterError]:
 
 
 def validate_system(system: CoupledSystem) -> CoupledSystem:
-    """Return the system unchanged if every invariant holds.
-
-    Args:
-        system: The system to check.
-
-    Returns:
-        The same system, untouched, when all constraints pass.
-
-    Raises:
-        ValidationError: carrying the full violation list otherwise.
-    """
+    """Return the system unchanged if every invariant holds; otherwise
+    raise ValidationError carrying the full violation list."""
     violations = system_violations(system)
     if violations:
         raise ValidationError(violations)

@@ -190,6 +190,8 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
     a0 = np.asarray(initial, dtype=complex)
     if a0.shape != (2,):
         raise ValueError("initial must be a pair of complex amplitudes")
+    if not np.isfinite(a0).all():
+        raise InvalidRangeError(f"initial = {initial!r} is not finite")
     m = mode_matrix(system)
     n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
     center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, EpConvention.EQ7)
@@ -255,8 +257,8 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
 
     Raises:
         ValidationError: invalid system.
-        InvalidRangeError: dt or duration not finite, non-positive dt,
-            duration < dt, a grid beyond the sample-count limit, or M or
+        InvalidRangeError: initial, dt or duration not finite, non-positive
+            dt, duration < dt, a grid beyond the sample-count limit, or M or
             its eigenvalues overflow double precision.
         SamplingTooCoarseError: dt > 0.1 * 2 pi / max|Re lambda|.
         RunawayGainError: a sample overflows double precision (a mode in

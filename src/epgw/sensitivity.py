@@ -10,7 +10,10 @@ and the strain floor follows by equating it to the splitting response
 out of scope. ``SensitivityContext.sample_time`` is the one integration
 time: ``min_detectable_strain`` uses it as given, and ``sensitivity_curve``
 caps it per frequency by the signal period, evaluating its frequency grid
-as one array and returning one SensitivityCurve of arrays.
+as one array and returning one SensitivityCurve of arrays. All three
+evaluate one kernel, ``_thermal_floor``, the module's one range check: a
+noise or floor outside double precision, underflow to 0 included, raises
+InvalidRangeError naming tau and every factor of the formula.
 """
 
 from __future__ import annotations
@@ -56,17 +59,10 @@ def _validate(ctx: SensitivityContext, resonator: MechanicalResonator) -> None:
     require_positive("omega_m", resonator.omega_m)
 
 
-def _noise_denominator(ctx: SensitivityContext, resonator: MechanicalResonator, sample_time):
-    """2 pi tau m omega_m <x_c^2> Q at integration time ``sample_time`` (a
-    float or an array), unchecked: the thermal noise is sqrt(k_B T / den)."""
-    mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
-    return 2.0 * math.pi * sample_time * resonator.mass * resonator.omega_m * mean_square_drive * ctx.quality_factor
-
-
 def thermal_frequency_noise(ctx: SensitivityContext, resonator: MechanicalResonator) -> float:
     """Thermal frequency fluctuation delta_omega (rad/s) after time tau."""
     _validate(ctx, resonator)
-    return math.sqrt(K_BOLTZMANN * ctx.temperature / _noise_denominator(ctx, resonator, ctx.sample_time))
+    return math.sqrt(_thermal_floor(ctx, resonator, None, ctx.sample_time))
 
 
 def min_detectable_strain(
@@ -81,17 +77,33 @@ def min_detectable_strain(
     """
     _validate(ctx, resonator)
     require_positive("coupling_j", coupling_j)
-    return _strain_floor(ctx, resonator, coupling_j, ctx.sample_time)
+    return _thermal_floor(ctx, resonator, coupling_j, ctx.sample_time)
 
 
-def _strain_floor(
-    ctx: SensitivityContext, resonator: MechanicalResonator, coupling_j: float, sample_time: float
-) -> float:
-    """min_detectable_strain at integration time ``sample_time`` (a float or
-    an array), unchecked: k_B T / (32 den J^2) with den the noise
-    denominator, which is 64 pi tau m omega_m <x_c^2> Q J^2 term by term."""
-    den = _noise_denominator(ctx, resonator, sample_time)
-    return K_BOLTZMANN * ctx.temperature / (32.0 * den * coupling_j * coupling_j)
+def _in_range(x) -> bool:
+    """Whether x, a float or an array, lies in (0, inf) throughout."""
+    return bool(np.all((x > 0.0) & (x < math.inf))) if isinstance(x, np.ndarray) else 0.0 < x < math.inf
+
+
+def _thermal_floor(ctx: SensitivityContext, resonator: MechanicalResonator, coupling_j, tau, cap: str = ""):
+    """k_B T / den, den = 2 pi tau m omega_m <x_c^2> Q, the squared noise;
+    or, given coupling_j, the strain floor k_B T / (32 den J^2). A float tau
+    stays in Python floats, an array runs under the caller's np.errstate. A
+    divisor or result outside (0, inf) raises InvalidRangeError, prefixed
+    by ``cap``, naming the shortest tau and every factor."""
+    mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
+    den = 2.0 * math.pi * tau * resonator.mass * resonator.omega_m * mean_square_drive * ctx.quality_factor
+    divisor = den if coupling_j is None else 32.0 * den * coupling_j * coupling_j
+    if _in_range(divisor):
+        value = K_BOLTZMANN * ctx.temperature / divisor
+        if _in_range(value):
+            return value
+    what, coupling = ("thermal noise", "") if coupling_j is None else ("strain floor", f", J = {coupling_j!r} rad/s")
+    raise InvalidRangeError(
+        f"{cap}the integration time {float(np.min(tau))!r} s puts the {what} outside double precision (T ="
+        f" {ctx.temperature!r} K, m = {resonator.mass!r} kg, omega_m = {resonator.omega_m!r} rad/s, x_c ="
+        f" {ctx.drive_amplitude!r} m, Q = {ctx.quality_factor!r}{coupling})"
+    )
 
 
 def sensitivity_curve(
@@ -118,20 +130,16 @@ def sensitivity_curve(
     Raises:
         NonPositiveParameterError: invalid context, resonator or coupling.
         InvalidRangeError: unusable frequency range (see core.sweep_grid),
-            or an integration time so short at f_max that the strain floor
-            overflows; the message names the cap that set it.
+            or a strain floor outside (0, inf); f_max is named when the
+            floor at ctx.sample_time is in range, so its cap set the tau.
     """
     _validate(ctx, resonator)
     require_positive("coupling_j", coupling_j)
     grid = sweep_grid("f", f_min, f_max, points, log=True)
-    period_fraction = 0.5 if half_period_cap else 1.0
-    tau = np.minimum(ctx.sample_time, period_fraction / grid)
+    _thermal_floor(ctx, resonator, coupling_j, ctx.sample_time)
     with np.errstate(all="ignore"):
-        h_min = _strain_floor(ctx, resonator, coupling_j, tau)
-    if not np.isfinite(h_min).all():
-        shortest = float(tau[-1])
-        cap = "" if shortest == ctx.sample_time else f"f_max = {f_max!r}: "
-        raise InvalidRangeError(f"{cap}the integration time {shortest!r} s is too short for a finite strain floor")
+        tau = np.minimum(ctx.sample_time, (0.5 if half_period_cap else 1.0) / grid)
+        h_min = _thermal_floor(ctx, resonator, coupling_j, tau, cap=f"f_max = {f_max!r}: ")
     return SensitivityCurve(grid, tau, h_min)
 
 

@@ -101,6 +101,21 @@ def test_validation_rejects_nonpositive_fields():
         parse_config_text("coupling.j_hz = -1e7\n")
 
 
+@pytest.mark.parametrize("key", sorted(CONFIG_DEFAULTS))
+def test_each_config_value_is_checked_once_under_its_key(key):
+    # zero is valid only where the model allows it; a bad value is named by
+    # its key as written, once, not by the fields derived from it
+    may_be_zero = key in ("resonator.gamma_m_hz", "coupling.j_hz", "drive.photon_number")
+    for value in (0.0, -1.0, math.nan):
+        text = f"{key} = {value!r}\n"
+        if value == 0.0 and may_be_zero:
+            assert parse_config_text(text) is not None
+            continue
+        with pytest.raises(ValidationError) as info:
+            parse_config_text(text)
+        assert str(info.value).startswith(f"1 invalid parameter(s): {key} = {value!r} ")
+
+
 def test_zero_coupling_survives_config_validation():
     cfg = parse_config_text("coupling.j_hz = 0\n")
     assert cfg.coupling_j_hz == 0.0
@@ -617,8 +632,9 @@ def test_io_errors_exit_3(run_cli, tmp_path):
     "config, argv, named",
     [
         ("resonator.gamma_m_hz = nan", ["ep-locate"], "gamma_m"),
-        ("coupling.j_hz = inf", ["ep-locate"], "coupling_j"),
-        ("drive.photon_number = nan", ["simulate"], "n_cav"),
+        # a config value is named by its key, as written
+        ("coupling.j_hz = inf", ["ep-locate"], "coupling.j_hz = inf"),
+        ("drive.photon_number = nan", ["simulate"], "drive.photon_number = nan"),
         ("", ["sweep-ncav", "--max", "inf", "--points", "5"], "n_max"),
         ("", ["sensitivity", "--fmax", "inf", "--points", "5"], "f_max"),
         ("", ["simulate", "--strain", "0.5"], "strain"),
@@ -669,6 +685,11 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         # the strain floor does not depend on the convention, so sensitivity
         # does not offer it rather than ignore it
         ("", ["sensitivity", "--ep-convention", "eq8", "--points", "5"], "--ep-convention"),
+        # a strain floor outside double precision, underflow to 0 included,
+        # names the factors; f_max only when the cap set the tau that failed
+        ("noise.temperature_k = 1e-300", ["sensitivity", "--points", "5"], "T = 1e-300 K"),
+        ("resonator.mass_kg = 1e300", ["sensitivity", "--points", "5"], "m = 1e+300 kg"),
+        ("resonator.mass_kg = 1e-320", ["sensitivity", "--points", "5"], "m = 1e-320 kg"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

@@ -6,6 +6,7 @@ short time grid), so one example costs milliseconds.
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -121,15 +122,28 @@ def test_any_non_finite_value_exits_1(values, key, bad, command):
     assert text is None
 
 
+def _h_min(text, fmt):
+    """The h_min column of a sensitivity output file."""
+    if fmt == "json":
+        return [row[2] for row in json.loads(text)["rows"]]
+    return [float(line.split(",")[2]) for line in text.splitlines() if line[:1].isdigit()]
+
+
 @settings(max_examples=100)
 @given(values=extreme_configs(), command=st.sampled_from(COMMANDS), fmt=st.sampled_from(["csv", "json"]))
+# the strain floor rounds to 0: k_B T underflows, or the divisor overflows
+@example(values={"noise.temperature_k": 1e-300}, command="sensitivity", fmt="csv")
+@example(values={"resonator.mass_kg": 1e300}, command="sensitivity", fmt="json")
 def test_extreme_finite_config_exits_cleanly(values, command, fmt):
     # out-of-range results of valid inputs are errors with one message,
-    # never a traceback, and a written file holds no inf or nan
+    # never a traceback, and a written file holds no inf or nan, nor a
+    # strain floor of 0
     code, text, err = _run(command, values, fmt)
     assert code in (0, 1, 2)
     if code == 0:
         assert text is not None and not NON_FINITE.search(text)
+        if command == "sensitivity":
+            assert all(h > 0.0 for h in _h_min(text, fmt))
     else:
         assert err.startswith("error:") and err.count("\n") == 1
 

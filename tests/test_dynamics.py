@@ -329,6 +329,14 @@ def test_initial_state_must_be_a_pair(device):
         propagate_exact(device, (1.0, 0.0, 0.0), 1e-8, 1e-10)
 
 
+@pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])
+@pytest.mark.parametrize("initial", [(math.nan, 0.0), (1.0, complex(0.0, math.inf))])
+def test_initial_amplitude_that_is_not_finite_is_an_input_error(device, propagate, initial):
+    # a bad input, named as one, not a runaway gain at t = 0
+    with pytest.raises(InvalidRangeError, match="initial"):
+        propagate(device, initial, 1e-8, 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # Runge-Kutta cross-check
 # ---------------------------------------------------------------------------

@@ -98,6 +98,36 @@ def test_validation_of_inputs(device_resonator):
         min_detectable_strain(CTX, device_resonator, 0.0)
 
 
+@pytest.mark.parametrize(
+    "change, factor",
+    [({"sample_time": 1e-310}, "the integration time 1e-310 s"), ({"temperature": 1e-300}, "T = 1e-300 K")],
+    ids=["subnormal_tau", "tiny_temperature"],
+)
+def test_strain_floor_outside_double_precision_raises(device_resonator, change, factor):
+    # valid inputs whose divisor (tau) or result (k_B T) underflows to 0: an
+    # InvalidRangeError naming every factor, never a ZeroDivisionError or 0
+    with pytest.raises(InvalidRangeError, match="strain floor") as info:
+        min_detectable_strain(dataclasses.replace(CTX, **change), device_resonator, COUPLING_J)
+    message = str(info.value)
+    assert factor in message and "m = 5.3e-15 kg" in message and "J = " in message
+
+
+def test_thermal_noise_outside_double_precision_raises(device_resonator):
+    # the divisor underflows to 0 at a subnormal tau, and k_B T / den at
+    # 1e-300 K on a 1 kg resonator over an hour. On the picogram device the
+    # squared noise at 1e-300 K is subnormal but not 0, so it is in range.
+    for ctx, res in (
+        (dataclasses.replace(CTX, sample_time=1e-310), device_resonator),
+        (
+            dataclasses.replace(CTX, temperature=1e-300, sample_time=3600.0),
+            dataclasses.replace(device_resonator, mass=1.0),
+        ),
+    ):
+        with pytest.raises(InvalidRangeError, match="thermal noise") as info:
+            thermal_frequency_noise(ctx, res)
+        assert f"m = {res.mass!r} kg" in str(info.value) and "J = " not in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # sensitivity curve
 # ---------------------------------------------------------------------------
@@ -142,6 +172,13 @@ def test_full_period_convention_halves_the_floor(device_resonator):
     assert np.array_equal(half.gw_frequency, full.gw_frequency)
     assert np.array_equal(half.h_min, 2.0 * full.h_min)
     assert np.array_equal(half.observation_time, 0.5 * full.observation_time)
+
+
+def test_curve_from_a_subnormal_frequency(device_resonator):
+    # 0.5 / f overflows to inf at f = 1e-310, so the cap is ctx.sample_time;
+    # no warning escapes (tier 1 turns one into a failure)
+    curve = sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1e-310, 1e3, 5)
+    assert curve.observation_time[0] == HOUR.sample_time
 
 
 def test_curve_range_errors(device_resonator):

@@ -40,7 +40,7 @@ from epgw import (  # noqa: E402
     vacuum_coupling,
     zero_point_fluctuation,
 )
-from epgw.sensitivity import _strain_floor  # noqa: E402
+from epgw.sensitivity import _thermal_floor as _strain_floor  # noqa: E402
 from epgw.spectral import _POLISH_STEPS, _arms, _complex, _continuity_swaps, _polish_photon_number, _root  # noqa: E402
 
 
