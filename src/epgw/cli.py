@@ -6,9 +6,10 @@ are plain Hz; conversion to the library's internal rad/s happens here.
 Unset keys fall back to the reference device defaults, so every
 subcommand runs with zero configuration.
 
-Output files are byte-deterministic: fixed column schemas, 17 significant
-digits, and a ``# key = value`` comment header capturing the fully
-resolved config and flags, sufficient to reproduce the run.
+Output files are byte-deterministic: fixed column schemas and the fully
+resolved config and flags, sufficient to reproduce the run. CSV writes
+floats with 17 significant digits under a ``# key = value`` comment
+header; JSON writes one line, keys sorted, floats as ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def parse_config_text(text: str) -> RunConfig:
     """Parse config text over the defaults, validate it and return it.
 
     Later lines win over earlier ones. Every value must be finite and
-    within its range; ``coupling.j_hz = 0`` is valid (decoupled modes).
+    within its range, and so must 2 pi times each ``_hz`` value;
+    ``coupling.j_hz = 0`` is valid (decoupled modes).
 
     Raises:
         ConfigParseError, UnknownKeyError: malformed input.
@@ -177,6 +179,8 @@ def parse_config_text(text: str) -> RunConfig:
         value = getattr(cfg, attr)
         if value is not None:  # an unset photon number
             err = (_check_nonnegative if key in _MAY_BE_ZERO else _check_positive)(key, value)
+            if err is None and key.endswith("_hz") and not math.isfinite(TWO_PI * value):
+                err = InvalidRangeError(f"{key} = {value!r} overflows double precision in rad/s")
             if err is not None:
                 violations.append(err)
     if violations:
@@ -246,33 +250,6 @@ def render_csv(
     return "\n".join(out) + "\n"
 
 
-def _json_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
-
-
-_JSON_CELL = {float: _json_float, int: int.__repr__, str: json.encoder.encode_basestring_ascii}
-
-
-def _json_cell(value) -> str:
-    encode = _JSON_CELL.get(type(value))
-    return encode(value) if encode else json.dumps(value, allow_nan=False)
-
-
-def _json_table(table, level: int) -> str:
-    """json.dumps(table, indent=2) for a list of rows, at nesting ``level``."""
-    if not table:
-        return "[]"
-    outer = "\n" + "  " * (level + 1)
-    inner = outer + "  "
-    rows = [
-        "[" + inner + ("," + inner).join(map(_json_cell, row)) + outer + "]" if row else "[]"
-        for row in table
-    ]
-    return "[" + outer + ("," + outer).join(rows) + "\n" + "  " * level + "]"
-
-
 def render_json(
     cfg: RunConfig,
     command: str,
@@ -281,23 +258,18 @@ def render_json(
     rows: list[list],
     overlays: dict[str, list[tuple[float, float]]] | None = None,
 ) -> str:
-    """The payload as json.dumps(sort_keys=True, indent=2, allow_nan=False)
-    writes it. Only the small fields go through json.dumps; the row and
-    overlay tables, the last keys in sorted order, are written directly."""
-    head = {
+    """The payload as one line of compact JSON, keys sorted, floats as
+    float.__repr__; a NaN or inf cell raises ValueError."""
+    payload = {
         "command": command,
         "config": {key: getattr(cfg, attr) for key, attr in _ATTR.items()},
         "flags": flags,
         "columns": columns,
+        "rows": rows,
     }
-    out = [json.dumps(head, sort_keys=True, indent=2, allow_nan=False)[: -len("\n}")]]
     if overlays:
-        tables = ",\n    ".join(
-            f"{json.dumps(name)}: {_json_table(overlays[name], 2)}" for name in sorted(overlays)
-        )
-        out.append(',\n  "overlays": {\n    ' + tables + "\n  }")
-    out.append(',\n  "rows": ' + _json_table(rows, 1) + "\n}\n")
-    return "".join(out)
+        payload["overlays"] = overlays
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(args, cfg, command, flags, columns, rows, overlays=None, default_format="csv"):

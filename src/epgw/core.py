@@ -73,7 +73,7 @@ class ValidationError(EpgwError):
     Carries the full list of violations, not just the first one found.
     """
 
-    def __init__(self, violations: list[NonPositiveParameterError]):
+    def __init__(self, violations: list[EpgwError]):
         self.violations = violations
         lines = "; ".join(str(v) for v in violations)
         super().__init__(f"{len(violations)} invalid parameter(s): {lines}")

@@ -12,14 +12,15 @@ time: ``min_detectable_strain`` uses it as given, and ``sensitivity_curve``
 caps it per frequency by the signal period, evaluating its frequency grid
 as one array and returning one SensitivityCurve of arrays. All three
 evaluate one kernel, ``_thermal_floor``, the module's one range check: a
-noise or floor outside double precision, underflow to 0 included, raises
-InvalidRangeError naming tau and every factor of the formula.
+noise or floor that is not a normal positive double (0 and subnormals
+fail) raises InvalidRangeError naming tau and every factor of the formula.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,21 +82,24 @@ def min_detectable_strain(
 
 
 def _in_range(x) -> bool:
-    """Whether x, a float or an array, lies in (0, inf) throughout."""
-    return bool(np.all((x > 0.0) & (x < math.inf))) if isinstance(x, np.ndarray) else 0.0 < x < math.inf
+    """Whether x, a float or an array, lies in [sys.float_info.min, inf)
+    throughout: a normal positive double."""
+    lo = sys.float_info.min
+    return bool(np.all((x >= lo) & (x < math.inf))) if isinstance(x, np.ndarray) else lo <= x < math.inf
 
 
 def _thermal_floor(ctx: SensitivityContext, resonator: MechanicalResonator, coupling_j, tau, cap: str = ""):
     """k_B T / den, den = 2 pi tau m omega_m <x_c^2> Q, the squared noise;
     or, given coupling_j, the strain floor k_B T / (32 den J^2). A float tau
     stays in Python floats, an array runs under the caller's np.errstate. A
-    divisor or result outside (0, inf) raises InvalidRangeError, prefixed
-    by ``cap``, naming the shortest tau and every factor."""
+    k_B T, divisor or result outside _in_range raises InvalidRangeError,
+    prefixed by ``cap``, naming the shortest tau and every factor."""
     mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
     den = 2.0 * math.pi * tau * resonator.mass * resonator.omega_m * mean_square_drive * ctx.quality_factor
     divisor = den if coupling_j is None else 32.0 * den * coupling_j * coupling_j
-    if _in_range(divisor):
-        value = K_BOLTZMANN * ctx.temperature / divisor
+    thermal = K_BOLTZMANN * ctx.temperature
+    if _in_range(thermal) and _in_range(divisor):
+        value = thermal / divisor
         if _in_range(value):
             return value
     what, coupling = ("thermal noise", "") if coupling_j is None else ("strain floor", f", J = {coupling_j!r} rad/s")
@@ -130,7 +134,7 @@ def sensitivity_curve(
     Raises:
         NonPositiveParameterError: invalid context, resonator or coupling.
         InvalidRangeError: unusable frequency range (see core.sweep_grid),
-            or a strain floor outside (0, inf); f_max is named when the
+            or a strain floor outside _in_range; f_max is named when the
             floor at ctx.sample_time is in range, so its cap set the tau.
     """
     _validate(ctx, resonator)

@@ -116,6 +116,28 @@ def test_each_config_value_is_checked_once_under_its_key(key):
         assert str(info.value).startswith(f"1 invalid parameter(s): {key} = {value!r} ")
 
 
+@pytest.mark.parametrize(
+    "key, command",
+    [
+        ("resonator.frequency_hz", "ep-locate"),
+        ("resonator.gamma_m_hz", "ep-locate"),
+        ("cavity.decay_rate_hz", "ep-locate"),
+        ("coupling.j_hz", "ep-locate"),
+        ("coupling.j_hz", "sensitivity"),
+    ],
+)
+def test_hz_value_whose_rad_s_overflows_is_named_by_its_key(run_cli, tmp_path, key, command):
+    # 1e308 Hz is finite but 2 pi times it is not: the error names the key
+    # as written, once, and none of the rad/s fields derived from it
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = 1e308\n")
+    out = tmp_path / "out.dat"
+    code, _, err = run_cli(command, "--config", str(conf), "--output", str(out))
+    assert code == 1 and not out.exists()
+    assert err.startswith("error: 1 invalid parameter(s): ") and err.count(f"{key} = 1e+308") == 1
+    assert [name for name in ("omega_m", "detuning", "kappa", "gamma_m", "coupling_j") if f"{name} =" in err] == []
+
+
 def test_zero_coupling_survives_config_validation():
     cfg = parse_config_text("coupling.j_hz = 0\n")
     assert cfg.coupling_j_hz == 0.0
@@ -405,15 +427,23 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # no command read, was deleted: each file lost that one header line (CSV
 # "# noise.sample_time_s = 1.0", JSON "noise.sample_time_s": 1.0,) and no
 # other byte moved.
+# The three JSON digests were re-recorded when render_json became one
+# json.dumps call, compact instead of indent 2. Only whitespace moved:
+# JSON_VALUE keeps their old digests, of the value re-serialized at indent 2.
 GOLDEN = {
-    "ep-locate": "fdd4e4e67b981b5474a16760fc3c7da86b9251cfae2b1f455e1da615d7a302b3",
+    "ep-locate": "4cb83d570490eea219d1d20fb0fe50c99e0739cac9cd54cdfb2f3a9912fbe771",
     "sweep-ncav": "9bc099c8a8923426cfca1f86d06c9631e26f4e6276e01b51374ce31fe2cff223",
-    "sweep-ncav-json": "47e6adbb4914b71f24ca4dd302e6096e315da90ddd4f4cc8303c823fef7a5f21",
+    "sweep-ncav-json": "7b48b5644e5b8a02ae5b8d023041891c8864e381aa02efd9e213c5cfdc1617bf",
     "sweep-strain": "9d7acf1f1b12b19da5bd45fdfac3c107977950682a1c256e12d46847793fc63f",
     "sensitivity": "287dcc8329400dd7d7267196611322235e23293cf9bf7d2dcdca450c96bf8708",
     "simulate": "4eef8b106757c3ae9bf6986117f74706d34af9fca0c02c586625cf9c88a373de",
-    "sensitivity-overlay-json": "f9bb4d871a27105d1ad9fa9c7bbb9e8841c953420fb60cd48c35e78176ecee98",
+    "sensitivity-overlay-json": "05bb0d31b7d91c307b67f403305dafb8b29042597576f80b28af50a2fe65494d",
     "sensitivity-overlay-csv": "b9873cd0a8cf659ca419c00889abfe64c034335332d05e86e38b59f4fc717f6b",
+}
+JSON_VALUE = {
+    "ep-locate": "fdd4e4e67b981b5474a16760fc3c7da86b9251cfae2b1f455e1da615d7a302b3",
+    "sweep-ncav-json": "47e6adbb4914b71f24ca4dd302e6096e315da90ddd4f4cc8303c823fef7a5f21",
+    "sensitivity-overlay-json": "f9bb4d871a27105d1ad9fa9c7bbb9e8841c953420fb60cd48c35e78176ecee98",
 }
 
 
@@ -438,6 +468,12 @@ def test_output_bytes_match_golden_digest(run_cli, tmp_path, name, argv):
     out = tmp_path / f"{name}.out"
     assert run_cli(*argv, "--output", str(out))[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+    if name in JSON_VALUE:
+        text = out.read_text()
+        value = json.loads(text)
+        assert text == json.dumps(value, sort_keys=True) + "\n"
+        pretty = json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(pretty.encode()).hexdigest() == JSON_VALUE[name]
 
 
 def test_csv_schema(run_cli, tmp_path):
@@ -690,6 +726,8 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("noise.temperature_k = 1e-300", ["sensitivity", "--points", "5"], "T = 1e-300 K"),
         ("resonator.mass_kg = 1e300", ["sensitivity", "--points", "5"], "m = 1e+300 kg"),
         ("resonator.mass_kg = 1e-320", ["sensitivity", "--points", "5"], "m = 1e-320 kg"),
+        # k_B T is subnormal, so the floor would carry about 11 significant bits
+        ("noise.temperature_k = 1e-290", ["sensitivity", "--points", "3"], "T = 1e-290 K"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

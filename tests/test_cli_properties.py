@@ -17,8 +17,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from epgw import EpgwError  # noqa: E402
-from epgw.cli import CONFIG_DEFAULTS, main, parse_config_text  # noqa: E402
+from epgw import EpgwError, Phase  # noqa: E402
+from epgw.cli import CONFIG_DEFAULTS, RunConfig, main, parse_config_text, render_json  # noqa: E402
 
 # log10 range of each config value, around the reference device. A key
 # left out of an example keeps its default (zero for gamma_m, unset for
@@ -217,3 +217,34 @@ def test_every_numeric_flag_exits_cleanly(command, data, fmt):
         if len(non_finite) == 1 and all(drawn[flag] == FLAGS[command][flag][0] for flag in others):
             (flag,) = non_finite
             assert re.search(rf"\b{FLAGS[command][flag][1]} = {re.escape(repr(drawn[flag]))}", err), err
+
+
+# A table cell as the commands write it: any finite float64 (+-0,
+# subnormals and +-1.8e308 included), an int, or a phase name.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CELLS = st.one_of(FINITE, st.integers(), st.sampled_from([phase.value for phase in Phase]))
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _reprs(table):
+    return [[repr(cell) for cell in row] for row in table]
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.lists(st.lists(CELLS, max_size=6), max_size=6),
+    overlay=st.lists(st.tuples(FINITE, FINITE), max_size=4),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    at=st.integers(min_value=0, max_value=6),
+)
+@example(rows=[EDGE_FLOATS, [0, -1, "exceptional_point"]], overlay=[(5e-324, -0.0)], bad=math.nan, at=1)
+def test_json_cells_round_trip_exactly(rows, overlay, bad, at):
+    # json.loads gives back every cell with the same repr, and a row holding
+    # NaN or +-inf is refused rather than written
+    overlays = {"reference.csv": overlay} if overlay else None
+    payload = json.loads(render_json(RunConfig(), "sensitivity", {"points": 3}, ["a"], rows, overlays))
+    assert _reprs(payload["rows"]) == _reprs(rows)
+    assert _reprs(payload.get("overlays", {}).get("reference.csv", [])) == _reprs(overlay)
+    poisoned = rows[:at] + [[1.0, bad, "broken"]] + rows[at:]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_json(RunConfig(), "sensitivity", {"points": 3}, ["a"], poisoned, overlays)

@@ -114,14 +114,16 @@ def test_strain_floor_outside_double_precision_raises(device_resonator, change, 
 
 def test_thermal_noise_outside_double_precision_raises(device_resonator):
     # the divisor underflows to 0 at a subnormal tau, and k_B T / den at
-    # 1e-300 K on a 1 kg resonator over an hour. On the picogram device the
-    # squared noise at 1e-300 K is subnormal but not 0, so it is in range.
+    # 1e-300 K on a 1 kg resonator over an hour. On the picogram device
+    # k_B T at 1e-300 K is the subnormal 1.5e-323 (the exact value is
+    # 1.38e-323), and the noise computed from it would be 3.3e-157.
     for ctx, res in (
         (dataclasses.replace(CTX, sample_time=1e-310), device_resonator),
         (
             dataclasses.replace(CTX, temperature=1e-300, sample_time=3600.0),
             dataclasses.replace(device_resonator, mass=1.0),
         ),
+        (dataclasses.replace(CTX, temperature=1e-300, sample_time=3600.0), device_resonator),
     ):
         with pytest.raises(InvalidRangeError, match="thermal noise") as info:
             thermal_frequency_noise(ctx, res)
