@@ -42,7 +42,7 @@ from .core import (
     require_positive,
     require_strain,
 )
-from .dynamics import _fft_duration, estimate_spectrum, propagate_exact
+from .dynamics import estimate_spectrum, propagate_exact
 from .sensitivity import read_overlay_csv, sensitivity_curve
 from .spectral import (
     EpConvention,
@@ -405,9 +405,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     """Propagate the strained pair and read its peaks off the spectrum.
 
     The step defaults to a tenth of the fastest period. The duration
-    defaults to 100 beat periods of the predicted splitting, extended to a
-    5-smooth sample count (dynamics._fft_duration), so the readout's DFT
-    runs on fast radix passes; an explicit --duration is used as given.
+    defaults to 100 beat periods of the predicted splitting, unrounded; an
+    explicit --duration is used as given. Either way the readout pads its
+    DFT to the next 5-smooth length m (dynamics._fft_length), so the
+    resolution is 2 pi / (m dt). The run holds about 32 bytes per sample
+    for the trajectory, and the padded readout besides.
     """
     convention = EpConvention(args.ep_convention)
     h = args.strain
@@ -443,7 +445,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             raise InvalidRangeError(
                 "frequency splitting is zero (at or beyond the EP); give --duration explicitly"
             )
-        duration = _fft_duration(100.0 * TWO_PI / split, dt)
+        duration = 100.0 * TWO_PI / split
 
     trajectory = propagate_exact(strained, (1.0 + 0.0j, 0.0j), duration, dt)
     estimate = estimate_spectrum(trajectory)

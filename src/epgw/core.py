@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -328,9 +329,10 @@ def require_nonnegative(name: str, value: float, where: str | None = None) -> No
 
 def require_strain(strain: float) -> None:
     """Raise InvalidRangeError unless the strain is finite with |h| < 1/2,
-    below which the strained vacuum coupling g0 (1 - 2h) keeps its sign."""
-    if not abs(strain) < 0.5:
-        raise InvalidRangeError(f"strain h = {strain!r}; need a finite |h| < 1/2")
+    below which the strained vacuum coupling g0 (1 - 2h) keeps its sign, and
+    0 or normal: a subnormal h has too few bits for the sqrt(h) splitting."""
+    if not abs(strain) < 0.5 or 0.0 < abs(strain) < sys.float_info.min:
+        raise InvalidRangeError(f"strain h = {strain!r}; need h = 0 or a normal double with |h| < 1/2")
 
 
 # A sweep holds about 1 KB per point, so the largest grid stays near 1 GB.

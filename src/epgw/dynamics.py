@@ -8,9 +8,9 @@ Tang, ACM TOMS 15, 144 (1989)) whose block length is a power of two, so
 that the block span is exact. The RK4 cross-check steps by its one-step
 matrix. A trajectory is n samples dt apart from t = 0; it keeps dt and the
 samples, and derives its times. A windowed-DFT peak estimator recovers
-supermode frequencies from trajectories; ``_fft_duration`` extends a
-duration to a sample count of only the factors 2, 3 and 5, on which the
-DFT runs its fast radix passes.
+supermode frequencies from trajectories, zero-padded to the next length
+with only the factors 2, 3 and 5 (``_fft_length``), on which the DFT runs
+its fast radix passes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ _SECOND_PEAK_FRACTION = 0.05
 
 _MAX_SAMPLES = 1 << 24
 
-_PHASE_BLOCK = 1 << 10  # samples per block of the phase tables (see _phases)
+_PHASE_BLOCK = 1 << 10  # samples per block of the phase tables (see _phase_chunks)
+_CHUNK_BLOCKS = 16  # blocks per chunk of phases (512 KB for two rates) and of the readout's window
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +85,7 @@ class SpectralEstimate:
         peak_frequencies: Angular peak frequencies (rad/s), at most two,
             sorted descending by spectral magnitude.
         peak_linewidths: Lorentzian-matched full widths (rad/s), same order.
-        resolution: Bin spacing 2*pi/(N*dt) (rad/s).
+        resolution: Bin spacing 2*pi/(m*dt) (rad/s), m = _fft_length(N).
     """
 
     peak_frequencies: list[float]
@@ -137,25 +138,12 @@ def _sample_count(duration: float, dt: float) -> int:
     return int(steps) + 1
 
 
-def _fft_duration(duration: float, dt: float) -> float:
-    """``duration``, extended so that its sample count is 5-smooth.
-
-    With n = _sample_count(duration, dt) and m the smallest 2^a 3^b 5^c >=
-    n, this is ``duration`` itself when m = n and (m - 1) * dt otherwise,
-    which spans exactly m samples: fl((m - 1) dt) / dt lies within one ulp
-    of m - 1 < 2^24, and the 1e-9 that _sample_count adds lifts it to
-    m - 1 at least. The count grows with the duration, so the result is
-    never shorter than ``duration``, and m never passes the cap
-    _MAX_SAMPLES = 2^24, itself 5-smooth. A duration below dt is returned
-    as it is, for the propagator to refuse with its sampling guard first.
-
-    Raises:
-        InvalidRangeError: dt or duration not finite, non-positive dt, or
-            more samples than the cap.
-    """
-    n = _sample_count(max(duration, dt), dt)
+def _fft_length(n: int) -> int:
+    """The smallest m = 2^a 3^b 5^c >= n, on which the DFT runs fast radix
+    passes. The cap _MAX_SAMPLES = 2^24 is itself 5-smooth, so m never
+    passes it for a count within the cap."""
     # the next power of two; then, for each odd 3^b 5^c below the best
-    # count so far, its least multiple 2^a 3^b 5^c >= n
+    # length so far, its least multiple 2^a 3^b 5^c >= n
     m = 1 << (n - 1).bit_length()
     power_3 = 1
     while power_3 < m:
@@ -164,7 +152,7 @@ def _fft_duration(duration: float, dt: float) -> float:
             m = min(m, odd << (-(-n // odd) - 1).bit_length())
             odd *= 5
         power_3 *= 3
-    return duration if m == n else (m - 1) * dt
+    return m
 
 
 def _check_sampling(center: complex, root: complex, dt: float) -> None:
@@ -206,8 +194,9 @@ def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
     """The trajectory of the samples dt apart, checked: a sample that is not
     finite (a mode in runaway gain overflows) raises RunawayGainError
     naming the time k * dt of the first one."""
-    finite = np.isfinite(a1) & np.isfinite(a2)
-    if not finite.all():
+    with np.errstate(all="ignore"):  # a sum is finite only if every sample is; else they are scanned
+        finite = np.isfinite(a1.sum() + a2.sum()) or np.isfinite(a1) & np.isfinite(a2)
+    if not np.all(finite):
         first = int(np.argmin(finite))
         raise RunawayGainError(
             f"the trajectory overflows double precision at t = {first * dt:.6e} s"
@@ -216,8 +205,9 @@ def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
     return Trajectory(dt=dt, a1=a1, a2=a2)
 
 
-def _phases(rates, n: int, dt: float) -> np.ndarray:
-    """e^{-i rate k dt} for k < n, one row per rate: a (len(rates), n) array.
+def _phase_chunks(rates, n: int, dt: float):
+    """e^{-i rate k dt} for k < n rounded up to whole blocks, one row per
+    rate, as (span of k, phases) chunks: views of one reused buffer.
 
     With B = _PHASE_BLOCK and k = q B + r, the phase is the product
     e^{-i rate q (B dt)} e^{-i rate r dt} of two table entries. A block start
@@ -226,7 +216,11 @@ def _phases(rates, n: int, dt: float) -> np.ndarray:
     minus_i_rates = -1j * np.asarray(rates, dtype=complex)[:, None]
     hi = np.exp(minus_i_rates * (np.arange(-(-n // _PHASE_BLOCK)) * (_PHASE_BLOCK * dt)))
     lo = np.exp(minus_i_rates * (np.arange(_PHASE_BLOCK) * dt))
-    return (hi[:, :, None] * lo[:, None, :]).reshape(len(minus_i_rates), -1)[:, :n]
+    buf = np.empty((len(hi), min(_CHUNK_BLOCKS, hi.shape[1]), _PHASE_BLOCK), dtype=complex)
+    for q in range(0, hi.shape[1], _CHUNK_BLOCKS):
+        c = min(_CHUNK_BLOCKS, hi.shape[1] - q)
+        np.multiply(hi[:, q : q + c, None], lo[:, None, :], out=buf[:, :c])
+        yield slice(q * _PHASE_BLOCK, (q + c) * _PHASE_BLOCK), buf[:, :c].reshape(len(hi), -1)
 
 
 def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
@@ -245,9 +239,10 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
 
     The phases e^{-i lambda k dt} are products of two tables, of about N / B
     and B exponentials with B = _PHASE_BLOCK a power of two, so that the
-    block span B dt is exact (_phases; Tang, ACM TOMS 15, 144 (1989)). At the
-    EP cos(s t) and sin(s t) / s stay direct: built from e^{+-i s t} they
-    would cancel for small s t.
+    block span B dt is exact (_phase_chunks; Tang, ACM TOMS 15, 144 (1989)).
+    At the EP cos(s t) and sin(s t) / s stay direct: built from e^{+-i s t}
+    they would cancel for small s t. One (2, N) array, filled a chunk at a
+    time, is the only array of N samples made.
 
     Args:
         system: The coupled system.
@@ -265,17 +260,20 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
             runaway gain), named by the time of the first one.
     """
     a0, m, (center, disc, root), n = _prepare(system, initial, duration, dt)
+    amplitudes = np.empty((2, -(-n // _PHASE_BLOCK) * _PHASE_BLOCK), dtype=complex)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
         drift = (m - center * np.eye(2)) @ a0
-        if _at_ep(abs(disc), system.coupling_j):
-            times = np.arange(n) * dt
-            cos_st = np.cos(root * times)
-            sin_st_over_s = times if root == 0 else np.sin(root * times) / root
-            amplitudes = _phases([center], n, dt) * (cos_st * a0[:, None] - 1j * sin_st_over_s * drift[:, None])
-        else:
-            modes = 0.5 * (a0[:, None] + np.outer(drift / root, [1, -1]))
-            amplitudes = modes @ _phases([center + root, center - root], n, dt)
-    return _finite_trajectory(dt, amplitudes[0], amplitudes[1])
+        at_ep = _at_ep(abs(disc), system.coupling_j)
+        modes = None if at_ep else 0.5 * (a0[:, None] + np.outer(drift / root, [1, -1]))
+        for span, phases in _phase_chunks([center] if at_ep else [center + root, center - root], n, dt):
+            if at_ep:
+                times = np.arange(span.start, span.stop) * dt
+                cos_st = np.cos(root * times)
+                sin_st_over_s = times if root == 0 else np.sin(root * times) / root
+                amplitudes[:, span] = phases * (cos_st * a0[:, None] - 1j * sin_st_over_s * drift[:, None])
+            else:
+                np.matmul(modes, phases, out=amplitudes[:, span])
+    return _finite_trajectory(dt, amplitudes[0, :n], amplitudes[1, :n])
 
 
 def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
@@ -336,9 +334,11 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     parabola curvature to a Lorentzian: full width 2 dOmega / sqrt(-c)
     for log-magnitude curvature c per bin^2.
 
-    The DFT's cost rests on the factors of the sample count: on 2^a 3^b 5^c
-    it runs fast radix passes, while a large prime factor takes a slow
-    generic pass (see _fft_duration).
+    A large prime factor of the DFT length takes a slow generic pass, so
+    the windowed n samples are zero-padded to m = _fft_length(n), sampling
+    the same windowed spectrum on m bins (Harris, Proc. IEEE 66, 51 (1978));
+    the resolution is 2 pi / (m dt). Windowed by chunks and transformed in
+    place, the padded DFT and its magnitude are its only arrays of m.
 
     Raises:
         TooFewSamplesError: fewer than 1024 samples.
@@ -346,10 +346,19 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     n = len(trajectory)
     if n < 1024:
         raise TooFewSamplesError(f"{n} samples; need at least 1024 for a spectral estimate")
-    mag = np.fft.fftshift(np.abs(np.fft.fft(trajectory.a1 * np.hanning(n))))
-    df = 1.0 / (n * trajectory.dt)
+    m = _fft_length(n)
+    spectrum = np.zeros(m, dtype=complex)
+    step = _CHUNK_BLOCKS * _PHASE_BLOCK
+    for start in range(0, n, step):  # the window np.hanning(n), bit for bit, a chunk at a time
+        span = slice(start, min(start + step, n))
+        k = np.arange(1 - n + 2 * span.start, 1 - n + 2 * span.stop, 2, dtype=float)
+        np.multiply(trajectory.a1[span], 0.5 + 0.5 * np.cos(np.pi * k / (n - 1.0)), out=spectrum[span])
+    mag = np.abs(np.fft.fft(spectrum, out=spectrum))
+    del spectrum  # before the shift copies the magnitude
+    mag = np.fft.fftshift(mag)
+    df = 1.0 / (m * trajectory.dt)
     # the lowest bin after the shift, as np.fft.fftfreq computes it
-    f_first = np.float64(-(n // 2)) * df
+    f_first = np.float64(-(m // 2)) * df
     resolution = 2.0 * math.pi * df
 
     frequencies: list[float] = []

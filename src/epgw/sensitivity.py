@@ -13,7 +13,7 @@ caps it per frequency by the signal period, evaluating its frequency grid
 as one array and returning one SensitivityCurve of arrays. All three
 evaluate one kernel, ``_thermal_floor``, the module's one range check: a
 noise or floor that is not a normal positive double (0 and subnormals
-fail) raises InvalidRangeError naming tau and every factor of the formula.
+fail) raises InvalidRangeError naming the term at fault, tau and every factor.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _thermal_floor(ctx: SensitivityContext, resonator: MechanicalResonator, coup
     or, given coupling_j, the strain floor k_B T / (32 den J^2). A float tau
     stays in Python floats, an array runs under the caller's np.errstate. A
     k_B T, divisor or result outside _in_range raises InvalidRangeError,
-    prefixed by ``cap``, naming the shortest tau and every factor."""
+    prefixed by ``cap``, naming it, the shortest tau and every factor."""
     mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
     den = 2.0 * math.pi * tau * resonator.mass * resonator.omega_m * mean_square_drive * ctx.quality_factor
     divisor = den if coupling_j is None else 32.0 * den * coupling_j * coupling_j
@@ -103,10 +103,15 @@ def _thermal_floor(ctx: SensitivityContext, resonator: MechanicalResonator, coup
         if _in_range(value):
             return value
     what, coupling = ("thermal noise", "") if coupling_j is None else ("strain floor", f", J = {coupling_j!r} rad/s")
+    culprit = (
+        f"k_B T = {thermal!r} J" if not _in_range(thermal)
+        else "the quotient k_B T / divisor" if _in_range(divisor)
+        else "the divisor 2 pi tau m omega_m x_c^2 Q" + (" 32 J^2" if coupling else "")
+    )
     raise InvalidRangeError(
-        f"{cap}the integration time {float(np.min(tau))!r} s puts the {what} outside double precision (T ="
-        f" {ctx.temperature!r} K, m = {resonator.mass!r} kg, omega_m = {resonator.omega_m!r} rad/s, x_c ="
-        f" {ctx.drive_amplitude!r} m, Q = {ctx.quality_factor!r}{coupling})"
+        f"{cap}{culprit} is outside the normal double range: no {what} at the integration time"
+        f" {float(np.min(tau))!r} s (T = {ctx.temperature!r} K, m = {resonator.mass!r} kg, omega_m ="
+        f" {resonator.omega_m!r} rad/s, x_c = {ctx.drive_amplitude!r} m, Q = {ctx.quality_factor!r}{coupling})"
     )
 
 

@@ -570,11 +570,13 @@ def sweep_strain(
 
     Raises:
         ValidationError, NonPositiveParameterError: invalid system or n0.
-        InvalidRangeError: bad grid (see core.sweep_grid), or h_max >= 1/2.
+        InvalidRangeError: bad grid (see core.sweep_grid), or a grid value
+            that core.require_strain refuses.
         NotAtEPError: ``n0`` is not the exceptional-point photon number.
     """
     validate_system(system)
     require_nonnegative("n0", n0)
     grid = sweep_grid("h", h_min, h_max, points, log)
     require_strain(h_max)
+    require_strain(float(grid[grid > 0.0].min()))
     return SplittingResult(grid, *_strain_response(system, n0, grid, convention))

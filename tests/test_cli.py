@@ -372,12 +372,18 @@ def test_simulate_below_threshold_resolves_two_peaks(run_cli, tmp_path):
     assert code == 0
     assert "peak 0:" in out
     assert "peak 1:" in out
-    # 100 beat periods span 58,236 samples; the default extends them to
-    # 58,320 = 2^4 3^6 5, the next count with no prime factor above 5
-    assert out.startswith("58320 samples,")
+    # the default duration is 100 beat periods as computed, 58,236 samples;
+    # the readout pads them to 58,320 = 2^4 3^6 5, the next length with no
+    # prime factor above 5, which sets the resolution
+    assert out.startswith("58236 samples,")
     pair = eigenvalues_general(parse_config(None).system().with_photon_number(7.0313629496777e11))
-    duration = float(re.search(r"^# flag\.duration = (.*)$", path.read_text(), flags=re.M).group(1))
-    assert duration >= 100.0 * TWO_PI / (pair.lambda_plus.real - pair.lambda_minus.real)
+    text = path.read_text()
+    duration = float(re.search(r"^# flag\.duration = (.*)$", text, flags=re.M).group(1))
+    assert duration == 100.0 * TWO_PI / (pair.lambda_plus.real - pair.lambda_minus.real)
+    dt = float(re.search(r"^# flag\.dt = (.*)$", text, flags=re.M).group(1))
+    rows = [line.split(",") for line in text.splitlines() if line[:1].isdigit()]
+    for row in rows:
+        assert float(row[4]) == pytest.approx(1.0 / (58320 * dt), rel=1e-15)
 
 
 def test_simulate_eq8_drives_at_its_ep_and_predicts_the_exact_peaks(run_cli, tmp_path):
@@ -430,13 +436,20 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # The three JSON digests were re-recorded when render_json became one
 # json.dumps call, compact instead of indent 2. Only whitespace moved:
 # JSON_VALUE keeps their old digests, of the value re-serialized at indent 2.
+# The simulate digest was re-recorded when the readout took over the 5-smooth
+# rule, zero-padding its DFT to the next 5-smooth length m, and the default
+# duration became the plain 100 beats: 1,768,533 samples (was 1,769,472),
+# padded to the same m, so the resolution cell kept every digit.
+# flag.duration moved to the unrounded 100 beats, both peaks moved by about
+# 1e-10 relative (each still 0.011 and 0.014 resolutions from its
+# prediction), and both linewidths by about 6e-4 relative.
 GOLDEN = {
     "ep-locate": "4cb83d570490eea219d1d20fb0fe50c99e0739cac9cd54cdfb2f3a9912fbe771",
     "sweep-ncav": "9bc099c8a8923426cfca1f86d06c9631e26f4e6276e01b51374ce31fe2cff223",
     "sweep-ncav-json": "7b48b5644e5b8a02ae5b8d023041891c8864e381aa02efd9e213c5cfdc1617bf",
     "sweep-strain": "9d7acf1f1b12b19da5bd45fdfac3c107977950682a1c256e12d46847793fc63f",
     "sensitivity": "287dcc8329400dd7d7267196611322235e23293cf9bf7d2dcdca450c96bf8708",
-    "simulate": "4eef8b106757c3ae9bf6986117f74706d34af9fca0c02c586625cf9c88a373de",
+    "simulate": "7346a20eb67b3e3c5ae2757ab9df1f2a4a9bed7d94073652671d2cd667174411",
     "sensitivity-overlay-json": "05bb0d31b7d91c307b67f403305dafb8b29042597576f80b28af50a2fe65494d",
     "sensitivity-overlay-csv": "b9873cd0a8cf659ca419c00889abfe64c034335332d05e86e38b59f4fc717f6b",
 }
@@ -728,6 +741,11 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("resonator.mass_kg = 1e-320", ["sensitivity", "--points", "5"], "m = 1e-320 kg"),
         # k_B T is subnormal, so the floor would carry about 11 significant bits
         ("noise.temperature_k = 1e-290", ["sensitivity", "--points", "3"], "T = 1e-290 K"),
+        ("noise.temperature_k = 1e-290", ["sensitivity", "--points", "3"], "error: k_B T = 1.380649e-313 J"),
+        # a subnormal strain, as an end, a grid step or the simulate flag
+        ("", ["sweep-strain", "--log", "--min", "5e-324", "--max", "1e-300", "--points", "3"], "h = 5e-324"),
+        ("", ["sweep-strain", "--min", "0", "--max", "1e-303", "--points", "50000"], "strain h = "),
+        ("", ["simulate", "--strain", "-1e-310"], "h = -1e-310"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

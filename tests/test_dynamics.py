@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from epgw import (
     InvalidRangeError,
     MechanicalResonator,
     OpticalCavity,
+    Phase,
     RunawayGainError,
     SamplingTooCoarseError,
     TooFewSamplesError,
@@ -23,7 +25,7 @@ from epgw import (
     propagate_exact,
     propagate_rk,
 )
-from epgw.dynamics import _PHASE_BLOCK, _peak_bins
+from epgw.dynamics import _PHASE_BLOCK, _fft_length, _finite_trajectory, _peak_bins
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +41,25 @@ def _lossless_pair(omega_m=TWO_PI * 1e6, coupling_j=TWO_PI * 1e4, gamma_m=0.0):
 def _sampling_limit(system):
     eigenvalues = np.linalg.eigvals(mode_matrix(system))
     return 0.1 * TWO_PI / float(np.max(np.abs(eigenvalues.real)))
+
+
+def _traced_peak(call, *args):
+    """(result, the peak of memory that numpy and Python allocate during the call, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _largest_prime_factor(n):
+    factor, largest = 2, 1
+    while factor * factor <= n:
+        while n % factor == 0:
+            n, largest = n // factor, factor
+        factor += 1
+    return max(largest, n)
 
 
 def _expm_reference(system, a0, times):
@@ -324,6 +345,30 @@ def test_long_grid_is_not_rechecked(device):
     assert traj.dt == 7.9e-11
 
 
+@pytest.mark.parametrize("ratio", [0.5, 1.0], ids=["pt_phase", "ep"])
+def test_exact_propagator_holds_one_array_of_amplitudes(device, device_n0, ratio):
+    # the (2, N) amplitudes take 32 bytes a sample; the phase tables, one
+    # chunk of phases and the EP branch's cos and sin/s of one chunk fit in a
+    # fixed few MB, whatever N is. Building the (2, N) phases first takes
+    # 32 bytes a sample more, and the EP branch's direct terms more again.
+    system = device.with_photon_number(ratio * device_n0)
+    assert (eigenvalues_general(system).phase is Phase.EXCEPTIONAL_POINT) == (ratio == 1.0)
+    n, dt = 1 << 20, 9e-11
+    traj, peak = _traced_peak(propagate_exact, system, (1.0, 0.5), (n - 1) * dt, dt)
+    assert len(traj) == n
+    assert peak <= 32 * n + (4 << 20)
+
+
+def test_finite_check_scans_the_samples_when_their_sum_is_not_finite():
+    # the sum of the samples is only a fast path: finite samples whose sum
+    # overflows are accepted, and a sample that is not finite is named
+    big = np.full(4, 1e308 + 1e308j)
+    assert len(_finite_trajectory(1.0, big, -big)) == 4
+    a1 = np.array([1.0, 1.0, np.inf, 1.0], dtype=complex)
+    with pytest.raises(RunawayGainError, match=r"t = 2\.000000e\+00 s \(sample 2 of 4\)"):
+        _finite_trajectory(1.0, a1, np.zeros(4, dtype=complex))
+
+
 def test_initial_state_must_be_a_pair(device):
     with pytest.raises(ValueError):
         propagate_exact(device, (1.0, 0.0, 0.0), 1e-8, 1e-10)
@@ -479,6 +524,47 @@ def test_spectrum_collapses_to_single_peak_at_ep(device, device_n0):
     est = estimate_spectrum(traj)
     assert len(est.peak_frequencies) == 1
     assert abs(est.peak_frequencies[0] - device.resonator_1.omega_m) < est.resolution
+
+
+def test_readout_holds_the_padded_dft_and_its_magnitude():
+    # 16 bytes a bin for the padded DFT, transformed in place, and 8 for its
+    # magnitude; a second complex array of m bins would add 16 more
+    n = 1 << 20
+    traj = _tone_trajectory(n, 1e-3, [(1.0, 123.456, 0.0)])
+    assert _fft_length(n) == n
+    est, peak = _traced_peak(estimate_spectrum, traj)
+    assert abs(est.peak_frequencies[0] - 123.456) < est.resolution / 10.0
+    assert peak <= 24 * n + (2 << 20)
+
+
+@pytest.mark.parametrize(
+    "ratio, n, initial",
+    [
+        (0.5, 104_729, (1.0, 0.5)),  # prime
+        (0.5, 342_195, (1.0, 0.5)),  # 3 5 7 3259
+        (0.8, 480_336, (0.3, 1.0)),  # 2^4 3 10,007
+        (1.0, 65_537, (1.0, 0.0)),  # prime
+        (1.0, 208_029, (1.0, 0.5)),  # 3 17 4079
+    ],
+)
+def test_readout_on_sample_counts_with_a_large_prime_factor(device, device_n0, ratio, n, initial):
+    # below the EP both supermodes, at the EP (the exact 2x2 exponential)
+    # the one coalesced mode; the padded DFT reads each within a tenth of
+    # its bin spacing 2 pi / (m dt)
+    assert _largest_prime_factor(n) > 1000
+    system = device.with_photon_number(ratio * device_n0)
+    pair = eigenvalues_general(system)
+    dt = 9e-11
+    traj = propagate_exact(system, initial, (n - 1) * dt, dt)
+    assert len(traj) == n
+    est = estimate_spectrum(traj)
+    assert est.resolution == TWO_PI * (1.0 / (_fft_length(n) * dt))
+    want = sorted({pair.lambda_minus.real, pair.lambda_plus.real})
+    assert len(want) == (1 if ratio == 1.0 else 2)
+    got = sorted(est.peak_frequencies)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) < est.resolution / 10.0
 
 
 def test_spectrum_needs_enough_samples():

@@ -1,5 +1,5 @@
-"""Properties of the readout's two arithmetic rules: the 5-smooth default
-duration and the top-two peak selection.
+"""Properties of the readout's two arithmetic rules: the 5-smooth DFT
+length and the top-two peak selection.
 
 Both are checked against a plain reference: the sorted list of every
 5-smooth count up to the sample cap (exhaustively for counts up to 10^4),
@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from epgw.dynamics import _MAX_SAMPLES, _SECOND_PEAK_FRACTION, _fft_duration, _peak_bins, _sample_count  # noqa: E402
+from epgw.dynamics import _MAX_SAMPLES, _SECOND_PEAK_FRACTION, _fft_length, _peak_bins, _sample_count  # noqa: E402
 
 # every 2^a 3^b 5^c up to the sample cap, ascending
 SMOOTH = sorted(
@@ -23,14 +23,11 @@ SMOOTH = sorted(
 )
 
 
-def test_fft_duration_takes_the_next_5_smooth_count():
+def test_fft_length_takes_the_next_5_smooth_count():
     assert len(SMOOTH) == 836 and SMOOTH[-1] == _MAX_SAMPLES
-    # every count up to 10^4; a unit step keeps the arithmetic exact
-    for n in range(2, 10_001):
-        m = SMOOTH[bisect.bisect_left(SMOOTH, n)]
-        duration = _fft_duration(n - 1.0, 1.0)
-        assert duration == m - 1.0
-        assert _sample_count(duration, 1.0) == m
+    # every count up to 10^4
+    for n in range(1, 10_001):
+        assert _fft_length(n) == SMOOTH[bisect.bisect_left(SMOOTH, n)]
 
 
 @given(
@@ -38,16 +35,14 @@ def test_fft_duration_takes_the_next_5_smooth_count():
     fraction=st.floats(0.0, 0.5),
     dt=st.floats(1e-15, 1e-3),
 )
-@example(steps=1_768_532, fraction=0.0, dt=9.997172872803743e-11)  # the reference device's 100 beats
-@example(steps=_MAX_SAMPLES - 2, fraction=0.5, dt=1e-3)
-def test_fft_duration_spans_the_next_5_smooth_count(steps, fraction, dt):
-    duration = (steps + fraction) * dt
-    n = _sample_count(duration, dt)
-    m = SMOOTH[bisect.bisect_left(SMOOTH, n)]
-    extended = _fft_duration(duration, dt)
-    assert _sample_count(extended, dt) == m
-    assert extended >= duration
-    assert (extended == duration) == (m == n)
+@example(steps=1_768_532, fraction=0.0, dt=9.997172796648496e-11)  # the reference device's 100 beats
+@example(steps=_MAX_SAMPLES - 1, fraction=0.5, dt=1e-3)
+def test_fft_length_of_any_grid_is_the_next_5_smooth_count(steps, fraction, dt):
+    # every sample count a grid within the cap can have
+    n = _sample_count((steps + fraction) * dt, dt)
+    m = _fft_length(n)
+    assert m == SMOOTH[bisect.bisect_left(SMOOTH, n)]
+    assert n <= m <= _MAX_SAMPLES
 
 
 def _full_sort_peaks(mag):

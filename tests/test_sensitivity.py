@@ -112,6 +112,25 @@ def test_strain_floor_outside_double_precision_raises(device_resonator, change, 
     assert factor in message and "m = 5.3e-15 kg" in message and "J = " in message
 
 
+@pytest.mark.parametrize(
+    "change, culprit",
+    [
+        # k_B T is subnormal: no integration time would help
+        ({"temperature": 1e-290}, "k_B T = 1.380649e-313 J is outside"),
+        ({"sample_time": 1e-310}, "the divisor 2 pi tau m omega_m x_c^2 Q 32 J^2 is outside"),
+        # both terms normal, their quotient overflows
+        ({"temperature": 1e300, "sample_time": 1e-300}, "the quotient k_B T / divisor is outside"),
+    ],
+    ids=["k_B_T", "divisor", "quotient"],
+)
+def test_strain_floor_error_names_the_term_that_left_the_range(device_resonator, change, culprit):
+    with pytest.raises(InvalidRangeError) as info:
+        min_detectable_strain(dataclasses.replace(CTX, **change), device_resonator, COUPLING_J)
+    message = str(info.value)
+    assert message.startswith(culprit)
+    assert f"T = {change.get('temperature', CTX.temperature)!r} K" in message
+
+
 def test_thermal_noise_outside_double_precision_raises(device_resonator):
     # the divisor underflows to 0 at a subnormal tau, and k_B T / den at
     # 1e-300 K on a 1 kg resonator over an hour. On the picogram device

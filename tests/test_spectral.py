@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -534,6 +535,29 @@ def test_sweep_strain_range_errors(device, device_n0):
         sweep_strain(device, device_n0, -1e-22, 1e-20, 10)
     with pytest.raises(InvalidRangeError):
         sweep_strain(device, device_n0, 0.0, 1e-20, 10, log=True)
+
+
+@pytest.mark.parametrize(
+    "h_min, h_max, points, log",
+    # a subnormal end; and normal ends 0 and 1e-303 whose linear grid steps
+    # by 2e-308, below the smallest normal double
+    [(5e-324, 1e-300, 3, True), (0.0, 1e-303, 50_000, False)],
+    ids=["subnormal_end", "subnormal_step"],
+)
+def test_sweep_strain_refuses_a_subnormal_grid_value(device, device_n0, h_min, h_max, points, log):
+    # a subnormal h has too few significant bits for the sqrt(h) law
+    with pytest.raises(InvalidRangeError, match="strain h = ") as info:
+        sweep_strain(device, device_n0, h_min, h_max, points, log=log)
+    named = float(re.search(r"strain h = (\S+);", str(info.value)).group(1))
+    assert 0.0 < named < sys.float_info.min
+
+
+def test_splitting_refuses_a_subnormal_strain_and_keeps_the_smallest_normal_one(device, device_n0):
+    for h in (5e-324, -1e-310, math.nextafter(sys.float_info.min, 0.0)):
+        with pytest.raises(InvalidRangeError, match=re.escape(f"strain h = {h!r};")):
+            splitting(device, device_n0, h)
+    assert splitting(device, device_n0, sys.float_info.min).rel_error < 1e-15
+    assert splitting(device, device_n0, 0.0).d_exact == 0.0
 
 
 def test_ep_tolerance_is_relative_band():
