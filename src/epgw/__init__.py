@@ -54,7 +54,6 @@ from .sensitivity import (
 from .spectral import (
     EpConvention,
     SplittingResult,
-    coupling_perturbation,
     detuning_response,
     eigenvalues_general,
     ep_photon_number,
@@ -96,7 +95,6 @@ __all__ = [
     "ValidationError",
     "ZeroCouplingError",
     "balanced_system",
-    "coupling_perturbation",
     "detuning_response",
     "drive_amplitude_from_thickness",
     "eigenvalues_general",

@@ -6,8 +6,10 @@ are plain Hz; conversion to the library's internal rad/s happens here.
 Unset keys fall back to the reference device defaults, so every
 subcommand runs with zero configuration.
 
-Output files are byte-deterministic: fixed column schemas and the fully
-resolved config and flags, sufficient to reproduce the run. CSV writes
+Output files are byte-deterministic, with fixed column schemas. The header
+records the command, the config and every flag of the command as the run
+resolved it (``--tmax`` as the config key ``sensitivity.t_max_s``), so a
+file can be replayed from its header alone (see _emit). CSV writes
 floats with 17 significant digits under a ``# key = value`` comment
 header; JSON writes one line, keys sorted, floats as ``float.__repr__``.
 """
@@ -272,13 +274,28 @@ def render_json(
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(args, cfg, command, flags, columns, rows, overlays=None, default_format="csv"):
+# The options that name the run's files rather than the run, and --tmax,
+# which the header records as the config key sensitivity.t_max_s.
+_NOT_FLAGS = {"command", "config", "output", "format", "tmax"}
+
+
+def _emit(args, cfg, columns, rows, overlays=None, **resolved):
+    """Write the table to --output, if given, in --format: json for
+    ep-locate, csv for every other command.
+
+    The header records the command, the config and every flag of the
+    command as the run resolved it: the parsed flags but the file options
+    and --tmax, updated by ``resolved``, the values the command derived
+    (simulate's photon number, duration and dt, sweep-strain's n0, the
+    overlay names). So a file can be replayed from its header."""
     if args.output is None:
         return
-    fmt = args.format or default_format
+    flags = {name: value for name, value in vars(args).items() if name not in _NOT_FLAGS}
+    flags.update(resolved)
+    fmt = args.format or ("json" if args.command == "ep-locate" else "csv")
     render = render_csv if fmt == "csv" else render_json
     try:
-        text = render(cfg, command, flags, columns, rows, overlays)
+        text = render(cfg, args.command, flags, columns, rows, overlays)
     except ValueError as exc:  # a value that is not finite
         raise InvalidRangeError(f"{args.output} not written: {exc}") from None
     with open(args.output, "w", newline="\n", encoding="utf-8") as fh:
@@ -316,10 +333,9 @@ def cmd_ep_locate(cfg: RunConfig, args) -> int:
     print(f"convention = {convention.value}")
     print(f"phase at n0 = {pair.phase.value}")
 
-    flags = {"ep_convention": convention.value}
     columns = ["n0", "g0_rad_s", "phi_s", "gamma_1_rad_s", "gamma_2_rad_s"]
     rows = [[n0, g0, phi, gamma_1, gamma_2]]
-    _emit(args, cfg, "ep-locate", flags, columns, rows, default_format="json")
+    _emit(args, cfg, columns, rows)
     return 0
 
 
@@ -333,14 +349,7 @@ def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
     rows = _rows(grid, *(part / TWO_PI for part in parts), _phase_values(pair.phase))
     transitions = np.count_nonzero(pair.phase[1:] != pair.phase[:-1])
     print(f"{len(rows)} rows, {transitions} phase transition(s)")
-    flags = {
-        "min": args.min,
-        "max": args.max,
-        "points": args.points,
-        "log": args.log,
-        "ep_convention": convention.value,
-    }
-    _emit(args, cfg, "sweep-ncav", flags, columns, rows)
+    _emit(args, cfg, columns, rows)
     return 0
 
 
@@ -353,15 +362,7 @@ def cmd_sweep_strain(cfg: RunConfig, args) -> int:
     rel_error = r.rel_error
     rows = _rows(r.strain, r.d_exact, r.d_approx, r.linewidth_split, rel_error)
     print(f"{len(rows)} rows at n0 = {n0:.6e}; max |d_exact - d_approx|/d_approx = {rel_error.max():.3e}")
-    flags = {
-        "min": args.min,
-        "max": args.max,
-        "points": args.points,
-        "log": args.log,
-        "n0": n0,
-        "ep_convention": convention.value,
-    }
-    _emit(args, cfg, "sweep-strain", flags, columns, rows)
+    _emit(args, cfg, columns, rows, n0=n0)
     return 0
 
 
@@ -381,6 +382,8 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
     overlays = {}
     for path in args.overlay or []:
         name = os.path.basename(path)
+        if not name.isprintable():  # the CSV header writes it raw, on one comment line
+            raise _UsageError(f"argument --overlay: the file name {name!r} holds a character that is not printable")
         if name in overlays:
             raise _UsageError(f"argument --overlay: two overlays named {name!r}; an overlay's file name is its key")
         overlays[name] = read_overlay_csv(path)
@@ -390,14 +393,7 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
         f"{len(rows)} rows; floor h_min = {curve.h_min.min():.6e} "
         f"at t_max = {cfg.sensitivity_t_max_s:g} s"
     )
-    flags = {
-        "fmin": args.fmin,
-        "fmax": args.fmax,
-        "points": args.points,
-        "tau_rule": args.tau_rule,
-        "overlay": sorted(overlays),
-    }
-    _emit(args, cfg, "sensitivity", flags, columns, rows, overlays)
+    _emit(args, cfg, columns, rows, overlays, overlay=sorted(overlays))
     return 0
 
 
@@ -468,14 +464,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             f"peak {row[0]}: {row[1]:.6e} Hz (predicted {row[3]:.6e} Hz, "
             f"resolution {row[4]:.6e} Hz)"
         )
-    flags = {
-        "strain": h,
-        "photon_number": n_cav,
-        "duration": duration,
-        "dt": dt,
-        "ep_convention": convention.value,
-    }
-    _emit(args, cfg, "simulate", flags, columns, rows)
+    _emit(args, cfg, columns, rows, photon_number=n_cav, duration=duration, dt=dt)
     return 0
 
 

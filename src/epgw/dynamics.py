@@ -118,18 +118,9 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
     return m
 
 
-def _require_finite_grid(duration: float, dt: float) -> None:
-    """The checks made before the sampling guard: a dt that is not finite
-    and > 0, or a duration that is not finite, is an input error."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
-    if not math.isfinite(duration):
-        raise InvalidRangeError(f"duration = {duration!r} is not finite")
-
-
 def _sample_count(duration: float, dt: float) -> int:
-    """The number of samples dt apart that span ``duration``, t = 0 included."""
-    _require_finite_grid(duration, dt)
+    """The number of samples dt apart that span ``duration``, t = 0 included,
+    for a finite dt > 0 and a finite duration."""
     if not duration >= dt:
         raise InvalidRangeError(f"duration = {duration!r}; need a finite duration >= dt = {dt!r}")
     steps = duration / dt + 1e-9  # compared as a float: it may be inf
@@ -185,7 +176,11 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
     center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, EpConvention.EQ7)
     if not np.isfinite(disc):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
-    _require_finite_grid(duration, dt)
+    # input errors, ahead of the sampling guard
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
+    if not math.isfinite(duration):
+        raise InvalidRangeError(f"duration = {duration!r} is not finite")
     _check_sampling(center, root, dt)
     return a0, m, (center, disc, root), _sample_count(duration, dt)
 

@@ -413,11 +413,6 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
     return best_n
 
 
-def coupling_perturbation(g0: float, strain: float) -> float:
-    """Shift of the vacuum coupling under strain h: dg = -2 g0 h."""
-    return -2.0 * g0 * strain
-
-
 def splitting(
     system: CoupledSystem,
     n0: float,
@@ -490,7 +485,7 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
         t_im = 2.0 * b0_im + db_im
         alpha = _root(_complex(q * -(db_im * t_im), q * (db_im * (2.0 * b0_re))))
         response = (
-            coupling_perturbation(arm_1.g0, h),
+            -2.0 * arm_1.g0 * h,
             2.0 * alpha.real,
             4.0 * math.sqrt(2.0) * j * np.sqrt(abs(h)),
             2.0 * abs(alpha.imag),

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -489,6 +490,72 @@ def test_output_bytes_match_golden_digest(run_cli, tmp_path, name, argv):
         assert hashlib.sha256(pretty.encode()).hexdigest() == JSON_VALUE[name]
 
 
+def _header(path):
+    """(format, command, config, flags) as the file at ``path`` records them."""
+    text = path.read_text()
+    if text.startswith("{"):
+        payload = json.loads(text)
+        config = {key: value for key, value in payload["config"].items() if value is not None}
+        return "json", payload["command"], config, payload["flags"]
+    config, flags = {}, {}
+    for line in text.splitlines():
+        key, _, value = line.removeprefix("# ").partition(" = ")
+        if not line.startswith("# ") or key == "overlay":  # the table, or an overlay's name
+            continue
+        if key == "command":
+            command = value
+        elif key.startswith("flag."):
+            flags[key.removeprefix("flag.")] = ast.literal_eval(value)
+        else:
+            config[key] = float(value)
+    return "csv", command, config, flags
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["ep-locate", "--ep-convention", "eq8"], ""),
+        (["ep-locate", "--format", "csv"], "coupling.j_hz = 2e7\n"),
+        (["sweep-ncav", "--log"], ""),
+        (["sweep-ncav", "--format", "json", "--points", "7"], "drive.photon_number = 1e12\n"),
+        (["sweep-strain", "--ep-convention", "eq8"], ""),
+        (["sensitivity", "--tmax", "36", "--tau-rule", "full", "--overlay", "OVERLAY"], ""),
+        (["sensitivity", "--format", "json", "--points", "9", "--overlay", "OVERLAY"], "noise.temperature_k = 4.0\n"),
+        (["simulate"], ""),
+        (["simulate", "--strain", "-1e-4", "--duration", "1e-6"], ""),
+    ],
+)
+def test_header_replays_the_run(run_cli, tmp_path, argv, config):
+    # a second run built from the first file's header alone writes the same
+    # bytes: the config from its keys, argv from its flags
+    overlay = tmp_path / "reference.csv"
+    overlay.write_text("frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\n0.1,3.5e-22\n")
+    conf = tmp_path / "run.conf"
+    conf.write_text(config)
+    argv = [str(overlay) if word == "OVERLAY" else word for word in argv]
+    first = tmp_path / "first.out"
+    assert run_cli(*argv, "--config", str(conf), "--output", str(first))[0] == 0
+
+    fmt, command, recorded, flags = _header(first)
+    assert command == argv[0]
+    replay_conf = tmp_path / "replay.conf"
+    replay_conf.write_text("".join(f"{key} = {value!r}\n" for key, value in recorded.items()))
+    replay = [command, "--format", fmt, "--config", str(replay_conf)]
+    for name, value in flags.items():
+        option = "--" + name.replace("_", "-")
+        if name == "n0" or value is False:  # derived by the command; a switch left off
+            continue
+        if value is True:
+            replay.append(option)
+        elif isinstance(value, list):  # overlays, by file name
+            replay += [word for name in value for word in (option, str(tmp_path / name))]
+        else:
+            replay += [option, str(value)]
+    second = tmp_path / "second.out"
+    assert run_cli(*replay, "--output", str(second))[0] == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_csv_schema(run_cli, tmp_path):
     path = tmp_path / "sweep.csv"
     run_cli("sweep-ncav", "--points", "25", "--output", str(path))
@@ -667,6 +734,20 @@ def test_overlays_with_one_basename_exit_1_without_output(run_cli, tmp_path, sec
     assert code == 1
     assert not out.exists()
     assert err.startswith("error:") and "'ref.csv'" in err
+
+
+@pytest.mark.parametrize("name", ["a\n1.5,2.csv", "a\rb.csv", "a\tb.csv", "a\udcffb.csv"])
+def test_overlay_name_that_is_not_printable_exits_1_without_output(run_cli, tmp_path, name):
+    # the CSV header writes the name on one comment line: a line break in
+    # it would end the comment and add a data row to the file, and a byte
+    # that is not UTF-8 (decoded to a lone surrogate) cannot be written
+    overlay = tmp_path / name
+    overlay.write_text("frequency_hz,strain\n1.0,1e-24\n")
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli("sensitivity", "--points", "2", "--overlay", str(overlay), "--output", str(out))
+    assert code == 1
+    assert not out.exists()
+    assert err.startswith("error: argument --overlay:") and err.count("\n") == 1
 
 
 def test_io_errors_exit_3(run_cli, tmp_path):

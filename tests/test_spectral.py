@@ -18,7 +18,6 @@ from epgw import (
     Phase,
     ZeroCouplingError,
     balanced_system,
-    coupling_perturbation,
     detuning_response,
     eigenvalues_general,
     ep_photon_number,
@@ -400,10 +399,12 @@ def test_oracle_equivalence_randomized():
 # ---------------------------------------------------------------------------
 
 
-def test_coupling_perturbation_values():
-    assert coupling_perturbation(118.51294470274429, 1e-21) == pytest.approx(-2.3702588940548858e-19, rel=1e-14)
-    assert coupling_perturbation(118.5, 0.0) == 0.0
-    assert coupling_perturbation(118.5, -1e-21) == -coupling_perturbation(118.5, 1e-21)
+def test_coupling_perturbation_values(device, device_n0):
+    # dg = -2 g0 h at the reference g0 = 118.51294470274429 rad/s: zero at
+    # h = 0 and odd in h
+    assert splitting(device, device_n0, 1e-21).dg == pytest.approx(-2.3702588940548858e-19, rel=1e-14)
+    assert splitting(device, device_n0, 0.0).dg == 0.0
+    assert splitting(device, device_n0, -1e-21).dg == -splitting(device, device_n0, 1e-21).dg
 
 
 def test_splitting_vanishes_at_zero_strain(device, device_n0):
@@ -463,7 +464,7 @@ def test_splitting_rejects_wrong_bias(device, device_n0):
 def test_splitting_dg_matches_coupling_perturbation(device, device_resonator, device_n0):
     g0 = vacuum_coupling(device.cavity_1, zero_point_fluctuation(device_resonator))
     result = splitting(device, device_n0, 1e-23)
-    assert result.dg == coupling_perturbation(g0, 1e-23)
+    assert result.dg == -2.0 * g0 * 1e-23
 
 
 # ---------------------------------------------------------------------------

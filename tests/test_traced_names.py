@@ -1,22 +1,30 @@
 """The benchmark's traced run wraps library functions by name; each name it
-lists must exist, or ``perfbench/run.py --trace 1`` fails at start-up."""
+lists must exist, or ``perfbench/run.py --trace 1`` fails at start-up. Each
+workload must also run through the library as it stands and pass its own
+checks, or the benchmark run fails."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 from epgw import cli
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _perfbench_module("tracer")
 
 
 def test_every_traced_name_resolves():
@@ -52,3 +60,12 @@ def test_traced_renderers_count_rows_and_overlays(tmp_path, argv, rendered):
         tracer.uninstall()
     assert code == 0
     assert tracer.counters["rendered_rows"] == rendered
+
+
+@pytest.mark.parametrize("workload", ["sweep", "simulate", "ep-design"])
+def test_every_benchmark_operation_passes_its_check(tmp_path, workload):
+    # the benchmark's own call path, once per operation: a library change
+    # that breaks what a workload calls fails here
+    ops = _perfbench_module("workloads").WORKLOADS[workload](1, str(tmp_path)).ops()
+    for op in ops:
+        assert op.check(op.run()), op.name
