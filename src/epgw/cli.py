@@ -149,8 +149,8 @@ def parse_config_text(text: str) -> RunConfig:
     """Parse config text over the defaults, validate it and return it.
 
     Later lines win over earlier ones. Every value must be finite and
-    within its range, and so must 2 pi times each ``_hz`` value;
-    ``coupling.j_hz = 0`` is valid (decoupled modes).
+    within its range, 0 or a normal double, and 2 pi times each ``_hz``
+    value must be finite; ``coupling.j_hz = 0`` is valid (decoupled modes).
 
     Raises:
         ConfigParseError, UnknownKeyError: malformed input.
@@ -181,6 +181,8 @@ def parse_config_text(text: str) -> RunConfig:
         value = getattr(cfg, attr)
         if value is not None:  # an unset photon number
             err = (_check_nonnegative if key in _MAY_BE_ZERO else _check_positive)(key, value)
+            if err is None and 0.0 < value < sys.float_info.min:
+                err = InvalidRangeError(f"{key} = {value!r} is subnormal; need 0 or a normal double")
             if err is None and key.endswith("_hz") and not math.isfinite(TWO_PI * value):
                 err = InvalidRangeError(f"{key} = {value!r} overflows double precision in rad/s")
             if err is not None:
@@ -216,8 +218,20 @@ def parse_config(path: str | None) -> RunConfig:
 _CSV_CODE = {str: "%s", bool: "%s", int: "%d"}
 
 
-def _rows(*columns) -> list[tuple]:
-    """Table rows from equal-length array columns, as Python scalars."""
+def _rows(names: list[str], *columns) -> list[tuple]:
+    """Table rows from equal-length array columns, as Python scalars.
+
+    Raises:
+        InvalidRangeError: a float cell is subnormal, so it would be written
+            with digits it does not have; named by its column and value.
+    """
+    for name, column in zip(names, columns):
+        if column.dtype.kind == "f":
+            magnitude = np.abs(column)
+            subnormal = (magnitude < sys.float_info.min) & (magnitude > 0.0)
+            if subnormal.any():
+                value = float(column[subnormal.argmax()])
+                raise InvalidRangeError(f"{name} = {value!r} is subnormal; a written cell must be 0 or a normal double")
     return list(zip(*(column.tolist() for column in columns)))
 
 
@@ -334,7 +348,7 @@ def cmd_ep_locate(cfg: RunConfig, args) -> int:
     print(f"phase at n0 = {pair.phase.value}")
 
     columns = ["n0", "g0_rad_s", "phi_s", "gamma_1_rad_s", "gamma_2_rad_s"]
-    rows = [[n0, g0, phi, gamma_1, gamma_2]]
+    rows = _rows(columns, *np.array([[n0, g0, phi, gamma_1, gamma_2]]).T)
     _emit(args, cfg, columns, rows)
     return 0
 
@@ -346,7 +360,7 @@ def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
     )
     columns = ["n_cav", "re_plus_hz", "re_minus_hz", "im_plus_hz", "im_minus_hz", "phase"]
     parts = (pair.lambda_plus.real, pair.lambda_minus.real, pair.lambda_plus.imag, pair.lambda_minus.imag)
-    rows = _rows(grid, *(part / TWO_PI for part in parts), _phase_values(pair.phase))
+    rows = _rows(columns, grid, *(part / TWO_PI for part in parts), _phase_values(pair.phase))
     transitions = np.count_nonzero(pair.phase[1:] != pair.phase[:-1])
     print(f"{len(rows)} rows, {transitions} phase transition(s)")
     _emit(args, cfg, columns, rows)
@@ -360,7 +374,7 @@ def cmd_sweep_strain(cfg: RunConfig, args) -> int:
     r = sweep_strain(system, n0, args.min, args.max, args.points, log=args.log, convention=convention)
     columns = ["h", "d_exact_rad_s", "d_approx_rad_s", "linewidth_split_rad_s", "rel_err"]
     rel_error = r.rel_error
-    rows = _rows(r.strain, r.d_exact, r.d_approx, r.linewidth_split, rel_error)
+    rows = _rows(columns, r.strain, r.d_exact, r.d_approx, r.linewidth_split, rel_error)
     print(f"{len(rows)} rows at n0 = {n0:.6e}; max |d_exact - d_approx|/d_approx = {rel_error.max():.3e}")
     _emit(args, cfg, columns, rows, n0=n0)
     return 0
@@ -388,7 +402,7 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
             raise _UsageError(f"argument --overlay: two overlays named {name!r}; an overlay's file name is its key")
         overlays[name] = read_overlay_csv(path)
     columns = ["frequency_hz", "observation_time_s", "h_min"]
-    rows = _rows(curve.gw_frequency, curve.observation_time, curve.h_min)
+    rows = _rows(columns, curve.gw_frequency, curve.observation_time, curve.h_min)
     print(
         f"{len(rows)} rows; floor h_min = {curve.h_min.min():.6e} "
         f"at t_max = {cfg.sensitivity_t_max_s:g} s"
@@ -400,7 +414,8 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     """Propagate the strained pair and read its peaks off the spectrum.
 
-    The step defaults to a tenth of the fastest period. The duration
+    The step defaults to propagate_exact's, a tenth of the fastest
+    period, and is read back from the trajectory. The duration
     defaults to 100 beat periods of the predicted splitting, unrounded; an
     explicit --duration is used as given. Either way the readout pads its
     DFT to the next 5-smooth length m (dynamics._fft_length), so the
@@ -428,11 +443,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     pair = eigenvalues_general(strained)
     predicted = (pair.lambda_plus.real, pair.lambda_minus.real)
 
-    if args.dt is not None:
-        dt = args.dt
-    else:
-        # nonzero: one of omega_m +- Re sqrt(disc) is at least omega_m > 0
-        dt = 0.1 * TWO_PI / max(abs(predicted[0]), abs(predicted[1]))
     if args.duration is not None:
         duration = args.duration
     else:
@@ -443,20 +453,16 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             )
         duration = 100.0 * TWO_PI / split
 
-    trajectory = propagate_exact(strained, (1.0 + 0.0j, 0.0j), duration, dt)
+    trajectory = propagate_exact(strained, (1.0 + 0.0j, 0.0j), duration, args.dt)
     estimate = estimate_spectrum(trajectory)
 
     columns = ["peak", "frequency_hz", "linewidth_hz", "predicted_hz", "resolution_hz"]
-    rows = []
-    for index, (freq, width) in enumerate(
-        zip(estimate.peak_frequencies, estimate.peak_linewidths)
-    ):
-        nearest = min(predicted, key=lambda p: abs(p - freq))
-        rows.append(
-            [index, freq / TWO_PI, width / TWO_PI, nearest / TWO_PI, estimate.resolution / TWO_PI]
-        )
+    peaks = estimate.peak_frequencies
+    nearest = [min(predicted, key=lambda p: abs(p - freq)) for freq in peaks]
+    hz = np.array([peaks, estimate.peak_linewidths, nearest, [estimate.resolution] * len(peaks)]) / TWO_PI
+    rows = _rows(columns, np.arange(len(peaks)), *hz)
     print(
-        f"{len(trajectory)} samples, dt = {dt:.6e} s, duration = {duration:.6e} s, "
+        f"{len(trajectory)} samples, dt = {trajectory.dt:.6e} s, duration = {duration:.6e} s, "
         f"n_cav = {n_cav:.6e}, strain = {h:g}"
     )
     for row in rows:
@@ -464,7 +470,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             f"peak {row[0]}: {row[1]:.6e} Hz (predicted {row[3]:.6e} Hz, "
             f"resolution {row[4]:.6e} Hz)"
         )
-    _emit(args, cfg, columns, rows, photon_number=n_cav, duration=duration, dt=dt)
+    _emit(args, cfg, columns, rows, photon_number=n_cav, duration=duration, dt=trajectory.dt)
     return 0
 
 

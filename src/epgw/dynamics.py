@@ -146,25 +146,16 @@ def _fft_length(n: int) -> int:
     return m
 
 
-def _check_sampling(center: complex, root: complex, dt: float) -> None:
-    """Raise SamplingTooCoarseError when dt > 0.1 * 2 pi / max|Re lambda|,
-    where for lambda = center +- root max|Re lambda| = |Re center| + |Re root|."""
-    fastest = abs(center.real) + abs(root.real)
-    if fastest > 0.0:
-        limit = 0.1 * 2.0 * math.pi / fastest
-        # 1e-6 relative slack: a caller that computes the same bound with
-        # other rounding, or rounds it to a decimal (dt = 1e-10 at 1 GHz),
-        # must not trip the guard.
-        if dt > limit * (1.0 + 1e-6):
-            raise SamplingTooCoarseError(
-                f"dt = {dt:.6e} s exceeds 0.1 * 2 pi / max|Re lambda| = {limit:.6e} s"
-            )
-
-
-def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
+def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
     """Both propagators' checked inputs: a0, M, M's spectrum (center, disc,
-    root) from spectral._spectrum, and the sample count n: the grid is n
-    samples dt apart from t = 0."""
+    root) from spectral._spectrum, the step dt and the sample count n: the
+    grid is n samples dt apart from t = 0.
+
+    The step is bounded by a tenth of the fastest period, 0.1 * 2 pi /
+    max|Re lambda|, where for lambda = center +- root max|Re lambda| =
+    |Re center| + |Re root| > 0 (Re center is the mean of two omega_m > 0).
+    A dt of None takes the bound itself; a larger dt raises
+    SamplingTooCoarseError."""
     validate_system(system)
     a0 = np.asarray(initial, dtype=complex)
     if a0.shape != (2,):
@@ -176,13 +167,19 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float):
     center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, EpConvention.EQ7)
     if not np.isfinite(disc):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
+    bound = 0.1 * 2.0 * math.pi / (abs(center.real) + abs(root.real))
+    if dt is None:
+        dt = bound
     # input errors, ahead of the sampling guard
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
     if not math.isfinite(duration):
         raise InvalidRangeError(f"duration = {duration!r} is not finite")
-    _check_sampling(center, root, dt)
-    return a0, m, (center, disc, root), _sample_count(duration, dt)
+    # 1e-6 relative slack: a dt rounded to a decimal (1e-10 at 1 GHz) must
+    # not trip the guard
+    if dt > bound * (1.0 + 1e-6):
+        raise SamplingTooCoarseError(f"dt = {dt:.6e} s exceeds 0.1 * 2 pi / max|Re lambda| = {bound:.6e} s")
+    return a0, m, (center, disc, root), dt, _sample_count(duration, dt)
 
 
 def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
@@ -218,7 +215,7 @@ def _phase_chunks(rates, n: int, dt: float):
         yield slice(q * _PHASE_BLOCK, (q + c) * _PHASE_BLOCK), buf[:, :c].reshape(len(hi), -1)
 
 
-def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
+def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float | None = None) -> Trajectory:
     """Closed-form evolution a(t) = e^{-i M t} a(0).
 
     With lambda the center of the pair, s = sqrt(disc) and N = M - lambda I,
@@ -243,7 +240,8 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
         system: The coupled system.
         initial: Pair of complex amplitudes at t = 0.
         duration: Total simulated time (s), at least one step.
-        dt: Sample step (s).
+        dt: Sample step (s); None for the largest step the sampling
+            guard accepts, 0.1 * 2 pi / max|Re lambda|.
 
     Raises:
         ValidationError: invalid system.
@@ -254,7 +252,7 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
         RunawayGainError: a sample overflows double precision (a mode in
             runaway gain), named by the time of the first one.
     """
-    a0, m, (center, disc, root), n = _prepare(system, initial, duration, dt)
+    a0, m, (center, disc, root), dt, n = _prepare(system, initial, duration, dt)
     amplitudes = np.empty((2, -(-n // _PHASE_BLOCK) * _PHASE_BLOCK), dtype=complex)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
         drift = (m - center * np.eye(2)) @ a0
@@ -271,7 +269,7 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float) 
     return _finite_trajectory(dt, amplitudes[0, :n], amplitudes[1, :n])
 
 
-def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> Trajectory:
+def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float | None = None) -> Trajectory:
     """Fourth-order Runge-Kutta integration of da/dt = -i M a.
 
     Same contract as propagate_exact; global error O(dt^4). Kept as an
@@ -282,7 +280,7 @@ def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float) -> 
     overflows to inf and nan without a warning; the samples are checked
     once at the end.
     """
-    a0, m, _, n = _prepare(system, initial, duration, dt)
+    a0, m, _, dt, n = _prepare(system, initial, duration, dt)
     eye = np.eye(2)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
         a = -1j * dt * m

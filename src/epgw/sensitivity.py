@@ -160,7 +160,7 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
 
     Raises:
         ConfigParseError: missing/wrong header, or a cell that is not a
-            finite number.
+            finite number, or is subnormal (not 0 or a normal double).
         OSError: unreadable file.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -183,5 +183,7 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
             raise ConfigParseError(line_no, f"non-numeric cell: {exc}") from None
         if not all(map(math.isfinite, pair)):
             raise ConfigParseError(line_no, f"cell is not finite: {','.join(row)!r}")
+        if 0.0 < abs(pair[0]) < sys.float_info.min or 0.0 < abs(pair[1]) < sys.float_info.min:
+            raise ConfigParseError(line_no, f"cell is subnormal: {','.join(row)!r}; need 0 or a normal double")
         table.append(pair)
     return table

@@ -381,11 +381,12 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
 
     Raises:
         ValidationError: invalid system.
-        InvalidRangeError: an arm constant or J^2 overflows (see _arms).
+        InvalidRangeError: an arm constant or J^2 overflows (see _arms),
+            or the discriminant at the polished root does (inf or NaN).
         ZeroCouplingError: J = 0, or the photon number does not move the
             discriminant (equal slopes, s_2 = s_1).
         NoEPError: both roots are negative (or NaN), or the polished root
-            fails the EP rule (|disc| above ep_tolerance(J), or NaN). No
+            fails the EP rule (a finite |disc| above ep_tolerance(J)). No
             exact EP exists when omega_1 != omega_2; the rule decides.
     """
     validate_system(system)
@@ -406,6 +407,10 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
     # + 0.0 turns a root of -0.0 into 0.0, the bottom of the polish window
     guess = min(nonnegative) + 0.0
     best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n, convention)[1]), guess)
+    if not math.isfinite(best):
+        raise InvalidRangeError(
+            f"coupling_j = {j!r}: the discriminant overflows double precision near the EP at n = {guess:.6e}"
+        )
     if not _at_ep(best, j):
         raise NoEPError(
             f"discriminant magnitude {best:.3e} above threshold {ep_tolerance(j):.3e} near n = {guess:.6e}"

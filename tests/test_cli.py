@@ -3,8 +3,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from epgw.cli import CONFIG_DEFAULTS, RunConfig, build_parser, parse_config, par
 
 TWO_PI = 2.0 * math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def _stdout_float(out, key):
@@ -629,6 +633,19 @@ def test_usage_errors_exit_1(run_cli):
     assert run_cli("sweep-ncav", "--points", "1")[0] == 1  # InvalidRangeError
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, stream, text",
+    [(["ep-locate"], 0, "stdout", "n0 = "), (["simulate", "--strain", "0.5"], 1, "stderr", "error: strain h = 0.5")],
+)
+def test_module_entry_point_exits_with_mains_status(argv, exit_code, stream, text):
+    # `python -m epgw.cli` turns main's return value into the exit status
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-m", "epgw.cli", *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == exit_code
+    assert text in getattr(run, stream)
+    assert run.stderr.count("\n") == run.stderr.count("error:") == exit_code  # one error line on failure
+
+
 def test_config_errors_exit_1(run_cli, tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("resonator.mass_kg = -1\n")
@@ -819,7 +836,7 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         # names the factors; f_max only when the cap set the tau that failed
         ("noise.temperature_k = 1e-300", ["sensitivity", "--points", "5"], "T = 1e-300 K"),
         ("resonator.mass_kg = 1e300", ["sensitivity", "--points", "5"], "m = 1e+300 kg"),
-        ("resonator.mass_kg = 1e-320", ["sensitivity", "--points", "5"], "m = 1e-320 kg"),
+        ("resonator.mass_kg = 1e-320", ["sensitivity", "--points", "5"], "resonator.mass_kg = 1e-320"),
         # k_B T is subnormal, so the floor would carry about 11 significant bits
         ("noise.temperature_k = 1e-290", ["sensitivity", "--points", "3"], "T = 1e-290 K"),
         ("noise.temperature_k = 1e-290", ["sensitivity", "--points", "3"], "error: k_B T = 1.380649e-313 J"),
@@ -827,11 +844,30 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("", ["sweep-strain", "--log", "--min", "5e-324", "--max", "1e-300", "--points", "3"], "h = 5e-324"),
         ("", ["sweep-strain", "--min", "0", "--max", "1e-303", "--points", "50000"], "strain h = "),
         ("", ["simulate", "--strain", "-1e-310"], "h = -1e-310"),
+        # the closed form finds the EP, but the discriminant overflows there
+        ("coupling.j_hz = 1.3e153", ["ep-locate"], "coupling_j = 8.168140899333462e+153"),
+        ("coupling.j_hz = 1.3e153", ["sweep-strain"], "coupling_j = 8.168140899333462e+153"),
+        ("coupling.j_hz = 1.3e153", ["simulate"], "coupling_j = 8.168140899333462e+153"),
+        # a cell that would be written subnormal, named by its column
+        ("", ["sweep-ncav", "--min", "0", "--max", "1e-310", "--points", "3"], "n_cav = 5e-311"),
+        ("", ["sensitivity", "--fmin", "5e-324", "--fmax", "1e-300", "--points", "3"], "frequency_hz = 5e-324"),
+        (
+            "coupling.j_hz = 1e-300",
+            ["sweep-strain", "--log", "--min", "1e-300", "--max", "1e-20", "--points", "3"],
+            "d_approx_rad_s = 3.55430635052669e-309",
+        ),
+        # a subnormal config value, named by its key
+        (
+            "resonator.gamma_m_hz = 1e-310",
+            ["sweep-ncav", "--min", "0", "--max", "1", "--points", "2"],
+            "resonator.gamma_m_hz = 1e-310",
+        ),
+        ("coupling.j_hz = 1e-310", ["ep-locate"], "coupling.j_hz = 1e-310"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):
-    # values that are not finite, and |h| >= 1/2, are rejected before any
-    # work: one error line naming the input, and no file written
+    # bad input is refused with one error line naming the input, and no
+    # file is written
     conf = tmp_path / "run.conf"
     conf.write_text(config + "\n")
     out = tmp_path / "out.dat"

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 
 import pytest
@@ -122,6 +123,22 @@ def test_any_non_finite_value_exits_1(values, key, bad, command):
     assert text is None
 
 
+def _subnormal_cells(text, fmt):
+    """The float cells of an output file, its table and overlays, that are
+    neither 0 nor a normal double."""
+    if fmt == "json":
+        payload = json.loads(text)
+        tables = [payload["rows"], *payload.get("overlays", {}).values()]
+        cells = [cell for table in tables for row in table for cell in row]
+    else:
+        cells = [cell for line in text.splitlines() if not line.startswith("#") for cell in line.split(",")]
+    floats = []
+    for cell in cells:
+        with contextlib.suppress(TypeError, ValueError):  # a column or phase name
+            floats.append(float(cell))
+    return [x for x in floats if 0.0 < abs(x) < sys.float_info.min]
+
+
 def _h_min(text, fmt):
     """The h_min column of a sensitivity output file."""
     if fmt == "json":
@@ -134,14 +151,17 @@ def _h_min(text, fmt):
 # the strain floor rounds to 0: k_B T underflows, or the divisor overflows
 @example(values={"noise.temperature_k": 1e-300}, command="sensitivity", fmt="csv")
 @example(values={"resonator.mass_kg": 1e300}, command="sensitivity", fmt="json")
+# d_approx = 4 sqrt(2) J sqrt(h) is subnormal across the default strain grid
+@example(values={"coupling.j_hz": 1e-300}, command="sweep-strain", fmt="csv")
 def test_extreme_finite_config_exits_cleanly(values, command, fmt):
     # out-of-range results of valid inputs are errors with one message,
-    # never a traceback, and a written file holds no inf or nan, nor a
-    # strain floor of 0
+    # never a traceback, and a written file holds no inf or nan, no
+    # subnormal cell, nor a strain floor of 0
     code, text, err = _run(command, values, fmt)
     assert code in (0, 1, 2)
     if code == 0:
         assert text is not None and not NON_FINITE.search(text)
+        assert not _subnormal_cells(text, fmt)
         if command == "sensitivity":
             assert all(h > 0.0 for h in _h_min(text, fmt))
     else:
@@ -165,11 +185,11 @@ POINTS = [0, 1, 2, 8, (1 << 20) + 1]
 
 
 def _flag_values(flag, typical):
-    """Absent (None), typical, +-1e+-300, 0, negative, nan and +-inf. A
-    simulate run keeps an explicit duration and a dt of at least 1e-11, so
-    an accepted run has at most 2e4 samples: others are refused before any
-    allocation."""
-    values = [None, typical, 1e300, -1e300, 1e-300, -1e-300, 0.0, -typical, math.nan, math.inf, -math.inf]
+    """Absent (None), typical, +-1e+-300, the smallest subnormal, 0,
+    negative, nan and +-inf. A simulate run keeps an explicit duration and
+    a dt of at least 1e-11, so an accepted run has at most 2e4 samples:
+    others are refused before any allocation."""
+    values = [None, typical, 5e-324, 1e300, -1e300, 1e-300, -1e-300, 0.0, -typical, math.nan, math.inf, -math.inf]
     if flag == "--duration":
         values.remove(None)
     if flag == "--dt":
@@ -201,12 +221,14 @@ def flag_draws(draw, command):
 def test_every_numeric_flag_exits_cleanly(command, data, fmt):
     # no traceback (main raises nothing), an exit code from README's table,
     # a non-finite value exits 1 naming the flag and value when it is the
-    # only odd value, and a written file holds no nan or inf
+    # only odd value, and a written file holds no nan or inf and no
+    # subnormal cell
     drawn, argv = data.draw(flag_draws(command))
     code, text, err = _run(command, {}, fmt, argv)
     assert code in (0, 1, 2)
     if code == 0:
         assert text is not None and not NON_FINITE.search(text)
+        assert not _subnormal_cells(text, fmt)
     else:
         assert text is None
         assert err.startswith("error:") and err.count("\n") == 1

@@ -290,6 +290,19 @@ def test_sampling_guard_accepts_the_boundary(device, device_n0):
     assert len(traj) == 21
 
 
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0], ids=["pt_phase", "ep", "broken"])
+def test_default_step_is_the_sampling_bound(device, device_n0, ratio):
+    # 0.1 * 2 pi / max|Re lambda| of the analytic pair, bit for bit, and the
+    # guard refuses a step just above it
+    system = device.with_photon_number(ratio * device_n0)
+    pair = eigenvalues_general(system)
+    bound = 0.1 * TWO_PI / max(abs(pair.lambda_plus.real), abs(pair.lambda_minus.real))
+    for propagate in (propagate_exact, propagate_rk):
+        assert propagate(system, (1.0, 0.0), 1e-8).dt == bound
+        with pytest.raises(SamplingTooCoarseError):
+            propagate(system, (1.0, 0.0), 1e-8, 1.00001 * bound)
+
+
 def test_grid_range_errors(device):
     dt = 9e-11  # below the sampling limit, so only the grid can object
     with pytest.raises(InvalidRangeError):
@@ -318,11 +331,20 @@ def test_runaway_gain_raises_at_the_first_overflowing_sample(device, device_n0, 
     assert np.isfinite(head.a1).all() and np.isfinite(head.a2).all()
 
 
-@pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])
-def test_overflowing_spectrum_is_a_range_error(device, propagate):
-    # M is finite here, but its discriminant overflows: no sample is valid
-    with pytest.raises(InvalidRangeError, match="n_cav = 1e[+]200, 1e[+]200: the eigenvalues overflow"):
-        propagate(device.with_photon_number(1e200), (1.0, 0.0), 1e-8, 1e-11)
+@pytest.mark.parametrize(
+    "propagate, n_cav, message",
+    [
+        # M is finite, but its discriminant overflows: no sample is valid
+        pytest.param(propagate_exact, 1e200, "the eigenvalues overflow", id="propagate_exact"),
+        pytest.param(propagate_rk, 1e200, "the eigenvalues overflow", id="propagate_rk"),
+        # an entry of M itself overflows
+        pytest.param(propagate_exact, 1e305, "the mode matrix overflows", id="propagate_exact-1e305"),
+        pytest.param(propagate_rk, 1e305, "the mode matrix overflows", id="propagate_rk-1e305"),
+    ],
+)
+def test_overflowing_spectrum_is_a_range_error(device, propagate, n_cav, message):
+    with pytest.raises(InvalidRangeError, match=re.escape(f"n_cav = {n_cav!r}, {n_cav!r}: {message}")):
+        propagate(device.with_photon_number(n_cav), (1.0, 0.0), 1e-8, 1e-11)
 
 
 @pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -221,8 +222,8 @@ def test_curve_range_errors(device_resonator):
 
 def test_overlay_round_trip(tmp_path):
     path = tmp_path / "curve.csv"
-    path.write_text("frequency_hz,strain\n1e-3,4.5e-25\n2.0,1.25e-22\n")
-    assert read_overlay_csv(str(path)) == [(1e-3, 4.5e-25), (2.0, 1.25e-22)]
+    path.write_text("frequency_hz,strain\n1e-3,4.5e-25\n2.0,1.25e-22\n0,2.2250738585072014e-308\n")
+    assert read_overlay_csv(str(path)) == [(1e-3, 4.5e-25), (2.0, 1.25e-22), (0.0, sys.float_info.min)]
 
 
 def test_overlay_header_is_normalized(tmp_path):
@@ -241,7 +242,7 @@ def test_overlay_rejects_wrong_header(tmp_path):
 
 def test_overlay_rejects_bad_cell(tmp_path):
     path = tmp_path / "curve.csv"
-    for cell in ("oops", "nan", "-inf"):
+    for cell in ("oops", "nan", "-inf", "5e-324", "-1e-310"):
         path.write_text(f"frequency_hz,strain\n1.0,2.0\n\n3.0,{cell}\n")
         with pytest.raises(ConfigParseError) as info:
             read_overlay_csv(str(path))

@@ -339,6 +339,17 @@ def test_no_ep_for_detuned_resonators(device, device_resonator):
         ep_photon_number(system)
 
 
+def test_discriminant_that_overflows_at_the_ep_is_a_range_error(device_resonator):
+    # J^2 is finite and the closed form finds the root, but the discriminant
+    # overflows there: an input out of range, not a system without an EP
+    def system(coupling_j):
+        return balanced_system(device_resonator, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=coupling_j)
+
+    assert ep_photon_number(system(TWO_PI * 1e153)) == pytest.approx(1.406273e158, rel=1e-6)
+    with pytest.raises(InvalidRangeError, match=r"coupling_j = 8e\+153: .* at n = 1\.790522e\+158"):
+        ep_photon_number(system(8e153))
+
+
 def test_bifurcation_structure_below_and_above(device, device_n0):
     omega_m = device.resonator_1.omega_m
     below = eigenvalues_general(device.with_photon_number(0.25 * device_n0))
@@ -459,6 +470,16 @@ def test_splitting_convention_independent_first_order(device, device_n0):
 def test_splitting_rejects_wrong_bias(device, device_n0):
     with pytest.raises(NotAtEPError):
         splitting(device, 1.1 * device_n0, 1e-23)
+
+
+def test_strain_response_that_overflows_is_a_range_error(device_resonator):
+    # at J = 3e153 rad/s the broken-phase response to h = -0.49 overflows,
+    # while the PT-symmetric one to h = +0.49 stays finite
+    system = balanced_system(device_resonator, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=3e153)
+    n0 = ep_photon_number(system)
+    with pytest.raises(InvalidRangeError, match=re.escape(f"the strain response at n0 = {n0!r} overflows")):
+        splitting(system, n0, -0.49)
+    assert math.isfinite(splitting(system, n0, 0.49).d_exact)
 
 
 def test_splitting_dg_matches_coupling_perturbation(device, device_resonator, device_n0):
