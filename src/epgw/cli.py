@@ -8,10 +8,10 @@ subcommand runs with zero configuration.
 
 Output files are byte-deterministic, with fixed column schemas. The header
 records the command, the config and every flag of the command as the run
-resolved it (``--tmax`` as the config key ``sensitivity.t_max_s``), so a
-file can be replayed from its header alone (see _emit). CSV writes
-floats with 17 significant digits under a ``# key = value`` comment
-header; JSON writes one line, keys sorted, floats as ``float.__repr__``.
+resolved it, so a file can be replayed from its header alone (see _emit).
+CSV writes floats with 17 significant digits under a ``# key = value``
+comment header; JSON writes one line, keys sorted, floats as
+``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .core import (
     ValidationError,
     _check_nonnegative,
     _check_positive,
+    _read_utf8,
     balanced_system,
     drive_amplitude_from_thickness,
     require_nonnegative,
@@ -91,7 +92,6 @@ class RunConfig:
     cavity_length_m: float = 1e-4
     cavity_decay_rate_hz: float = 1e8
     coupling_j_hz: float = 1e7
-    drive_photon_number: float | None = None
     noise_temperature_k: float = 300.0
     sensitivity_t_max_s: float = 3600.0
 
@@ -105,13 +105,12 @@ class RunConfig:
         )
 
     def system(self) -> CoupledSystem:
-        """Balanced blue/red system driven at drive.photon_number, or 0."""
+        """Balanced blue/red system, undriven."""
         return balanced_system(
             self.resonator(),
             length=self.cavity_length_m,
             kappa=TWO_PI * self.cavity_decay_rate_hz,
             coupling_j=TWO_PI * self.coupling_j_hz,
-            n_cav=self.drive_photon_number if self.drive_photon_number is not None else 0.0,
         )
 
     def context(self) -> SensitivityContext:
@@ -127,22 +126,17 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Serialize to the config format (keys in canonical order)."""
-        lines = []
-        for key, attr in _ATTR.items():
-            value = getattr(self, attr)
-            if value is not None:
-                lines.append(f"{key} = {value!r}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {getattr(self, attr)!r}\n" for key, attr in _ATTR.items())
 
 
 # Config key -> RunConfig attribute, in serialization order.
 _ATTR = {f.name.replace("_", ".", 1): f.name for f in dataclasses.fields(RunConfig)}
 
 # Reference device, by config key.
-CONFIG_DEFAULTS: dict[str, float | None] = {key: getattr(RunConfig, attr) for key, attr in _ATTR.items()}
+CONFIG_DEFAULTS = {key: getattr(RunConfig, attr) for key, attr in _ATTR.items()}
 
 # The keys that may be zero; every other value must be > 0.
-_MAY_BE_ZERO = {"resonator.gamma_m_hz", "coupling.j_hz", "drive.photon_number"}
+_MAY_BE_ZERO = {"resonator.gamma_m_hz", "coupling.j_hz"}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -179,14 +173,13 @@ def parse_config_text(text: str) -> RunConfig:
     violations = []
     for key, attr in _ATTR.items():
         value = getattr(cfg, attr)
-        if value is not None:  # an unset photon number
-            err = (_check_nonnegative if key in _MAY_BE_ZERO else _check_positive)(key, value)
-            if err is None and 0.0 < value < sys.float_info.min:
-                err = InvalidRangeError(f"{key} = {value!r} is subnormal; need 0 or a normal double")
-            if err is None and key.endswith("_hz") and not math.isfinite(TWO_PI * value):
-                err = InvalidRangeError(f"{key} = {value!r} overflows double precision in rad/s")
-            if err is not None:
-                violations.append(err)
+        err = (_check_nonnegative if key in _MAY_BE_ZERO else _check_positive)(key, value)
+        if err is None and 0.0 < value < sys.float_info.min:
+            err = InvalidRangeError(f"{key} = {value!r} is subnormal; need 0 or a normal double")
+        if err is None and key.endswith("_hz") and not math.isfinite(TWO_PI * value):
+            err = InvalidRangeError(f"{key} = {value!r} overflows double precision in rad/s")
+        if err is not None:
+            violations.append(err)
     if violations:
         raise ValidationError(violations)
     return cfg
@@ -195,17 +188,13 @@ def parse_config_text(text: str) -> RunConfig:
 def parse_config(path: str | None) -> RunConfig:
     """Load a config file, or the defaults for None, validated.
 
-    A command's own flags are applied by the command, after this.
-
     Raises:
-        ConfigParseError, UnknownKeyError: malformed input.
+        ConfigParseError, UnknownKeyError: malformed input, a byte that
+            is not UTF-8 included.
         ValidationError: any physical field out of range or not finite.
         OSError: unreadable file.
     """
-    if path is None:
-        return parse_config_text("")
-    with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
-        return parse_config_text(fh.read())
+    return parse_config_text("" if path is None else _read_utf8(path))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +277,8 @@ def render_json(
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
-# The options that name the run's files rather than the run, and --tmax,
-# which the header records as the config key sensitivity.t_max_s.
-_NOT_FLAGS = {"command", "config", "output", "format", "tmax"}
+# The options that name the run's files rather than the run.
+_NOT_FLAGS = {"command", "config", "output", "format"}
 
 
 def _emit(args, cfg, columns, rows, overlays=None, **resolved):
@@ -298,8 +286,8 @@ def _emit(args, cfg, columns, rows, overlays=None, **resolved):
     ep-locate, csv for every other command.
 
     The header records the command, the config and every flag of the
-    command as the run resolved it: the parsed flags but the file options
-    and --tmax, updated by ``resolved``, the values the command derived
+    command as the run resolved it: the parsed flags but the file options,
+    updated by ``resolved``, the values the command derived
     (simulate's photon number, duration and dt, sweep-strain's n0, the
     overlay names). So a file can be replayed from its header."""
     if args.output is None:
@@ -381,9 +369,6 @@ def cmd_sweep_strain(cfg: RunConfig, args) -> int:
 
 
 def cmd_sensitivity(cfg: RunConfig, args) -> int:
-    if args.tmax is not None:
-        require_positive("tmax", args.tmax)
-        cfg = dataclasses.replace(cfg, sensitivity_t_max_s=args.tmax)
     curve = sensitivity_curve(
         cfg.context(),
         cfg.resonator(),
@@ -430,8 +415,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     if args.photon_number is not None:
         require_nonnegative("photon_number", args.photon_number)
         n_cav = args.photon_number
-    elif cfg.drive_photon_number is not None:
-        n_cav = cfg.drive_photon_number
     else:
         n_cav = ep_photon_number(system, convention)
 
@@ -479,6 +462,22 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite(name: str):
+    """argparse type of a float flag: a value that is not finite is refused
+    at parse, so the first such flag of argv is named, before any work runs.
+    The error names the flag (argparse's prefix) and the value as ``name``,
+    the quantity it sets."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{name} = {value!r} is not finite")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type of a value float() refuses
+    return parse
+
+
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (flat dotted keys)")
@@ -499,22 +498,21 @@ def build_parser() -> _Parser:
     sub.add_parser("ep-locate", parents=[common, spectral_flags], help="find the exceptional-point photon number")
 
     p = sub.add_parser("sweep-ncav", parents=[common, spectral_flags], help="eigenvalue branches vs photon number")
-    p.add_argument("--min", type=float, default=1e11)
-    p.add_argument("--max", type=float, default=5e12)
+    p.add_argument("--min", type=_finite("n_min"), default=1e11)
+    p.add_argument("--max", type=_finite("n_max"), default=5e12)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--log", action="store_true", help="log-spaced grid")
 
     p = sub.add_parser("sweep-strain", parents=[common, spectral_flags], help="splitting vs strain at the EP")
-    p.add_argument("--min", type=float, default=1e-26)
-    p.add_argument("--max", type=float, default=1e-20)
+    p.add_argument("--min", type=_finite("h_min"), default=1e-26)
+    p.add_argument("--max", type=_finite("h_max"), default=1e-20)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--log", action="store_true", help="log-spaced grid")
 
     p = sub.add_parser("sensitivity", parents=[common], help="minimum detectable strain vs frequency")
-    p.add_argument("--fmin", type=float, default=1e-7)
-    p.add_argument("--fmax", type=float, default=1e3)
+    p.add_argument("--fmin", type=_finite("f_min"), default=1e-7)
+    p.add_argument("--fmax", type=_finite("f_max"), default=1e3)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--tmax", type=float, default=None, help="override sensitivity.t_max_s")
     p.add_argument(
         "--tau-rule",
         choices=["half", "full"],
@@ -528,10 +526,12 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("simulate", parents=[common, spectral_flags], help="time-domain run and spectral readout")
-    p.add_argument("--strain", type=float, default=1e-4, help="applied strain h")
-    p.add_argument("--photon-number", type=float, default=None, help="override drive photon number")
-    p.add_argument("--duration", type=float, default=None, help="simulated time (s)")
-    p.add_argument("--dt", type=float, default=None, help="sample step (s)")
+    p.add_argument("--strain", type=_finite("h"), default=1e-4, help="applied strain h")
+    p.add_argument(
+        "--photon-number", type=_finite("photon_number"), default=None, help="drive photon number; default: the EP"
+    )
+    p.add_argument("--duration", type=_finite("duration"), default=None, help="simulated time (s)")
+    p.add_argument("--dt", type=_finite("dt"), default=None, help="sample step (s)")
 
     return parser
 

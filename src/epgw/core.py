@@ -419,3 +419,19 @@ def drive_amplitude_from_thickness(thickness: float) -> float:
     """Critical rms drive amplitude of a doubly-clamped beam, 0.53 * thickness."""
     require_positive("thickness", thickness)
     return CRITICAL_AMPLITUDE_FACTOR * thickness
+
+
+def _read_utf8(path: str) -> str:
+    """The text of a UTF-8 file, a byte-order mark skipped.
+
+    Raises:
+        ConfigParseError: a byte that is not UTF-8, named by its line.
+        OSError: unreadable file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8-sig") + "x").splitlines())  # as str.splitlines counts
+        raise ConfigParseError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None

@@ -31,6 +31,7 @@ from .core import (
     K_BOLTZMANN,
     MechanicalResonator,
     SensitivityContext,
+    _read_utf8,
     require_positive,
     sweep_grid,
 )
@@ -159,13 +160,21 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
     (frequency_hz, strain) pair per row. A UTF-8 byte-order mark is skipped.
 
     Raises:
-        ConfigParseError: missing/wrong header, or a cell that is not a
-            finite number, or is subnormal (not 0 or a normal double).
+        ConfigParseError: a byte that is not UTF-8, a missing/wrong header,
+            or a cell that is not a finite number, or is subnormal (not 0 or
+            a normal double).
         OSError: unreadable file.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = [(line_no, row) for line_no, row in enumerate(reader, start=1) if row]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows = [(line_no, row) for line_no, row in enumerate(reader, start=1) if row]
+    except UnicodeDecodeError:
+        # The decoder's offset counts from its chunk, not the file: read
+        # the file whole to name the line. Streaming keeps a large overlay
+        # from being held twice, as bytes and as text.
+        _read_utf8(path)
+        raise
     if not rows:
         raise ConfigParseError(1, "empty overlay file; expected header 'frequency_hz, strain'")
     header_no, header = rows[0]

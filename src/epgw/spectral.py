@@ -456,7 +456,8 @@ def splitting(
     Raises:
         ValidationError, NonPositiveParameterError: invalid system or n0.
         InvalidRangeError: |h| >= 1/2, or h not finite; or an arm
-            constant (see _arms) or the response overflows.
+            constant (see _arms) or the response overflows; or, at
+            h != 0, the discriminant or d_approx is not a normal double.
         NotAtEPError: ``n0`` does not put the unstrained system at its EP.
     """
     validate_system(system)
@@ -488,15 +489,30 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
         # zero part, which neither output below keeps.
         db_im = 0.5 * (scale * arm_2.optical_damping(n0) - scale * arm_1.optical_damping(n0))
         t_im = 2.0 * b0_im + db_im
-        alpha = _root(_complex(q * -(db_im * t_im), q * (db_im * (2.0 * b0_re))))
+        disc = _complex(q * -(db_im * t_im), q * (db_im * (2.0 * b0_re)))
+        alpha = _root(disc)
         response = (
             -2.0 * arm_1.g0 * h,
             2.0 * alpha.real,
             4.0 * math.sqrt(2.0) * j * np.sqrt(abs(h)),
             2.0 * abs(alpha.imag),
         )
-    if not all(np.isfinite(x).all() for x in response):
-        raise InvalidRangeError(f"the strain response at n0 = {n0!r} overflows double precision")
+        # One test of the whole response: it is finite, and at h != 0 the
+        # discriminant and d_approx are normal doubles; below that range
+        # they have lost the sqrt(h) law's digits, down to a splitting of
+        # 0. The sum is finite exactly when every part is, since each
+        # finite part is below 1e155 (g0^2, J^2 and disc are finite).
+        smallest = np.minimum(np.maximum(abs(disc.real), abs(disc.imag)), response[2])
+        in_range = np.isfinite(sum(response)) & ((smallest >= sys.float_info.min) | (h == 0.0))
+    if not np.all(in_range):
+        if not np.isfinite(sum(response)).all():
+            raise InvalidRangeError(f"the strain response at n0 = {n0!r} overflows double precision")
+        k = np.argmin(np.ravel(in_range))  # the first point out of range
+        h_k, disc_k, approx_k = (np.ravel(x)[k].item() for x in (h, disc, response[2]))
+        raise InvalidRangeError(
+            f"coupling_j = {j!r}: the strain response at h = {h_k!r} underflows double precision"
+            f" (disc = {disc_k!r}, d_approx = {approx_k!r}; each must be a normal double)"
+        )
     return response
 
 

@@ -37,9 +37,10 @@ def test_defaults_describe_reference_device():
     assert cfg.resonator_frequency_hz == 1e9
     assert cfg.resonator_mass_kg == 5.3e-15
     assert cfg.coupling_j_hz == 1e7
-    assert cfg.drive_photon_number is None
     assert cfg.sensitivity_t_max_s == 3600.0
     assert cfg.coupling_rad_s() == TWO_PI * 1e7
+    # every setting has a value: no field is unset
+    assert [type(field.default) for field in dataclasses.fields(RunConfig)] == [float] * 10
 
 
 def test_config_round_trip():
@@ -64,13 +65,13 @@ def test_config_file_with_comments(tmp_path):
 
 
 def test_overrides_win_over_file(run_cli, tmp_path):
-    # a later config line wins over an earlier one, and a command's flag
-    # wins over the file; the header records the value used
+    # a later config line wins over an earlier one; the header records the
+    # value used
     assert parse_config_text("coupling.j_hz = 5e6\ncoupling.j_hz = 7e6\n").coupling_j_hz == 7e6
     path = tmp_path / "run.conf"
-    path.write_text("sensitivity.t_max_s = 3600\n")
+    path.write_text("sensitivity.t_max_s = 3600\nsensitivity.t_max_s = 36\n")
     out = tmp_path / "floor.csv"
-    code, _, _ = run_cli("sensitivity", "--points", "5", "--tmax", "36", "--config", str(path), "--output", str(out))
+    code, _, _ = run_cli("sensitivity", "--points", "5", "--config", str(path), "--output", str(out))
     assert code == 0
     assert "# sensitivity.t_max_s = 36.0\n" in out.read_text()
 
@@ -83,6 +84,9 @@ def test_unknown_keys_rejected():
     # the integration time is sensitivity.t_max_s alone
     with pytest.raises(UnknownKeyError):
         parse_config_text("noise.sample_time_s = 1.0\n")
+    # the drive is simulate's --photon-number, or else the located EP
+    with pytest.raises(UnknownKeyError):
+        parse_config_text("drive.photon_number = 1e12\n")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -110,7 +114,7 @@ def test_validation_rejects_nonpositive_fields():
 def test_each_config_value_is_checked_once_under_its_key(key):
     # zero is valid only where the model allows it; a bad value is named by
     # its key as written, once, not by the fields derived from it
-    may_be_zero = key in ("resonator.gamma_m_hz", "coupling.j_hz", "drive.photon_number")
+    may_be_zero = key in ("resonator.gamma_m_hz", "coupling.j_hz")
     for value in (0.0, -1.0, math.nan):
         text = f"{key} = {value!r}\n"
         if value == 0.0 and may_be_zero:
@@ -151,16 +155,15 @@ def test_zero_coupling_survives_config_validation():
 def test_serialization_order_is_canonical():
     text = RunConfig().to_text()
     keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
-    expected = [key for key in CONFIG_DEFAULTS if CONFIG_DEFAULTS[key] is not None]
-    assert keys == expected
+    assert keys == list(CONFIG_DEFAULTS)
 
 
 def test_readme_tables_match_the_parser_and_config():
     text = README.read_text(encoding="utf-8")
     # the config table: every key once, with the RunConfig default
     section = text.split("### Config file", 1)[1].split("\n### ", 1)[0]
-    rows = re.findall(r"^\| `([\w.]+)` +\| (`[^`]*`|\(unset\)) +\|", section, flags=re.M)
-    documented = {key: None if value == "(unset)" else float(value.strip("`")) for key, value in rows}
+    rows = re.findall(r"^\| `([\w.]+)` +\| `([^`]*)` +\|", section, flags=re.M)
+    documented = {key: float(value) for key, value in rows}
     assert len(rows) == len(documented)
     assert documented == CONFIG_DEFAULTS
     # the command table: every subcommand's own flags, each `--flag value`
@@ -204,7 +207,6 @@ KEY_READERS = {
     "cavity.length_m": (2e-4, "ep-locate"),
     "cavity.decay_rate_hz": (2e8, "ep-locate"),
     "coupling.j_hz": (2e7, "ep-locate"),
-    "drive.photon_number": (1e12, "simulate"),
     "noise.temperature_k": (4.0, "sensitivity"),
     "sensitivity.t_max_s": (36.0, "sensitivity"),
 }
@@ -224,7 +226,6 @@ FLAG_VALUES = {
     ("sensitivity", "--fmin"): "1e-6",
     ("sensitivity", "--fmax"): "1e2",
     ("sensitivity", "--points"): "6",
-    ("sensitivity", "--tmax"): "36",
     ("sensitivity", "--tau-rule"): "full",
     ("sensitivity", "--overlay"): "FILE",
     ("simulate", "--ep-convention"): "eq8",
@@ -329,8 +330,10 @@ def test_sensitivity_reports_floor(run_cli):
     assert floor == pytest.approx(2.4211684e-28, rel=1e-5)
 
 
-def test_sensitivity_tmax_override_scales_floor(run_cli):
-    code, out, _ = run_cli("sensitivity", "--points", "50", "--tmax", "36")
+def test_sensitivity_tmax_override_scales_floor(run_cli, tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("sensitivity.t_max_s = 36\n")
+    code, out, _ = run_cli("sensitivity", "--points", "50", "--config", str(conf))
     assert code == 0
     floor = _stdout_float(out, "floor h_min")
     assert floor == pytest.approx(2.4211684e-26, rel=1e-5)
@@ -352,21 +355,23 @@ def test_sensitivity_floor_is_the_config_context_floor(run_cli, tmp_path, config
 
 
 @pytest.mark.parametrize(
-    "flags, cap",
+    "config, flags, cap",
     [
-        (["--tmax", "1e-310"], "the integration time 1e-310 s"),
-        (["--fmax", "1e308"], "f_max = 1e+308"),
+        ("sensitivity.t_max_s = 1e-300\nnoise.temperature_k = 1e40\n", [], "the integration time 1e-300 s"),
+        ("", ["--fmax", "1e308"], "f_max = 1e+308"),
     ],
     ids=["integration-time", "half-period"],
 )
-def test_sensitivity_overflow_names_the_cap_that_set_tau(run_cli, flags, cap):
+def test_sensitivity_overflow_names_the_cap_that_set_tau(run_cli, tmp_path, config, flags, cap):
     # the strain floor overflows where tau is shortest, at f_max; the error
     # blames f_max only when the half-period cap set tau there
-    code, _, err = run_cli("sensitivity", "--points", "5", *flags)
+    conf = tmp_path / "run.conf"
+    conf.write_text(config)
+    code, _, err = run_cli("sensitivity", "--points", "5", "--config", str(conf), *flags)
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert cap in err
-    assert ("f_max" in err) == (flags[0] == "--fmax")
+    assert ("f_max" in err) == ("--fmax" in flags)
 
 
 def test_simulate_below_threshold_resolves_two_peaks(run_cli, tmp_path):
@@ -448,20 +453,24 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # flag.duration moved to the unrounded 100 beats, both peaks moved by about
 # 1e-10 relative (each still 0.011 and 0.014 resolutions from its
 # prediction), and both linewidths by about 6e-4 relative.
+# The three JSON digests, and their JSON_VALUE, were re-recorded when the
+# config key drive.photon_number was deleted: each config object lost its
+# "drive.photon_number": null entry, and putting it back gives the old
+# digests. A CSV header never wrote the unset key, so no CSV byte moved.
 GOLDEN = {
-    "ep-locate": "4cb83d570490eea219d1d20fb0fe50c99e0739cac9cd54cdfb2f3a9912fbe771",
+    "ep-locate": "39ffe776d7aa9e080ff423bcabfb9b3e1cf0509f37b9f9c127358fd7668c06a5",
     "sweep-ncav": "9bc099c8a8923426cfca1f86d06c9631e26f4e6276e01b51374ce31fe2cff223",
-    "sweep-ncav-json": "7b48b5644e5b8a02ae5b8d023041891c8864e381aa02efd9e213c5cfdc1617bf",
+    "sweep-ncav-json": "beafd869c2d21bf2204249258f37651c302842d740762bf2d4c3c5a518e52c0c",
     "sweep-strain": "9d7acf1f1b12b19da5bd45fdfac3c107977950682a1c256e12d46847793fc63f",
     "sensitivity": "287dcc8329400dd7d7267196611322235e23293cf9bf7d2dcdca450c96bf8708",
     "simulate": "7346a20eb67b3e3c5ae2757ab9df1f2a4a9bed7d94073652671d2cd667174411",
-    "sensitivity-overlay-json": "05bb0d31b7d91c307b67f403305dafb8b29042597576f80b28af50a2fe65494d",
+    "sensitivity-overlay-json": "c27f3379ff397024a626362b644622db4570ee397ffee3e9ad638cb644212151",
     "sensitivity-overlay-csv": "b9873cd0a8cf659ca419c00889abfe64c034335332d05e86e38b59f4fc717f6b",
 }
 JSON_VALUE = {
-    "ep-locate": "fdd4e4e67b981b5474a16760fc3c7da86b9251cfae2b1f455e1da615d7a302b3",
-    "sweep-ncav-json": "47e6adbb4914b71f24ca4dd302e6096e315da90ddd4f4cc8303c823fef7a5f21",
-    "sensitivity-overlay-json": "f9bb4d871a27105d1ad9fa9c7bbb9e8841c953420fb60cd48c35e78176ecee98",
+    "ep-locate": "d08439aefdd6e9faecb3604d7fefda7162cad025631cf8b0a2647758a7825371",
+    "sweep-ncav-json": "a2a0ca2c865cebe3f8c004b37093bfed1216756bcfef3aed515ae568ca8e2a32",
+    "sensitivity-overlay-json": "f054b2be15c1c683eab8eb1c3092cebad3038e9c15b9e8353bb804a4a6348b3e",
 }
 
 
@@ -499,8 +508,7 @@ def _header(path):
     text = path.read_text()
     if text.startswith("{"):
         payload = json.loads(text)
-        config = {key: value for key, value in payload["config"].items() if value is not None}
-        return "json", payload["command"], config, payload["flags"]
+        return "json", payload["command"], payload["config"], payload["flags"]
     config, flags = {}, {}
     for line in text.splitlines():
         key, _, value = line.removeprefix("# ").partition(" = ")
@@ -521,9 +529,9 @@ def _header(path):
         (["ep-locate", "--ep-convention", "eq8"], ""),
         (["ep-locate", "--format", "csv"], "coupling.j_hz = 2e7\n"),
         (["sweep-ncav", "--log"], ""),
-        (["sweep-ncav", "--format", "json", "--points", "7"], "drive.photon_number = 1e12\n"),
+        (["sweep-ncav", "--format", "json", "--points", "7"], "cavity.length_m = 2e-4\n"),
         (["sweep-strain", "--ep-convention", "eq8"], ""),
-        (["sensitivity", "--tmax", "36", "--tau-rule", "full", "--overlay", "OVERLAY"], ""),
+        (["sensitivity", "--tau-rule", "full", "--overlay", "OVERLAY"], ""),
         (["sensitivity", "--format", "json", "--points", "9", "--overlay", "OVERLAY"], "noise.temperature_k = 4.0\n"),
         (["simulate"], ""),
         (["simulate", "--strain", "-1e-4", "--duration", "1e-6"], ""),
@@ -583,7 +591,7 @@ def test_json_schema(run_cli, tmp_path):
     assert payload["command"] == "ep-locate"
     assert payload["columns"] == ["n0", "g0_rad_s", "phi_s", "gamma_1_rad_s", "gamma_2_rad_s"]
     assert payload["config"]["coupling.j_hz"] == 1e7
-    assert payload["config"]["drive.photon_number"] is None
+    assert list(payload["config"]) == sorted(CONFIG_DEFAULTS)
     assert payload["flags"] == {"ep_convention": "eq7"}
     (row,) = payload["rows"]
     assert 1.33e12 <= row[0] <= 1.63e12
@@ -738,6 +746,25 @@ def test_overlay_with_a_byte_order_mark_reads_as_without(run_cli, tmp_path):
     assert b"# overlay = reference.csv\nfrequency_hz,strain\n1.0000000000000000e+00," in outputs[0]
 
 
+@pytest.mark.parametrize(
+    "flag, text, named",
+    [
+        ("--config", b"coupling.j_hz = 2e7\nnoise.temperature_k = 4.0  # \xb0K\n", "line 2: byte 0xb0"),
+        ("--overlay", b"frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\xff\n", "line 3: byte 0xff"),
+    ],
+)
+def test_file_that_is_not_utf8_exits_1_naming_its_line(run_cli, tmp_path, flag, text, named):
+    # a Latin-1 degree sign in a comment, or a stray byte in a cell: the
+    # error names the line that holds the first byte that is not UTF-8
+    source = tmp_path / "input.txt"
+    source.write_bytes(text)
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli("sensitivity", "--points", "3", flag, str(source), "--output", str(out))
+    assert code == 1
+    assert not out.exists()
+    assert err == f"error: {named} is not UTF-8\n"
+
+
 @pytest.mark.parametrize("second", ["b/ref.csv", "a/ref.csv"], ids=["same-basename", "same-file"])
 def test_overlays_with_one_basename_exit_1_without_output(run_cli, tmp_path, second):
     # the basename keys the overlay in the output; a second one would
@@ -781,7 +808,8 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("resonator.gamma_m_hz = nan", ["ep-locate"], "gamma_m"),
         # a config value is named by its key, as written
         ("coupling.j_hz = inf", ["ep-locate"], "coupling.j_hz = inf"),
-        ("drive.photon_number = nan", ["simulate"], "drive.photon_number = nan"),
+        # the drive is simulate's --photon-number, not a config key
+        ("drive.photon_number = 1e12", ["simulate"], "unknown config key: 'drive.photon_number'"),
         ("", ["sweep-ncav", "--max", "inf", "--points", "5"], "n_max"),
         ("", ["sensitivity", "--fmax", "inf", "--points", "5"], "f_max"),
         ("", ["simulate", "--strain", "0.5"], "strain"),
@@ -800,7 +828,7 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("cavity.length_m = 1e-160", ["ep-locate", "--format", "csv"], "g0"),
         ("resonator.frequency_hz = 1e-300", ["ep-locate", "--format", "csv"], "g0"),
         ("cavity.length_m = 1e-100", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "g0"),
-        ("drive.photon_number = 1e289", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "n_cav"),
+        ("", ["simulate", "--photon-number", "1e289", "--dt", "1e-11", "--duration", "1.1e-8"], "n_cav"),
         # a sample count beyond the limit, inf included
         ("", ["simulate", "--duration", "1e300"], "duration"),
         ("", ["simulate", "--dt", "1e-300"], "dt"),
@@ -808,7 +836,8 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("", ["sweep-ncav", "--points", "10000000000000"], "points"),
         ("", ["sweep-strain", "--points", "10000000000000"], "points"),
         ("", ["sensitivity", "--points", "10000000000000"], "points"),
-        # the photon-number flag, checked before the drive is strained
+        # the photon-number flag, checked at parse or before the drive is
+        # strained
         ("", ["simulate", "--photon-number", "nan"], "photon_number"),
         ("", ["simulate", "--photon-number", "inf"], "photon_number"),
         ("", ["simulate", "--photon-number", "-1"], "photon_number"),
@@ -821,13 +850,13 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         ("", ["simulate", "--strain", "-nan"], "h = nan"),
         ("", ["sweep-ncav", "--min", "-Infinity", "--points", "5"], "n_min = -inf"),
         ("", ["sweep-strain", "--min", "-NaN", "--points", "5"], "h_min = nan"),
-        # a value that is not finite is named before any other fault
+        # a value that is not finite is named at parse, before any other
+        # fault: the first such flag of argv
         ("", ["simulate", "--dt", "1e300", "--duration", "nan"], "duration = nan"),
         ("", ["sweep-ncav", "--min", "nan", "--points", "0"], "n_min = nan"),
-        # the integration-time flag, checked as the command applies it; the
-        # config key is named as a key
-        ("", ["sensitivity", "--tmax", "nan", "--points", "5"], "tmax = nan"),
-        ("", ["sensitivity", "--tmax", "-1", "--points", "5"], "tmax = -1.0"),
+        # the integration time is the config key alone
+        ("", ["sensitivity", "--tmax", "36", "--points", "5"], "unrecognized arguments: --tmax 36"),
+        ("", ["simulate", "--strain", "1e300", "--dt", "nan"], "error: argument --dt: dt = nan is not finite"),
         ("sensitivity.t_max_s = nan", ["sensitivity", "--points", "5"], "sensitivity.t_max_s = nan"),
         # the strain floor does not depend on the convention, so sensitivity
         # does not offer it rather than ignore it
@@ -851,10 +880,11 @@ def test_io_errors_exit_3(run_cli, tmp_path):
         # a cell that would be written subnormal, named by its column
         ("", ["sweep-ncav", "--min", "0", "--max", "1e-310", "--points", "3"], "n_cav = 5e-311"),
         ("", ["sensitivity", "--fmin", "5e-324", "--fmax", "1e-300", "--points", "3"], "frequency_hz = 5e-324"),
+        # a strain response below the normal range, named by its h and J
         (
             "coupling.j_hz = 1e-300",
             ["sweep-strain", "--log", "--min", "1e-300", "--max", "1e-20", "--points", "3"],
-            "d_approx_rad_s = 3.55430635052669e-309",
+            "coupling_j = 6.283185307179586e-300: the strain response at h = 1e-300 underflows",
         ),
         # a subnormal config value, named by its key
         (
@@ -863,6 +893,19 @@ def test_io_errors_exit_3(run_cli, tmp_path):
             "resonator.gamma_m_hz = 1e-310",
         ),
         ("coupling.j_hz = 1e-310", ["ep-locate"], "coupling.j_hz = 1e-310"),
+        # a flag that is not finite is refused before the EP is located
+        ("coupling.j_hz = 1.3e153", ["sweep-strain", "--max", "nan"], "argument --max: h_max = nan is not finite"),
+        # the discriminant underflows to 0 while d_approx is normal, or both do
+        (
+            "coupling.j_hz = 1e-300",
+            ["sweep-strain", "--log", "--min", "1e-16", "--max", "1e-2", "--points", "3"],
+            "the strain response at h = 1e-16 underflows",
+        ),
+        (
+            "coupling.j_hz = 1e-300",
+            ["sweep-strain", "--log", "--min", "1e-200", "--max", "1e-100", "--points", "3"],
+            "the strain response at h = 1e-200 underflows",
+        ),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):
@@ -883,11 +926,11 @@ def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named
     "config, argv",
     [
         # the finite eigenvalues put a mode on e^{7e121 t}
-        ("drive.photon_number = 1.6217565213242456e+126", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"]),
-        # every value inside the ranges the config properties draw from
+        ("", ["simulate", "--photon-number", "1.6217565213242456e+126", "--dt", "1e-11", "--duration", "1.1e-8"]),
+        # every value inside the ranges the properties draw from
         (
-            "cavity.length_m = 1e-05\nresonator.frequency_hz = 1e8\ndrive.photon_number = 1e14",
-            ["simulate", "--dt", "1e-10", "--duration", "1.1e-7"],
+            "cavity.length_m = 1e-05\nresonator.frequency_hz = 1e8",
+            ["simulate", "--photon-number", "1e14", "--dt", "1e-10", "--duration", "1.1e-7"],
         ),
     ],
     ids=["photon_number_1e126", "short_cavity"],

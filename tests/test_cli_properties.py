@@ -22,8 +22,7 @@ from epgw import EpgwError, Phase  # noqa: E402
 from epgw.cli import CONFIG_DEFAULTS, RunConfig, main, parse_config_text, render_json  # noqa: E402
 
 # log10 range of each config value, around the reference device. A key
-# left out of an example keeps its default (zero for gamma_m, unset for
-# drive.photon_number).
+# left out of an example keeps its default (zero for gamma_m).
 LOG_RANGES = {
     "resonator.frequency_hz": (8.0, 10.0),
     "resonator.mass_kg": (-16.0, -13.0),
@@ -33,7 +32,6 @@ LOG_RANGES = {
     "cavity.length_m": (-5.0, -3.0),
     "cavity.decay_rate_hz": (7.0, 9.0),
     "coupling.j_hz": (5.0, 8.0),
-    "drive.photon_number": (9.0, 14.0),
     "noise.temperature_k": (-3.0, 3.0),
     "sensitivity.t_max_s": (0.0, 5.0),
 }
@@ -60,12 +58,14 @@ def finite_configs(draw):
     return values
 
 
-def _argv(command, values):
+def _argv(command, values, photon_number=None):
     argv = [command]
     if command == "simulate":
         # a tenth of the sampling-guard step, over ~1100 samples
         dt = 0.01 / values.get("resonator.frequency_hz", CONFIG_DEFAULTS["resonator.frequency_hz"])
         argv += ["--dt", repr(dt), "--duration", repr(1100.0 * dt)]
+        if photon_number is not None:
+            argv += ["--photon-number", repr(photon_number)]
     elif command != "ep-locate":
         argv += ["--points", "8"]
     return argv
@@ -90,19 +90,26 @@ def _run(command, values, fmt="csv", argv=None):
 
 
 @settings(max_examples=25)
-@given(values=finite_configs(), command=st.sampled_from(COMMANDS), fmt=st.sampled_from(["csv", "json"]))
+@given(
+    values=finite_configs(),
+    photon_number=st.none() | st.floats(min_value=9.0, max_value=14.0).map(lambda e: 10.0**e),
+    command=st.sampled_from(COMMANDS),
+    fmt=st.sampled_from(["csv", "json"]),
+)
 # runaway gain: the trajectory overflows at the first sample
 @example(
-    values={"cavity.length_m": 1e-05, "resonator.frequency_hz": 1e8, "drive.photon_number": 1e14},
+    values={"cavity.length_m": 1e-05, "resonator.frequency_hz": 1e8},
+    photon_number=1e14,
     command="simulate",
     fmt="csv",
 )
-def test_finite_accepted_config_succeeds_or_is_a_domain_error(values, command, fmt):
+def test_finite_accepted_config_succeeds_or_is_a_domain_error(values, photon_number, command, fmt):
+    # simulate's drive, when drawn, is its --photon-number
     try:
         parse_config_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
     except EpgwError:
         assume(False)
-    code, text, _ = _run(command, values, fmt)
+    code, text, _ = _run(command, values, fmt, _argv(command, values, photon_number))
     assert code in (0, 2)
     if code == 0:
         assert text is not None
@@ -139,31 +146,48 @@ def _subnormal_cells(text, fmt):
     return [x for x in floats if 0.0 < abs(x) < sys.float_info.min]
 
 
-def _h_min(text, fmt):
-    """The h_min column of a sensitivity output file."""
+def _table(text, fmt):
+    """The data rows of an output file, as lists of cells; floats as
+    floats."""
     if fmt == "json":
-        return [row[2] for row in json.loads(text)["rows"]]
-    return [float(line.split(",")[2]) for line in text.splitlines() if line[:1].isdigit()]
+        return json.loads(text)["rows"]
+    return [[float(cell) for cell in line.split(",")] for line in text.splitlines() if line[:1].isdigit()]
 
 
 @settings(max_examples=100)
-@given(values=extreme_configs(), command=st.sampled_from(COMMANDS), fmt=st.sampled_from(["csv", "json"]))
+@given(
+    values=extreme_configs(),
+    command=st.sampled_from(COMMANDS),
+    fmt=st.sampled_from(["csv", "json"]),
+    argv=st.none(),
+)
 # the strain floor rounds to 0: k_B T underflows, or the divisor overflows
-@example(values={"noise.temperature_k": 1e-300}, command="sensitivity", fmt="csv")
-@example(values={"resonator.mass_kg": 1e300}, command="sensitivity", fmt="json")
+@example(values={"noise.temperature_k": 1e-300}, command="sensitivity", fmt="csv", argv=None)
+@example(values={"resonator.mass_kg": 1e300}, command="sensitivity", fmt="json", argv=None)
 # d_approx = 4 sqrt(2) J sqrt(h) is subnormal across the default strain grid
-@example(values={"coupling.j_hz": 1e-300}, command="sweep-strain", fmt="csv")
-def test_extreme_finite_config_exits_cleanly(values, command, fmt):
+@example(values={"coupling.j_hz": 1e-300}, command="sweep-strain", fmt="csv", argv=None)
+# d_approx is normal on this grid, but the discriminant underflows to 0
+@example(
+    values={"coupling.j_hz": 1e-300},
+    command="sweep-strain",
+    fmt="csv",
+    argv=["sweep-strain", "--log", "--min", "1e-16", "--max", "1e-2", "--points", "3"],
+)
+def test_extreme_finite_config_exits_cleanly(values, command, fmt, argv):
     # out-of-range results of valid inputs are errors with one message,
     # never a traceback, and a written file holds no inf or nan, no
-    # subnormal cell, nor a strain floor of 0
-    code, text, err = _run(command, values, fmt)
+    # subnormal cell, nor a strain floor of 0, nor at a strain h != 0 a
+    # splitting of 0: d_approx > 0, and d_exact or linewidth_split > 0
+    code, text, err = _run(command, values, fmt, argv)
     assert code in (0, 1, 2)
     if code == 0:
         assert text is not None and not NON_FINITE.search(text)
         assert not _subnormal_cells(text, fmt)
         if command == "sensitivity":
-            assert all(h > 0.0 for h in _h_min(text, fmt))
+            assert all(row[2] > 0.0 for row in _table(text, fmt))
+        if command == "sweep-strain":
+            for h, d_exact, d_approx, linewidth_split, _ in _table(text, fmt):
+                assert h == 0.0 or (d_approx > 0.0 and d_exact + linewidth_split > 0.0), (h, d_exact)
     else:
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -173,7 +197,7 @@ def test_extreme_finite_config_exits_cleanly(values, command, fmt):
 FLAGS = {
     "sweep-ncav": {"--min": (1e11, "n_min"), "--max": (5e12, "n_max")},
     "sweep-strain": {"--min": (1e-26, "h_min"), "--max": (1e-20, "h_max")},
-    "sensitivity": {"--fmin": (1e-7, "f_min"), "--fmax": (1e3, "f_max"), "--tmax": (36.0, "tmax")},
+    "sensitivity": {"--fmin": (1e-7, "f_min"), "--fmax": (1e3, "f_max")},
     "simulate": {
         "--strain": (1e-4, "h"),
         "--photon-number": (1e12, "photon_number"),
@@ -220,9 +244,8 @@ def flag_draws(draw, command):
 @given(data=st.data(), fmt=st.sampled_from(["csv", "json"]))
 def test_every_numeric_flag_exits_cleanly(command, data, fmt):
     # no traceback (main raises nothing), an exit code from README's table,
-    # a non-finite value exits 1 naming the flag and value when it is the
-    # only odd value, and a written file holds no nan or inf and no
-    # subnormal cell
+    # a non-finite value exits 1 naming the first such flag of argv and its
+    # value, and a written file holds no nan or inf and no subnormal cell
     drawn, argv = data.draw(flag_draws(command))
     code, text, err = _run(command, {}, fmt, argv)
     assert code in (0, 1, 2)
@@ -234,11 +257,9 @@ def test_every_numeric_flag_exits_cleanly(command, data, fmt):
         assert err.startswith("error:") and err.count("\n") == 1
     non_finite = [flag for flag, value in drawn.items() if not math.isfinite(value)]
     if non_finite:
+        flag = non_finite[0]  # drawn keeps argv order
         assert code == 1
-        others = [flag for flag in drawn if flag not in non_finite]
-        if len(non_finite) == 1 and all(drawn[flag] == FLAGS[command][flag][0] for flag in others):
-            (flag,) = non_finite
-            assert re.search(rf"\b{FLAGS[command][flag][1]} = {re.escape(repr(drawn[flag]))}", err), err
+        assert err.startswith(f"error: argument {flag}: {FLAGS[command][flag][1]} = {drawn[flag]!r} "), err
 
 
 # A table cell as the commands write it: any finite float64 (+-0,

@@ -482,6 +482,27 @@ def test_strain_response_that_overflows_is_a_range_error(device_resonator):
     assert math.isfinite(splitting(system, n0, 0.49).d_exact)
 
 
+def test_strain_response_that_underflows_is_a_range_error(device_resonator):
+    # at J = 2 pi 1e-300 rad/s the discriminant ~ J^2 h rounds to 0 at
+    # h = 1e-16, where d_approx is still normal; at h = 1e-200 both are 0.
+    # Written, each would be a splitting of 0.
+    j = TWO_PI * 1e-300
+    system = balanced_system(device_resonator, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=j)
+    n0 = ep_photon_number(system)
+    for h in (1e-16, -1e-16, 1e-200):
+        with pytest.raises(InvalidRangeError, match=re.escape(f"coupling_j = {j!r}: the strain response at h = {h!r} ")):
+            splitting(system, n0, h)
+    assert splitting(system, n0, 0.0).d_exact == 0.0
+
+
+@pytest.mark.parametrize("h", [sys.float_info.min, -sys.float_info.min])
+def test_default_device_keeps_every_normal_strain_in_range(device, device_n0, h):
+    # the discriminant is about 7e-292 at the smallest normal |h|
+    result = splitting(device, device_n0, h)
+    assert result.d_approx >= sys.float_info.min
+    assert result.d_exact + result.linewidth_split >= sys.float_info.min
+
+
 def test_splitting_dg_matches_coupling_perturbation(device, device_resonator, device_n0):
     g0 = vacuum_coupling(device.cavity_1, zero_point_fluctuation(device_resonator))
     result = splitting(device, device_n0, 1e-23)
