@@ -34,8 +34,8 @@ record a single point fills with floats (SupermodePair, SplittingResult).
 numpy's complex ``*`` and ``abs`` are not used: they differ from
 CPython's in the last bit for some operands.
 Magnitudes come from ``np.hypot``, the C library hypot that CPython's
-``abs(complex)`` calls, and array square roots follow ``cmath.sqrt``'s
-algorithm (numpy's complex sqrt differs from it on the imaginary axis).
+``abs(complex)`` calls. Grids and single points share one square root,
+``cmath.sqrt`` (per element; numpy's differs on the imaginary axis).
 
 Each rule of the model is written once: ``_arms`` evaluates the arm
 constants (g0, phi; ``_Arm.damping`` is Gamma), ``_classify`` is the phase
@@ -99,6 +99,9 @@ _INF_BITS = int(np.float64(np.inf).view(np.int64))
 
 # Phases by the index _classify returns; an index array picks an object array.
 _PHASES = np.array([Phase.PT_SYMMETRIC, Phase.BROKEN, Phase.EXCEPTIONAL_POINT], dtype=object)
+
+# cmath.sqrt as a ufunc, for _root's arrays
+_SQRT = np.frompyfunc(cmath.sqrt, 1, 1)
 
 
 class EpConvention(Enum):
@@ -228,28 +231,10 @@ def _magnitude(z):
 
 
 def _root(z):
-    """cmath.sqrt(z); for an array, cmath's algorithm elementwise.
-
-    Finite values only: cmath's special-value table for inf and nan is not
-    reproduced.
-    """
+    """cmath.sqrt(z); for an array, cmath.sqrt of each element."""
     if not isinstance(z, np.ndarray):
         return cmath.sqrt(z)
-    re, im = z.real, z.imag
-    ax, ay = np.abs(re), np.abs(im)
-    with np.errstate(all="ignore"):
-        s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
-        tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
-        if tiny.any():  # hypot(ax, ay) is subnormal: scale up first
-            ax_up = np.ldexp(ax[tiny], 53)
-            s[tiny] = np.ldexp(np.sqrt(ax_up + np.hypot(ax_up, np.ldexp(ay[tiny], 53))), -27)
-        d = ay / (2.0 * s)
-    right = re >= 0.0
-    zero = (re == 0.0) & (im == 0.0)
-    return _complex(
-        np.where(zero, 0.0, np.where(right, s, d)),
-        np.where(zero, im, np.copysign(np.where(right, d, s), im)),
-    )
+    return np.asarray(_SQRT(z), dtype=complex)
 
 
 def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2, convention: EpConvention):
