@@ -140,15 +140,17 @@ def sensitivity_curve(
     Raises:
         NonPositiveParameterError: invalid context, resonator or coupling.
         InvalidRangeError: unusable frequency range (see core.sweep_grid),
-            or a strain floor outside _in_range; f_max is named when the
-            floor at ctx.sample_time is in range, so its cap set the tau.
+            or a strain floor outside _in_range at a tau the grid uses;
+            f_max is named when the floor at the longest, tau[0], is in
+            range, so its cap set the tau.
     """
     _validate(ctx, resonator)
     require_positive("coupling_j", coupling_j)
     grid = sweep_grid("f", f_min, f_max, points, log=True)
-    _thermal_floor(ctx, resonator, coupling_j, ctx.sample_time)
     with np.errstate(all="ignore"):
         tau = np.minimum(ctx.sample_time, (0.5 if half_period_cap else 1.0) / grid)
+        # the grid increases, so tau[0] is the longest tau the curve uses
+        _thermal_floor(ctx, resonator, coupling_j, float(tau[0]))
         h_min = _thermal_floor(ctx, resonator, coupling_j, tau, cap=f"f_max = {f_max!r}: ")
     return SensitivityCurve(grid, tau, h_min)
 

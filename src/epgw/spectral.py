@@ -472,7 +472,8 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
         # disc(h) = q db (2 b0 + db) with db = i db_im. CPython's complex
         # product adds zero terms here that can only flip the sign of a
         # zero part, which neither output below keeps.
-        db_im = 0.5 * (scale * arm_2.optical_damping(n0) - scale * arm_1.optical_damping(n0))
+        opt_1, opt_2 = arm_1.optical_damping(n0), arm_2.optical_damping(n0)
+        db_im = 0.5 * (scale * opt_2 - scale * opt_1)
         t_im = 2.0 * b0_im + db_im
         disc = _complex(q * -(db_im * t_im), q * (db_im * (2.0 * b0_re)))
         alpha = _root(disc)
@@ -487,7 +488,11 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
         # they have lost the sqrt(h) law's digits, down to a splitting of
         # 0. The sum is finite exactly when every part is, since each
         # finite part is below 1e155 (g0^2, J^2 and disc are finite).
-        smallest = np.minimum(np.maximum(abs(disc.real), abs(disc.imag)), response[2])
+        # With equal optical damping (no light at n0 = 0, say) the strain
+        # has no lever: disc is exactly 0 at every h, a zero response and
+        # not an underflow, so only d_approx is tested.
+        disc_size = np.maximum(abs(disc.real), abs(disc.imag)) if opt_1 != opt_2 else math.inf
+        smallest = np.minimum(disc_size, response[2])
         in_range = np.isfinite(sum(response)) & ((smallest >= sys.float_info.min) | (h == 0.0))
     if not np.all(in_range):
         if not np.isfinite(sum(response)).all():

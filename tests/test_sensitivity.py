@@ -203,6 +203,24 @@ def test_curve_from_a_subnormal_frequency(device_resonator):
     assert curve.observation_time[0] == HOUR.sample_time
 
 
+def test_curve_is_checked_only_at_the_taus_it_uses(device_resonator):
+    # the floor at t_max underflows, but above the knee no row integrates
+    # that long: every tau is at most 1/(2 f_min) = 5e-3 s
+    cold = dataclasses.replace(HOUR, temperature=1e-278)
+    with pytest.raises(InvalidRangeError, match=r"integration time 3600\.0 s"):
+        min_detectable_strain(cold, device_resonator, COUPLING_J)
+    curve = sensitivity_curve(cold, device_resonator, COUPLING_J, 1e2, 1e3, 3)
+    assert curve.observation_time[0] == 5e-3
+    expected = [
+        min_detectable_strain(dataclasses.replace(cold, sample_time=tau), device_resonator, COUPLING_J)
+        for tau in curve.observation_time.tolist()
+    ]
+    assert curve.h_min.tolist() == expected
+    # a grid that reaches the knee integrates for t_max, and is refused there
+    with pytest.raises(InvalidRangeError, match=r"integration time 3600\.0 s"):
+        sensitivity_curve(cold, device_resonator, COUPLING_J, 1e-7, 1e3, 3)
+
+
 def test_curve_range_errors(device_resonator):
     with pytest.raises(InvalidRangeError):
         sensitivity_curve(HOUR, device_resonator, COUPLING_J, 0.0, 1e3, 10)

@@ -495,6 +495,25 @@ def test_strain_response_that_underflows_is_a_range_error(device_resonator):
     assert splitting(system, n0, 0.0).d_exact == 0.0
 
 
+@pytest.mark.parametrize("convention, gamma_m", [(EpConvention.EQ7, 4e4), (EpConvention.EQ8, 2e4)], ids=["eq7", "eq8"])
+def test_strain_response_without_light_is_zero(convention, gamma_m):
+    # arm 1's intrinsic damping alone puts the pair at its EP, at n0 = 0.
+    # The strain rescales only optical damping, so disc is exactly 0 at
+    # every h: a zero response, not an underflow.
+    res = MechanicalResonator(omega_m=1e6, mass=1e-13, quality_factor=1e5, thickness=1e-7)
+    system = balanced_system(res, length=1e-4, kappa=1e7, coupling_j=1e4)
+    system = dataclasses.replace(system, resonator_1=dataclasses.replace(system.resonator_1, gamma_m=gamma_m))
+    n0 = ep_photon_number(system, convention)
+    assert n0 == 0.0
+    for h in (0.1, -0.1, 1e-20):
+        result = splitting(system, n0, h, convention)
+        assert result.d_exact == result.linewidth_split == 0.0
+        assert result.d_approx == 4.0 * math.sqrt(2.0) * 1e4 * math.sqrt(abs(h))
+        assert result.rel_error == 1.0
+    sweep = sweep_strain(system, n0, 0.0, 0.1, 2, convention=convention)
+    assert sweep.d_exact.tolist() == sweep.linewidth_split.tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("h", [sys.float_info.min, -sys.float_info.min])
 def test_default_device_keeps_every_normal_strain_in_range(device, device_n0, h):
     # the discriminant is about 7e-292 at the smallest normal |h|

@@ -11,6 +11,7 @@ denominator, are checked against their formulas written out in full.
 
 import cmath
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -216,14 +217,21 @@ def detuned_systems(draw):
 
 
 any_systems = balanced_systems() | mismatched_systems() | detuned_systems()
-finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# signed zeros, infinities, nan, subnormals and the ends of the double range
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -2.2e-308,
+               sys.float_info.max, -sys.float_info.max, 1.7e308, -1.7e308, 1.0, -1.0, 1e308]
+any_floats = st.floats() | st.sampled_from(EDGE_FLOATS)
 
 
 @settings(max_examples=200)
 @given(
-    parts=st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=20),
-    on_axis=st.lists(finite_floats, max_size=10),
+    parts=st.lists(st.tuples(any_floats, any_floats), min_size=1, max_size=20),
+    on_axis=st.lists(any_floats, max_size=10),
 )
+# at the numpy port this replaced, 18 of these 81 pairs differed from cmath:
+# 0+inf j gave inf+nan j, not inf+inf j
+@example(parts=list(itertools.product([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1e308],
+                                       repeat=2)), on_axis=[])
 def test_array_root_matches_cmath_sqrt_bitwise(parts, on_axis):
     # numpy's own complex sqrt differs from cmath.sqrt on the imaginary axis
     parts += [(0.0, y) for y in on_axis] + [(-0.0, y) for y in on_axis]
@@ -336,6 +344,16 @@ def test_continuity_swaps_match_relabel_loop(points):
     assert _bits(got) == _bits(_ref_relabel(pairs))
 
 
+def _unlit_ep(convention):
+    """A pair at its EP with no light, n0 = 0: arm 1's intrinsic damping
+    alone (4J, or 2J under EQ8) closes the gap. The strain rescales only
+    optical damping, so the discriminant is exactly 0 at every h."""
+    res = MechanicalResonator(omega_m=1e6, mass=1e-13, quality_factor=1e5, thickness=1e-7)
+    system = balanced_system(res, length=1e-4, kappa=1e7, coupling_j=1e4)
+    damped = dataclasses.replace(system.resonator_1, gamma_m=4e4 if convention is EpConvention.EQ7 else 2e4)
+    return dataclasses.replace(system, resonator_1=damped)
+
+
 @settings(max_examples=30)
 @given(
     system=balanced_systems() | mismatched_systems(),
@@ -344,6 +362,7 @@ def test_continuity_swaps_match_relabel_loop(points):
     points=st.integers(2, 40),
     log=st.booleans(),
 )
+@example(system=_unlit_ep(EpConvention.EQ7), convention=EpConvention.EQ7, h_max=0.1, points=2, log=False)
 def test_sweep_strain_matches_scalar_reference_bitwise(system, convention, h_max, points, log):
     try:
         n0 = ep_photon_number(system, convention)
@@ -367,6 +386,9 @@ def test_sweep_strain_matches_scalar_reference_bitwise(system, convention, h_max
     points=st.integers(2, 40),
     log=st.booleans(),
 )
+# a zero response is written as 0, not refused as an underflow
+@example(system=_unlit_ep(EpConvention.EQ7), convention=EpConvention.EQ7, h_max=0.1, points=2, log=False)
+@example(system=_unlit_ep(EpConvention.EQ8), convention=EpConvention.EQ8, h_max=0.1, points=3, log=True)
 def test_sweep_rel_error_matches_splitting_bitwise(system, convention, h_max, points, log):
     # the array rel_error is the scalar property point by point, including
     # its 0.0 on the h = 0 row of a linear grid, where d_approx is zero
