@@ -442,7 +442,8 @@ def splitting(
         ValidationError, NonPositiveParameterError: invalid system or n0.
         InvalidRangeError: |h| >= 1/2, or h not finite; or an arm
             constant (see _arms) or the response overflows; or, at
-            h != 0, the discriminant or d_approx is not a normal double.
+            h != 0, d_approx or a discriminant that the strain moves (the
+            arms' optical dampings differ) is not a normal double.
         NotAtEPError: ``n0`` does not put the unstrained system at its EP.
     """
     validate_system(system)
