@@ -39,6 +39,7 @@ from .core import (
     _check_nonnegative,
     _check_positive,
     _read_utf8,
+    _zero_or_normal,
     balanced_system,
     drive_amplitude_from_thickness,
     require_nonnegative,
@@ -174,7 +175,7 @@ def parse_config_text(text: str) -> RunConfig:
     for key, attr in _ATTR.items():
         value = getattr(cfg, attr)
         err = (_check_nonnegative if key in _MAY_BE_ZERO else _check_positive)(key, value)
-        if err is None and 0.0 < value < sys.float_info.min:
+        if err is None and not _zero_or_normal(value):
             err = InvalidRangeError(f"{key} = {value!r} is subnormal; need 0 or a normal double")
         if err is None and key.endswith("_hz") and not math.isfinite(TWO_PI * value):
             err = InvalidRangeError(f"{key} = {value!r} overflows double precision in rad/s")
@@ -211,16 +212,14 @@ def _rows(names: list[str], *columns) -> list[tuple]:
     """Table rows from equal-length array columns, as Python scalars.
 
     Raises:
-        InvalidRangeError: a float cell is subnormal, so it would be written
-            with digits it does not have; named by its column and value.
+        InvalidRangeError: a float cell that core._zero_or_normal refuses
+            (NaN, inf or subnormal), for CSV and JSON alike, so no renderer
+            is handed one; named by its column and value.
     """
     for name, column in zip(names, columns):
-        if column.dtype.kind == "f":
-            magnitude = np.abs(column)
-            subnormal = (magnitude < sys.float_info.min) & (magnitude > 0.0)
-            if subnormal.any():
-                value = float(column[subnormal.argmax()])
-                raise InvalidRangeError(f"{name} = {value!r} is subnormal; a written cell must be 0 or a normal double")
+        refused = column[~_zero_or_normal(column)] if column.dtype.kind == "f" else ()
+        if len(refused):
+            raise InvalidRangeError(f"{name} = {refused[0].item()!r}: a written cell must be 0 or a normal double")
     return list(zip(*(column.tolist() for column in columns)))
 
 
@@ -296,10 +295,7 @@ def _emit(args, cfg, columns, rows, overlays=None, **resolved):
     flags.update(resolved)
     fmt = args.format or ("json" if args.command == "ep-locate" else "csv")
     render = render_csv if fmt == "csv" else render_json
-    try:
-        text = render(cfg, args.command, flags, columns, rows, overlays)
-    except ValueError as exc:  # a value that is not finite
-        raise InvalidRangeError(f"{args.output} not written: {exc}") from None
+    text = render(cfg, args.command, flags, columns, rows, overlays)
     with open(args.output, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.output} ({fmt}, {len(rows)} rows)")

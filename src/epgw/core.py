@@ -11,7 +11,8 @@ signs, ranges) before any per-point work. The leaf formulas of ``spectral``
 and the evaluators they feed (``eigenvalues_general``, ``mode_matrix``)
 check no input and expect values already validated. Valid but extreme
 values that overflow the model's arithmetic are rejected where that
-arises, as InvalidRangeError (see ``spectral``).
+arises, as InvalidRangeError (see ``spectral``). At the edges, each config
+value, strain, overlay cell and written cell must pass ``_zero_or_normal``.
 """
 
 from __future__ import annotations
@@ -295,6 +296,13 @@ class SensitivityContext:
 # ---------------------------------------------------------------------------
 
 
+def _zero_or_normal(x):
+    """Whether x, a float or elementwise an array, is 0 or a normal double;
+    a subnormal carries fewer digits than its written text, NaN or inf none."""
+    magnitude = abs(x)
+    return (magnitude == 0.0) | ((magnitude >= sys.float_info.min) & (magnitude < math.inf))
+
+
 def _check_positive(name: str, value: float, where: str | None = None):
     if not (math.isfinite(value) and value > 0):
         return NonPositiveParameterError(name, value, where)
@@ -328,10 +336,10 @@ def require_nonnegative(name: str, value: float, where: str | None = None) -> No
 
 
 def require_strain(strain: float) -> None:
-    """Raise InvalidRangeError unless the strain is finite with |h| < 1/2,
-    below which the strained vacuum coupling g0 (1 - 2h) keeps its sign, and
-    0 or normal: a subnormal h has too few bits for the sqrt(h) splitting."""
-    if not abs(strain) < 0.5 or 0.0 < abs(strain) < sys.float_info.min:
+    """Raise InvalidRangeError unless |h| < 1/2, where the strained g0 (1 - 2h)
+    keeps its sign, and h is 0 or normal: a subnormal h has too few bits for
+    the sqrt(h) splitting."""
+    if not (abs(strain) < 0.5 and _zero_or_normal(strain)):
         raise InvalidRangeError(f"strain h = {strain!r}; need h = 0 or a normal double with |h| < 1/2")
 
 

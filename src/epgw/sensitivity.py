@@ -32,6 +32,7 @@ from .core import (
     MechanicalResonator,
     SensitivityContext,
     _read_utf8,
+    _zero_or_normal,
     require_positive,
     sweep_grid,
 )
@@ -163,8 +164,8 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
 
     Raises:
         ConfigParseError: a byte that is not UTF-8, a missing/wrong header,
-            or a cell that is not a finite number, or is subnormal (not 0 or
-            a normal double).
+            or a cell that is not a number, or is not 0 or a normal double
+            (NaN, inf or subnormal; see core._zero_or_normal).
         OSError: unreadable file.
     """
     try:
@@ -192,9 +193,7 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
             pair = (float(row[0]), float(row[1]))
         except ValueError as exc:
             raise ConfigParseError(line_no, f"non-numeric cell: {exc}") from None
-        if not all(map(math.isfinite, pair)):
-            raise ConfigParseError(line_no, f"cell is not finite: {','.join(row)!r}")
-        if 0.0 < abs(pair[0]) < sys.float_info.min or 0.0 < abs(pair[1]) < sys.float_info.min:
-            raise ConfigParseError(line_no, f"cell is subnormal: {','.join(row)!r}; need 0 or a normal double")
+        if not (_zero_or_normal(pair[0]) and _zero_or_normal(pair[1])):
+            raise ConfigParseError(line_no, f"cell is not 0 or a normal double: {','.join(row)!r}")
         table.append(pair)
     return table

@@ -118,14 +118,12 @@ class SplittingResult:
 
     Attributes:
         strain: Applied strain h (dimensionless).
-        dg: Vacuum coupling shift -2 g0 h (rad/s).
         d_exact: Real frequency splitting from the full discriminant (rad/s).
         d_approx: Small-strain form 4 sqrt(2) J sqrt(|h|) (rad/s).
         linewidth_split: Magnitude of the imaginary splitting (rad/s).
     """
 
     strain: float | np.ndarray
-    dg: float | np.ndarray
     d_exact: float | np.ndarray
     d_approx: float | np.ndarray
     linewidth_split: float | np.ndarray
@@ -450,12 +448,12 @@ def splitting(
     require_nonnegative("n0", n0)
     require_strain(strain)
     strain = float(strain)
-    dg, d_exact, d_approx, linewidth = _strain_response(system, n0, strain, convention)
-    return SplittingResult(strain, dg, d_exact, float(d_approx), linewidth)
+    d_exact, d_approx, linewidth = _strain_response(system, n0, strain, convention)
+    return SplittingResult(strain, d_exact, float(d_approx), linewidth)
 
 
 def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConvention):
-    """(dg, d_exact, d_approx, linewidth_split) at strain h, a float or an
+    """(d_exact, d_approx, linewidth_split) at strain h, a float or an
     array, for a system biased at n0 (see splitting)."""
     arms = _arms(system)
     j = system.coupling_j
@@ -479,7 +477,6 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
         disc = _complex(q * -(db_im * t_im), q * (db_im * (2.0 * b0_re)))
         alpha = _root(disc)
         response = (
-            -2.0 * arm_1.g0 * h,
             2.0 * alpha.real,
             4.0 * math.sqrt(2.0) * j * np.sqrt(abs(h)),
             2.0 * abs(alpha.imag),
@@ -487,19 +484,19 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
         # One test of the whole response: it is finite, and at h != 0 the
         # discriminant and d_approx are normal doubles; below that range
         # they have lost the sqrt(h) law's digits, down to a splitting of
-        # 0. The sum is finite exactly when every part is, since each
-        # finite part is below 1e155 (g0^2, J^2 and disc are finite).
+        # 0. The sum is finite exactly when every part is, since a finite
+        # part is below 1e155 (J^2 is finite; a double's root is < 1.4e154).
         # With equal optical damping (no light at n0 = 0, say) the strain
         # has no lever: disc is exactly 0 at every h, a zero response and
         # not an underflow, so only d_approx is tested.
         disc_size = np.maximum(abs(disc.real), abs(disc.imag)) if opt_1 != opt_2 else math.inf
-        smallest = np.minimum(disc_size, response[2])
+        smallest = np.minimum(disc_size, response[1])
         in_range = np.isfinite(sum(response)) & ((smallest >= sys.float_info.min) | (h == 0.0))
     if not np.all(in_range):
         if not np.isfinite(sum(response)).all():
             raise InvalidRangeError(f"the strain response at n0 = {n0!r} overflows double precision")
         k = np.argmin(np.ravel(in_range))  # the first point out of range
-        h_k, disc_k, approx_k = (np.ravel(x)[k].item() for x in (h, disc, response[2]))
+        h_k, disc_k, approx_k = (np.ravel(x)[k].item() for x in (h, disc, response[1]))
         raise InvalidRangeError(
             f"coupling_j = {j!r}: the strain response at h = {h_k!r} underflows double precision"
             f" (disc = {disc_k!r}, d_approx = {approx_k!r}; each must be a normal double)"

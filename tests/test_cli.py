@@ -963,17 +963,20 @@ def test_runaway_gain_exits_2_without_output(run_cli, tmp_path, config, argv):
     assert not out.exists()
 
 
-def test_non_finite_json_value_exits_1_without_output(run_cli, tmp_path, monkeypatch):
-    # render_json refuses NaN and inf, as json.dumps(allow_nan=False) does,
-    # and the command reports it instead of writing the file
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_cell_exits_1_without_output(run_cli, tmp_path, monkeypatch, fmt, value):
+    # a NaN or infinite result is refused in CSV as in JSON, named by its
+    # column and value, instead of being written
     from epgw import SensitivityCurve, cli
 
-    curve = SensitivityCurve(np.array([1.0]), np.array([0.5]), np.array([math.nan]))
+    curve = SensitivityCurve(np.array([1.0]), np.array([0.5]), np.array([value]))
     monkeypatch.setattr(cli, "sensitivity_curve", lambda *args, **kwargs: curve)
-    out = tmp_path / "sens.json"
-    code, _, err = run_cli("sensitivity", "--format", "json", "--output", str(out))
+    out = tmp_path / f"sens.{fmt}"
+    code, _, err = run_cli("sensitivity", "--format", fmt, "--output", str(out))
     assert code == 1
-    assert err.startswith("error:") and "not JSON compliant" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"h_min = {value!r}" in err
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ import re
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -20,6 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from epgw import EpgwError, Phase  # noqa: E402
 from epgw.cli import CONFIG_DEFAULTS, RunConfig, main, parse_config_text, render_json  # noqa: E402
+from epgw.core import _zero_or_normal  # noqa: E402
 
 # log10 range of each config value, around the reference device. A key
 # left out of an example keeps its default (zero for gamma_m).
@@ -267,6 +269,28 @@ def test_every_numeric_flag_exits_cleanly(command, data, fmt):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CELLS = st.one_of(FINITE, st.integers(), st.sampled_from([phase.value for phase in Phase]))
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+# Bit patterns of the values at the rule's edges: +-0, +-inf, nan, the
+# smallest normal and the largest subnormal, each with either sign.
+EDGE_BITS = np.array(
+    [0.0, math.inf, math.nan, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0)]
+).view(np.uint64).tolist()
+EDGE_BITS += [bits | 1 << 63 for bits in EDGE_BITS]
+
+
+@settings(max_examples=300)
+@given(bits=st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_BITS), max_size=20))
+@example(bits=EDGE_BITS)
+def test_zero_or_normal_is_the_edge_rule(bits):
+    # any float64, by its bit pattern: a float gets the rule's bool, and an
+    # array the same answers elementwise
+    floats = np.array(bits, dtype=np.uint64).view(np.float64)
+    expected = [x == 0 or (math.isfinite(x) and abs(x) >= sys.float_info.min) for x in floats.tolist()]
+    answers = [_zero_or_normal(x) for x in floats.tolist()]
+    assert all(type(answer) is bool for answer in answers)
+    assert answers == expected
+    assert _zero_or_normal(floats).tolist() == expected
 
 
 def _reprs(table):

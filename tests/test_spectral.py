@@ -410,20 +410,11 @@ def test_oracle_equivalence_randomized():
 # ---------------------------------------------------------------------------
 
 
-def test_coupling_perturbation_values(device, device_n0):
-    # dg = -2 g0 h at the reference g0 = 118.51294470274429 rad/s: zero at
-    # h = 0 and odd in h
-    assert splitting(device, device_n0, 1e-21).dg == pytest.approx(-2.3702588940548858e-19, rel=1e-14)
-    assert splitting(device, device_n0, 0.0).dg == 0.0
-    assert splitting(device, device_n0, -1e-21).dg == -splitting(device, device_n0, 1e-21).dg
-
-
 def test_splitting_vanishes_at_zero_strain(device, device_n0):
     result = splitting(device, device_n0, 0.0)
     assert result.d_exact == 0.0
     assert result.d_approx == 0.0
     assert result.linewidth_split == 0.0
-    assert result.dg == 0.0
 
 
 def test_splitting_reference_values(device, device_n0):
@@ -522,12 +513,6 @@ def test_default_device_keeps_every_normal_strain_in_range(device, device_n0, h)
     assert result.d_exact + result.linewidth_split >= sys.float_info.min
 
 
-def test_splitting_dg_matches_coupling_perturbation(device, device_resonator, device_n0):
-    g0 = vacuum_coupling(device.cavity_1, zero_point_fluctuation(device_resonator))
-    result = splitting(device, device_n0, 1e-23)
-    assert result.dg == -2.0 * g0 * 1e-23
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -575,7 +560,7 @@ def test_sweep_photon_number_range_errors(device):
 
 def test_sweep_strain_table(device, device_n0):
     sweep = sweep_strain(device, device_n0, 1e-26, 1e-20, 50, log=True)
-    for column in (sweep.strain, sweep.dg, sweep.d_exact, sweep.d_approx, sweep.linewidth_split, sweep.rel_error):
+    for column in (sweep.strain, sweep.d_exact, sweep.d_approx, sweep.linewidth_split, sweep.rel_error):
         assert column.shape == (50,)
     assert (sweep.rel_error < 1e-2).all()
     d = sweep.d_exact

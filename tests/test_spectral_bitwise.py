@@ -161,7 +161,7 @@ def _ref_splittings(system, n0, strains, convention):
         db = complex(0.0, 0.5 * (scale * gamma_opt_2 - scale * gamma_opt_1))
         alpha = cmath.sqrt(q * (db * (2.0 * b0 + db)))
         d_approx = 4.0 * math.sqrt(2.0) * system.coupling_j * math.sqrt(abs(h))
-        rows.append((h, -2.0 * g0_1 * h, 2.0 * alpha.real, d_approx, 2.0 * abs(alpha.imag)))
+        rows.append((h, 2.0 * alpha.real, d_approx, 2.0 * abs(alpha.imag)))
     return rows
 
 
@@ -369,7 +369,7 @@ def test_sweep_strain_matches_scalar_reference_bitwise(system, convention, h_max
         return
     h_min = h_max * 1e-6 if log else 0.0  # a linear grid starts at the h = 0 row
     sweep = sweep_strain(system, n0, h_min, h_max, points, log=log, convention=convention)
-    columns = (sweep.strain, sweep.dg, sweep.d_exact, sweep.d_approx, sweep.linewidth_split)
+    columns = (sweep.strain, sweep.d_exact, sweep.d_approx, sweep.linewidth_split)
     got = list(zip(*(column.tolist() for column in columns)))
     grid = np.geomspace(h_min, h_max, points) if log else np.linspace(h_min, h_max, points)
     assert _bits(got) == _bits(_ref_splittings(system, n0, grid, convention))
