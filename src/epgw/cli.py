@@ -36,8 +36,7 @@ from .core import (
     SensitivityContext,
     UnknownKeyError,
     ValidationError,
-    _check_nonnegative,
-    _check_positive,
+    _check,
     _read_utf8,
     _zero_or_normal,
     balanced_system,
@@ -174,7 +173,7 @@ def parse_config_text(text: str) -> RunConfig:
     violations = []
     for key, attr in _ATTR.items():
         value = getattr(cfg, attr)
-        err = (_check_nonnegative if key in _MAY_BE_ZERO else _check_positive)(key, value)
+        err = _check(key, value, None, key in _MAY_BE_ZERO)
         if err is None and not _zero_or_normal(value):
             err = InvalidRangeError(f"{key} = {value!r} is subnormal; need 0 or a normal double")
         if err is None and key.endswith("_hz") and not math.isfinite(TWO_PI * value):
@@ -368,7 +367,7 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
     curve = sensitivity_curve(
         cfg.context(),
         cfg.resonator(),
-        cfg.coupling_rad_s(),
+        _coupled_system(cfg).coupling_j,
         args.fmin,
         args.fmax,
         args.points,

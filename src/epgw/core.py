@@ -11,7 +11,8 @@ signs, ranges) before any per-point work. The leaf formulas of ``spectral``
 and the evaluators they feed (``eigenvalues_general``, ``mode_matrix``)
 check no input and expect values already validated. Valid but extreme
 values that overflow the model's arithmetic are rejected where that
-arises, as InvalidRangeError (see ``spectral``). At the edges, each config
+arises, as InvalidRangeError (see ``spectral``). Every sign rule, the
+config's included, is the one check ``_check``. At the edges, each config
 value, strain, overlay cell and written cell must pass ``_zero_or_normal``.
 """
 
@@ -45,7 +46,8 @@ class EpgwError(Exception):
 
     ``exit_code`` is the command line's exit status for the error: 1 for
     bad input (usage, config, parameter and range errors), 2 for domain
-    errors, where valid input has no answer.
+    errors, where valid input has no answer; those derive from the one
+    base ``_DomainError``.
     """
 
     exit_code = 1
@@ -81,45 +83,39 @@ class ValidationError(EpgwError):
         super().__init__(f"{len(violations)} invalid parameter(s): {lines}")
 
 
-class NoEPError(EpgwError):
-    """No photon number brings the system to an exceptional point."""
+class _DomainError(EpgwError):
+    """Valid input that has no answer: the one class that sets exit 2."""
 
     exit_code = 2
 
 
-class ZeroCouplingError(EpgwError):
+class NoEPError(_DomainError):
+    """No photon number brings the system to an exceptional point."""
+
+
+class ZeroCouplingError(_DomainError):
     """The optomechanical tuning knob is absent: J = 0, or g0**2 * phi is the
     same in both arms, so the photon number does not move the discriminant."""
 
-    exit_code = 2
 
-
-class NotAtEPError(EpgwError):
+class NotAtEPError(_DomainError):
     """An operation that assumes exceptional-point bias was called away from one."""
-
-    exit_code = 2
 
 
 class InvalidRangeError(EpgwError):
     """A sweep or integration range is empty, reversed, or otherwise unusable."""
 
 
-class RunawayGainError(EpgwError):
+class RunawayGainError(_DomainError):
     """Valid input whose trajectory overflows double precision (runaway gain)."""
 
-    exit_code = 2
 
-
-class SamplingTooCoarseError(EpgwError):
+class SamplingTooCoarseError(_DomainError):
     """The requested time step undersamples the fastest eigenfrequency."""
 
-    exit_code = 2
 
-
-class TooFewSamplesError(EpgwError):
+class TooFewSamplesError(_DomainError):
     """The trajectory is too short for a meaningful spectral estimate."""
-
-    exit_code = 2
 
 
 class ConfigParseError(EpgwError):
@@ -303,34 +299,24 @@ def _zero_or_normal(x):
     return (magnitude == 0.0) | ((magnitude >= sys.float_info.min) & (magnitude < math.inf))
 
 
-def _check_positive(name: str, value: float, where: str | None = None):
-    if not (math.isfinite(value) and value > 0):
-        return NonPositiveParameterError(name, value, where)
-    return None
-
-
-def _check_nonnegative(name: str, value: float, where: str | None = None):
-    if not (math.isfinite(value) and value >= 0):
-        return NonPositiveParameterError(name, value, where)
-    return None
-
-
-def _check_finite(name: str, value: float, where: str | None = None):
-    if not math.isfinite(value):
-        return NonPositiveParameterError(name, value, where)
-    return None
+def _check(name: str, value: float, where: str | None = None, zero: bool = False):
+    """The one sign check: NonPositiveParameterError unless ``value`` is
+    finite and > 0, or is 0 where ``zero`` is set; else None."""
+    if math.isfinite(value) and (value > 0 or zero and value == 0):
+        return None
+    return NonPositiveParameterError(name, value, where)
 
 
 def require_positive(name: str, value: float, where: str | None = None) -> None:
     """Raise NonPositiveParameterError unless ``value`` is finite and > 0."""
-    err = _check_positive(name, value, where)
+    err = _check(name, value, where)
     if err is not None:
         raise err
 
 
 def require_nonnegative(name: str, value: float, where: str | None = None) -> None:
     """Raise NonPositiveParameterError unless ``value`` is finite and >= 0."""
-    err = _check_nonnegative(name, value, where)
+    err = _check(name, value, where, True)
     if err is not None:
         raise err
 
@@ -374,11 +360,11 @@ def sweep_grid(name: str, lo: float, hi: float, points: int, log: bool) -> np.nd
 def validate_resonator(resonator: MechanicalResonator, where: str | None = None) -> list[NonPositiveParameterError]:
     """Return every constraint violation of a resonator (empty list if valid)."""
     checks = [
-        _check_positive("omega_m", resonator.omega_m, where),
-        _check_positive("mass", resonator.mass, where),
-        _check_positive("quality_factor", resonator.quality_factor, where),
-        _check_positive("thickness", resonator.thickness, where),
-        _check_nonnegative("gamma_m", resonator.gamma_m, where),
+        _check("omega_m", resonator.omega_m, where),
+        _check("mass", resonator.mass, where),
+        _check("quality_factor", resonator.quality_factor, where),
+        _check("thickness", resonator.thickness, where),
+        _check("gamma_m", resonator.gamma_m, where, True),
     ]
     return [c for c in checks if c is not None]
 
@@ -386,10 +372,10 @@ def validate_resonator(resonator: MechanicalResonator, where: str | None = None)
 def validate_cavity(cavity: OpticalCavity, where: str | None = None) -> list[NonPositiveParameterError]:
     """Return every constraint violation of a cavity (empty list if valid)."""
     checks = [
-        _check_positive("length", cavity.length, where),
-        _check_positive("kappa", cavity.kappa, where),
-        _check_finite("detuning", cavity.detuning, where),
-        _check_nonnegative("n_cav", cavity.n_cav, where),
+        _check("length", cavity.length, where),
+        _check("kappa", cavity.kappa, where),
+        None if math.isfinite(cavity.detuning) else NonPositiveParameterError("detuning", cavity.detuning, where),
+        _check("n_cav", cavity.n_cav, where, True),
     ]
     return [c for c in checks if c is not None]
 
@@ -408,7 +394,7 @@ def system_violations(system: CoupledSystem) -> list[NonPositiveParameterError]:
     violations += validate_resonator(system.resonator_2, "resonator_2")
     violations += validate_cavity(system.cavity_1, "cavity_1")
     violations += validate_cavity(system.cavity_2, "cavity_2")
-    err = _check_nonnegative("coupling_j", system.coupling_j)
+    err = _check("coupling_j", system.coupling_j, None, True)
     if err is not None:
         violations.append(err)
     return violations

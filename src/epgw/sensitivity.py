@@ -163,9 +163,10 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
     (frequency_hz, strain) pair per row. A UTF-8 byte-order mark is skipped.
 
     Raises:
-        ConfigParseError: a byte that is not UTF-8, a missing/wrong header,
-            or a cell that is not a number, or is not 0 or a normal double
-            (NaN, inf or subnormal; see core._zero_or_normal).
+        ConfigParseError: a byte that is not UTF-8, a line the csv module
+            refuses (a cell longer than its field limit), a missing/wrong
+            header, or a cell that is not a number, or is not 0 or a normal
+            double (NaN, inf or subnormal; see core._zero_or_normal).
         OSError: unreadable file.
     """
     try:
@@ -178,6 +179,8 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
         # from being held twice, as bytes and as text.
         _read_utf8(path)
         raise
+    except csv.Error as exc:  # a cell over csv.field_size_limit, say
+        raise ConfigParseError(reader.line_num, str(exc)) from None
     if not rows:
         raise ConfigParseError(1, "empty overlay file; expected header 'frequency_hz, strain'")
     header_no, header = rows[0]

@@ -658,14 +658,23 @@ def test_usage_errors_exit_1(run_cli):
 
 @pytest.mark.parametrize(
     "argv, exit_code, stream, text",
-    [(["ep-locate"], 0, "stdout", "n0 = "), (["simulate", "--strain", "0.5"], 1, "stderr", "error: strain h = 0.5")],
+    [
+        (["ep-locate"], 0, "stdout", "n0 = "),
+        (["simulate", "--strain", "0.5"], 1, "stderr", "error: strain h = 0.5"),
+        # a cell one character longer than the csv module's field limit
+        (["sensitivity", "--overlay", "BIG"], 1, "stderr", "error: line 2: field larger than field limit (131072)"),
+    ],
 )
-def test_module_entry_point_exits_with_mains_status(argv, exit_code, stream, text):
+def test_module_entry_point_exits_with_mains_status(tmp_path, argv, exit_code, stream, text):
     # `python -m epgw.cli` turns main's return value into the exit status
+    big = tmp_path / "big.csv"
+    big.write_text("frequency_hz,strain\n" + "1" * 131_073 + ",1e-24\n")
+    argv = [str(big) if word == "BIG" else word for word in argv]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-m", "epgw.cli", *argv], capture_output=True, text=True, env=env)
     assert run.returncode == exit_code
     assert text in getattr(run, stream)
+    assert "Traceback" not in run.stderr
     assert run.stderr.count("\n") == run.stderr.count("error:") == exit_code  # one error line on failure
 
 
@@ -996,3 +1005,5 @@ def test_zero_coupling_exit_code_per_command(run_cli, tmp_path, argv, exit_code)
     code, _, err = run_cli(*argv, "--config", str(conf))
     assert code == exit_code
     assert err.startswith("error:")
+    if exit_code == 1:  # a bad config value, named by its key as README says
+        assert "coupling.j_hz = 0.0" in err

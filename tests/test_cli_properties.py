@@ -293,6 +293,33 @@ def test_zero_or_normal_is_the_edge_rule(bits):
     assert _zero_or_normal(floats).tolist() == expected
 
 
+# The characters of numbers and of CSV and line syntax, NUL and the
+# byte-order mark; and, when drawn, a valid start of each kind of file, so
+# the text also reaches the overlay's cells and a config value.
+TEXT_ALPHABET = "0123456789,.e-+\"\r\n\x00\ufeff"
+TEXT_STARTS = {"--overlay": "frequency_hz,strain\n", "--config": "coupling.j_hz = "}
+
+
+@settings(max_examples=120)
+@given(text=st.text(TEXT_ALPHABET, max_size=40), flag=st.sampled_from(sorted(TEXT_STARTS)), start=st.booleans())
+# a cell one character longer than the csv module's default field limit
+@example(text="1" * 131_073 + ",1e-24\n", flag="--overlay", start=True)
+def test_no_overlay_or_config_text_makes_main_raise(text, flag, start):
+    # main returns an exit code from README's table for any such file: on
+    # failure one error line and no output file
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "input.txt"), os.path.join(tmp, "out.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(TEXT_STARTS[flag] * start + text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sensitivity", "--points", "2", flag, path, "--output", out])
+        assert code in (0, 1, 2), err.getvalue()
+        if code:
+            assert not os.path.exists(out)
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
 def _reprs(table):
     return [[repr(cell) for cell in row] for row in table]
 

@@ -33,6 +33,7 @@ from epgw import (
 )
 from epgw.core import (
     CRITICAL_AMPLITUDE_FACTOR,
+    _DomainError,
     require_nonnegative,
     require_positive,
     sweep_grid,
@@ -68,6 +69,15 @@ def test_error_taxonomy_shares_base_class():
     ):
         assert isinstance(exc, EpgwError)
         assert type(exc).exit_code == exit_code
+    # the one rule: a public error exits 2 exactly when it derives from
+    # _DomainError, the one class that sets exit_code = 2
+    errors = [getattr(epgw, name) for name in epgw.__all__]
+    errors = [cls for cls in errors if isinstance(cls, type) and issubclass(cls, EpgwError)]
+    assert len(errors) >= 12
+    for cls in errors:
+        assert (cls.exit_code == 2) == issubclass(cls, _DomainError), cls.__name__
+    assert "exit_code" in vars(_DomainError)
+    assert [cls.__name__ for cls in errors if "exit_code" in vars(cls) and cls is not EpgwError] == []
 
 
 def test_readme_python_blocks_run():
@@ -173,6 +183,16 @@ def test_validate_cavity_allows_zero_detuning_and_photons():
         "kappa",
         "n_cav",
     }
+
+
+@pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
+def test_validate_cavity_names_a_detuning_that_is_not_finite(detuning):
+    # any finite detuning is valid, of either sign; only a non-finite one is flagged
+    cav = OpticalCavity(length=1e-4, kappa=1.0, detuning=detuning, n_cav=0.0)
+    (violation,) = validate_cavity(cav, "cavity_2")
+    assert type(violation) is NonPositiveParameterError
+    assert str(violation) == f"cavity_2.detuning = {detuning!r} is not finite"
+    assert validate_cavity(dataclasses.replace(cav, detuning=-1e300)) == []
 
 
 def test_require_helpers():

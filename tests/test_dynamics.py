@@ -313,6 +313,9 @@ def test_grid_range_errors(device):
         propagate_exact(device, (1.0, 0.0), 0.5 * dt, dt)
     with pytest.raises(InvalidRangeError):
         propagate_exact(device, (1.0, 0.0), 2e-3, dt)  # > 1 << 24 samples
+    for duration in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidRangeError, match=f"^duration = {duration!r} is not finite$"):
+            propagate_exact(device, (1.0, 0.0), duration)
 
 
 @pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])

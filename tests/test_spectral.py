@@ -556,6 +556,10 @@ def test_sweep_photon_number_range_errors(device):
         sweep_photon_number(device, -1.0, 5e12, 10)
     with pytest.raises(InvalidRangeError):
         sweep_photon_number(device, 0.0, 5e12, 10, log=True)
+    with pytest.raises(InvalidRangeError, match="^n_min = nan is not finite$"):
+        sweep_photon_number(device, math.nan, 5e12, 10)
+    with pytest.raises(InvalidRangeError, match="^n_max = inf is not finite$"):
+        sweep_photon_number(device, 1e11, math.inf, 10)
 
 
 def test_sweep_strain_table(device, device_n0):
