@@ -6,9 +6,10 @@ are plain Hz; conversion to the library's internal rad/s happens here.
 Unset keys fall back to the reference device defaults, so every
 subcommand runs with zero configuration.
 
-Output files are byte-deterministic, with fixed column schemas. The header
-records the command, the config and every flag of the command as the run
-resolved it, so a file can be replayed from its header alone (see _emit).
+Output files are byte-deterministic, with fixed column schemas. Each
+command hands its table to _emit, the one place that checks, prints and
+writes it. The header records the command, the config and every flag of
+the command as the run resolved it, so a file can be replayed from it.
 CSV writes floats with 17 significant digits under a ``# key = value``
 comment header; JSON writes one line, keys sorted, floats as
 ``float.__repr__``.
@@ -202,34 +203,15 @@ def parse_config(path: str | None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-# %-format code of a CSV cell by its type; any other value is a float with
-# 17 significant digits
-_CSV_CODE = {str: "%s", bool: "%s", int: "%d"}
-
-
-def _rows(names: list[str], *columns) -> list[tuple]:
-    """Table rows from equal-length array columns, as Python scalars.
-
-    Raises:
-        InvalidRangeError: a float cell that core._zero_or_normal refuses
-            (NaN, inf or subnormal), for CSV and JSON alike, so no renderer
-            is handed one; named by its column and value.
-    """
-    for name, column in zip(names, columns):
-        refused = column[~_zero_or_normal(column)] if column.dtype.kind == "f" else ()
-        if len(refused):
-            raise InvalidRangeError(f"{name} = {refused[0].item()!r}: a written cell must be 0 or a normal double")
-    return list(zip(*(column.tolist() for column in columns)))
-
-
 _phase_values = np.frompyfunc(lambda phase: phase.value, 1, 1)  # Phase.value, elementwise
 
 
-def _header_lines(cfg: RunConfig, command: str, flags: dict) -> list[str]:
-    lines = [f"# command = {command}"]
-    lines += [f"# {line}" for line in cfg.to_text().splitlines()]
-    for name in sorted(flags):
-        lines.append(f"# flag.{name} = {flags[name]!r}")
+def _csv_lines(columns: list[str], rows: list) -> list[str]:
+    """A CSV table's lines: its header, then each row, a float as %.16e, any other cell as %s."""
+    lines = [",".join(columns)]
+    if rows:  # each column holds one type, so the first row formats them all
+        fmt = ",".join("%.16e" if isinstance(cell, float) else "%s" for cell in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
     return lines
 
 
@@ -241,15 +223,13 @@ def render_csv(
     rows: list[list],
     overlays: dict[str, list[tuple[float, float]]] | None = None,
 ) -> str:
-    out = _header_lines(cfg, command, flags)
-    out.append(",".join(columns))
-    if rows:  # each column holds one type, so the first row formats them all
-        fmt = ",".join(_CSV_CODE.get(type(cell), "%.16e") for cell in rows[0])
-        out += [fmt % tuple(row) for row in rows]
+    out = [f"# command = {command}"]
+    out += [f"# {line}" for line in cfg.to_text().splitlines()]
+    out += [f"# flag.{name} = {flags[name]!r}" for name in sorted(flags)]
+    out += _csv_lines(columns, rows)
     for name in sorted(overlays or {}):
         out.append(f"# overlay = {name}")
-        out.append("frequency_hz,strain")
-        out += ["%.16e,%.16e" % (f, h) for f, h in overlays[name]]
+        out += _csv_lines(["frequency_hz", "strain"], overlays[name])
     return "\n".join(out) + "\n"
 
 
@@ -279,25 +259,34 @@ def render_json(
 _NOT_FLAGS = {"command", "config", "output", "format"}
 
 
-def _emit(args, cfg, columns, rows, overlays=None, **resolved):
-    """Write the table to --output, if given, in --format: json for
-    ep-locate, csv for every other command.
+def _emit(args, cfg, table: dict, summary: str, overlays=None, **resolved) -> int:
+    """The one place that checks, prints and writes a command's table: its
+    column names mapped to equal-length arrays. Returns exit code 0.
 
-    The header records the command, the config and every flag of the
-    command as the run resolved it: the parsed flags but the file options,
-    updated by ``resolved``, the values the command derived
-    (simulate's photon number, duration and dt, sweep-strain's n0, the
-    overlay names). So a file can be replayed from its header."""
+    A float cell that core._zero_or_normal refuses (NaN, inf or subnormal)
+    raises InvalidRangeError, named by its column and value, before the
+    summary is printed. The table goes to --output, if given, in --format
+    (json for ep-locate, else csv), under a header that replays the run:
+    the command, the config, and the parsed flags but the file options,
+    updated by ``resolved``, the values the command derived (simulate's
+    photon number, duration and dt, sweep-strain's n0, the overlay names)."""
+    for name, column in table.items():
+        refused = column[~_zero_or_normal(column)] if column.dtype.kind == "f" else ()
+        if len(refused):
+            raise InvalidRangeError(f"{name} = {refused[0].item()!r}: a written cell must be 0 or a normal double")
+    print(summary)
     if args.output is None:
-        return
+        return 0
+    rows = list(zip(*(column.tolist() for column in table.values())))
     flags = {name: value for name, value in vars(args).items() if name not in _NOT_FLAGS}
     flags.update(resolved)
     fmt = args.format or ("json" if args.command == "ep-locate" else "csv")
     render = render_csv if fmt == "csv" else render_json
-    text = render(cfg, args.command, flags, columns, rows, overlays)
+    text = render(cfg, args.command, flags, list(table), rows, overlays)
     with open(args.output, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.output} ({fmt}, {len(rows)} rows)")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +310,17 @@ def cmd_ep_locate(cfg: RunConfig, args) -> int:
     g0, phi = arm_1.g0, arm_1.phi
     gamma_1, gamma_2 = arm_1.damping(n0), arm_2.damping(n0)
     pair = eigenvalues_general(system.with_photon_number(n0), convention)
-
-    print(f"n0 = {n0:.6e}")
-    print(f"g0 = {g0:.6e} rad/s ({g0 / TWO_PI:.6e} Hz)")
-    print(f"phi = {phi:.6e} s  (arm 1, blue-detuned)")
-    print(f"gamma_1 = {gamma_1:.6e} rad/s")
-    print(f"gamma_2 = {gamma_2:.6e} rad/s")
-    print(f"convention = {convention.value}")
-    print(f"phase at n0 = {pair.phase.value}")
-
-    columns = ["n0", "g0_rad_s", "phi_s", "gamma_1_rad_s", "gamma_2_rad_s"]
-    rows = _rows(columns, *np.array([[n0, g0, phi, gamma_1, gamma_2]]).T)
-    _emit(args, cfg, columns, rows)
-    return 0
+    summary = (
+        f"n0 = {n0:.6e}\n"
+        f"g0 = {g0:.6e} rad/s ({g0 / TWO_PI:.6e} Hz)\n"
+        f"phi = {phi:.6e} s  (arm 1, blue-detuned)\n"
+        f"gamma_1 = {gamma_1:.6e} rad/s\n"
+        f"gamma_2 = {gamma_2:.6e} rad/s\n"
+        f"convention = {convention.value}\n"
+        f"phase at n0 = {pair.phase.value}"
+    )
+    cells = {"n0": n0, "g0_rad_s": g0, "phi_s": phi, "gamma_1_rad_s": gamma_1, "gamma_2_rad_s": gamma_2}
+    return _emit(args, cfg, {name: np.array([cell]) for name, cell in cells.items()}, summary)
 
 
 def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
@@ -341,13 +328,16 @@ def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
     grid, pair = sweep_photon_number(
         _coupled_system(cfg), args.min, args.max, args.points, log=args.log, convention=convention
     )
-    columns = ["n_cav", "re_plus_hz", "re_minus_hz", "im_plus_hz", "im_minus_hz", "phase"]
-    parts = (pair.lambda_plus.real, pair.lambda_minus.real, pair.lambda_plus.imag, pair.lambda_minus.imag)
-    rows = _rows(columns, grid, *(part / TWO_PI for part in parts), _phase_values(pair.phase))
+    table = {
+        "n_cav": grid,
+        "re_plus_hz": pair.lambda_plus.real / TWO_PI,
+        "re_minus_hz": pair.lambda_minus.real / TWO_PI,
+        "im_plus_hz": pair.lambda_plus.imag / TWO_PI,
+        "im_minus_hz": pair.lambda_minus.imag / TWO_PI,
+        "phase": _phase_values(pair.phase),
+    }
     transitions = np.count_nonzero(pair.phase[1:] != pair.phase[:-1])
-    print(f"{len(rows)} rows, {transitions} phase transition(s)")
-    _emit(args, cfg, columns, rows)
-    return 0
+    return _emit(args, cfg, table, f"{len(grid)} rows, {transitions} phase transition(s)")
 
 
 def cmd_sweep_strain(cfg: RunConfig, args) -> int:
@@ -355,12 +345,16 @@ def cmd_sweep_strain(cfg: RunConfig, args) -> int:
     system = _coupled_system(cfg)
     n0 = ep_photon_number(system, convention)
     r = sweep_strain(system, n0, args.min, args.max, args.points, log=args.log, convention=convention)
-    columns = ["h", "d_exact_rad_s", "d_approx_rad_s", "linewidth_split_rad_s", "rel_err"]
     rel_error = r.rel_error
-    rows = _rows(columns, r.strain, r.d_exact, r.d_approx, r.linewidth_split, rel_error)
-    print(f"{len(rows)} rows at n0 = {n0:.6e}; max |d_exact - d_approx|/d_approx = {rel_error.max():.3e}")
-    _emit(args, cfg, columns, rows, n0=n0)
-    return 0
+    table = {
+        "h": r.strain,
+        "d_exact_rad_s": r.d_exact,
+        "d_approx_rad_s": r.d_approx,
+        "linewidth_split_rad_s": r.linewidth_split,
+        "rel_err": rel_error,
+    }
+    summary = f"{len(rel_error)} rows at n0 = {n0:.6e}; max |d_exact - d_approx|/d_approx = {rel_error.max():.3e}"
+    return _emit(args, cfg, table, summary, n0=n0)
 
 
 def cmd_sensitivity(cfg: RunConfig, args) -> int:
@@ -381,14 +375,10 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
         if name in overlays:
             raise _UsageError(f"argument --overlay: two overlays named {name!r}; an overlay's file name is its key")
         overlays[name] = read_overlay_csv(path)
-    columns = ["frequency_hz", "observation_time_s", "h_min"]
-    rows = _rows(columns, curve.gw_frequency, curve.observation_time, curve.h_min)
-    print(
-        f"{len(rows)} rows; floor h_min = {curve.h_min.min():.6e} "
-        f"at t_max = {cfg.sensitivity_t_max_s:g} s"
-    )
-    _emit(args, cfg, columns, rows, overlays, overlay=sorted(overlays))
-    return 0
+    h_min = curve.h_min
+    table = {"frequency_hz": curve.gw_frequency, "observation_time_s": curve.observation_time, "h_min": h_min}
+    summary = f"{len(h_min)} rows; floor h_min = {h_min.min():.6e} at t_max = {cfg.sensitivity_t_max_s:g} s"
+    return _emit(args, cfg, table, summary, overlays, overlay=sorted(overlays))
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
@@ -434,22 +424,21 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     trajectory = propagate_exact(strained, (1.0 + 0.0j, 0.0j), duration, args.dt)
     estimate = estimate_spectrum(trajectory)
 
-    columns = ["peak", "frequency_hz", "linewidth_hz", "predicted_hz", "resolution_hz"]
     peaks = estimate.peak_frequencies
-    nearest = [min(predicted, key=lambda p: abs(p - freq)) for freq in peaks]
-    hz = np.array([peaks, estimate.peak_linewidths, nearest, [estimate.resolution] * len(peaks)]) / TWO_PI
-    rows = _rows(columns, np.arange(len(peaks)), *hz)
-    print(
+    table = {
+        "peak": np.arange(len(peaks)),
+        "frequency_hz": np.array(peaks) / TWO_PI,
+        "linewidth_hz": np.array(estimate.peak_linewidths) / TWO_PI,
+        "predicted_hz": np.array([min(predicted, key=lambda p: abs(p - freq)) for freq in peaks]) / TWO_PI,
+        "resolution_hz": np.full(len(peaks), estimate.resolution / TWO_PI),
+    }
+    summary = (
         f"{len(trajectory)} samples, dt = {trajectory.dt:.6e} s, duration = {duration:.6e} s, "
         f"n_cav = {n_cav:.6e}, strain = {h:g}"
     )
-    for row in rows:
-        print(
-            f"peak {row[0]}: {row[1]:.6e} Hz (predicted {row[3]:.6e} Hz, "
-            f"resolution {row[4]:.6e} Hz)"
-        )
-    _emit(args, cfg, columns, rows, photon_number=n_cav, duration=duration, dt=trajectory.dt)
-    return 0
+    for peak, freq, _, near, res in zip(*table.values()):
+        summary += f"\npeak {peak}: {freq:.6e} Hz (predicted {near:.6e} Hz, resolution {res:.6e} Hz)"
+    return _emit(args, cfg, table, summary, photon_number=n_cav, duration=duration, dt=trajectory.dt)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            rows = [(line_no, row) for line_no, row in enumerate(reader, start=1) if row]
+            rows = [(reader.line_num, row) for row in reader if row]  # a quoted cell may span lines
     except UnicodeDecodeError:
         # The decoder's offset counts from its chunk, not the file: read
         # the file whole to name the line. Streaming keeps a large overlay

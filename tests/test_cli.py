@@ -636,6 +636,15 @@ def test_overlay_is_embedded(run_cli, tmp_path):
     payload = json.loads(jpath.read_text())
     assert payload["overlays"]["reference.csv"] == [[1.0, 1e-24], [10.0, 1e-23]]
 
+    # an overlay of only its header is embedded as an empty table
+    empty = tmp_path / "empty.csv"
+    empty.write_text("frequency_hz,strain\n")
+    argv = ["sensitivity", "--points", "20", "--overlay", str(overlay), "--overlay", str(empty)]
+    assert run_cli(*argv, "--output", str(path))[0] == 0
+    assert "\n# overlay = empty.csv\nfrequency_hz,strain\n# overlay = reference.csv\n" in path.read_text()
+    assert run_cli(*argv, "--output", str(jpath), "--format", "json")[0] == 0
+    assert json.loads(jpath.read_text())["overlays"]["empty.csv"] == []
+
 
 def test_no_output_flag_means_dry_run(run_cli, tmp_path):
     code, out, _ = run_cli("sweep-ncav", "--points", "25")
@@ -742,6 +751,18 @@ def test_readme_cli_examples_run(run_cli, tmp_path, monkeypatch):
     for line in lines:
         code, _, err = run_cli(*shlex.split(line, comments=True)[1:])
         assert code == 0, f"{line}: {err}"
+
+
+def test_readme_library_examples_run():
+    # README's python blocks run in order, in one namespace, as a reader
+    # would paste them, and the EP they state is the one they compute
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["n0"] == pytest.approx(1.406e12, rel=1e-3)
+    assert "~1.406e12" in blocks[0]
 
 
 def test_config_with_a_byte_order_mark_reads_as_without(run_cli, tmp_path):
@@ -982,10 +1003,25 @@ def test_non_finite_cell_exits_1_without_output(run_cli, tmp_path, monkeypatch, 
     curve = SensitivityCurve(np.array([1.0]), np.array([0.5]), np.array([value]))
     monkeypatch.setattr(cli, "sensitivity_curve", lambda *args, **kwargs: curve)
     out = tmp_path / f"sens.{fmt}"
-    code, _, err = run_cli("sensitivity", "--format", fmt, "--output", str(out))
+    code, stdout, err = run_cli("sensitivity", "--format", fmt, "--output", str(out))
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"h_min = {value!r}" in err
+    assert stdout == ""  # no summary for a table that is refused
+    assert not out.exists()
+
+
+def test_refused_ep_locate_cell_prints_no_summary(run_cli, tmp_path, monkeypatch):
+    # ep-locate's summary, like every command's, is printed only once its
+    # cells are checked
+    from epgw import cli
+
+    monkeypatch.setattr(cli, "ep_photon_number", lambda *args: 1e-320)
+    out = tmp_path / "ep.json"
+    code, stdout, err = run_cli("ep-locate", "--output", str(out))
+    assert code == 1
+    assert err == "error: n0 = 1e-320: a written cell must be 0 or a normal double\n"
+    assert stdout == ""
     assert not out.exists()
 
 

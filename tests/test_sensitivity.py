@@ -265,6 +265,11 @@ def test_overlay_rejects_bad_cell(tmp_path):
         with pytest.raises(ConfigParseError) as info:
             read_overlay_csv(str(path))
         assert info.value.line == 4  # blank line counted, row numbers preserved
+    # a quoted cell that spans two lines: the bad cell is still on line 4
+    path.write_text('frequency_hz,strain\n"1\n",1e-24\n1.0,x\n')
+    with pytest.raises(ConfigParseError) as info:
+        read_overlay_csv(str(path))
+    assert info.value.line == 4
 
 
 def test_overlay_rejects_wrong_width(tmp_path):
