@@ -255,37 +255,37 @@ def render_json(
     return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
-# The options that name the run's files rather than the run.
-_NOT_FLAGS = {"command", "config", "output", "format"}
+# The options that name the run's files rather than the run, and the handler.
+_NOT_FLAGS = {"command", "config", "output", "format", "run"}
 
 
 def _emit(args, cfg, table: dict, summary: str, overlays=None, **resolved) -> int:
-    """The one place that checks, prints and writes a command's table: its
+    """The one place that checks, writes and prints a command's table: its
     column names mapped to equal-length arrays. Returns exit code 0.
 
     A float cell that core._zero_or_normal refuses (NaN, inf or subnormal)
-    raises InvalidRangeError, named by its column and value, before the
-    summary is printed. The table goes to --output, if given, in --format
-    (json for ep-locate, else csv), under a header that replays the run:
-    the command, the config, and the parsed flags but the file options,
-    updated by ``resolved``, the values the command derived (simulate's
-    photon number, duration and dt, sweep-strain's n0, the overlay names)."""
+    raises InvalidRangeError, named by its column and value. The table goes
+    to --output, if given, in --format (json for ep-locate, else csv),
+    under a header that replays the run: the command, the config, and the
+    parsed flags but the file options, updated by ``resolved``, the values
+    the command derived (simulate's photon number, duration and dt,
+    sweep-strain's n0, the overlay names). The summary is printed last, so
+    a run that fails prints nothing on stdout."""
     for name, column in table.items():
         refused = column[~_zero_or_normal(column)] if column.dtype.kind == "f" else ()
         if len(refused):
             raise InvalidRangeError(f"{name} = {refused[0].item()!r}: a written cell must be 0 or a normal double")
+    if args.output is not None:
+        rows = list(zip(*(column.tolist() for column in table.values())))
+        flags = {name: value for name, value in vars(args).items() if name not in _NOT_FLAGS}
+        flags.update(resolved)
+        fmt = args.format or ("json" if args.command == "ep-locate" else "csv")
+        render = render_csv if fmt == "csv" else render_json
+        text = render(cfg, args.command, flags, list(table), rows, overlays)
+        with open(args.output, "w", newline="\n", encoding="utf-8") as fh:
+            fh.write(text)
+        summary += f"\nwrote {args.output} ({fmt}, {len(rows)} rows)"
     print(summary)
-    if args.output is None:
-        return 0
-    rows = list(zip(*(column.tolist() for column in table.values())))
-    flags = {name: value for name, value in vars(args).items() if name not in _NOT_FLAGS}
-    flags.update(resolved)
-    fmt = args.format or ("json" if args.command == "ep-locate" else "csv")
-    render = render_csv if fmt == "csv" else render_json
-    text = render(cfg, args.command, flags, list(table), rows, overlays)
-    with open(args.output, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"wrote {args.output} ({fmt}, {len(rows)} rows)")
     return 0
 
 
@@ -479,21 +479,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="epgw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("ep-locate", parents=[common, spectral_flags], help="find the exceptional-point photon number")
+    p = sub.add_parser("ep-locate", parents=[common, spectral_flags], help="find the exceptional-point photon number")
+    p.set_defaults(run=cmd_ep_locate)
 
-    p = sub.add_parser("sweep-ncav", parents=[common, spectral_flags], help="eigenvalue branches vs photon number")
-    p.add_argument("--min", type=_finite("n_min"), default=1e11)
-    p.add_argument("--max", type=_finite("n_max"), default=5e12)
-    p.add_argument("--points", type=int, default=500)
-    p.add_argument("--log", action="store_true", help="log-spaced grid")
-
-    p = sub.add_parser("sweep-strain", parents=[common, spectral_flags], help="splitting vs strain at the EP")
-    p.add_argument("--min", type=_finite("h_min"), default=1e-26)
-    p.add_argument("--max", type=_finite("h_max"), default=1e-20)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--log", action="store_true", help="log-spaced grid")
+    # the two sweeps: (name, handler, the quantity the grid sets, --min, --max, --points, help)
+    for name, run, quantity, lo, hi, points, help_text in (
+        ("sweep-ncav", cmd_sweep_ncav, "n", 1e11, 5e12, 500, "eigenvalue branches vs photon number"),
+        ("sweep-strain", cmd_sweep_strain, "h", 1e-26, 1e-20, 100, "splitting vs strain at the EP"),
+    ):
+        p = sub.add_parser(name, parents=[common, spectral_flags], help=help_text)
+        p.set_defaults(run=run)
+        p.add_argument("--min", type=_finite(f"{quantity}_min"), default=lo)
+        p.add_argument("--max", type=_finite(f"{quantity}_max"), default=hi)
+        p.add_argument("--points", type=int, default=points)
+        p.add_argument("--log", action="store_true", help="log-spaced grid")
 
     p = sub.add_parser("sensitivity", parents=[common], help="minimum detectable strain vs frequency")
+    p.set_defaults(run=cmd_sensitivity)
     p.add_argument("--fmin", type=_finite("f_min"), default=1e-7)
     p.add_argument("--fmax", type=_finite("f_max"), default=1e3)
     p.add_argument("--points", type=int, default=200)
@@ -510,6 +512,7 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("simulate", parents=[common, spectral_flags], help="time-domain run and spectral readout")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--strain", type=_finite("h"), default=1e-4, help="applied strain h")
     p.add_argument(
         "--photon-number", type=_finite("photon_number"), default=None, help="drive photon number; default: the EP"
@@ -520,28 +523,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "ep-locate": cmd_ep_locate,
-    "sweep-ncav": cmd_sweep_ncav,
-    "sweep-strain": cmd_sweep_strain,
-    "sensitivity": cmd_sensitivity,
-    "simulate": cmd_simulate,
-}
-
-
 def main(argv=None) -> int:
     """Entry point. Exit codes: 0 success, EpgwError.exit_code, 3 I/O."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = parse_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
-    except EpgwError as exc:
+        return args.run(cfg, args)
+    except (EpgwError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code if isinstance(exc, EpgwError) else 3
 
 
 if __name__ == "__main__":

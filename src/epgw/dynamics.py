@@ -83,7 +83,8 @@ class SpectralEstimate:
 
     Attributes:
         peak_frequencies: Angular peak frequencies (rad/s), at most two,
-            sorted descending by spectral magnitude.
+            sorted descending by spectral magnitude; none for a spectrum
+            without an interior local maximum.
         peak_linewidths: Lorentzian-matched full widths (rad/s), same order.
         resolution: Bin spacing 2*pi/(m*dt) (rad/s), m = _fft_length(N).
     """
@@ -236,6 +237,13 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float |
     they would cancel for small s t. One (2, N) array, filled a chunk at a
     time, is the only array of N samples made.
 
+    Accuracy: the error relative to the state's size is about
+    16 eps (1 + max|lambda| t), plus up to 0.45 eps J / |s| off the EP,
+    where the projectors cancel as N / s grows. Just outside the EP band
+    that term dominates: 10 floats above the reference device's EP
+    (|disc| = 16 eps J^2) a 2e-6 s run is off by 9e-10 at sample 1,
+    against an mpmath expm at 40 digits.
+
     Args:
         system: The coupled system.
         initial: Pair of complex amplitudes at t = 0.
@@ -298,15 +306,13 @@ def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float | No
 def _peak_bins(mag: np.ndarray) -> list[int]:
     """The bins of the reported peaks of a magnitude spectrum, at most two.
 
-    Candidates are the interior local maxima (the global interior maximum
-    when there are none). The largest is reported, and the next largest
-    when it reaches _SECOND_PEAK_FRACTION of it; of exactly equal
+    Candidates are the interior local maxima; a spectrum without one (flat,
+    or monotonic) has no peak. The largest is reported, and the next
+    largest when it reaches _SECOND_PEAK_FRACTION of it; of exactly equal
     magnitudes the lower bin comes first. Only the top two candidates are
     sorted: a long trajectory has hundreds of thousands of them.
     """
     candidates = np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])) + 1
-    if candidates.size == 0:
-        candidates = np.array([int(np.argmax(mag[1:-1])) + 1])
     if candidates.size > 2:
         values = mag[candidates]
         candidates = candidates[values >= np.partition(values, -2)[-2]]
@@ -320,7 +326,8 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
 
     Amplitudes evolve as e^{-i lambda t}, so a supermode at Re(lambda) =
     Omega appears at DFT frequency -Omega / 2 pi; bins are mapped back
-    with that sign flip. The peaks are those of _peak_bins, each refined
+    with that sign flip. The peaks are those of _peak_bins (none for a
+    spectrum without an interior local maximum), each refined
     by three-bin parabolic interpolation of the log magnitude
     (which is exact for a Gaussian peak and reduces the bin-center bias
     far below the raw resolution). The linewidth comes from matching the
@@ -351,7 +358,7 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     mag = np.fft.fftshift(mag)
     df = 1.0 / (m * trajectory.dt)
     # the lowest bin after the shift, as np.fft.fftfreq computes it
-    f_first = np.float64(-(m // 2)) * df
+    f_first = -(m // 2) * df
     resolution = 2.0 * math.pi * df
 
     frequencies: list[float] = []

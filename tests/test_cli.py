@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from epgw import ConfigParseError, UnknownKeyError, ValidationError, eigenvalues_general, min_detectable_strain
-from epgw.cli import CONFIG_DEFAULTS, RunConfig, build_parser, parse_config, parse_config_text
+from epgw.cli import CONFIG_DEFAULTS, RunConfig, build_parser, main, parse_config, parse_config_text
 
 TWO_PI = 2.0 * math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -840,11 +840,29 @@ def test_overlay_name_that_is_not_printable_exits_1_without_output(run_cli, tmp_
 
 
 def test_io_errors_exit_3(run_cli, tmp_path):
-    assert run_cli("ep-locate", "--config", str(tmp_path / "missing.conf"))[0] == 3
-    missing_overlay = tmp_path / "missing.csv"
-    assert run_cli("sensitivity", "--points", "20", "--overlay", str(missing_overlay))[0] == 3
-    unwritable = tmp_path / "no" / "such" / "dir" / "out.csv"
-    assert run_cli("ep-locate", "--output", str(unwritable))[0] == 3
+    # one error line and nothing on stdout: the summary of a run whose
+    # output cannot be written is never printed
+    for argv in [
+        ["ep-locate", "--config", str(tmp_path / "missing.conf")],
+        ["sensitivity", "--points", "20", "--overlay", str(tmp_path / "missing.csv")],
+        ["ep-locate", "--output", str(tmp_path / "no" / "such" / "dir" / "out.csv")],
+    ]:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "command", [pytest.param("", id="epgw"), "ep-locate", "sweep-ncav", "sweep-strain", "sensitivity", "simulate"]
+)
+def test_help_exits_0_on_stdout(capsys, command):
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: epgw", *argv[:-1]]) + " ")
+    assert err == ""
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from epgw import (
     balanced_system,
     eigenvalues_general,
     ep_photon_number,
+    ep_tolerance,
     estimate_spectrum,
     mode_matrix,
     propagate_exact,
@@ -269,6 +270,36 @@ def test_exact_propagator_matches_high_precision_reference_across_table_seams(de
             assert err <= 16 * np.finfo(float).eps * (1.0 + speed * k * dt), k
 
 
+@pytest.mark.parametrize("floats_above", [10, 1000])
+def test_exact_propagator_error_just_outside_the_ep_band(device, device_n0, floats_above):
+    # A few floats above n0 the pair is off the EP by the one rule, so a0
+    # splits with Sylvester's projectors (I +- N / s) / 2, which cancel:
+    # 10 floats above, |disc| = 16 eps J^2, and the error at sample 1 is
+    # about 1e-9, far above the table-seam bound. It is pinned at
+    # 16 eps (1 + max|lambda| t) + eps J / |s|, s = sqrt(disc) of the double
+    # M at 40 digits; the measured error is at most 0.45 eps J / |s|.
+    mpmath = pytest.importorskip("mpmath")
+    drive = device_n0
+    for _ in range(floats_above):
+        drive = math.nextafter(drive, math.inf)
+    system = device.with_photon_number(drive)
+    m = mode_matrix(system)
+    speed = float(np.abs(np.linalg.eigvals(m)).max())
+    traj = propagate_exact(system, (1.0, 0.0), 2e-6)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        m_mp = mpmath.matrix(m.tolist())
+        s = abs(mpmath.sqrt(((m_mp[0, 0] - m_mp[1, 1]) / 2) ** 2 + m_mp[0, 1] * m_mp[1, 0]))
+        assert s**2 > ep_tolerance(system.coupling_j)  # the projector branch runs
+        slack = eps * system.coupling_j / float(s)
+        for k in [1, 1024, len(traj) - 1]:
+            t = mpmath.mpf(k) * mpmath.mpf(traj.dt)
+            ref = np.array((mpmath.expm(-1j * m_mp * t) * mpmath.matrix([1, 0])).tolist(), dtype=complex)[:, 0]
+            got = np.array([traj.a1[k], traj.a2[k]])
+            err = np.abs(got - ref).max() / np.abs(ref).max()
+            assert err <= 16 * eps * (1.0 + speed * k * traj.dt) + slack, k
+
+
 # ---------------------------------------------------------------------------
 # sampling guards
 # ---------------------------------------------------------------------------
@@ -501,6 +532,17 @@ def test_spectrum_locates_pure_tone():
     assert len(est.peak_frequencies) == 1
     assert est.resolution == pytest.approx(TWO_PI / 4.096, rel=1e-12)
     assert abs(est.peak_frequencies[0] - omega) < est.resolution / 10.0
+
+
+def test_spectrum_peaks_are_python_floats():
+    est = estimate_spectrum(_tone_trajectory(4096, 1e-3, [(1.0, 123.456, 0.0)]))
+    assert [type(value) for value in est.peak_frequencies + est.peak_linewidths] == [float, float]
+
+
+def test_spectrum_without_a_local_maximum_has_no_peak():
+    # a flat spectrum has no interior local maximum, so nothing is reported
+    est = estimate_spectrum(Trajectory(dt=1e-10, a1=np.zeros(2048), a2=np.zeros(2048)))
+    assert est.peak_frequencies == [] and est.peak_linewidths == []
 
 
 def test_spectrum_separates_two_tones():

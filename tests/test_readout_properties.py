@@ -49,8 +49,6 @@ def _full_sort_peaks(mag):
     """The selection as a full sort of every interior local maximum."""
     interior = np.arange(1, len(mag) - 1)
     candidates = interior[(mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])]
-    if candidates.size == 0:
-        candidates = np.array([int(np.argmax(mag[1:-1])) + 1])
     candidates = candidates[np.argsort(mag[candidates])[::-1]]
     second = candidates.size > 1 and mag[candidates[1]] >= _SECOND_PEAK_FRACTION * mag[candidates[0]]
     return candidates[: 2 if second else 1].tolist()
