@@ -7,8 +7,8 @@ Unset keys fall back to the reference device defaults, so every
 subcommand runs with zero configuration.
 
 Output files are byte-deterministic, with fixed column schemas. Each
-command hands its table to _emit, the one place that checks, prints and
-writes it. The header records the command, the config and every flag of
+command hands its table to _emit, the one place that checks, writes and
+prints it. The header records the command, the config and every flag of
 the command as the run resolved it, so a file can be replayed from it.
 CSV writes floats with 17 significant digits under a ``# key = value``
 comment header; JSON writes one line, keys sorted, floats as
@@ -476,7 +476,7 @@ def build_parser() -> _Parser:
         "(legacy simplification, EP at half the eq7 photon number)",
     )
 
-    parser = _Parser(prog="epgw", description=__doc__)
+    parser = _Parser(prog="epgw", description="Exceptional-point optomechanical strain sensor simulator.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("ep-locate", parents=[common, spectral_flags], help="find the exceptional-point photon number")

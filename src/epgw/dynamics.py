@@ -1,11 +1,10 @@
 """Time-domain propagation of the coupled-mode equation and spectral readout.
 
 Both propagators take the spectrum of the mode matrix M from
-``spectral._spectrum``. The exact one is e^{-i M t} in closed form: the 2x2
-exponential where the one EP rule ``spectral._at_ep`` holds, the spectral
-projectors elsewhere, with phases from two short tables (table-driven exp;
-Tang, ACM TOMS 15, 144 (1989)) whose block length is a power of two, so
-that the block span is exact. The RK4 cross-check steps by its one-step
+``spectral._spectrum``. The exact one is e^{-i M t} in one closed form for
+every pair, at the EP and away from it, tabled (table-driven exp; Tang,
+ACM TOMS 15, 144 (1989)) in blocks whose length is a power of two, so that
+the block span is exact. The RK4 cross-check steps by its one-step
 matrix. A trajectory is n samples dt apart from t = 0; it keeps dt and the
 samples, and derives its times. A windowed-DFT peak estimator recovers
 supermode frequencies from trajectories, zero-padded to the next length
@@ -28,7 +27,7 @@ from .core import (
     TooFewSamplesError,
     validate_system,
 )
-from .spectral import EpConvention, _arms, _at_ep, _spectrum
+from .spectral import EpConvention, _arms, _spectrum
 
 # Hann sidelobes peak at -31.5 dB (2.7% in magnitude); a 5% floor rejects
 # them while keeping any genuine secondary line.
@@ -36,8 +35,8 @@ _SECOND_PEAK_FRACTION = 0.05
 
 _MAX_SAMPLES = 1 << 24
 
-_PHASE_BLOCK = 1 << 10  # samples per block of the phase tables (see _phase_chunks)
-_CHUNK_BLOCKS = 16  # blocks per chunk of phases (512 KB for two rates) and of the readout's window
+_PHASE_BLOCK = 1 << 10  # samples per block of the propagator table (see propagate_exact)
+_CHUNK_BLOCKS = 16  # blocks per chunk of the readout's window
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,51 +197,45 @@ def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
     return Trajectory(dt=dt, a1=a1, a2=a2)
 
 
-def _phase_chunks(rates, n: int, dt: float):
-    """e^{-i rate k dt} for k < n rounded up to whole blocks, one row per
-    rate, as (span of k, phases) chunks: views of one reused buffer.
+def _propagator(center: complex, root: complex, drift: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{-i M t} for each t of ``times``, as (len(times), 2, 2) matrices.
 
-    With B = _PHASE_BLOCK and k = q B + r, the phase is the product
-    e^{-i rate q (B dt)} e^{-i rate r dt} of two table entries. A block start
-    k = q B takes the argument rate * fl(k dt) of a direct exponential.
+    With lambda = center, s = root and N = drift = M - lambda I, so that
+    N^2 = s^2 I, e^{-i M t} = e^{-i lambda t} (cos(s t) I - i (sin(s t) / s) N)
+    (Moler & Van Loan, SIAM Rev. 45, 3 (2003)). cos(s t) and sin(s t) / s
+    are even in s, so the root with Im s >= 0 serves, and with z = 2 i s t
+    (Re z <= 0) the form is written about the faster-growing supermode:
+
+        e^{-i M t} = e^{-i (lambda + s) t} ((1 + e^z) / 2 I - i t (expm1(z) / z) N),
+
+    with expm1(z) / z = 1 at z = 0, so that sin(s t) / s = t at s = 0 (the
+    Jordan form's secular term). Nothing cancels as s -> 0, and no factor
+    overflows before that supermode does: cos(s t) alone would at
+    |Im s| t > 709, though both supermodes decay.
     """
-    minus_i_rates = -1j * np.asarray(rates, dtype=complex)[:, None]
-    hi = np.exp(minus_i_rates * (np.arange(-(-n // _PHASE_BLOCK)) * (_PHASE_BLOCK * dt)))
-    lo = np.exp(minus_i_rates * (np.arange(_PHASE_BLOCK) * dt))
-    buf = np.empty((len(hi), min(_CHUNK_BLOCKS, hi.shape[1]), _PHASE_BLOCK), dtype=complex)
-    for q in range(0, hi.shape[1], _CHUNK_BLOCKS):
-        c = min(_CHUNK_BLOCKS, hi.shape[1] - q)
-        np.multiply(hi[:, q : q + c, None], lo[:, None, :], out=buf[:, :c])
-        yield slice(q * _PHASE_BLOCK, (q + c) * _PHASE_BLOCK), buf[:, :c].reshape(len(hi), -1)
+    s = root if root.imag >= 0.0 else -root
+    z = 2j * s * times
+    expm1_z = np.expm1(z)
+    sin_st_over_s = times * np.divide(expm1_z, z, out=np.ones_like(z), where=z != 0)
+    phases = np.exp(-1j * (center + s) * times)[:, None, None]
+    return phases * ((1.0 + 0.5 * expm1_z)[:, None, None] * np.eye(2) - 1j * sin_st_over_s[:, None, None] * drift)
 
 
 def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float | None = None) -> Trajectory:
     """Closed-form evolution a(t) = e^{-i M t} a(0).
 
-    With lambda the center of the pair, s = sqrt(disc) and N = M - lambda I,
-    all from spectral._spectrum, N^2 = disc I. Where the one EP rule holds
-    (spectral._at_ep) the exact 2x2 exponential is used,
+    e^{-i M t} takes one closed form for every pair (_propagator), at the
+    EP, next to it and away from it, with no spectral projector
+    (I +- N / s) / 2 to cancel as s -> 0. It is tabled (table-driven exp;
+    Tang, ACM TOMS 15, 144 (1989)): with B = _PHASE_BLOCK a power of two,
+    so that the block span B dt is exact, sample k = q B + r is
+    e^{-i M q B dt} (e^{-i M r dt} a0), the product of one of about N / B
+    block starts and one of B offsets. One matrix product writes the (2, N)
+    amplitudes, the only array of N samples made.
 
-        a(t) = e^{-i lambda t} (cos(s t) a0 - i (sin(s t) / s) N a0),
-
-    with sin(s t) / s = t at s = 0 (the Jordan form's secular term).
-    Elsewhere a0 splits with the spectral projectors (I +- N / s) / 2 onto
-    the supermodes (Sylvester's formula; Moler & Van Loan, SIAM Rev. 45, 3
-    (2003)), and each part evolves as e^{-i (lambda +- s) t}.
-
-    The phases e^{-i lambda k dt} are products of two tables, of about N / B
-    and B exponentials with B = _PHASE_BLOCK a power of two, so that the
-    block span B dt is exact (_phase_chunks; Tang, ACM TOMS 15, 144 (1989)).
-    At the EP cos(s t) and sin(s t) / s stay direct: built from e^{+-i s t}
-    they would cancel for small s t. One (2, N) array, filled a chunk at a
-    time, is the only array of N samples made.
-
-    Accuracy: the error relative to the state's size is about
-    16 eps (1 + max|lambda| t), plus up to 0.45 eps J / |s| off the EP,
-    where the projectors cancel as N / s grows. Just outside the EP band
-    that term dominates: 10 floats above the reference device's EP
-    (|disc| = 16 eps J^2) a 2e-6 s run is off by 9e-10 at sample 1,
-    against an mpmath expm at 40 digits.
+    Accuracy: the error relative to the state's size is within
+    16 eps (1 + max|lambda| t) of a 40-digit mpmath expm, at the EP, a few
+    floats from it and far from it.
 
     Args:
         system: The coupled system.
@@ -260,20 +253,14 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float |
         RunawayGainError: a sample overflows double precision (a mode in
             runaway gain), named by the time of the first one.
     """
-    a0, m, (center, disc, root), dt, n = _prepare(system, initial, duration, dt)
-    amplitudes = np.empty((2, -(-n // _PHASE_BLOCK) * _PHASE_BLOCK), dtype=complex)
+    a0, m, (center, _, root), dt, n = _prepare(system, initial, duration, dt)
+    blocks = -(-n // _PHASE_BLOCK)
+    amplitudes = np.empty((2, blocks * _PHASE_BLOCK), dtype=complex)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
-        drift = (m - center * np.eye(2)) @ a0
-        at_ep = _at_ep(abs(disc), system.coupling_j)
-        modes = None if at_ep else 0.5 * (a0[:, None] + np.outer(drift / root, [1, -1]))
-        for span, phases in _phase_chunks([center] if at_ep else [center + root, center - root], n, dt):
-            if at_ep:
-                times = np.arange(span.start, span.stop) * dt
-                cos_st = np.cos(root * times)
-                sin_st_over_s = times if root == 0 else np.sin(root * times) / root
-                amplitudes[:, span] = phases * (cos_st * a0[:, None] - 1j * sin_st_over_s * drift[:, None])
-            else:
-                np.matmul(modes, phases, out=amplitudes[:, span])
+        drift = m - center * np.eye(2)
+        starts = _propagator(center, root, drift, np.arange(blocks) * (_PHASE_BLOCK * dt))
+        offsets = _propagator(center, root, drift, np.arange(_PHASE_BLOCK) * dt) @ a0
+        np.matmul(starts, offsets.T, out=amplitudes.reshape(2, blocks, _PHASE_BLOCK).transpose(1, 0, 2))
     return _finite_trajectory(dt, amplitudes[0, :n], amplitudes[1, :n])
 
 

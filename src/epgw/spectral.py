@@ -41,8 +41,9 @@ Each rule of the model is written once: ``_arms`` evaluates the arm
 constants (g0, phi; ``_Arm.damping`` is Gamma), ``_classify`` is the phase
 rule for a point or a grid, and ``_at_ep`` the one EP rule, |disc| <=
 ``ep_tolerance(J)`` = 8 eps J^2: the phase label, the EP gate of
-``ep_photon_number`` and the strain response, and the EP branch of
-``dynamics.propagate_exact`` all ask it. Overflow of valid but extreme
+``ep_photon_number`` and the strain response all ask it
+(``dynamics.propagate_exact`` needs no EP rule: its closed form holds for
+every pair). Overflow of valid but extreme
 inputs is an InvalidRangeError, checked where it arises: ``_arms``
 checks the arm constants and J^2, ``eigenvalues_general`` and
 ``dynamics.mode_matrix`` their one result, the sweeps and the strain

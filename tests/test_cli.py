@@ -472,13 +472,20 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # config key drive.photon_number was deleted: each config object lost its
 # "drive.photon_number": null entry, and putting it back gives the old
 # digests. A CSV header never wrote the unset key, so no CSV byte moved.
+# The simulate digest was re-recorded when propagate_exact took one closed
+# form for every pair, in place of the spectral projectors off the EP: only
+# the two linewidth cells moved, peak 0 from 9.5517192967589835e+03 to
+# 9.5517192967410610e+03 and peak 1 from 9.5032302642417417e+03 to
+# 9.5032302642398427e+03 (2e-12 and 2e-13 relative). At this drive the new
+# trajectory is 13x closer to a 40-digit mpmath expm: 0.019 of the seam
+# bound 16 eps (1 + max|lambda| t), against 0.255.
 GOLDEN = {
     "ep-locate": "39ffe776d7aa9e080ff423bcabfb9b3e1cf0509f37b9f9c127358fd7668c06a5",
     "sweep-ncav": "9bc099c8a8923426cfca1f86d06c9631e26f4e6276e01b51374ce31fe2cff223",
     "sweep-ncav-json": "beafd869c2d21bf2204249258f37651c302842d740762bf2d4c3c5a518e52c0c",
     "sweep-strain": "9d7acf1f1b12b19da5bd45fdfac3c107977950682a1c256e12d46847793fc63f",
     "sensitivity": "287dcc8329400dd7d7267196611322235e23293cf9bf7d2dcdca450c96bf8708",
-    "simulate": "7346a20eb67b3e3c5ae2757ab9df1f2a4a9bed7d94073652671d2cd667174411",
+    "simulate": "0752ad413862bc3d53062c8fe997e3c9a3352405c897bbef1b3ddca85221559a",
     "sensitivity-overlay-json": "c27f3379ff397024a626362b644622db4570ee397ffee3e9ad638cb644212151",
     "sensitivity-overlay-csv": "b9873cd0a8cf659ca419c00889abfe64c034335332d05e86e38b59f4fc717f6b",
 }
@@ -863,6 +870,8 @@ def test_help_exits_0_on_stdout(capsys, command):
     out, err = capsys.readouterr()
     assert out.startswith(" ".join(["usage: epgw", *argv[:-1]]) + " ")
     assert err == ""
+    # user-facing text: no private name, no reST markup
+    assert "_emit" not in out and "``" not in out
 
 
 @pytest.mark.parametrize(
