@@ -52,7 +52,6 @@ from .sensitivity import (
     thermal_frequency_noise,
 )
 from .spectral import (
-    EpConvention,
     SplittingResult,
     detuning_response,
     eigenvalues_general,
@@ -73,7 +72,6 @@ __all__ = [
     "K_BOLTZMANN",
     "ConfigParseError",
     "CoupledSystem",
-    "EpConvention",
     "EpgwError",
     "InvalidRangeError",
     "MechanicalResonator",

@@ -49,7 +49,6 @@ from .core import (
 from .dynamics import estimate_spectrum, propagate_exact
 from .sensitivity import read_overlay_csv, sensitivity_curve
 from .spectral import (
-    EpConvention,
     _arms,
     ep_photon_number,
     eigenvalues_general,
@@ -303,20 +302,18 @@ def _coupled_system(cfg: RunConfig) -> CoupledSystem:
 
 
 def cmd_ep_locate(cfg: RunConfig, args) -> int:
-    convention = EpConvention(args.ep_convention)
     system = cfg.system()
-    n0 = ep_photon_number(system, convention)
+    n0 = ep_photon_number(system)
     arm_1, arm_2 = _arms(system)
     g0, phi = arm_1.g0, arm_1.phi
     gamma_1, gamma_2 = arm_1.damping(n0), arm_2.damping(n0)
-    pair = eigenvalues_general(system.with_photon_number(n0), convention)
+    pair = eigenvalues_general(system.with_photon_number(n0))
     summary = (
         f"n0 = {n0:.6e}\n"
         f"g0 = {g0:.6e} rad/s ({g0 / TWO_PI:.6e} Hz)\n"
         f"phi = {phi:.6e} s  (arm 1, blue-detuned)\n"
         f"gamma_1 = {gamma_1:.6e} rad/s\n"
         f"gamma_2 = {gamma_2:.6e} rad/s\n"
-        f"convention = {convention.value}\n"
         f"phase at n0 = {pair.phase.value}"
     )
     cells = {"n0": n0, "g0_rad_s": g0, "phi_s": phi, "gamma_1_rad_s": gamma_1, "gamma_2_rad_s": gamma_2}
@@ -324,10 +321,7 @@ def cmd_ep_locate(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
-    convention = EpConvention(args.ep_convention)
-    grid, pair = sweep_photon_number(
-        _coupled_system(cfg), args.min, args.max, args.points, log=args.log, convention=convention
-    )
+    grid, pair = sweep_photon_number(_coupled_system(cfg), args.min, args.max, args.points, log=args.log)
     table = {
         "n_cav": grid,
         "re_plus_hz": pair.lambda_plus.real / TWO_PI,
@@ -341,10 +335,9 @@ def cmd_sweep_ncav(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep_strain(cfg: RunConfig, args) -> int:
-    convention = EpConvention(args.ep_convention)
     system = _coupled_system(cfg)
-    n0 = ep_photon_number(system, convention)
-    r = sweep_strain(system, n0, args.min, args.max, args.points, log=args.log, convention=convention)
+    n0 = ep_photon_number(system)
+    r = sweep_strain(system, n0, args.min, args.max, args.points, log=args.log)
     rel_error = r.rel_error
     table = {
         "h": r.strain,
@@ -392,7 +385,6 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     resolution is 2 pi / (m dt). The run holds about 32 bytes per sample
     for the trajectory, and the padded readout besides.
     """
-    convention = EpConvention(args.ep_convention)
     h = args.strain
     require_strain(h)
     system = _coupled_system(cfg)
@@ -401,13 +393,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         require_nonnegative("photon_number", args.photon_number)
         n_cav = args.photon_number
     else:
-        n_cav = ep_photon_number(system, convention)
+        n_cav = ep_photon_number(system)
 
     # Strain rescales both vacuum couplings g0 -> g0 (1 - 2h); in the mode
     # matrix that is exactly a photon-number rescale by (1 - 2h)^2.
     strained = system.with_photon_number(n_cav * (1.0 - 2.0 * h) ** 2)
-    # The convention only picks the EP drive above. What is propagated is
-    # the exact M, so the predictions and defaults come from its EQ7 pair.
     pair = eigenvalues_general(strained)
     predicted = (pair.lambda_plus.real, pair.lambda_minus.real)
 
@@ -467,19 +457,11 @@ def build_parser() -> _Parser:
     common.add_argument("--config", help="config file (flat dotted keys)")
     common.add_argument("--output", help="output data file; omit for a dry run")
     common.add_argument("--format", choices=["csv", "json"], default=None)
-    spectral_flags = argparse.ArgumentParser(add_help=False)  # every command but sensitivity
-    spectral_flags.add_argument(
-        "--ep-convention",
-        choices=[c.value for c in EpConvention],
-        default=EpConvention.EQ7.value,
-        help="discriminant convention: eq7 (matrix-exact, default) or eq8 "
-        "(legacy simplification, EP at half the eq7 photon number)",
-    )
 
     parser = _Parser(prog="epgw", description="Exceptional-point optomechanical strain sensor simulator.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("ep-locate", parents=[common, spectral_flags], help="find the exceptional-point photon number")
+    p = sub.add_parser("ep-locate", parents=[common], help="find the exceptional-point photon number")
     p.set_defaults(run=cmd_ep_locate)
 
     # the two sweeps: (name, handler, the quantity the grid sets, --min, --max, --points, help)
@@ -487,7 +469,7 @@ def build_parser() -> _Parser:
         ("sweep-ncav", cmd_sweep_ncav, "n", 1e11, 5e12, 500, "eigenvalue branches vs photon number"),
         ("sweep-strain", cmd_sweep_strain, "h", 1e-26, 1e-20, 100, "splitting vs strain at the EP"),
     ):
-        p = sub.add_parser(name, parents=[common, spectral_flags], help=help_text)
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(run=run)
         p.add_argument("--min", type=_finite(f"{quantity}_min"), default=lo)
         p.add_argument("--max", type=_finite(f"{quantity}_max"), default=hi)
@@ -511,7 +493,7 @@ def build_parser() -> _Parser:
         help="comparison curve CSV (frequency_hz,strain) to embed; repeatable",
     )
 
-    p = sub.add_parser("simulate", parents=[common, spectral_flags], help="time-domain run and spectral readout")
+    p = sub.add_parser("simulate", parents=[common], help="time-domain run and spectral readout")
     p.set_defaults(run=cmd_simulate)
     p.add_argument("--strain", type=_finite("h"), default=1e-4, help="applied strain h")
     p.add_argument(

@@ -27,7 +27,7 @@ from .core import (
     TooFewSamplesError,
     validate_system,
 )
-from .spectral import EpConvention, _arms, _spectrum
+from .spectral import _arms, _spectrum
 
 # Hann sidelobes peak at -31.5 dB (2.7% in magnitude); a 5% floor rejects
 # them while keeping any genuine secondary line.
@@ -84,7 +84,10 @@ class SpectralEstimate:
         peak_frequencies: Angular peak frequencies (rad/s), at most two,
             sorted descending by spectral magnitude; none for a spectrum
             without an interior local maximum.
-        peak_linewidths: Lorentzian-matched full widths (rad/s), same order.
+        peak_linewidths: 2 resolution / sqrt(-c) (rad/s), same order, for
+            the log-magnitude curvature c per bin^2 at the peak: for a line
+            narrower than a few bins, the Hann window's main lobe (about
+            1.7 bins), not the mode's width.
         resolution: Bin spacing 2*pi/(m*dt) (rad/s), m = _fft_length(N).
     """
 
@@ -164,7 +167,7 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
         raise InvalidRangeError(f"initial = {initial!r} is not finite")
     m = mode_matrix(system)
     n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
-    center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, EpConvention.EQ7)
+    center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2)
     if not np.isfinite(disc):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
     bound = 0.1 * 2.0 * math.pi / (abs(center.real) + abs(root.real))
@@ -317,9 +320,11 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     spectrum without an interior local maximum), each refined
     by three-bin parabolic interpolation of the log magnitude
     (which is exact for a Gaussian peak and reduces the bin-center bias
-    far below the raw resolution). The linewidth comes from matching the
-    parabola curvature to a Lorentzian: full width 2 dOmega / sqrt(-c)
-    for log-magnitude curvature c per bin^2.
+    far below the raw resolution). The linewidth is 2 dOmega / sqrt(-c)
+    for log-magnitude curvature c per bin^2. For a line narrower than a
+    few bins that parabola is the Hann window's main lobe, so the figure
+    is about 1.7 bins whatever the mode's width: the default simulate run,
+    whose PT-symmetric pair has zero width, reads 1.69 bins.
 
     A large prime factor of the DFT length takes a slow generic pass, so
     the windowed n samples are zero-padded to m = _fft_length(n), sampling

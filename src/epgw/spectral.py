@@ -15,12 +15,9 @@ and the discriminant carries the phase information: positive real part
 means a frequency-split (PT-symmetric) pair, negative real part means a
 linewidth-split (broken) pair, zero means an exceptional point.
 
-Two discriminant conventions are supported. EQ7 is exact for M above,
-disc = J^2 + B^2/4 with B = (omega_1 - omega_2) + i (Gamma_2 - Gamma_1)/2,
-so the balanced EP sits at Gamma = 2J. EQ8 is a widely used simplified
-form, disc = J^2 + B^2, which places the balanced EP at Gamma = J and
-therefore at half the EQ7 threshold photon number. EQ7 is the default;
-EQ8 is provided for comparison with results quoted in that convention.
+The discriminant of M is disc = J^2 + B^2/4 (EQ7), with
+B = (omega_1 - omega_2) + i (Gamma_2 - Gamma_1)/2, so the balanced EP sits
+at Gamma = 2J.
 
 One kernel, ``_spectrum``, evaluates this closed form for every caller:
 single points (``eigenvalues_general``) and whole grids (the float polish
@@ -56,7 +53,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -103,13 +99,6 @@ _PHASES = np.array([Phase.PT_SYMMETRIC, Phase.BROKEN, Phase.EXCEPTIONAL_POINT], 
 
 # cmath.sqrt as a ufunc, for _root's arrays
 _SQRT = np.frompyfunc(cmath.sqrt, 1, 1)
-
-
-class EpConvention(Enum):
-    """Discriminant convention selector (see module docstring)."""
-
-    EQ7 = "eq7"
-    EQ8 = "eq8"
 
 
 @dataclass(frozen=True)
@@ -236,7 +225,7 @@ def _root(z):
     return np.asarray(_SQRT(z), dtype=complex)
 
 
-def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2, convention: EpConvention):
+def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2):
     """Center, discriminant and sqrt(discriminant) at photon numbers n_1, n_2.
 
     The one closed-form evaluator. ``n_1`` and ``n_2`` (the photon numbers
@@ -246,7 +235,7 @@ def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2, convention: 
 
         center = complex((w1 + w2)/2, -(G1 + G2)/4)
         b = complex(w1 - w2, (G2 - G1)/2)
-        disc = J*J + 0.25*(b*b)   (EQ7),   J*J + b*b   (EQ8)
+        disc = J*J + 0.25*(b*b)
 
     The principal root has Re >= 0 (Im >= 0 on the branch cut), so
     center + root is the canonical lambda_plus: larger Re, larger Im on ties.
@@ -259,10 +248,9 @@ def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2, convention: 
     b_im = 0.5 * (gamma_2 - gamma_1)
     sq_re = b_re * b_re - b_im * b_im
     sq_im = b_re * b_im + b_im * b_re
-    if convention is EpConvention.EQ7:
-        # CPython's 0.25 * z is the full product with complex(0.25, 0.0);
-        # its zero terms matter where a part is not finite (0.0 * inf)
-        sq_re, sq_im = 0.25 * sq_re - 0.0 * sq_im, 0.25 * sq_im + 0.0 * sq_re
+    # CPython's 0.25 * z is the full product with complex(0.25, 0.0);
+    # its zero terms matter where a part is not finite (0.0 * inf)
+    sq_re, sq_im = 0.25 * sq_re - 0.0 * sq_im, 0.25 * sq_im + 0.0 * sq_re
     # J*J enters as complex(J*J, 0.0): an imaginary -0.0 becomes +0.0
     disc = _complex(coupling_j * coupling_j + sq_re, 0.0 + sq_im)
     return center, disc, _root(disc)
@@ -290,7 +278,7 @@ def _classify(disc, coupling_j: float):
     return 2 * at_ep + broken
 
 
-def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConvention.EQ7) -> SupermodePair:
+def eigenvalues_general(system: CoupledSystem) -> SupermodePair:
     """Supermode pair of a coupled system from the analytic discriminant.
 
     The single-point evaluator: it does not validate ``system`` (see
@@ -299,7 +287,6 @@ def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConv
     Args:
         system: The system; each arm's damping is computed from its own
             cavity and resonator.
-        convention: Discriminant convention (EQ7 default, see module doc).
 
     Returns:
         SupermodePair with canonically labeled branches.
@@ -309,7 +296,7 @@ def eigenvalues_general(system: CoupledSystem, convention: EpConvention = EpConv
             double precision (see _arms), e.g. at an extreme photon number.
     """
     n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
-    center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2, convention)
+    center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2)
     plus, minus = center + root, center - root
     if not (cmath.isfinite(plus) and cmath.isfinite(minus) and cmath.isfinite(disc)):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
@@ -344,24 +331,23 @@ def _polish_photon_number(magnitude, n_guess: float) -> tuple[float, float]:
     return float(window[best]), float(values[best])
 
 
-def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvention.EQ7) -> float:
+def ep_photon_number(system: CoupledSystem) -> float:
     """Photon number that drives the system to its (lowest) exceptional point.
 
     The threshold is closed-form for any system. With both cavities at n
     photons each arm's damping is Gamma_k = gamma_m,k + s_k n, with slope
-    s_k = g0_k^2 phi_k, and the discriminant J^2 + q B^2 (q = 1/4 for EQ7,
-    1 for EQ8) vanishes only when omega_1 = omega_2 and Gamma_2 - Gamma_1 =
-    +-c J (c = 4 for EQ7, 2 for EQ8), that is at
+    s_k = g0_k^2 phi_k, and the discriminant J^2 + B^2/4 vanishes only
+    when omega_1 = omega_2 and Gamma_2 - Gamma_1 = +-4 J, that is at
 
-        n = (+-c J - (gamma_m,2 - gamma_m,1)) / (s_2 - s_1).
+        n = (+-4 J - (gamma_m,2 - gamma_m,1)) / (s_2 - s_1).
 
     The smaller nonnegative root is float-polished: neighbouring floats of
     n are tried so that feeding the result back through
     eigenvalues_general cancels the discriminant bit-exactly whenever the
     float grid allows it (it does for the reference device), and to within
     ep_tolerance(J) = 8 eps J^2 otherwise. A balanced system has gamma_m,2
-    = gamma_m,1 and s_2 = -s_1, so n0 = 2 J / (g0^2 |phi|) (EQ7) or
-    J / (g0^2 |phi|) (EQ8). No search bounds apply.
+    = gamma_m,1 and s_2 = -s_1, so n0 = 2 J / (g0^2 |phi|). No search
+    bounds apply.
 
     Raises:
         ValidationError: invalid system.
@@ -383,14 +369,13 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
     if d_slope == 0.0:
         raise ZeroCouplingError("g0^2 * phi is equal in both arms; photon number cannot tune the discriminant")
     d_gamma = arm_2.gamma_m - arm_1.gamma_m
-    c = 4.0 if convention is EpConvention.EQ7 else 2.0
-    roots = ((c * j - d_gamma) / d_slope, (-c * j - d_gamma) / d_slope)
+    roots = ((4.0 * j - d_gamma) / d_slope, (-4.0 * j - d_gamma) / d_slope)
     nonnegative = [n for n in roots if n >= 0.0]
     if not nonnegative:
         raise NoEPError(f"no EP at n >= 0: the closed form gives n = {roots[0]:.6e} and {roots[1]:.6e}")
     # + 0.0 turns a root of -0.0 into 0.0, the bottom of the polish window
     guess = min(nonnegative) + 0.0
-    best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n, convention)[1]), guess)
+    best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n)[1]), guess)
     if not math.isfinite(best):
         raise InvalidRangeError(
             f"coupling_j = {j!r}: the discriminant overflows double precision near the EP at n = {guess:.6e}"
@@ -402,12 +387,7 @@ def ep_photon_number(system: CoupledSystem, convention: EpConvention = EpConvent
     return best_n
 
 
-def splitting(
-    system: CoupledSystem,
-    n0: float,
-    strain: float,
-    convention: EpConvention = EpConvention.EQ7,
-) -> SplittingResult:
+def splitting(system: CoupledSystem, n0: float, strain: float) -> SplittingResult:
     """Supermode splitting of an EP-biased system under strain.
 
     Strain rescales each arm's vacuum coupling g0 -> g0 (1 - 2h), hence
@@ -416,22 +396,20 @@ def splitting(
     away for |h| below ~1e-16 and shreds it below ~1e-8), the discriminant
     is updated incrementally:
 
-        disc(h) = q dB (2 B0 + dB),
-        dB = -4 h (1 - h) i (gamma_opt_2 - gamma_opt_1) / 2,
+        disc(h) = dB (2 B0 + dB) / 4,
+        dB = -4 h (1 - h) i (gamma_opt_2 - gamma_opt_1) / 2.
 
-    with q the convention factor (1/4 for EQ7, 1 for EQ8). This is the
-    same polynomial identity evaluated without catastrophic cancellation,
-    so it stays accurate down to arbitrarily small strain. The unstrained
-    discriminant is gated by the EP rule (see ep_tolerance) and then
-    treated as exactly zero, so the response vanishes identically at
-    h = 0 instead of sitting on sub-ulp residue from the bias point.
+    This is the same polynomial identity evaluated without catastrophic
+    cancellation, so it stays accurate down to arbitrarily small strain.
+    The unstrained discriminant is gated by the EP rule (see ep_tolerance)
+    and then treated as exactly zero, so the response vanishes identically
+    at h = 0 instead of sitting on sub-ulp residue from the bias point.
 
     Args:
         system: The system, biased at its EP by ``n0``.
         n0: Exceptional-point photon number (from ep_photon_number).
         strain: Strain amplitude h, |h| < 1/2; negative values are allowed
             and drive the pair into the broken phase instead.
-        convention: Discriminant convention.
 
     Returns:
         SplittingResult. ``d_approx`` uses |h| so that it remains the
@@ -449,16 +427,16 @@ def splitting(
     require_nonnegative("n0", n0)
     require_strain(strain)
     strain = float(strain)
-    d_exact, d_approx, linewidth = _strain_response(system, n0, strain, convention)
+    d_exact, d_approx, linewidth = _strain_response(system, n0, strain)
     return SplittingResult(strain, d_exact, float(d_approx), linewidth)
 
 
-def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConvention):
+def _strain_response(system: CoupledSystem, n0: float, h):
     """(d_exact, d_approx, linewidth_split) at strain h, a float or an
     array, for a system biased at n0 (see splitting)."""
     arms = _arms(system)
     j = system.coupling_j
-    disc0 = _magnitude(_spectrum(arms, j, n0, n0, convention)[1])
+    disc0 = _magnitude(_spectrum(arms, j, n0, n0)[1])
     if not _at_ep(disc0, j):
         raise NotAtEPError(
             f"|disc| = {disc0:.3e} exceeds threshold {ep_tolerance(j):.3e} at n_cav = {n0!r}; locate the EP first"
@@ -466,16 +444,15 @@ def _strain_response(system: CoupledSystem, n0: float, h, convention: EpConventi
     arm_1, arm_2 = arms
     b0_re = arm_1.omega_m - arm_2.omega_m
     b0_im = 0.5 * (arm_2.damping(n0) - arm_1.damping(n0))
-    q = 0.25 if convention is EpConvention.EQ7 else 1.0
     with np.errstate(all="ignore"):
         scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
-        # disc(h) = q db (2 b0 + db) with db = i db_im. CPython's complex
+        # disc(h) = 0.25 db (2 b0 + db) with db = i db_im. CPython's complex
         # product adds zero terms here that can only flip the sign of a
         # zero part, which neither output below keeps.
         opt_1, opt_2 = arm_1.optical_damping(n0), arm_2.optical_damping(n0)
         db_im = 0.5 * (scale * opt_2 - scale * opt_1)
         t_im = 2.0 * b0_im + db_im
-        disc = _complex(q * -(db_im * t_im), q * (db_im * (2.0 * b0_re)))
+        disc = _complex(0.25 * -(db_im * t_im), 0.25 * (db_im * (2.0 * b0_re)))
         alpha = _root(disc)
         response = (
             2.0 * alpha.real,
@@ -530,7 +507,6 @@ def sweep_photon_number(
     n_max: float,
     points: int,
     log: bool = False,
-    convention: EpConvention = EpConvention.EQ7,
 ) -> tuple[np.ndarray, SupermodePair]:
     """Eigenvalue branches along a photon-number ramp.
 
@@ -550,7 +526,7 @@ def sweep_photon_number(
     validate_system(system)
     grid = sweep_grid("n", n_min, n_max, points, log)
     with np.errstate(all="ignore"):
-        center, disc, root = _spectrum(_arms(system), system.coupling_j, grid, grid, convention)
+        center, disc, root = _spectrum(_arms(system), system.coupling_j, grid, grid)
         plus, minus = center + root, center - root
         if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
             raise InvalidRangeError(f"n_max = {n_max!r}: the eigenvalues overflow double precision")
@@ -567,7 +543,6 @@ def sweep_strain(
     h_max: float,
     points: int,
     log: bool = False,
-    convention: EpConvention = EpConvention.EQ7,
 ) -> SplittingResult:
     """Splitting response over a strain range at fixed EP bias: one
     SplittingResult of arrays over the grid, each element (rel_error too)
@@ -584,4 +559,4 @@ def sweep_strain(
     grid = sweep_grid("h", h_min, h_max, points, log)
     require_strain(h_max)
     require_strain(float(grid[grid > 0.0].min()))
-    return SplittingResult(grid, *_strain_response(system, n0, grid, convention))
+    return SplittingResult(grid, *_strain_response(system, n0, grid))

@@ -8,7 +8,7 @@ different route from the closed-form discriminant of
 import cmath
 
 from epgw.core import CoupledSystem, SupermodePair
-from epgw.spectral import _PHASES, EpConvention, _arms, _classify, _spectrum
+from epgw.spectral import _PHASES, _arms, _classify, _spectrum
 
 
 def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
@@ -18,8 +18,7 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
     with the numerically stable root recipe (larger-magnitude root from the
     quadratic formula, the other from c/q), then pairs the roots to the
     analytic branches by nearest match so the labels agree even when the
-    eigenvalues nearly coincide. Always equivalent to the EQ7 convention,
-    which is exact for M.
+    eigenvalues nearly coincide.
     """
     arms = _arms(system)
     j = system.coupling_j
@@ -37,7 +36,7 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
     else:
         r1 = q
         r2 = c / q
-    center, _, root = _spectrum(arms, j, n_1, n_2, EpConvention.EQ7)
+    center, _, root = _spectrum(arms, j, n_1, n_2)
     plus, minus = center + root, center - root
     keep = abs(r1 - plus) + abs(r2 - minus)
     swap = abs(r2 - plus) + abs(r1 - minus)

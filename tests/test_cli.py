@@ -172,10 +172,14 @@ def test_readme_tables_match_the_parser_and_config():
     rows = re.findall(r"^\| `([a-z-]+)` +\|[^|]*\|(.*)\|$", section, flags=re.M)
     commands = next(action for action in build_parser()._actions if action.dest == "command").choices
     options = {name: {o: a for a in sub._actions for o in a.option_strings} for name, sub in commands.items()}
+    # the synopsis: exactly the options every command takes, help aside
+    shared = set.intersection(*map(set, options.values())) - {"-h", "--help"}
+    synopsis = section.split("```", 2)[1]
+    assert set(re.findall(r"--[a-z-]+", synopsis)) == shared
     assert [command for command, _ in rows] == list(commands)
     for command, cell in rows:
         flags = dict(re.findall(r"(--[a-z-]+)(?: ([^-\s`][^\s`]*))?", cell))
-        assert set(flags) == set(options[command]) - set(options["ep-locate"]), command
+        assert set(flags) == set(options[command]) - shared - {"-h", "--help"}, command
         for flag, value in flags.items():
             action = options[command][flag]
             if not value:
@@ -212,13 +216,10 @@ KEY_READERS = {
 }
 # (command, flag): its alternative value; None for a switch, FILE for a path
 FLAG_VALUES = {
-    ("ep-locate", "--ep-convention"): "eq8",
-    ("sweep-ncav", "--ep-convention"): "eq8",
     ("sweep-ncav", "--min"): "2e11",
     ("sweep-ncav", "--max"): "4e12",
     ("sweep-ncav", "--points"): "6",
     ("sweep-ncav", "--log"): None,
-    ("sweep-strain", "--ep-convention"): "eq8",
     ("sweep-strain", "--min"): "1e-25",
     ("sweep-strain", "--max"): "1e-21",
     ("sweep-strain", "--points"): "6",
@@ -228,17 +229,11 @@ FLAG_VALUES = {
     ("sensitivity", "--points"): "6",
     ("sensitivity", "--tau-rule"): "full",
     ("sensitivity", "--overlay"): "FILE",
-    ("simulate", "--ep-convention"): "eq8",
     ("simulate", "--strain"): "2e-4",
     ("simulate", "--photon-number"): "1e12",
     ("simulate", "--duration"): "3e-7",
     ("simulate", "--dt"): "1e-11",
 }
-# The one setting that moves only a header line: at the EP of a balanced
-# pair (every config is one) the strained splitting is J^2 (1 - (1 - 2h)^4)
-# under either convention, bit for bit, so the convention moves only the n0
-# that the sweep runs at, which the header records.
-HEADER_ONLY = {("sweep-strain", "--ep-convention"): "# flag.n0 = "}
 # the options every command takes to read and write files
 FILE_OPTIONS = {"-h", "--help", "--config", "--output", "--format"}
 
@@ -258,34 +253,27 @@ def test_every_setting_has_a_reader():
 
 
 @pytest.mark.parametrize(
-    "command, config, flags, header",
-    [pytest.param(command, f"{key} = {value!r}\n", [], None, id=key) for key, (value, command) in KEY_READERS.items()]
+    "command, config, flags",
+    [pytest.param(command, f"{key} = {value!r}\n", [], id=key) for key, (value, command) in KEY_READERS.items()]
     + [
-        pytest.param(
-            command, "", [flag] + ([value] if value else []), HEADER_ONLY.get((command, flag)), id=f"{command} {flag}"
-        )
+        pytest.param(command, "", [flag] + ([value] if value else []), id=f"{command} {flag}")
         for (command, flag), value in FLAG_VALUES.items()
     ],
 )
-def test_every_setting_changes_the_data_rows(run_cli, tmp_path, command, config, flags, header):
+def test_every_setting_changes_the_data_rows(run_cli, tmp_path, command, config, flags):
     overlay = tmp_path / "reference.csv"
     overlay.write_text("frequency_hz,strain\n1.0,1e-24\n")
     conf = tmp_path / "run.conf"
     conf.write_text(config)
     flags = [str(overlay) if word == "FILE" else word for word in flags]
-    rows, headers = [], []
+    rows = []
     for extra in ([], ["--config", str(conf), *flags]):
         out = tmp_path / "out.csv"
         code, _, err = run_cli(command, *SMALL_RUN[command], *extra, "--format", "csv", "--output", str(out))
         assert code == 0, err
         lines = out.read_text().splitlines()
         rows.append([line for line in lines if not line.startswith("#")])
-        headers.append([line for line in lines if header and line.startswith(header)])
-    if header is None:
-        assert rows[0] != rows[1]
-    else:
-        assert rows[0] == rows[1]
-        assert headers[0] != headers[1]
+    assert rows[0] != rows[1]
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +288,6 @@ def test_ep_locate_reports_reference_photon_number(run_cli):
     n0 = _stdout_float(out, "n0")
     assert 1.33e12 <= n0 <= 1.63e12
     assert "phase at n0 = exceptional_point" in out
-
-
-def test_ep_locate_eq8_halves_the_threshold(run_cli):
-    _, out7, _ = run_cli("ep-locate")
-    code, out8, _ = run_cli("ep-locate", "--ep-convention", "eq8")
-    assert code == 0
-    ratio = _stdout_float(out8, "n0") / _stdout_float(out7, "n0")
-    assert ratio == pytest.approx(0.5, rel=1e-5)
 
 
 def test_sweep_ncav_crosses_one_transition(run_cli):
@@ -411,14 +391,16 @@ def test_simulate_below_threshold_resolves_two_peaks(run_cli, tmp_path):
         assert float(row[4]) == pytest.approx(1.0 / (58320 * dt), rel=1e-15)
 
 
-def test_simulate_eq8_drives_at_its_ep_and_predicts_the_exact_peaks(run_cli, tmp_path):
-    # the convention picks only the drive, at the eq8 EP; the propagated
-    # matrix is exact, so its eq7 pair sets the defaults and the predictions
+def test_simulate_at_half_the_ep_drive_predicts_the_exact_peaks(run_cli, tmp_path):
+    # half the EP photon number puts the balanced pair at Gamma = J, deep in
+    # the PT phase (the EP of the simplified discriminant J^2 + B^2)
+    located = tmp_path / "ep.json"
+    assert run_cli("ep-locate", "--output", str(located))[0] == 0
+    drive = json.loads(located.read_text())["rows"][0][0] / 2.0
     path = tmp_path / "sim.csv"
-    code, out, _ = run_cli("simulate", "--ep-convention", "eq8", "--output", str(path))
+    code, out, _ = run_cli("simulate", "--photon-number", repr(drive), "--output", str(path))
     assert code == 0
-    _, n0_out, _ = run_cli("ep-locate", "--ep-convention", "eq8")
-    assert _stdout_float(out, "n_cav") == pytest.approx(_stdout_float(n0_out, "n0"), rel=1e-6)
+    assert _stdout_float(out, "n_cav") == pytest.approx(drive, rel=1e-6)
     rows = [line.split(",") for line in path.read_text().splitlines() if line[:1].isdigit()]
     assert len(rows) == 2
     for _, freq, _, predicted, resolution in rows:
@@ -479,19 +461,24 @@ def test_runs_are_byte_deterministic(run_cli, tmp_path):
 # 9.5032302642398427e+03 (2e-12 and 2e-13 relative). At this drive the new
 # trajectory is 13x closer to a 40-digit mpmath expm: 0.019 of the seam
 # bound 16 eps (1 + max|lambda| t), against 0.255.
+# The ep-locate, sweep-ncav, sweep-ncav-json, sweep-strain and simulate
+# digests, and the two JSON_VALUE digests of those commands, were
+# re-recorded when the discriminant convention flag was deleted: each file
+# lost that one header line (CSV "# flag.ep_convention = 'eq7'", JSON
+# "ep_convention": "eq7" in flags) and no other byte moved.
 GOLDEN = {
-    "ep-locate": "39ffe776d7aa9e080ff423bcabfb9b3e1cf0509f37b9f9c127358fd7668c06a5",
-    "sweep-ncav": "9bc099c8a8923426cfca1f86d06c9631e26f4e6276e01b51374ce31fe2cff223",
-    "sweep-ncav-json": "beafd869c2d21bf2204249258f37651c302842d740762bf2d4c3c5a518e52c0c",
-    "sweep-strain": "9d7acf1f1b12b19da5bd45fdfac3c107977950682a1c256e12d46847793fc63f",
+    "ep-locate": "9ae7153e977a7bc86ce3ae3b7b3baac3a4c9d38eec95b775d7771066ce685e92",
+    "sweep-ncav": "27220f589314c3cdddb7b6b745acd884edc016188090333314f80f50a89693dc",
+    "sweep-ncav-json": "6216991c0a79adbcc3a217187b8ceeefa4496e62bb54057358e3d51831380d22",
+    "sweep-strain": "2cccabe32e435d7d995b1a02e37ab4038b42b0f2698475999cf961b2e303ad91",
     "sensitivity": "287dcc8329400dd7d7267196611322235e23293cf9bf7d2dcdca450c96bf8708",
-    "simulate": "0752ad413862bc3d53062c8fe997e3c9a3352405c897bbef1b3ddca85221559a",
+    "simulate": "c91e37d12167fd9810192e49a9e3b9b2cfcc652cae79e3b1c1b36af18342d5da",
     "sensitivity-overlay-json": "c27f3379ff397024a626362b644622db4570ee397ffee3e9ad638cb644212151",
     "sensitivity-overlay-csv": "b9873cd0a8cf659ca419c00889abfe64c034335332d05e86e38b59f4fc717f6b",
 }
 JSON_VALUE = {
-    "ep-locate": "d08439aefdd6e9faecb3604d7fefda7162cad025631cf8b0a2647758a7825371",
-    "sweep-ncav-json": "a2a0ca2c865cebe3f8c004b37093bfed1216756bcfef3aed515ae568ca8e2a32",
+    "ep-locate": "4db722bd7fa05f44a76272951bf4604b8ab35b508c85aefc0eddcadc86b2731c",
+    "sweep-ncav-json": "5fbc81f5d896df3c1742fc0e7d40e93a40e089373796f401fa51fb2a65bc167b",
     "sensitivity-overlay-json": "f054b2be15c1c683eab8eb1c3092cebad3038e9c15b9e8353bb804a4a6348b3e",
 }
 
@@ -548,11 +535,11 @@ def _header(path):
 @pytest.mark.parametrize(
     "argv, config",
     [
-        (["ep-locate", "--ep-convention", "eq8"], ""),
+        (["ep-locate"], ""),
         (["ep-locate", "--format", "csv"], "coupling.j_hz = 2e7\n"),
         (["sweep-ncav", "--log"], ""),
         (["sweep-ncav", "--format", "json", "--points", "7"], "cavity.length_m = 2e-4\n"),
-        (["sweep-strain", "--ep-convention", "eq8"], ""),
+        (["sweep-strain", "--log"], ""),
         (["sensitivity", "--tau-rule", "full", "--overlay", "OVERLAY"], ""),
         (["sensitivity", "--format", "json", "--points", "9", "--overlay", "OVERLAY"], "noise.temperature_k = 4.0\n"),
         (["simulate"], ""),
@@ -614,7 +601,7 @@ def test_json_schema(run_cli, tmp_path):
     assert payload["columns"] == ["n0", "g0_rad_s", "phi_s", "gamma_1_rad_s", "gamma_2_rad_s"]
     assert payload["config"]["coupling.j_hz"] == 1e7
     assert list(payload["config"]) == sorted(CONFIG_DEFAULTS)
-    assert payload["flags"] == {"ep_convention": "eq7"}
+    assert payload["flags"] == {}
     (row,) = payload["rows"]
     assert 1.33e12 <= row[0] <= 1.63e12
 
@@ -930,9 +917,10 @@ def test_help_exits_0_on_stdout(capsys, command):
         ("", ["sensitivity", "--tmax", "36", "--points", "5"], "unrecognized arguments: --tmax 36"),
         ("", ["simulate", "--strain", "1e300", "--dt", "nan"], "error: argument --dt: dt = nan is not finite"),
         ("sensitivity.t_max_s = nan", ["sensitivity", "--points", "5"], "sensitivity.t_max_s = nan"),
-        # the strain floor does not depend on the convention, so sensitivity
-        # does not offer it rather than ignore it
-        ("", ["sensitivity", "--ep-convention", "eq8", "--points", "5"], "--ep-convention"),
+        # the model has one discriminant, so no command takes a convention
+        # flag: it is a usage error. The other four commands' rows are last,
+        # so that the rows between keep their positional ids.
+        ("", ["sensitivity", "--ep-convention", "eq7"], "--ep-convention"),
         # a strain floor outside double precision, underflow to 0 included,
         # names the factors; f_max only when the cap set the tau that failed
         ("noise.temperature_k = 1e-300", ["sensitivity", "--points", "5"], "T = 1e-300 K"),
@@ -978,6 +966,10 @@ def test_help_exits_0_on_stdout(capsys, command):
             ["sweep-strain", "--log", "--min", "1e-200", "--max", "1e-100", "--points", "3"],
             "the strain response at h = 1e-200 underflows",
         ),
+        ("", ["ep-locate", "--ep-convention", "eq7"], "--ep-convention"),
+        ("", ["sweep-ncav", "--ep-convention", "eq7"], "--ep-convention"),
+        ("", ["sweep-strain", "--ep-convention", "eq7"], "--ep-convention"),
+        ("", ["simulate", "--ep-convention", "eq7"], "--ep-convention"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):
@@ -986,11 +978,12 @@ def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named
     conf = tmp_path / "run.conf"
     conf.write_text(config + "\n")
     out = tmp_path / "out.dat"
-    code, _, err = run_cli(*argv, "--config", str(conf), "--output", str(out))
+    code, stdout, err = run_cli(*argv, "--config", str(conf), "--output", str(out))
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
     assert "expected one argument" not in err
+    assert stdout == ""
     assert not out.exists()
 
 

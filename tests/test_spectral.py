@@ -9,7 +9,6 @@ import pytest
 
 from epgw import (
     CoupledSystem,
-    EpConvention,
     InvalidRangeError,
     MechanicalResonator,
     NoEPError,
@@ -201,12 +200,6 @@ def test_ep_photon_number_reference_value(device, device_n0):
     assert abs(device_n0 - 1.48e12) / 1.48e12 < 0.10
 
 
-def test_ep_photon_number_eq8_is_half(device, device_n0):
-    n0_eq8 = ep_photon_number(device, EpConvention.EQ8)
-    assert n0_eq8 == pytest.approx(703136294967.77633, rel=1e-12)
-    assert n0_eq8 / device_n0 == pytest.approx(0.5, rel=1e-5)
-
-
 def test_ep_photon_number_linear_in_coupling(device, device_n0):
     doubled = dataclasses.replace(device, coupling_j=2 * device.coupling_j)
     assert ep_photon_number(doubled) == pytest.approx(2 * device_n0, rel=1e-9)
@@ -217,10 +210,6 @@ def test_discriminant_cancels_bitwise_at_device_ep(device, device_n0):
     assert pair.discriminant == 0j
     assert pair.phase is Phase.EXCEPTIONAL_POINT
     assert pair.lambda_plus == pair.lambda_minus
-    pair8 = eigenvalues_general(
-        device.with_photon_number(ep_photon_number(device, EpConvention.EQ8)), EpConvention.EQ8
-    )
-    assert pair8.discriminant == 0j
 
 
 def test_ep_discriminant_within_tolerance_for_random_balanced_systems():
@@ -450,14 +439,6 @@ def test_splitting_branch_exclusivity(device, device_n0):
     assert neg.linewidth_split > 0.0
 
 
-def test_splitting_convention_independent_first_order(device, device_n0):
-    n0_eq8 = ep_photon_number(device, EpConvention.EQ8)
-    eq7 = splitting(device, device_n0, 1e-23, EpConvention.EQ7)
-    eq8 = splitting(device, n0_eq8, 1e-23, EpConvention.EQ8)
-    assert eq7.d_approx == eq8.d_approx
-    assert eq7.d_exact == pytest.approx(eq8.d_exact, rel=1e-3)
-
-
 def test_splitting_rejects_wrong_bias(device, device_n0):
     with pytest.raises(NotAtEPError):
         splitting(device, 1.1 * device_n0, 1e-23)
@@ -486,22 +467,22 @@ def test_strain_response_that_underflows_is_a_range_error(device_resonator):
     assert splitting(system, n0, 0.0).d_exact == 0.0
 
 
-@pytest.mark.parametrize("convention, gamma_m", [(EpConvention.EQ7, 4e4), (EpConvention.EQ8, 2e4)], ids=["eq7", "eq8"])
-def test_strain_response_without_light_is_zero(convention, gamma_m):
-    # arm 1's intrinsic damping alone puts the pair at its EP, at n0 = 0.
+@pytest.mark.parametrize("gamma_m", [4e4], ids=["eq7"])
+def test_strain_response_without_light_is_zero(gamma_m):
+    # arm 1's intrinsic damping alone, 4J, puts the pair at its EP, at n0 = 0.
     # The strain rescales only optical damping, so disc is exactly 0 at
     # every h: a zero response, not an underflow.
     res = MechanicalResonator(omega_m=1e6, mass=1e-13, quality_factor=1e5, thickness=1e-7)
     system = balanced_system(res, length=1e-4, kappa=1e7, coupling_j=1e4)
     system = dataclasses.replace(system, resonator_1=dataclasses.replace(system.resonator_1, gamma_m=gamma_m))
-    n0 = ep_photon_number(system, convention)
+    n0 = ep_photon_number(system)
     assert n0 == 0.0
     for h in (0.1, -0.1, 1e-20):
-        result = splitting(system, n0, h, convention)
+        result = splitting(system, n0, h)
         assert result.d_exact == result.linewidth_split == 0.0
         assert result.d_approx == 4.0 * math.sqrt(2.0) * 1e4 * math.sqrt(abs(h))
         assert result.rel_error == 1.0
-    sweep = sweep_strain(system, n0, 0.0, 0.1, 2, convention=convention)
+    sweep = sweep_strain(system, n0, 0.0, 0.1, 2)
     assert sweep.d_exact.tolist() == sweep.linewidth_split.tolist() == [0.0, 0.0]
 
 

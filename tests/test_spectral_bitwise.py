@@ -22,7 +22,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from epgw import (  # noqa: E402
-    EpConvention,
     K_BOLTZMANN,
     MechanicalResonator,
     NoEPError,
@@ -58,7 +57,7 @@ def _bits(value):
     return value
 
 
-def _ref_pair(system, convention=EpConvention.EQ7):
+def _ref_pair(system):
     """eigenvalues_general as one CPython-complex evaluation."""
     gammas = []
     for res, cav in ((system.resonator_1, system.cavity_1), (system.resonator_2, system.cavity_2)):
@@ -69,7 +68,7 @@ def _ref_pair(system, convention=EpConvention.EQ7):
     j = system.coupling_j
     center = complex(0.5 * (w1 + w2), -0.25 * (g1 + g2))
     b = complex(w1 - w2, 0.5 * (g2 - g1))
-    disc = j * j + 0.25 * (b * b) if convention is EpConvention.EQ7 else j * j + b * b
+    disc = j * j + 0.25 * (b * b)
     alpha = cmath.sqrt(disc)
     if abs(disc) <= ep_tolerance(j):
         phase = Phase.EXCEPTIONAL_POINT
@@ -78,8 +77,8 @@ def _ref_pair(system, convention=EpConvention.EQ7):
     return center + alpha, center - alpha, disc, phase
 
 
-def _ref_magnitude(system, n, convention):
-    return abs(_ref_pair(system.with_photon_number(n), convention)[2])
+def _ref_magnitude(system, n):
+    return abs(_ref_pair(system.with_photon_number(n))[2])
 
 
 def _ref_polish(magnitude, n_guess, reach):
@@ -100,20 +99,19 @@ def _ref_polish(magnitude, n_guess, reach):
     return best_n, best
 
 
-def _ref_ep(system, convention):
+def _ref_ep(system):
     """(n0, |disc(n0)|) as ep_photon_number finds them, before its accept
     gate: the lower nonnegative root of the closed form, polished. None
     when both roots are negative."""
-    magnitude = lambda n: _ref_magnitude(system, n, convention)  # noqa: E731
+    magnitude = lambda n: _ref_magnitude(system, n)  # noqa: E731
     slopes = []
     for res, cav in ((system.resonator_1, system.cavity_1), (system.resonator_2, system.cavity_2)):
         g0 = vacuum_coupling(cav, zero_point_fluctuation(res))
         slopes.append(g0 * g0 * detuning_response(cav, res.omega_m))
     d_slope = slopes[1] - slopes[0]
     d_gamma = system.resonator_2.gamma_m - system.resonator_1.gamma_m
-    c = 4.0 if convention is EpConvention.EQ7 else 2.0
     j = system.coupling_j
-    roots = [n for n in ((c * j - d_gamma) / d_slope, (-c * j - d_gamma) / d_slope) if n >= 0.0]
+    roots = [n for n in ((4.0 * j - d_gamma) / d_slope, (-4.0 * j - d_gamma) / d_slope) if n >= 0.0]
     if not roots:
         return None
     # 512 floats each way, 32 times the library's reach, which must not
@@ -135,9 +133,9 @@ def _ref_relabel(pairs):
     return out
 
 
-def _ref_sweep(system, n_min, n_max, points, log, convention):
+def _ref_sweep(system, n_min, n_max, points, log):
     grid = np.geomspace(n_min, n_max, points) if log else np.linspace(n_min, n_max, points)
-    pairs = [_ref_pair(system.with_photon_number(float(n)), convention) for n in grid]
+    pairs = [_ref_pair(system.with_photon_number(float(n))) for n in grid]
     labels = _ref_relabel([(lp, lm) for lp, lm, _, _ in pairs])
     return [
         (float(n), (lp, lm, disc, phase.value))
@@ -145,7 +143,7 @@ def _ref_sweep(system, n_min, n_max, points, log, convention):
     ]
 
 
-def _ref_splittings(system, n0, strains, convention):
+def _ref_splittings(system, n0, strains):
     res_1, cav_1 = system.resonator_1, system.cavity_1
     res_2, cav_2 = system.resonator_2, system.cavity_2
     g0_1 = vacuum_coupling(cav_1, zero_point_fluctuation(res_1))
@@ -153,20 +151,18 @@ def _ref_splittings(system, n0, strains, convention):
     gamma_opt_1 = g0_1 * g0_1 * n0 * detuning_response(cav_1, res_1.omega_m)
     gamma_opt_2 = g0_2 * g0_2 * n0 * detuning_response(cav_2, res_2.omega_m)
     b0 = complex(res_1.omega_m - res_2.omega_m, 0.5 * ((res_2.gamma_m + gamma_opt_2) - (res_1.gamma_m + gamma_opt_1)))
-    q = 0.25 if convention is EpConvention.EQ7 else 1.0
     rows = []
     for h in strains:
         h = float(h)
         scale = -4.0 * h * (1.0 - h)
         db = complex(0.0, 0.5 * (scale * gamma_opt_2 - scale * gamma_opt_1))
-        alpha = cmath.sqrt(q * (db * (2.0 * b0 + db)))
+        alpha = cmath.sqrt(0.25 * (db * (2.0 * b0 + db)))
         d_approx = 4.0 * math.sqrt(2.0) * system.coupling_j * math.sqrt(abs(h))
         rows.append((h, 2.0 * alpha.real, d_approx, 2.0 * abs(alpha.imag)))
     return rows
 
 
 log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0**e)  # noqa: E731
-conventions = st.sampled_from(list(EpConvention))
 
 
 @st.composite
@@ -239,22 +235,21 @@ def test_array_root_matches_cmath_sqrt_bitwise(parts, on_axis):
 
 
 @settings(max_examples=100)
-@given(system=balanced_systems() | mismatched_systems(), convention=conventions)
-def test_ep_photon_number_matches_scalar_reference_bitwise(system, convention):
-    ref = _ref_ep(system, convention)
+@given(system=balanced_systems() | mismatched_systems())
+def test_ep_photon_number_matches_scalar_reference_bitwise(system):
+    ref = _ref_ep(system)
     if ref is None or ref[1] > ep_tolerance(system.coupling_j):
         with pytest.raises(NoEPError):
-            ep_photon_number(system, convention)
+            ep_photon_number(system)
     else:
-        assert _bits(ep_photon_number(system, convention)) == _bits(ref[0])
+        assert _bits(ep_photon_number(system)) == _bits(ref[0])
 
 
-def _closed_form_root(system, convention):
+def _closed_form_root(system):
     """The lower nonnegative root of the closed form, from _arms."""
     arm_1, arm_2 = _arms(system)
     d_slope = arm_2.g0_sq * arm_2.phi - arm_1.g0_sq * arm_1.phi
-    c = 4.0 if convention is EpConvention.EQ7 else 2.0
-    return min(n for n in (c * system.coupling_j / d_slope, -c * system.coupling_j / d_slope) if n >= 0.0) + 0.0
+    return min(n for n in (4.0 * system.coupling_j / d_slope, -4.0 * system.coupling_j / d_slope) if n >= 0.0) + 0.0
 
 
 def _longer_red_cavity(factor):
@@ -265,32 +260,32 @@ def _longer_red_cavity(factor):
 
 
 @settings(max_examples=200)
-@given(system=balanced_systems() | mismatched_systems(kinds=("kappa", "length")), convention=conventions)
+@given(system=balanced_systems() | mismatched_systems(kinds=("kappa", "length")))
 # its smallest |disc| is 2 floats above the closed-form root
-@example(system=_longer_red_cavity(1.08), convention=EpConvention.EQ7)
-def test_polished_ep_is_the_smallest_disc_within_4_floats_of_the_closed_form_root(system, convention):
+@example(system=_longer_red_cavity(1.08))
+def test_polished_ep_is_the_smallest_disc_within_4_floats_of_the_closed_form_root(system):
     # the closed form is good to a few floats; a polish window that does
     # not reach the float with the smallest |disc| near it fails here
-    root_bits = int(np.float64(_closed_form_root(system, convention)).view(np.int64))
-    n0 = ep_photon_number(system, convention)
+    root_bits = int(np.float64(_closed_form_root(system)).view(np.int64))
+    n0 = ep_photon_number(system)
     assert abs(int(np.float64(n0).view(np.int64)) - root_bits) <= 4
     # the 9 floats around the root, in the window's order: 0, -1, +1, -2, ...
     near = [float(np.int64(root_bits + k).view(np.float64)) for k in (0, -1, 1, -2, 2, -3, 3, -4, 4)]
-    magnitudes = [abs(eigenvalues_general(system.with_photon_number(n), convention).discriminant) for n in near]
+    magnitudes = [abs(eigenvalues_general(system.with_photon_number(n)).discriminant) for n in near]
     assert n0 == near[magnitudes.index(min(magnitudes))]
 
 
 @settings(max_examples=100)
-@given(system=balanced_systems() | mismatched_systems(), convention=conventions)
-def test_located_ep_is_labeled_an_ep_and_the_phase_flips_across_it(system, convention):
+@given(system=balanced_systems() | mismatched_systems())
+def test_located_ep_is_labeled_an_ep_and_the_phase_flips_across_it(system):
     # one EP rule: the n0 that the EP gate accepts is the n0 the phase label
     # calls an EP; a two-EP device flips the other way at its lower EP
     try:
-        n0 = ep_photon_number(system, convention)
+        n0 = ep_photon_number(system)
     except NoEPError:
         n0 = 0.0
     assume(n0 > 0.0)
-    phase = lambda n: eigenvalues_general(system.with_photon_number(n), convention).phase  # noqa: E731
+    phase = lambda n: eigenvalues_general(system.with_photon_number(n)).phase  # noqa: E731
     assert phase(n0) is Phase.EXCEPTIONAL_POINT
     assert {phase(n0 * (1.0 - 1e-6)), phase(n0 * (1.0 + 1e-6))} == {Phase.PT_SYMMETRIC, Phase.BROKEN}
 
@@ -298,21 +293,20 @@ def test_located_ep_is_labeled_an_ep_and_the_phase_flips_across_it(system, conve
 @settings(max_examples=40)
 @given(
     system=any_systems,
-    convention=conventions,
     lo=st.floats(0.05, 0.99),
     hi=st.floats(1.01, 6.0),
     points=st.integers(2, 60),
     log=st.booleans(),
 )
-def test_sweep_photon_number_matches_scalar_reference_bitwise(system, convention, lo, hi, points, log):
+def test_sweep_photon_number_matches_scalar_reference_bitwise(system, lo, hi, points, log):
     # n0 from the closed form of the blue arm, so that the grid spans the EP
     res, cav = system.resonator_1, system.cavity_1
     g0 = vacuum_coupling(cav, zero_point_fluctuation(res))
     n0 = 2.0 * system.coupling_j / abs(g0 * g0 * detuning_response(cav, res.omega_m))
-    grid, pair = sweep_photon_number(system, lo * n0, hi * n0, points, log=log, convention=convention)
+    grid, pair = sweep_photon_number(system, lo * n0, hi * n0, points, log=log)
     columns = (pair.lambda_plus.tolist(), pair.lambda_minus.tolist(), pair.discriminant.tolist())
     got = list(zip(grid.tolist(), zip(*columns, [phase.value for phase in pair.phase])))
-    assert _bits(got) == _bits(_ref_sweep(system, lo * n0, hi * n0, points, log, convention))
+    assert _bits(got) == _bits(_ref_sweep(system, lo * n0, hi * n0, points, log))
 
 
 @pytest.mark.parametrize("lo, hi, points", [(0.5, 1.5, 3), (0.5, 1.0, 2), (1.0, 2.0, 2), (0.07, 3.6, 500)])
@@ -343,61 +337,59 @@ def test_continuity_swaps_match_relabel_loop(points):
     assert _bits(got) == _bits(_ref_relabel(pairs))
 
 
-def _unlit_ep(convention):
+def _unlit_ep():
     """A pair at its EP with no light, n0 = 0: arm 1's intrinsic damping
-    alone (4J, or 2J under EQ8) closes the gap. The strain rescales only
+    alone (4J) closes the gap. The strain rescales only
     optical damping, so the discriminant is exactly 0 at every h."""
     res = MechanicalResonator(omega_m=1e6, mass=1e-13, quality_factor=1e5, thickness=1e-7)
     system = balanced_system(res, length=1e-4, kappa=1e7, coupling_j=1e4)
-    damped = dataclasses.replace(system.resonator_1, gamma_m=4e4 if convention is EpConvention.EQ7 else 2e4)
+    damped = dataclasses.replace(system.resonator_1, gamma_m=4e4)
     return dataclasses.replace(system, resonator_1=damped)
 
 
 @settings(max_examples=30)
 @given(
     system=balanced_systems() | mismatched_systems(),
-    convention=conventions,
     h_max=log_uniform(-20.0, -1.0),
     points=st.integers(2, 40),
     log=st.booleans(),
 )
-@example(system=_unlit_ep(EpConvention.EQ7), convention=EpConvention.EQ7, h_max=0.1, points=2, log=False)
-def test_sweep_strain_matches_scalar_reference_bitwise(system, convention, h_max, points, log):
+@example(system=_unlit_ep(), h_max=0.1, points=2, log=False)
+def test_sweep_strain_matches_scalar_reference_bitwise(system, h_max, points, log):
     try:
-        n0 = ep_photon_number(system, convention)
+        n0 = ep_photon_number(system)
     except NoEPError:
         return
     h_min = h_max * 1e-6 if log else 0.0  # a linear grid starts at the h = 0 row
-    sweep = sweep_strain(system, n0, h_min, h_max, points, log=log, convention=convention)
+    sweep = sweep_strain(system, n0, h_min, h_max, points, log=log)
     columns = (sweep.strain, sweep.d_exact, sweep.d_approx, sweep.linewidth_split)
     got = list(zip(*(column.tolist() for column in columns)))
     grid = np.geomspace(h_min, h_max, points) if log else np.linspace(h_min, h_max, points)
-    assert _bits(got) == _bits(_ref_splittings(system, n0, grid, convention))
-    single = splitting(system, n0, float(grid[-1]), convention)
+    assert _bits(got) == _bits(_ref_splittings(system, n0, grid))
+    single = splitting(system, n0, float(grid[-1]))
     assert _bits(single) == _bits(got[-1])
 
 
 @settings(max_examples=30)
 @given(
     system=balanced_systems() | mismatched_systems(),
-    convention=conventions,
     h_max=log_uniform(-20.0, -1.0),
     points=st.integers(2, 40),
     log=st.booleans(),
 )
 # a zero response is written as 0, not refused as an underflow
-@example(system=_unlit_ep(EpConvention.EQ7), convention=EpConvention.EQ7, h_max=0.1, points=2, log=False)
-@example(system=_unlit_ep(EpConvention.EQ8), convention=EpConvention.EQ8, h_max=0.1, points=3, log=True)
-def test_sweep_rel_error_matches_splitting_bitwise(system, convention, h_max, points, log):
+@example(system=_unlit_ep(), h_max=0.1, points=2, log=False)
+@example(system=_unlit_ep(), h_max=0.1, points=3, log=True)
+def test_sweep_rel_error_matches_splitting_bitwise(system, h_max, points, log):
     # the array rel_error is the scalar property point by point, including
     # its 0.0 on the h = 0 row of a linear grid, where d_approx is zero
     try:
-        n0 = ep_photon_number(system, convention)
+        n0 = ep_photon_number(system)
     except NoEPError:
         return
     h_min = h_max * 1e-6 if log else 0.0
-    sweep = sweep_strain(system, n0, h_min, h_max, points, log=log, convention=convention)
-    expected = [splitting(system, n0, h, convention).rel_error for h in sweep.strain.tolist()]
+    sweep = sweep_strain(system, n0, h_min, h_max, points, log=log)
+    expected = [splitting(system, n0, h).rel_error for h in sweep.strain.tolist()]
     assert _bits(sweep.rel_error.tolist()) == _bits(expected)
     assert log or sweep.d_approx[0] == sweep.rel_error[0] == 0.0
 
