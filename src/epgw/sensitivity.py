@@ -189,14 +189,21 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
             header_no, f"expected header 'frequency_hz, strain', got {','.join(header)!r}"
         )
     table: list[tuple[float, float]] = []
+    fault = None  # the first row that is not two numbers
     for line_no, row in rows[1:]:
         if len(row) != 2:
-            raise ConfigParseError(line_no, f"expected 2 columns, got {len(row)}")
+            fault = ConfigParseError(line_no, f"expected 2 columns, got {len(row)}")
+            break
         try:
-            pair = (float(row[0]), float(row[1]))
+            table.append((float(row[0]), float(row[1])))
         except ValueError as exc:
-            raise ConfigParseError(line_no, f"non-numeric cell: {exc}") from None
-        if not (_zero_or_normal(pair[0]) and _zero_or_normal(pair[1])):
-            raise ConfigParseError(line_no, f"cell is not 0 or a normal double: {','.join(row)!r}")
-        table.append(pair)
+            fault = ConfigParseError(line_no, f"non-numeric cell: {exc}")
+            break
+    # the rows before the fault, checked at once; a bad one is named first
+    refused = np.flatnonzero(~_zero_or_normal(np.array(table).reshape(-1, 2)).all(axis=1))
+    if len(refused):
+        line_no, row = rows[1 + refused[0]]
+        raise ConfigParseError(line_no, f"cell is not 0 or a normal double: {','.join(row)!r}")
+    if fault is not None:
+        raise fault
     return table

@@ -532,18 +532,28 @@ def _header(path):
     return "csv", command, config, flags
 
 
+# Each row carries an explicit id (the positional id it was first collected
+# under), so a row added or moved renames no other test.
 @pytest.mark.parametrize(
     "argv, config",
     [
-        (["ep-locate"], ""),
-        (["ep-locate", "--format", "csv"], "coupling.j_hz = 2e7\n"),
-        (["sweep-ncav", "--log"], ""),
-        (["sweep-ncav", "--format", "json", "--points", "7"], "cavity.length_m = 2e-4\n"),
-        (["sweep-strain", "--log"], ""),
-        (["sensitivity", "--tau-rule", "full", "--overlay", "OVERLAY"], ""),
-        (["sensitivity", "--format", "json", "--points", "9", "--overlay", "OVERLAY"], "noise.temperature_k = 4.0\n"),
-        (["simulate"], ""),
-        (["simulate", "--strain", "-1e-4", "--duration", "1e-6"], ""),
+        pytest.param(["ep-locate"], "", id="argv0-"),
+        pytest.param(["ep-locate", "--format", "csv"], "coupling.j_hz = 2e7\n", id="argv1-coupling.j_hz = 2e7\n"),
+        pytest.param(["sweep-ncav", "--log"], "", id="argv2-"),
+        pytest.param(
+            ["sweep-ncav", "--format", "json", "--points", "7"],
+            "cavity.length_m = 2e-4\n",
+            id="argv3-cavity.length_m = 2e-4\n",
+        ),
+        pytest.param(["sweep-strain", "--log"], "", id="argv4-"),
+        pytest.param(["sensitivity", "--tau-rule", "full", "--overlay", "OVERLAY"], "", id="argv5-"),
+        pytest.param(
+            ["sensitivity", "--format", "json", "--points", "9", "--overlay", "OVERLAY"],
+            "noise.temperature_k = 4.0\n",
+            id="argv6-noise.temperature_k = 4.0\n",
+        ),
+        pytest.param(["simulate"], "", id="argv7-"),
+        pytest.param(["simulate", "--strain", "-1e-4", "--duration", "1e-6"], "", id="argv8-"),
     ],
 )
 def test_header_replays_the_run(run_cli, tmp_path, argv, config):
@@ -861,115 +871,270 @@ def test_help_exits_0_on_stdout(capsys, command):
     assert "_emit" not in out and "``" not in out
 
 
+# Each row carries an explicit id (the positional id it was first collected
+# under), so a row added or moved renames no other test.
 @pytest.mark.parametrize(
     "config, argv, named",
     [
-        ("resonator.gamma_m_hz = nan", ["ep-locate"], "gamma_m"),
+        pytest.param(
+            "resonator.gamma_m_hz = nan",
+            ["ep-locate"],
+            "gamma_m",
+            id="resonator.gamma_m_hz = nan-argv0-gamma_m",
+        ),
         # a config value is named by its key, as written
-        ("coupling.j_hz = inf", ["ep-locate"], "coupling.j_hz = inf"),
+        pytest.param(
+            "coupling.j_hz = inf",
+            ["ep-locate"],
+            "coupling.j_hz = inf",
+            id="coupling.j_hz = inf-argv1-coupling.j_hz = inf",
+        ),
         # the drive is simulate's --photon-number, not a config key
-        ("drive.photon_number = 1e12", ["simulate"], "unknown config key: 'drive.photon_number'"),
-        ("", ["sweep-ncav", "--max", "inf", "--points", "5"], "n_max"),
-        ("", ["sensitivity", "--fmax", "inf", "--points", "5"], "f_max"),
-        ("", ["simulate", "--strain", "0.5"], "strain"),
+        pytest.param(
+            "drive.photon_number = 1e12",
+            ["simulate"],
+            "unknown config key: 'drive.photon_number'",
+            id="drive.photon_number = 1e12-argv2-unknown config key: 'drive.photon_number'",
+        ),
+        pytest.param("", ["sweep-ncav", "--max", "inf", "--points", "5"], "n_max", id="-argv3-n_max"),
+        pytest.param("", ["sensitivity", "--fmax", "inf", "--points", "5"], "f_max", id="-argv4-f_max"),
+        pytest.param("", ["simulate", "--strain", "0.5"], "strain", id="-argv5-strain"),
         # finite but extreme: the eigenvalues overflow, or the integration
         # time 0.5/f is subnormal and the strain floor's denominator underflows
-        ("", ["sweep-ncav", "--max", "1e300", "--points", "3"], "n_max"),
-        ("", ["sweep-ncav", "--max", "1e300", "--points", "3", "--format", "json"], "n_max"),
-        ("", ["sensitivity", "--fmax", "1e308", "--points", "5"], "f_max"),
+        pytest.param("", ["sweep-ncav", "--max", "1e300", "--points", "3"], "n_max", id="-argv6-n_max"),
+        pytest.param(
+            "",
+            ["sweep-ncav", "--max", "1e300", "--points", "3", "--format", "json"],
+            "n_max",
+            id="-argv7-n_max",
+        ),
+        pytest.param("", ["sensitivity", "--fmax", "1e308", "--points", "5"], "f_max", id="-argv8-f_max"),
         # finite but extreme config values: an arm constant or J^2 leaves
         # double precision, or the eigenvalues overflow at the drive
-        ("coupling.j_hz = 1e300", ["ep-locate"], "coupling_j"),
-        ("coupling.j_hz = 1e300", ["sweep-strain"], "coupling_j"),
-        ("resonator.frequency_hz = 1e300", ["sweep-ncav"], "phi"),
-        ("cavity.decay_rate_hz = 1e-300", ["sweep-ncav"], "phi"),
-        ("cavity.length_m = 1e-300", ["ep-locate"], "g0"),
-        ("cavity.length_m = 1e-160", ["ep-locate", "--format", "csv"], "g0"),
-        ("resonator.frequency_hz = 1e-300", ["ep-locate", "--format", "csv"], "g0"),
-        ("cavity.length_m = 1e-100", ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"], "g0"),
-        ("", ["simulate", "--photon-number", "1e289", "--dt", "1e-11", "--duration", "1.1e-8"], "n_cav"),
+        pytest.param("coupling.j_hz = 1e300", ["ep-locate"], "coupling_j", id="coupling.j_hz = 1e300-argv9-coupling_j"),
+        pytest.param(
+            "coupling.j_hz = 1e300",
+            ["sweep-strain"],
+            "coupling_j",
+            id="coupling.j_hz = 1e300-argv10-coupling_j",
+        ),
+        pytest.param(
+            "resonator.frequency_hz = 1e300",
+            ["sweep-ncav"],
+            "phi",
+            id="resonator.frequency_hz = 1e300-argv11-phi",
+        ),
+        pytest.param(
+            "cavity.decay_rate_hz = 1e-300",
+            ["sweep-ncav"],
+            "phi",
+            id="cavity.decay_rate_hz = 1e-300-argv12-phi",
+        ),
+        pytest.param("cavity.length_m = 1e-300", ["ep-locate"], "g0", id="cavity.length_m = 1e-300-argv13-g0"),
+        pytest.param(
+            "cavity.length_m = 1e-160",
+            ["ep-locate", "--format", "csv"],
+            "g0",
+            id="cavity.length_m = 1e-160-argv14-g0",
+        ),
+        pytest.param(
+            "resonator.frequency_hz = 1e-300",
+            ["ep-locate", "--format", "csv"],
+            "g0",
+            id="resonator.frequency_hz = 1e-300-argv15-g0",
+        ),
+        pytest.param(
+            "cavity.length_m = 1e-100",
+            ["simulate", "--dt", "1e-11", "--duration", "1.1e-8"],
+            "g0",
+            id="cavity.length_m = 1e-100-argv16-g0",
+        ),
+        pytest.param(
+            "",
+            ["simulate", "--photon-number", "1e289", "--dt", "1e-11", "--duration", "1.1e-8"],
+            "n_cav",
+            id="-argv17-n_cav",
+        ),
         # a sample count beyond the limit, inf included
-        ("", ["simulate", "--duration", "1e300"], "duration"),
-        ("", ["simulate", "--dt", "1e-300"], "dt"),
+        pytest.param("", ["simulate", "--duration", "1e300"], "duration", id="-argv18-duration"),
+        pytest.param("", ["simulate", "--dt", "1e-300"], "dt", id="-argv19-dt"),
         # a grid beyond the point-count limit, refused before it is allocated
-        ("", ["sweep-ncav", "--points", "10000000000000"], "points"),
-        ("", ["sweep-strain", "--points", "10000000000000"], "points"),
-        ("", ["sensitivity", "--points", "10000000000000"], "points"),
+        pytest.param("", ["sweep-ncav", "--points", "10000000000000"], "points", id="-argv20-points"),
+        pytest.param("", ["sweep-strain", "--points", "10000000000000"], "points", id="-argv21-points"),
+        pytest.param("", ["sensitivity", "--points", "10000000000000"], "points", id="-argv22-points"),
         # the photon-number flag, checked at parse or before the drive is
         # strained
-        ("", ["simulate", "--photon-number", "nan"], "photon_number"),
-        ("", ["simulate", "--photon-number", "inf"], "photon_number"),
-        ("", ["simulate", "--photon-number", "-1"], "photon_number"),
+        pytest.param("", ["simulate", "--photon-number", "nan"], "photon_number", id="-argv23-photon_number"),
+        pytest.param("", ["simulate", "--photon-number", "inf"], "photon_number", id="-argv24-photon_number"),
+        pytest.param("", ["simulate", "--photon-number", "-1"], "photon_number", id="-argv25-photon_number"),
         # a step that is not finite is an input error, not a coarse sampling
-        ("", ["simulate", "--dt", "inf", "--duration", "1e-6"], "dt = inf"),
+        pytest.param("", ["simulate", "--dt", "inf", "--duration", "1e-6"], "dt = inf", id="-argv26-dt = inf"),
         # negative non-finite spellings are values, named with their flag
-        ("", ["simulate", "--strain", "-inf"], "h = -inf"),
-        ("", ["simulate", "--dt", "-inf"], "dt = -inf"),
-        ("", ["sensitivity", "--fmin", "-inf", "--points", "5"], "f_min = -inf"),
-        ("", ["simulate", "--strain", "-nan"], "h = nan"),
-        ("", ["sweep-ncav", "--min", "-Infinity", "--points", "5"], "n_min = -inf"),
-        ("", ["sweep-strain", "--min", "-NaN", "--points", "5"], "h_min = nan"),
+        pytest.param("", ["simulate", "--strain", "-inf"], "h = -inf", id="-argv27-h = -inf"),
+        pytest.param("", ["simulate", "--dt", "-inf"], "dt = -inf", id="-argv28-dt = -inf"),
+        pytest.param("", ["sensitivity", "--fmin", "-inf", "--points", "5"], "f_min = -inf", id="-argv29-f_min = -inf"),
+        pytest.param("", ["simulate", "--strain", "-nan"], "h = nan", id="-argv30-h = nan"),
+        pytest.param(
+            "",
+            ["sweep-ncav", "--min", "-Infinity", "--points", "5"],
+            "n_min = -inf",
+            id="-argv31-n_min = -inf",
+        ),
+        pytest.param("", ["sweep-strain", "--min", "-NaN", "--points", "5"], "h_min = nan", id="-argv32-h_min = nan"),
         # a value that is not finite is named at parse, before any other
         # fault: the first such flag of argv
-        ("", ["simulate", "--dt", "1e300", "--duration", "nan"], "duration = nan"),
-        ("", ["sweep-ncav", "--min", "nan", "--points", "0"], "n_min = nan"),
+        pytest.param(
+            "",
+            ["simulate", "--dt", "1e300", "--duration", "nan"],
+            "duration = nan",
+            id="-argv33-duration = nan",
+        ),
+        pytest.param("", ["sweep-ncav", "--min", "nan", "--points", "0"], "n_min = nan", id="-argv34-n_min = nan"),
         # the integration time is the config key alone
-        ("", ["sensitivity", "--tmax", "36", "--points", "5"], "unrecognized arguments: --tmax 36"),
-        ("", ["simulate", "--strain", "1e300", "--dt", "nan"], "error: argument --dt: dt = nan is not finite"),
-        ("sensitivity.t_max_s = nan", ["sensitivity", "--points", "5"], "sensitivity.t_max_s = nan"),
+        pytest.param(
+            "",
+            ["sensitivity", "--tmax", "36", "--points", "5"],
+            "unrecognized arguments: --tmax 36",
+            id="-argv35-unrecognized arguments: --tmax 36",
+        ),
+        pytest.param(
+            "",
+            ["simulate", "--strain", "1e300", "--dt", "nan"],
+            "error: argument --dt: dt = nan is not finite",
+            id="-argv36-error: argument --dt: dt = nan is not finite",
+        ),
+        pytest.param(
+            "sensitivity.t_max_s = nan",
+            ["sensitivity", "--points", "5"],
+            "sensitivity.t_max_s = nan",
+            id="sensitivity.t_max_s = nan-argv37-sensitivity.t_max_s = nan",
+        ),
         # the model has one discriminant, so no command takes a convention
-        # flag: it is a usage error. The other four commands' rows are last,
-        # so that the rows between keep their positional ids.
-        ("", ["sensitivity", "--ep-convention", "eq7"], "--ep-convention"),
+        # flag: it is a usage error
+        pytest.param("", ["sensitivity", "--ep-convention", "eq7"], "--ep-convention", id="-argv38---ep-convention"),
+        pytest.param("", ["ep-locate", "--ep-convention", "eq7"], "--ep-convention", id="-argv58---ep-convention"),
+        pytest.param("", ["sweep-ncav", "--ep-convention", "eq7"], "--ep-convention", id="-argv59---ep-convention"),
+        pytest.param("", ["sweep-strain", "--ep-convention", "eq7"], "--ep-convention", id="-argv60---ep-convention"),
+        pytest.param("", ["simulate", "--ep-convention", "eq7"], "--ep-convention", id="-argv61---ep-convention"),
         # a strain floor outside double precision, underflow to 0 included,
         # names the factors; f_max only when the cap set the tau that failed
-        ("noise.temperature_k = 1e-300", ["sensitivity", "--points", "5"], "T = 1e-300 K"),
-        ("resonator.mass_kg = 1e300", ["sensitivity", "--points", "5"], "m = 1e+300 kg"),
-        ("resonator.mass_kg = 1e-320", ["sensitivity", "--points", "5"], "resonator.mass_kg = 1e-320"),
+        pytest.param(
+            "noise.temperature_k = 1e-300",
+            ["sensitivity", "--points", "5"],
+            "T = 1e-300 K",
+            id="noise.temperature_k = 1e-300-argv39-T = 1e-300 K",
+        ),
+        pytest.param(
+            "resonator.mass_kg = 1e300",
+            ["sensitivity", "--points", "5"],
+            "m = 1e+300 kg",
+            id="resonator.mass_kg = 1e300-argv40-m = 1e+300 kg",
+        ),
+        pytest.param(
+            "resonator.mass_kg = 1e-320",
+            ["sensitivity", "--points", "5"],
+            "resonator.mass_kg = 1e-320",
+            id="resonator.mass_kg = 1e-320-argv41-resonator.mass_kg = 1e-320",
+        ),
         # k_B T is subnormal, so the floor would carry about 11 significant bits
-        ("noise.temperature_k = 1e-290", ["sensitivity", "--points", "3"], "T = 1e-290 K"),
-        ("noise.temperature_k = 1e-290", ["sensitivity", "--points", "3"], "error: k_B T = 1.380649e-313 J"),
+        pytest.param(
+            "noise.temperature_k = 1e-290",
+            ["sensitivity", "--points", "3"],
+            "T = 1e-290 K",
+            id="noise.temperature_k = 1e-290-argv42-T = 1e-290 K",
+        ),
+        pytest.param(
+            "noise.temperature_k = 1e-290",
+            ["sensitivity", "--points", "3"],
+            "error: k_B T = 1.380649e-313 J",
+            id="noise.temperature_k = 1e-290-argv43-error: k_B T = 1.380649e-313 J",
+        ),
         # a subnormal strain, as an end, a grid step or the simulate flag
-        ("", ["sweep-strain", "--log", "--min", "5e-324", "--max", "1e-300", "--points", "3"], "h = 5e-324"),
-        ("", ["sweep-strain", "--min", "0", "--max", "1e-303", "--points", "50000"], "strain h = "),
-        ("", ["simulate", "--strain", "-1e-310"], "h = -1e-310"),
+        pytest.param(
+            "",
+            ["sweep-strain", "--log", "--min", "5e-324", "--max", "1e-300", "--points", "3"],
+            "h = 5e-324",
+            id="-argv44-h = 5e-324",
+        ),
+        pytest.param(
+            "",
+            ["sweep-strain", "--min", "0", "--max", "1e-303", "--points", "50000"],
+            "strain h = ",
+            id="-argv45-strain h = ",
+        ),
+        pytest.param("", ["simulate", "--strain", "-1e-310"], "h = -1e-310", id="-argv46-h = -1e-310"),
         # the closed form finds the EP, but the discriminant overflows there
-        ("coupling.j_hz = 1.3e153", ["ep-locate"], "coupling_j = 8.168140899333462e+153"),
-        ("coupling.j_hz = 1.3e153", ["sweep-strain"], "coupling_j = 8.168140899333462e+153"),
-        ("coupling.j_hz = 1.3e153", ["simulate"], "coupling_j = 8.168140899333462e+153"),
+        pytest.param(
+            "coupling.j_hz = 1.3e153",
+            ["ep-locate"],
+            "coupling_j = 8.168140899333462e+153",
+            id="coupling.j_hz = 1.3e153-argv47-coupling_j = 8.168140899333462e+153",
+        ),
+        pytest.param(
+            "coupling.j_hz = 1.3e153",
+            ["sweep-strain"],
+            "coupling_j = 8.168140899333462e+153",
+            id="coupling.j_hz = 1.3e153-argv48-coupling_j = 8.168140899333462e+153",
+        ),
+        pytest.param(
+            "coupling.j_hz = 1.3e153",
+            ["simulate"],
+            "coupling_j = 8.168140899333462e+153",
+            id="coupling.j_hz = 1.3e153-argv49-coupling_j = 8.168140899333462e+153",
+        ),
         # a cell that would be written subnormal, named by its column
-        ("", ["sweep-ncav", "--min", "0", "--max", "1e-310", "--points", "3"], "n_cav = 5e-311"),
-        ("", ["sensitivity", "--fmin", "5e-324", "--fmax", "1e-300", "--points", "3"], "frequency_hz = 5e-324"),
+        pytest.param(
+            "",
+            ["sweep-ncav", "--min", "0", "--max", "1e-310", "--points", "3"],
+            "n_cav = 5e-311",
+            id="-argv50-n_cav = 5e-311",
+        ),
+        pytest.param(
+            "",
+            ["sensitivity", "--fmin", "5e-324", "--fmax", "1e-300", "--points", "3"],
+            "frequency_hz = 5e-324",
+            id="-argv51-frequency_hz = 5e-324",
+        ),
         # a strain response below the normal range, named by its h and J
-        (
+        pytest.param(
             "coupling.j_hz = 1e-300",
             ["sweep-strain", "--log", "--min", "1e-300", "--max", "1e-20", "--points", "3"],
             "coupling_j = 6.283185307179586e-300: the strain response at h = 1e-300 underflows",
+            id="coupling.j_hz = 1e-300-argv52-coupling_j = 6.283185307179586e-300: the strain response at h = 1e-300 underflows",
         ),
         # a subnormal config value, named by its key
-        (
+        pytest.param(
             "resonator.gamma_m_hz = 1e-310",
             ["sweep-ncav", "--min", "0", "--max", "1", "--points", "2"],
             "resonator.gamma_m_hz = 1e-310",
+            id="resonator.gamma_m_hz = 1e-310-argv53-resonator.gamma_m_hz = 1e-310",
         ),
-        ("coupling.j_hz = 1e-310", ["ep-locate"], "coupling.j_hz = 1e-310"),
+        pytest.param(
+            "coupling.j_hz = 1e-310",
+            ["ep-locate"],
+            "coupling.j_hz = 1e-310",
+            id="coupling.j_hz = 1e-310-argv54-coupling.j_hz = 1e-310",
+        ),
         # a flag that is not finite is refused before the EP is located
-        ("coupling.j_hz = 1.3e153", ["sweep-strain", "--max", "nan"], "argument --max: h_max = nan is not finite"),
+        pytest.param(
+            "coupling.j_hz = 1.3e153",
+            ["sweep-strain", "--max", "nan"],
+            "argument --max: h_max = nan is not finite",
+            id="coupling.j_hz = 1.3e153-argv55-argument --max: h_max = nan is not finite",
+        ),
         # the discriminant underflows to 0 while d_approx is normal, or both do
-        (
+        pytest.param(
             "coupling.j_hz = 1e-300",
             ["sweep-strain", "--log", "--min", "1e-16", "--max", "1e-2", "--points", "3"],
             "the strain response at h = 1e-16 underflows",
+            id="coupling.j_hz = 1e-300-argv56-the strain response at h = 1e-16 underflows",
         ),
-        (
+        pytest.param(
             "coupling.j_hz = 1e-300",
             ["sweep-strain", "--log", "--min", "1e-200", "--max", "1e-100", "--points", "3"],
             "the strain response at h = 1e-200 underflows",
+            id="coupling.j_hz = 1e-300-argv57-the strain response at h = 1e-200 underflows",
         ),
-        ("", ["ep-locate", "--ep-convention", "eq7"], "--ep-convention"),
-        ("", ["sweep-ncav", "--ep-convention", "eq7"], "--ep-convention"),
-        ("", ["sweep-strain", "--ep-convention", "eq7"], "--ep-convention"),
-        ("", ["simulate", "--ep-convention", "eq7"], "--ep-convention"),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

@@ -1,0 +1,188 @@
+"""The CSV writer: ``_format.format_e16`` against ``"%.16e" % x``, and
+``cli.render_csv`` against the per-cell ``%`` loop it replaced."""
+
+import math
+import struct
+import tracemalloc
+from decimal import Decimal
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from epgw import Phase  # noqa: E402
+from epgw._format import format_e16  # noqa: E402
+from epgw.cli import RunConfig, _csv_rows, render_csv  # noqa: E402
+
+MIN_NORMAL = 2.2250738585072014e-308
+
+# Doubles below a power of ten whose 17 digits round up to it, so the
+# digits carry to 10^17: the in-range ones among all powers 1e-320..1e308.
+ROUND_UP_TO_POWER = [1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78, 1e-73, 1e-70, 1e-14, 1e98, 1e129, 1e153, 1e220]
+
+# Exact ties: the value's exact decimal has 18 significant digits and ends
+# in 5, so %.16e rounds half to even. m 5^k has 18 digits for odd m.
+TIES = [800000000000001 / 2**3, 800000000000003 / 2**3, 4000000000000001 / 2**2, 1280000000001 / 2**7, 1 / 2**25]
+
+
+def _text(values):
+    """format_e16's cells as text, NUL bytes dropped."""
+    return [bytes(row).replace(b"\0", b"").decode() for row in format_e16(np.array(values, dtype=float))]
+
+
+def _percent(values):
+    return ["%.16e" % value for value in values]
+
+
+def _neighbours(x):
+    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    math.nextafter(MIN_NORMAL, 0.0),
+    MIN_NORMAL,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    math.inf,
+    -math.inf,
+    math.nan,
+    *_neighbours(1e-280),  # the array path's edges, and just past them
+    *_neighbours(1e-281),
+    *_neighbours(1e290),
+    *_neighbours(1e291),
+    *ROUND_UP_TO_POWER,
+    *TIES,
+]
+
+
+def test_ties_are_exact_ties():
+    for x in TIES:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_every_power_of_ten_and_its_neighbours(sign):
+    values = [sign * y for k in range(-323, 309) for y in _neighbours(float(f"1e{k}"))]
+    assert _text(values) == _percent(values)
+
+
+def test_edges():
+    assert _text(EDGES) == _percent(EDGES)
+    assert _text([]) == []
+
+
+@settings(max_examples=300)
+@given(bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
+@example(bits=[struct.unpack("<Q", struct.pack("<d", x))[0] for x in EDGES])
+def test_any_bit_pattern_formats_as_percent(bits):
+    values = [_from_bits(b) for b in bits]
+    assert _text(values) == _percent(values)
+
+
+@settings(max_examples=200)
+@given(
+    k=st.integers(min_value=2, max_value=25),
+    fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_exact_ties_round_half_to_even(k, fraction, sign):
+    # x = m / 2^k with odd m and m 5^k of 18 digits; m < 2^53 keeps x exact
+    lo, hi = -(-(10**17) // 5**k), min(10**18 // 5**k, 2**53)
+    m = lo + int(fraction * (hi - lo)) | 1
+    if m >= hi:
+        m -= 2
+    x = sign * m / 2**k
+    digits = Decimal(x).as_tuple().digits
+    assert len(digits) == 18 and digits[-1] == 5
+    assert _text([x]) == _percent([x])
+
+
+def test_seeded_bulk_draws():
+    rng = np.random.default_rng(20260)
+    draws = [
+        rng.integers(0, 2**63, 100_000, dtype=np.int64).view(np.float64),
+        rng.uniform(-1e3, 1e3, 100_000),
+        10.0 ** rng.uniform(-300, 300, 100_000),
+    ]
+    for values in draws:
+        values = values.tolist()
+        assert _text(values) == _percent(values)
+
+
+def _percent_csv(columns, rows):
+    """The per-cell loop render_csv replaced: a float as %.16e, any other cell as %s."""
+    lines = [",".join(columns)]
+    lines += [",".join(("%.16e" if isinstance(c, float) else "%s") % c for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _table_text(text):
+    """render_csv's text after its # header."""
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith("# "))
+
+
+def test_render_csv_matches_the_percent_loop():
+    rng = np.random.default_rng(7)
+    n = 5000
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[::7] = 0.0
+    floats[::11] = -0.0
+    table = {
+        "x": floats,
+        "peak": rng.integers(-(2**62), 2**62, n),
+        "phase": np.array(list(Phase), dtype=object)[rng.integers(0, 3, n)],
+        "y": rng.uniform(0.0, 1.0, n),
+    }
+    text = render_csv(RunConfig(), "sweep-ncav", {"points": n}, list(table), _csv_rows(table))
+    rows = zip(table["x"].tolist(), table["peak"].tolist(), [p.value for p in table["phase"]], table["y"].tolist())
+    assert _table_text(text) == _percent_csv(list(table), rows)
+
+
+def test_phase_and_integer_cells_are_written_as_percent_s():
+    table = {
+        "peak": np.array([0, 1, -7, 2**63 - 1, -(2**63)]),
+        "phase": np.array([*Phase, Phase.BROKEN, Phase.PT_SYMMETRIC], dtype=object),
+    }
+    text = render_csv(RunConfig(), "simulate", {}, list(table), _csv_rows(table))
+    lines = [f"{peak},{phase.value}" for peak, phase in zip(table["peak"].tolist(), table["phase"])]
+    assert _table_text(text) == "\n".join(["peak,phase", *lines]) + "\n"
+
+
+def test_zero_row_table_writes_only_its_header_and_column_line():
+    table = {"frequency_hz": np.array([]), "h_min": np.array([]), "peak": np.array([], dtype=int)}
+    overlays = {"empty.csv": []}
+    text = render_csv(RunConfig(), "sensitivity", {"points": 2}, list(table), _csv_rows(table), overlays)
+    header = [line for line in text.splitlines() if line.startswith("# ") and not line.startswith("# overlay")]
+    assert header[0] == "# command = sensitivity" and header[-1] == "# flag.points = 2"
+    assert text.endswith("frequency_hz,h_min,peak\n# overlay = empty.csv\nfrequency_hz,strain\n")
+
+
+def test_render_csv_formats_in_blocks():
+    # The cells are formatted a block of rows at a time, so the peak is the
+    # text twice (its blocks, then their join) and a small block's scratch,
+    # not a per-row cell matrix and its intermediates for the whole table
+    # (about 650 bytes per row on this table).
+    n = 100_000
+    rng = np.random.default_rng(3)
+    table = {f"c{k}": rng.standard_normal(n) for k in range(5)}
+    table["phase"] = np.array(list(Phase), dtype=object)[rng.integers(0, 3, n)]
+    rows = _csv_rows(table)
+    tracemalloc.start()
+    try:
+        text = render_csv(RunConfig(), "sweep-ncav", {}, list(table), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == n + 1 + len(RunConfig().to_text().splitlines()) + 1
+    assert peak <= 2 * len(text) + (2 << 20)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -270,6 +271,26 @@ def test_overlay_rejects_bad_cell(tmp_path):
     with pytest.raises(ConfigParseError) as info:
         read_overlay_csv(str(path))
     assert info.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "rows, line, text",
+    [
+        (["1.0,1e-310", "2.0,x"], 2, "cell is not 0 or a normal double: '1.0,1e-310'"),
+        (["1.0,x", "2.0,1e-310"], 2, "non-numeric cell"),
+        (["1.0,2.0", "3.0,inf", "4.0,2.0,1.0"], 3, "cell is not 0 or a normal double: '3.0,inf'"),
+        (["1.0,2.0,1.0", "3.0,inf"], 2, "expected 2 columns, got 3"),
+    ],
+    ids=["bad-value-first", "non-numeric-first", "bad-value-before-wide-row", "wide-row-first"],
+)
+def test_overlay_names_the_first_bad_row(tmp_path, rows, line, text):
+    # the cells are checked as one array once parsed, yet the error names
+    # the first bad row of the file, whatever is wrong with it
+    path = tmp_path / "curve.csv"
+    path.write_text("frequency_hz,strain\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigParseError, match=re.escape(text)) as info:
+        read_overlay_csv(str(path))
+    assert info.value.line == line
 
 
 def test_overlay_rejects_wrong_width(tmp_path):
