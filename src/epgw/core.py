@@ -329,8 +329,8 @@ def require_strain(strain: float) -> None:
         raise InvalidRangeError(f"strain h = {strain!r}; need h = 0 or a normal double with |h| < 1/2")
 
 
-# A sweep run peaks at about 0.6 KB per point (sweep-ncav at 2^20 points:
-# 650 MB of RSS as JSON, 464 MB as CSV), so the largest grid stays under 1 GB.
+# A sweep run peaks at about 0.45 KB per point (sweep-ncav at 2^20 points:
+# 459 MB of RSS as CSV, 409 MB as JSON), so the largest grid stays under 1 GB.
 _MAX_POINTS = 1 << 20
 
 

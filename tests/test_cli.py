@@ -512,6 +512,27 @@ def test_output_bytes_match_golden_digest(run_cli, tmp_path, name, argv):
         assert hashlib.sha256(pretty.encode()).hexdigest() == JSON_VALUE[name]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["ep-locate"], ["sweep-ncav"], ["sweep-strain"], ["sensitivity"], ["sensitivity", "--overlay"], ["simulate"]],
+    ids=["ep-locate", "sweep-ncav", "sweep-strain", "sensitivity", "sensitivity-overlay", "simulate"],
+)
+def test_json_file_is_what_json_dumps_writes(run_cli, tmp_path, argv):
+    # every command's JSON, written from arrays, is byte for byte the text
+    # json.dumps writes for the value it holds: floats as repr, simulate's
+    # peak column as integers, a phase as its quoted value
+    if argv[-1] == "--overlay":
+        overlay = tmp_path / "référence.csv"  # a name json.dumps escapes
+        overlay.write_text("frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\n0.1,3.5e-22\n1e-05,3600.0\n")
+        argv = argv + [str(overlay)]
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--format", "json", "--output", str(out))[0] == 0
+    text = out.read_text()
+    value = json.loads(text)
+    assert text == json.dumps(value, sort_keys=True) + "\n"
+    assert len(value["rows"]) > 0 and all(len(row) == len(value["columns"]) for row in value["rows"])
+
+
 def _header(path):
     """(format, command, config, flags) as the file at ``path`` records them."""
     text = path.read_text()

@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from epgw import EpgwError, Phase  # noqa: E402
-from epgw.cli import CONFIG_DEFAULTS, RunConfig, main, parse_config_text, render_json  # noqa: E402
+from epgw.cli import CONFIG_DEFAULTS, RunConfig, _table_rows, main, parse_config_text, render_json  # noqa: E402
 from epgw.core import _zero_or_normal  # noqa: E402
 
 # log10 range of each config value, around the reference device. A key
@@ -264,11 +264,23 @@ def test_every_numeric_flag_exits_cleanly(command, data, fmt):
         assert err.startswith(f"error: argument {flag}: {FLAGS[command][flag][1]} = {drawn[flag]!r} "), err
 
 
-# A table cell as the commands write it: any finite float64 (+-0,
-# subnormals and +-1.8e308 included), an int, or a phase name.
+# A table as the commands hand it to the writers, columns of one length:
+# any finite float64 (+-0, subnormals and +-1.8e308 included), any int64,
+# and phases.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-CELLS = st.one_of(FINITE, st.integers(), st.sampled_from([phase.value for phase in Phase]))
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    cells = [st.lists(elements, min_size=n, max_size=n) for elements in (FINITE, st.integers(-(2**63), 2**63 - 1))]
+    phases = draw(st.lists(st.sampled_from(list(Phase)), min_size=n, max_size=n))
+    return {
+        "x": np.array(draw(cells[0]), dtype=float),
+        "peak": np.array(draw(cells[1]), dtype=np.int64),
+        "phase": np.array(phases, dtype=object),
+    }
 
 
 # Bit patterns of the values at the rule's edges: +-0, +-inf, nan, the
@@ -324,21 +336,31 @@ def _reprs(table):
     return [[repr(cell) for cell in row] for row in table]
 
 
+EDGE_TABLE = {
+    "x": np.array(EDGE_FLOATS),
+    "peak": np.array([0, -1, 2**63 - 1, -(2**63), 1, 2, 3]),
+    "phase": np.array([*Phase, Phase.BROKEN, Phase.PT_SYMMETRIC, Phase.BROKEN, Phase.PT_SYMMETRIC], dtype=object),
+}
+
+
 @settings(max_examples=200)
 @given(
-    rows=st.lists(st.lists(CELLS, max_size=6), max_size=6),
+    table=tables(),
     overlay=st.lists(st.tuples(FINITE, FINITE), max_size=4),
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
-    at=st.integers(min_value=0, max_value=6),
+    at=st.integers(min_value=0, max_value=8),
 )
-@example(rows=[EDGE_FLOATS, [0, -1, "exceptional_point"]], overlay=[(5e-324, -0.0)], bad=math.nan, at=1)
-def test_json_cells_round_trip_exactly(rows, overlay, bad, at):
-    # json.loads gives back every cell with the same repr, and a row holding
-    # NaN or +-inf is refused rather than written
+@example(table=EDGE_TABLE, overlay=[(5e-324, -0.0)], bad=math.nan, at=1)
+def test_json_cells_round_trip_exactly(table, overlay, bad, at):
+    # json.loads gives back every cell with the same repr, a phase as its
+    # value, and a table holding NaN or +-inf is refused rather than written
     overlays = {"reference.csv": overlay} if overlay else None
-    payload = json.loads(render_json(RunConfig(), "sensitivity", {"points": 3}, ["a"], rows, overlays))
+    text = render_json(RunConfig(), "sensitivity", {"points": 3}, list(table), _table_rows(table), overlays)
+    payload = json.loads(text)
+    rows = zip(table["x"].tolist(), table["peak"].tolist(), [phase.value for phase in table["phase"]])
     assert _reprs(payload["rows"]) == _reprs(rows)
     assert _reprs(payload.get("overlays", {}).get("reference.csv", [])) == _reprs(overlay)
-    poisoned = rows[:at] + [[1.0, bad, "broken"]] + rows[at:]
+    at = min(at, len(table["x"]))
+    poisoned = {name: np.insert(column, at, cell) for (name, column), cell in zip(table.items(), (bad, 0, Phase.BROKEN))}
     with pytest.raises(ValueError, match="not JSON compliant"):
-        render_json(RunConfig(), "sensitivity", {"points": 3}, ["a"], poisoned, overlays)
+        render_json(RunConfig(), "sensitivity", {"points": 3}, list(table), _table_rows(poisoned), overlays)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from epgw import Phase  # noqa: E402
 from epgw._format import format_e16  # noqa: E402
-from epgw.cli import RunConfig, _csv_rows, render_csv  # noqa: E402
+from epgw.cli import RunConfig, _table_rows, render_csv  # noqa: E402
 
 MIN_NORMAL = 2.2250738585072014e-308
 
@@ -144,7 +144,7 @@ def test_render_csv_matches_the_percent_loop():
         "phase": np.array(list(Phase), dtype=object)[rng.integers(0, 3, n)],
         "y": rng.uniform(0.0, 1.0, n),
     }
-    text = render_csv(RunConfig(), "sweep-ncav", {"points": n}, list(table), _csv_rows(table))
+    text = render_csv(RunConfig(), "sweep-ncav", {"points": n}, list(table), _table_rows(table))
     rows = zip(table["x"].tolist(), table["peak"].tolist(), [p.value for p in table["phase"]], table["y"].tolist())
     assert _table_text(text) == _percent_csv(list(table), rows)
 
@@ -154,7 +154,7 @@ def test_phase_and_integer_cells_are_written_as_percent_s():
         "peak": np.array([0, 1, -7, 2**63 - 1, -(2**63)]),
         "phase": np.array([*Phase, Phase.BROKEN, Phase.PT_SYMMETRIC], dtype=object),
     }
-    text = render_csv(RunConfig(), "simulate", {}, list(table), _csv_rows(table))
+    text = render_csv(RunConfig(), "simulate", {}, list(table), _table_rows(table))
     lines = [f"{peak},{phase.value}" for peak, phase in zip(table["peak"].tolist(), table["phase"])]
     assert _table_text(text) == "\n".join(["peak,phase", *lines]) + "\n"
 
@@ -162,7 +162,7 @@ def test_phase_and_integer_cells_are_written_as_percent_s():
 def test_zero_row_table_writes_only_its_header_and_column_line():
     table = {"frequency_hz": np.array([]), "h_min": np.array([]), "peak": np.array([], dtype=int)}
     overlays = {"empty.csv": []}
-    text = render_csv(RunConfig(), "sensitivity", {"points": 2}, list(table), _csv_rows(table), overlays)
+    text = render_csv(RunConfig(), "sensitivity", {"points": 2}, list(table), _table_rows(table), overlays)
     header = [line for line in text.splitlines() if line.startswith("# ") and not line.startswith("# overlay")]
     assert header[0] == "# command = sensitivity" and header[-1] == "# flag.points = 2"
     assert text.endswith("frequency_hz,h_min,peak\n# overlay = empty.csv\nfrequency_hz,strain\n")
@@ -177,7 +177,7 @@ def test_render_csv_formats_in_blocks():
     rng = np.random.default_rng(3)
     table = {f"c{k}": rng.standard_normal(n) for k in range(5)}
     table["phase"] = np.array(list(Phase), dtype=object)[rng.integers(0, 3, n)]
-    rows = _csv_rows(table)
+    rows = _table_rows(table)
     tracemalloc.start()
     try:
         text = render_csv(RunConfig(), "sweep-ncav", {}, list(table), rows)
