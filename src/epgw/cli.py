@@ -263,30 +263,25 @@ def _blocks(columns: list[np.ndarray], cells, start: bytes, separator: bytes, en
     return blocks
 
 
-def _overlay_arrays(overlays) -> list[tuple[str, np.ndarray]]:
-    """(name, (n, 2) float array of its pairs) for each overlay, names sorted."""
-    return [(name, np.array(overlays[name], dtype=float).reshape(-1, 2)) for name in sorted(overlays or {})]
-
-
 def render_csv(
     cfg: RunConfig,
     command: str,
     flags: dict,
     columns: list[str],
     rows: np.ndarray,
-    overlays: dict[str, list[tuple[float, float]]] | None = None,
+    overlays: dict[str, np.ndarray] | None = None,
 ) -> str:
     """The table under its ``# key = value`` header; ``rows`` is a structured
-    array with one field per column, and each overlay a list of
-    (frequency_hz, strain) pairs."""
+    array with one field per column, and each overlay, written after it by
+    sorted name, an (n, 2) float array of (frequency_hz, strain) rows."""
     header = [f"# command = {command}"]
     header += [f"# {line}" for line in cfg.to_text().splitlines()]
     header += [f"# flag.{name} = {flags[name]!r}" for name in sorted(flags)]
     out = ["\n".join(header) + "\n", ",".join(columns) + "\n"]
     out += _blocks([rows[name] for name in columns], _csv_cells, b"", b",", b"\n")
-    for name, pairs in _overlay_arrays(overlays):
+    for name in sorted(overlays or {}):
         out.append(f"# overlay = {name}\nfrequency_hz,strain\n")
-        out += _blocks(list(pairs.T), _csv_cells, b"", b",", b"\n")
+        out += _blocks(list(overlays[name].T), _csv_cells, b"", b",", b"\n")
     return "".join(out)
 
 
@@ -304,7 +299,7 @@ def render_json(
     flags: dict,
     columns: list[str],
     rows: np.ndarray,
-    overlays: dict[str, list[tuple[float, float]]] | None = None,
+    overlays: dict[str, np.ndarray] | None = None,
 ) -> str:
     """The payload on one line, as ``json.dumps(payload, sort_keys=True)``
     writes it: floats as float.__repr__ and a phase as its value. ``rows``
@@ -318,15 +313,15 @@ def render_json(
         "flags": flags,
         "columns": columns,
     }
-    tables = _overlay_arrays(overlays)
-    floats = [pairs for _, pairs in tables] + [rows[name] for name in columns if rows[name].dtype.kind == "f"]
+    names = sorted(overlays or {})
+    floats = [overlays[name] for name in names] + [rows[name] for name in columns if rows[name].dtype.kind == "f"]
     if not all(np.isfinite(cells).all() for cells in floats):
         raise ValueError("Out of range float values are not JSON compliant")
     out = [json.dumps(head, sort_keys=True, allow_nan=False)[:-1]]
-    if tables:
+    if names:
         out.append(', "overlays": {')
-        for k, (name, pairs) in enumerate(tables):
-            out += [", " * bool(k), json.dumps(name), ": ", *_json_list(list(pairs.T))]
+        for k, name in enumerate(names):
+            out += [", " * bool(k), json.dumps(name), ": ", *_json_list(list(overlays[name].T))]
         out.append("}")
     out += [', "rows": ', *_json_list([rows[name] for name in columns]), "}\n"]
     return "".join(out)

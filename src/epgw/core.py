@@ -225,17 +225,16 @@ def balanced_system(
     length: float,
     kappa: float,
     coupling_j: float,
-    n_cav: float = 0.0,
 ) -> CoupledSystem:
     """Build the symmetric blue/red configuration from a single resonator.
 
     Cavity 1 is blue-detuned by +omega_m (mechanical gain), cavity 2
-    red-detuned by -omega_m (matched loss), both with the same photon
-    number, so the effective dampings are equal and opposite whenever the
-    intrinsic ``gamma_m`` vanishes.
+    red-detuned by -omega_m (matched loss), both undriven (0 photons).
+    ``with_photon_number`` drives both at one photon number, so the effective
+    dampings are equal and opposite whenever the intrinsic ``gamma_m`` vanishes.
     """
-    blue = OpticalCavity(length=length, kappa=kappa, detuning=resonator.omega_m, n_cav=n_cav)
-    red = OpticalCavity(length=length, kappa=kappa, detuning=-resonator.omega_m, n_cav=n_cav)
+    blue = OpticalCavity(length=length, kappa=kappa, detuning=resonator.omega_m, n_cav=0.0)
+    red = OpticalCavity(length=length, kappa=kappa, detuning=-resonator.omega_m, n_cav=0.0)
     return CoupledSystem(
         resonator_1=resonator,
         resonator_2=resonator,

@@ -156,11 +156,12 @@ def sensitivity_curve(
     return SensitivityCurve(grid, tau, h_min)
 
 
-def read_overlay_csv(path: str) -> list[tuple[float, float]]:
+def read_overlay_csv(path: str) -> np.ndarray:
     """Read a comparison curve: CSV with header ``frequency_hz, strain``.
 
-    Rows may come in any order and are returned as parsed, one
-    (frequency_hz, strain) pair per row. A UTF-8 byte-order mark is skipped.
+    Returns a float64 array of shape (n, 2), one (frequency_hz, strain) row
+    per data row in file order, which may be any order; a header-only file
+    gives shape (0, 2). A UTF-8 byte-order mark is skipped.
 
     Raises:
         ConfigParseError: a byte that is not UTF-8, a line the csv module
@@ -200,10 +201,11 @@ def read_overlay_csv(path: str) -> list[tuple[float, float]]:
             fault = ConfigParseError(line_no, f"non-numeric cell: {exc}")
             break
     # the rows before the fault, checked at once; a bad one is named first
-    refused = np.flatnonzero(~_zero_or_normal(np.array(table).reshape(-1, 2)).all(axis=1))
+    pairs = np.array(table).reshape(-1, 2)
+    refused = np.flatnonzero(~_zero_or_normal(pairs).all(axis=1))
     if len(refused):
         line_no, row = rows[1 + refused[0]]
         raise ConfigParseError(line_no, f"cell is not 0 or a normal double: {','.join(row)!r}")
     if fault is not None:
         raise fault
-    return table
+    return pairs

@@ -354,7 +354,7 @@ EDGE_TABLE = {
 def test_json_cells_round_trip_exactly(table, overlay, bad, at):
     # json.loads gives back every cell with the same repr, a phase as its
     # value, and a table holding NaN or +-inf is refused rather than written
-    overlays = {"reference.csv": overlay} if overlay else None
+    overlays = {"reference.csv": np.array(overlay).reshape(-1, 2)} if overlay else None
     text = render_json(RunConfig(), "sensitivity", {"points": 3}, list(table), _table_rows(table), overlays)
     payload = json.loads(text)
     rows = zip(table["x"].tolist(), table["peak"].tolist(), [phase.value for phase in table["phase"]])

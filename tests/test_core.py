@@ -103,6 +103,27 @@ def test_readme_exit_code_table_lists_every_public_error():
     assert documented == sorted((cls.__name__, cls.exit_code) for cls in errors)
 
 
+# The public surface, sorted. A name joins or leaves epgw.__all__ only on
+# purpose, with this list.
+PUBLIC_NAMES = [
+    "C_LIGHT", "ConfigParseError", "CoupledSystem", "EpgwError", "HBAR", "InvalidRangeError",
+    "K_BOLTZMANN", "MechanicalResonator", "NoEPError", "NonPositiveParameterError", "NotAtEPError",
+    "OpticalCavity", "Phase", "RunawayGainError", "SamplingTooCoarseError", "SensitivityContext",
+    "SensitivityCurve", "SpectralEstimate", "SplittingResult", "SupermodePair", "TooFewSamplesError",
+    "Trajectory", "UnknownKeyError", "ValidationError", "ZeroCouplingError", "balanced_system",
+    "detuning_response", "drive_amplitude_from_thickness", "eigenvalues_general", "ep_photon_number",
+    "ep_tolerance", "estimate_spectrum", "min_detectable_strain", "mode_matrix", "propagate_exact",
+    "propagate_rk", "read_overlay_csv", "sensitivity_curve", "splitting", "sweep_photon_number",
+    "sweep_strain", "system_violations", "thermal_frequency_noise", "vacuum_coupling",
+    "validate_system", "zero_point_fluctuation",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(epgw.__all__) == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if not hasattr(epgw, name)] == []
+
+
 def test_nonpositive_error_carries_context():
     err = NonPositiveParameterError("mass", -2.0, where="resonator_1")
     assert err.name == "mass"

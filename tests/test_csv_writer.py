@@ -1,8 +1,7 @@
 """The CSV writer: ``_format.format_e16`` against ``"%.16e" % x``, and
-``cli.render_csv`` against the per-cell ``%`` loop it replaced."""
+``cli.render_csv`` against the per-cell ``%`` loop it replaced. The
+cases both formatters share are in formatter_cases.py."""
 
-import math
-import struct
 import tracemalloc
 from decimal import Decimal
 
@@ -10,84 +9,30 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from epgw import Phase  # noqa: E402
 from epgw._format import format_e16  # noqa: E402
 from epgw.cli import RunConfig, _table_rows, render_csv  # noqa: E402
-
-MIN_NORMAL = 2.2250738585072014e-308
-
-# Doubles below a power of ten whose 17 digits round up to it, so the
-# digits carry to 10^17: the in-range ones among all powers 1e-320..1e308.
-ROUND_UP_TO_POWER = [1e-243, 1e-176, 1e-175, 1e-174, 1e-79, 1e-78, 1e-73, 1e-70, 1e-14, 1e98, 1e129, 1e153, 1e220]
-
-# Exact ties: the value's exact decimal has 18 significant digits and ends
-# in 5, so %.16e rounds half to even. m 5^k has 18 digits for odd m.
-TIES = [800000000000001 / 2**3, 800000000000003 / 2**3, 4000000000000001 / 2**2, 1280000000001 / 2**7, 1 / 2**25]
+from formatter_cases import (  # noqa: E402,F401  the shared cases, collected and run here on format_e16
+    PERCENT_TIES,
+    cells,
+    test_any_bit_pattern as test_any_bit_pattern_formats_as_percent,
+    test_edges,
+    test_every_power_of_ten_and_its_neighbours,
+    test_seeded_bulk_draws,
+)
 
 
-def _text(values):
-    """format_e16's cells as text, NUL bytes dropped."""
-    return [bytes(row).replace(b"\0", b"").decode() for row in format_e16(np.array(values, dtype=float))]
-
-
-def _percent(values):
-    return ["%.16e" % value for value in values]
-
-
-def _neighbours(x):
-    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
-
-
-def _from_bits(bits):
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-EDGES = [
-    0.0,
-    -0.0,
-    5e-324,
-    -5e-324,
-    math.nextafter(MIN_NORMAL, 0.0),
-    MIN_NORMAL,
-    1.7976931348623157e308,
-    -1.7976931348623157e308,
-    math.inf,
-    -math.inf,
-    math.nan,
-    *_neighbours(1e-280),  # the array path's edges, and just past them
-    *_neighbours(1e-281),
-    *_neighbours(1e290),
-    *_neighbours(1e291),
-    *ROUND_UP_TO_POWER,
-    *TIES,
-]
+@pytest.fixture(scope="module")
+def formatter():
+    return format_e16, "%.16e".__mod__
 
 
 def test_ties_are_exact_ties():
-    for x in TIES:
+    for x in PERCENT_TIES:
         digits = Decimal(x).as_tuple().digits
         assert len(digits) == 18 and digits[-1] == 5, x
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_every_power_of_ten_and_its_neighbours(sign):
-    values = [sign * y for k in range(-323, 309) for y in _neighbours(float(f"1e{k}"))]
-    assert _text(values) == _percent(values)
-
-
-def test_edges():
-    assert _text(EDGES) == _percent(EDGES)
-    assert _text([]) == []
-
-
-@settings(max_examples=300)
-@given(bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
-@example(bits=[struct.unpack("<Q", struct.pack("<d", x))[0] for x in EDGES])
-def test_any_bit_pattern_formats_as_percent(bits):
-    values = [_from_bits(b) for b in bits]
-    assert _text(values) == _percent(values)
 
 
 @settings(max_examples=200)
@@ -105,19 +50,7 @@ def test_exact_ties_round_half_to_even(k, fraction, sign):
     x = sign * m / 2**k
     digits = Decimal(x).as_tuple().digits
     assert len(digits) == 18 and digits[-1] == 5
-    assert _text([x]) == _percent([x])
-
-
-def test_seeded_bulk_draws():
-    rng = np.random.default_rng(20260)
-    draws = [
-        rng.integers(0, 2**63, 100_000, dtype=np.int64).view(np.float64),
-        rng.uniform(-1e3, 1e3, 100_000),
-        10.0 ** rng.uniform(-300, 300, 100_000),
-    ]
-    for values in draws:
-        values = values.tolist()
-        assert _text(values) == _percent(values)
+    assert cells(format_e16, [x]) == ["%.16e" % x]
 
 
 def _percent_csv(columns, rows):
@@ -161,7 +94,7 @@ def test_phase_and_integer_cells_are_written_as_percent_s():
 
 def test_zero_row_table_writes_only_its_header_and_column_line():
     table = {"frequency_hz": np.array([]), "h_min": np.array([]), "peak": np.array([], dtype=int)}
-    overlays = {"empty.csv": []}
+    overlays = {"empty.csv": np.empty((0, 2))}
     text = render_csv(RunConfig(), "sensitivity", {"points": 2}, list(table), _table_rows(table), overlays)
     header = [line for line in text.splitlines() if line.startswith("# ") and not line.startswith("# overlay")]
     assert header[0] == "# command = sensitivity" and header[-1] == "# flag.points = 2"

@@ -1,9 +1,9 @@
 """The JSON writer: ``_format.format_repr`` against ``float.__repr__``, and
-``cli.render_json`` against the ``json.dumps`` of row tuples it replaced."""
+``cli.render_json`` against the ``json.dumps`` of row tuples it replaced.
+The cases both formatters share are in formatter_cases.py."""
 
 import json
 import math
-import struct
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -12,74 +12,39 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from epgw import Phase  # noqa: E402
 from epgw._format import format_repr  # noqa: E402
 from epgw.cli import _ATTR, _BLOCK_ROWS, RunConfig, _table_rows, render_json  # noqa: E402
+from formatter_cases import (  # noqa: E402,F401  the shared cases, collected and run here on format_repr
+    GAP_EDGES,
+    NOTATION_EDGES,
+    REPR_TIES,
+    cells,
+    test_any_bit_pattern as test_any_bit_pattern_formats_as_repr,
+    test_edges,
+    test_every_power_of_ten_and_its_neighbours,
+    test_seeded_bulk_draws,
+)
 
-MIN_NORMAL = 2.2250738585072014e-308
 
-# Doubles whose shortest decimal lies exactly half a gap away, so that it
-# reads back only because the double's last bit is even.
-GAP_EDGES = [3.092535278770144e18, 6.429560891534334e16, 2.109793591122499e16]
-
-# Exact ties between two 17-digit decimals, which repr rounds half to even.
-TIES = [1113178120592002.25, 2.9802322387695312e-08]
+@pytest.fixture(scope="module")
+def formatter():
+    return format_repr, repr
 
 
 def _text(values):
-    """format_repr's cells as text, NUL bytes dropped."""
-    return [bytes(row).replace(b"\0", b"").decode() for row in format_repr(np.array(values, dtype=float))]
+    return cells(format_repr, values)
 
 
 def _repr(values):
     return [repr(value) for value in values]
 
 
-def _neighbours(x):
-    return [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
-
-
-def _from_bits(bits):
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-EDGES = [
-    0.0,
-    -0.0,
-    5e-324,
-    -5e-324,
-    math.nextafter(MIN_NORMAL, 0.0),
-    MIN_NORMAL,
-    1.7976931348623157e308,
-    -1.7976931348623157e308,
-    math.inf,
-    -math.inf,
-    math.nan,
-    *_neighbours(1e-280),  # the array path's edges, and just past them
-    *_neighbours(1e-281),
-    *_neighbours(1e290),
-    *_neighbours(1e291),
-    *GAP_EDGES,
-    *TIES,
-]
-
-# where repr turns from fixed to exponent notation, and back
-NOTATION_EDGES = [
-    *_neighbours(1e-4),
-    *_neighbours(1e-5),
-    *_neighbours(1e16),
-    9999999999999998.0,
-    999999999999999.9,
-    0.00010000000000000002,
-]
-
-
 def test_gap_edges_and_ties_are_exact():
     for x in GAP_EDGES:
         assert abs(Fraction(repr(x)) - Fraction(x)) == Fraction(math.ulp(x)) / 2
-    for x in TIES:
+    for x in REPR_TIES:
         digits = Decimal(x).as_tuple().digits
         assert len(digits) == 18 and digits[-1] == 5, x
 
@@ -91,12 +56,6 @@ def test_every_power_of_two(sign):
     assert _text(values) == _repr(values)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_every_power_of_ten_and_its_neighbours(sign):
-    values = [sign * y for k in range(-323, 309) for y in _neighbours(float(f"1e{k}"))]
-    assert _text(values) == _repr(values)
-
-
 def test_notation_edges():
     assert _text(NOTATION_EDGES) == _repr(NOTATION_EDGES)
     assert _text([1e-4, 1e-5, 1e16, 9999999999999998.0]) == ["0.0001", "1e-05", "1e+16", "9999999999999998.0"]
@@ -105,33 +64,6 @@ def test_notation_edges():
 def test_short_decimals():
     values = [0.1 * k for k in range(-2000, 2001)] + [3600.0, 5.3e-15, 1e16, 1.5e16, 100.0, 1e5, 0.5, 0.25]
     assert _text(values) == _repr(values)
-
-
-def test_edges():
-    assert _text(EDGES) == _repr(EDGES)
-    assert _text([]) == []
-
-
-@settings(max_examples=300)
-@given(bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
-@example(bits=[struct.unpack("<Q", struct.pack("<d", x))[0] for x in EDGES + NOTATION_EDGES])
-def test_any_bit_pattern_formats_as_repr(bits):
-    values = [_from_bits(b) for b in bits]
-    assert _text(values) == _repr(values)
-
-
-def test_seeded_bulk_draws():
-    rng = np.random.default_rng(20261)
-    draws = [
-        rng.integers(0, 2**63, 100_000, dtype=np.int64).view(np.float64),
-        rng.uniform(-1e3, 1e3, 100_000),
-        10.0 ** rng.uniform(-300, 300, 100_000),
-        np.linspace(1e11, 5e12, 100_000),
-        np.linspace(-1.0, 1.0, 100_001),
-    ]
-    for values in draws:
-        values = values.tolist()
-        assert _text(values) == _repr(values)
 
 
 def _dumps(cfg, command, flags, table, overlays=None):
@@ -150,8 +82,11 @@ def _dumps(cfg, command, flags, table, overlays=None):
 
 
 def _render(table, overlays=None, flags=None):
+    """render_json's text, each overlay's (frequency_hz, strain) pairs
+    passed as the (n, 2) float array read_overlay_csv returns."""
     flags = {"points": len(next(iter(table.values())))} if flags is None else flags
-    return render_json(RunConfig(), "sweep-ncav", flags, list(table), _table_rows(table), overlays)
+    arrays = {name: np.array(pairs, dtype=float).reshape(-1, 2) for name, pairs in (overlays or {}).items()}
+    return render_json(RunConfig(), "sweep-ncav", flags, list(table), _table_rows(table), arrays)
 
 
 @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3])

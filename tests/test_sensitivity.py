@@ -242,13 +242,22 @@ def test_curve_range_errors(device_resonator):
 def test_overlay_round_trip(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("frequency_hz,strain\n1e-3,4.5e-25\n2.0,1.25e-22\n0,2.2250738585072014e-308\n")
-    assert read_overlay_csv(str(path)) == [(1e-3, 4.5e-25), (2.0, 1.25e-22), (0.0, sys.float_info.min)]
+    table = read_overlay_csv(str(path))
+    assert table.dtype == np.float64 and table.shape == (3, 2)
+    assert table.tolist() == [[1e-3, 4.5e-25], [2.0, 1.25e-22], [0.0, sys.float_info.min]]
 
 
 def test_overlay_header_is_normalized(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("Frequency_Hz , STRAIN\n1.0,2.0\n")
-    assert read_overlay_csv(str(path)) == [(1.0, 2.0)]
+    assert read_overlay_csv(str(path)).tolist() == [[1.0, 2.0]]
+
+
+def test_overlay_header_only_is_an_empty_table(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("frequency_hz,strain\n\n")
+    table = read_overlay_csv(str(path))
+    assert table.dtype == np.float64 and table.shape == (0, 2)
 
 
 def test_overlay_rejects_wrong_header(tmp_path):

@@ -142,7 +142,7 @@ def test_optomech_damping_red_arm_near_2j_at_reference_bias(device):
 
 def test_gamma_total_adds_intrinsic_damping(device_resonator):
     res = dataclasses.replace(device_resonator, gamma_m=123.25)
-    system = balanced_system(res, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=TWO_PI * 1e7, n_cav=5e11)
+    system = balanced_system(res, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=TWO_PI * 1e7).with_photon_number(5e11)
     _, red = _arms(system)
     n = system.cavity_2.n_cav
     assert red.damping(n) == res.gamma_m + red.optical_damping(n)  # exact

@@ -43,8 +43,9 @@ def test_every_traced_name_resolves():
         (["sweep-ncav", "--points", "5", "--format", "json"], 5),
         (["sweep-ncav", "--points", "5", "--format", "csv"], 5),
         (["sensitivity", "--points", "5", "--overlay", "OVERLAY", "--format", "json"], 8),
+        (["sensitivity", "--points", "5", "--overlay", "OVERLAY", "--format", "csv"], 8),
     ],
-    ids=["sweep-ncav-json", "sweep-ncav-csv", "sensitivity-overlay-json"],
+    ids=["sweep-ncav-json", "sweep-ncav-csv", "sensitivity-overlay-json", "sensitivity-overlay-csv"],
 )
 def test_traced_renderers_count_rows_and_overlays(tmp_path, argv, rendered):
     # the tracer counts a renderer's rows and overlay rows from its
