@@ -18,6 +18,7 @@ fail) raises InvalidRangeError naming the term at fault, tau and every factor.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import sys
@@ -156,12 +157,40 @@ def sensitivity_curve(
     return SensitivityCurve(grid, tau, h_min)
 
 
+def _plain_overlay(data: bytes):
+    """The (n, 2) table of an overlay file's bytes in the plain layout, else
+    None. The plain layout: an optional UTF-8 byte-order mark, the header
+    line ``frequency_hz,strain``, then newline-ended lines of two cells of
+    ``0-9+-.eE``. csv.reader splits such bytes as bytes.split does, and
+    float reads a bytes cell as the same str does, so the table is the csv
+    path's. A cell over the csv field limit, or one that float or
+    _zero_or_normal refuses, gives None too: the csv path names it."""
+    header, _, body = data.removeprefix(codecs.BOM_UTF8).partition(b"\n")
+    if header != b"frequency_hz,strain":
+        return None
+    # one comma and one newline a line once the number bytes are deleted
+    if body.translate(None, b"0123456789+-.eE") != b",\n" * body.count(b"\n"):
+        return None
+    cells = body.replace(b"\n", b",").split(b",")[:-1]
+    if max(map(len, cells), default=0) > csv.field_size_limit():
+        return None
+    try:
+        pairs = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, 2)
+    except ValueError:
+        return None
+    return pairs if _zero_or_normal(pairs).all() else None
+
+
 def read_overlay_csv(path: str) -> np.ndarray:
     """Read a comparison curve: CSV with header ``frequency_hz, strain``.
 
     Returns a float64 array of shape (n, 2), one (frequency_hz, strain) row
     per data row in file order, which may be any order; a header-only file
     gives shape (0, 2). A UTF-8 byte-order mark is skipped.
+
+    A file in the plain layout (``_plain_overlay``) is parsed from its
+    bytes. Every other file, and a plain one with a bad cell, is read again
+    through the csv module, so that one path raises every error below.
 
     Raises:
         ConfigParseError: a byte that is not UTF-8, a line the csv module
@@ -170,14 +199,19 @@ def read_overlay_csv(path: str) -> np.ndarray:
             double (NaN, inf or subnormal; see core._zero_or_normal).
         OSError: unreadable file.
     """
+    with open(path, "rb") as fh:
+        pairs = _plain_overlay(fh.read())
+    if pairs is not None:
+        return pairs
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader if row]  # a quoted cell may span lines
     except UnicodeDecodeError:
         # The decoder's offset counts from its chunk, not the file: read
-        # the file whole to name the line. Streaming keeps a large overlay
-        # from being held twice, as bytes and as text.
+        # the file whole again to name the line. The bytes of the plain
+        # check are dropped before the csv path streams, so a large overlay
+        # is never held as bytes and as csv rows at once.
         _read_utf8(path)
         raise
     except csv.Error as exc:  # a cell over csv.field_size_limit, say

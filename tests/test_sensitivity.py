@@ -241,10 +241,13 @@ def test_curve_range_errors(device_resonator):
 
 def test_overlay_round_trip(tmp_path):
     path = tmp_path / "curve.csv"
-    path.write_text("frequency_hz,strain\n1e-3,4.5e-25\n2.0,1.25e-22\n0,2.2250738585072014e-308\n")
-    table = read_overlay_csv(str(path))
-    assert table.dtype == np.float64 and table.shape == (3, 2)
-    assert table.tolist() == [[1e-3, 4.5e-25], [2.0, 1.25e-22], [0.0, sys.float_info.min]]
+    text = "frequency_hz,strain\n1e-3,4.5e-25\n2.0,1.25e-22\n0,2.2250738585072014e-308\n"
+    # as written, with a byte-order mark, and without the final newline
+    for content in (text, "\ufeff" + text, text[:-1]):
+        path.write_text(content, encoding="utf-8")
+        table = read_overlay_csv(str(path))
+        assert table.dtype == np.float64 and table.shape == (3, 2)
+        assert table.tolist() == [[1e-3, 4.5e-25], [2.0, 1.25e-22], [0.0, sys.float_info.min]]
 
 
 def test_overlay_header_is_normalized(tmp_path):
@@ -282,21 +285,38 @@ def test_overlay_rejects_bad_cell(tmp_path):
     assert info.value.line == 4
 
 
+HEADER = "frequency_hz,strain\n"
+
+
 @pytest.mark.parametrize(
-    "rows, line, text",
+    "content, line, text",
     [
-        (["1.0,1e-310", "2.0,x"], 2, "cell is not 0 or a normal double: '1.0,1e-310'"),
-        (["1.0,x", "2.0,1e-310"], 2, "non-numeric cell"),
-        (["1.0,2.0", "3.0,inf", "4.0,2.0,1.0"], 3, "cell is not 0 or a normal double: '3.0,inf'"),
-        (["1.0,2.0,1.0", "3.0,inf"], 2, "expected 2 columns, got 3"),
+        (HEADER + "1.0,1e-310\n2.0,x\n", 2, "cell is not 0 or a normal double: '1.0,1e-310'"),
+        (HEADER + "1.0,x\n2.0,1e-310\n", 2, "non-numeric cell"),
+        (HEADER + "1.0,2.0\n3.0,inf\n4.0,2.0,1.0\n", 3, "cell is not 0 or a normal double: '3.0,inf'"),
+        (HEADER + "1.0,2.0,1.0\n3.0,inf\n", 2, "expected 2 columns, got 3"),
+        (HEADER + "1.0,\n", 2, "non-numeric cell: could not convert string to float: ''"),
+        (HEADER + "1.0,-\n", 2, "non-numeric cell: could not convert string to float: '-'"),
+        (HEADER + "1.0,2.0\n1e999,2.0\n", 3, "cell is not 0 or a normal double: '1e999,2.0'"),
+        (HEADER + "1.0,2.0\n\n3.0,1e-310\n", 4, "cell is not 0 or a normal double: '3.0,1e-310'"),
+        (HEADER + "1.0,2.0\n3.0,x", 3, "non-numeric cell: could not convert string to float: 'x'"),
+        ("\ufeff" + HEADER + "1.0,2.0\n3.0,5e-324\n", 3, "cell is not 0 or a normal double: '3.0,5e-324'"),
+        (HEADER + "1." + "0" * 131_071 + ",2.0\n", 2, "field larger than field limit (131072)"),
+        (HEADER + "1.0,2.0,3.0\n4.0\n", 2, "expected 2 columns, got 3"),
+        (HEADER + "1.0\n2.0\n", 2, "expected 2 columns, got 1"),
     ],
-    ids=["bad-value-first", "non-numeric-first", "bad-value-before-wide-row", "wide-row-first"],
+    ids=[
+        "bad-value-first", "non-numeric-first", "bad-value-before-wide-row", "wide-row-first",
+        "empty-cell", "lone-sign", "overflow-to-inf", "blank-line", "no-final-newline", "byte-order-mark",
+        "cell-over-field-limit", "rows-whose-cells-pair-up", "one-cell-rows",
+    ],
 )
-def test_overlay_names_the_first_bad_row(tmp_path, rows, line, text):
+def test_overlay_names_the_first_bad_row(tmp_path, content, line, text):
     # the cells are checked as one array once parsed, yet the error names
-    # the first bad row of the file, whatever is wrong with it
+    # the first bad row of the file, whatever is wrong with it; a file
+    # that looks plain but is not gives the csv module's error and line
     path = tmp_path / "curve.csv"
-    path.write_text("frequency_hz,strain\n" + "\n".join(rows) + "\n")
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(ConfigParseError, match=re.escape(text)) as info:
         read_overlay_csv(str(path))
     assert info.value.line == line
