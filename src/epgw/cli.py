@@ -10,13 +10,13 @@ Output files are byte-deterministic, with fixed column schemas. Each
 command hands its table to _emit, the one place that checks, writes and
 prints it. The header records the command, the config and every flag of
 the command as the run resolved it, so a file can be replayed from it.
-CSV writes its ``# key = value`` comment header, then the table a block
-of rows at a time: each float cell exactly as ``"%.16e" % x``, formatted
-from arrays (``_format.format_e16``), which hands a cell it cannot decide
-to ``%`` itself. JSON writes one line, byte for byte what
-``json.dumps(payload, sort_keys=True)`` writes, its tables as CSV does but
-each float cell as ``float.__repr__`` (``_format.format_repr``, which
-hands a cell it cannot decide to ``repr``).
+A renderer returns the file's UTF-8 bytes, as _emit writes them, a
+block of rows at a time. CSV is its ``# key = value`` comment header,
+then the table, each float cell exactly ``"%.16e" % x`` from arrays
+(``_format.format_e16``, which hands a cell it cannot decide to ``%``).
+JSON is one line, byte for byte what ``json.dumps(payload,
+sort_keys=True)`` writes, each float cell as ``float.__repr__``
+(``_format.format_repr``, which hands a cell it cannot decide to ``repr``).
 """
 
 from __future__ import annotations
@@ -213,9 +213,6 @@ def parse_config(path: str | None) -> RunConfig:
 # few enough that a block's cell matrices stay under a MB.
 _BLOCK_ROWS = 4096
 
-# A phase cell's text, one entry per Phase member.
-_PHASE_TEXT = {phase: phase.value for phase in Phase}
-
 
 def _csv_cells(column: np.ndarray) -> np.ndarray:
     """A column's cells as a (len(column), width) uint8 matrix, NUL-padded:
@@ -243,23 +240,23 @@ def _table_rows(table: dict) -> np.ndarray:
     columns = list(table.values())
     for k, column in enumerate(columns):
         if column.dtype.kind == "O":
-            columns[k] = np.zeros(len(column), f"S{max(map(len, _PHASE_TEXT.values()))}")
-            for phase, value in _PHASE_TEXT.items():
-                columns[k][column == phase] = value
+            columns[k] = np.zeros(len(column), f"S{max(len(phase.value) for phase in Phase)}")
+            for phase in Phase:
+                columns[k][column == phase] = phase.value
     return np.rec.fromarrays(columns, names=list(table))
 
 
-def _blocks(columns: list[np.ndarray], cells, start: bytes, separator: bytes, end: bytes) -> list[str]:
-    """A table's rows as text, _BLOCK_ROWS at a time: each row its cells,
-    as ``cells`` writes them, after start, between separators and before
-    end. A block's cells and separators are one byte matrix, decoded once."""
+def _blocks(columns: list[np.ndarray], cells, start: bytes, separator: bytes, end: bytes) -> list[bytes]:
+    """A table's rows as the file's bytes, _BLOCK_ROWS at a time: each row
+    its cells, as ``cells`` writes them, after start, between separators
+    and before end. A block's cells and separators are one byte matrix."""
     blocks = []
     for first in range(0, len(columns[0]), _BLOCK_ROWS):
         parts = [cells(column[first : first + _BLOCK_ROWS]) for column in columns]
         rows = len(parts[0])
         fill = [np.broadcast_to(np.frombuffer(text, np.uint8), (rows, len(text))) for text in (start, separator, end)]
         matrix = [fill[0], *[cell for part in parts for cell in (part, fill[1])][:-1], fill[2]]
-        blocks.append(np.concatenate(matrix, axis=1).tobytes().translate(None, b"\0").decode())
+        blocks.append(np.concatenate(matrix, axis=1).tobytes().translate(None, b"\0"))
     return blocks
 
 
@@ -270,27 +267,27 @@ def render_csv(
     columns: list[str],
     rows: np.ndarray,
     overlays: dict[str, np.ndarray] | None = None,
-) -> str:
-    """The table under its ``# key = value`` header; ``rows`` is a structured
-    array with one field per column, and each overlay, written after it by
-    sorted name, an (n, 2) float array of (frequency_hz, strain) rows."""
+) -> list[bytes]:
+    """The file's bytes a block at a time: the table under its ``# key =
+    value`` header, ``rows`` a structured array with one field per column,
+    then each overlay by sorted name, an (n, 2) (frequency_hz, strain) array."""
     header = [f"# command = {command}"]
     header += [f"# {line}" for line in cfg.to_text().splitlines()]
     header += [f"# flag.{name} = {flags[name]!r}" for name in sorted(flags)]
-    out = ["\n".join(header) + "\n", ",".join(columns) + "\n"]
+    out = ["\n".join([*header, ",".join(columns), ""]).encode()]
     out += _blocks([rows[name] for name in columns], _csv_cells, b"", b",", b"\n")
     for name in sorted(overlays or {}):
-        out.append(f"# overlay = {name}\nfrequency_hz,strain\n")
+        out.append(f"# overlay = {name}\nfrequency_hz,strain\n".encode())
         out += _blocks(list(overlays[name].T), _csv_cells, b"", b",", b"\n")
-    return "".join(out)
+    return out
 
 
-def _json_list(columns: list[np.ndarray]) -> list[str]:
+def _json_list(columns: list[np.ndarray]) -> list[bytes]:
     """A table's rows as the parts of one JSON list of lists."""
     blocks = _blocks(columns, _json_cells, b"[", b", ", b"], ")
     if blocks:
         blocks[-1] = blocks[-1][:-2]  # the last row's ", "
-    return ["[", *blocks, "]"]
+    return [b"[", *blocks, b"]"]
 
 
 def render_json(
@@ -300,12 +297,12 @@ def render_json(
     columns: list[str],
     rows: np.ndarray,
     overlays: dict[str, np.ndarray] | None = None,
-) -> str:
-    """The payload on one line, as ``json.dumps(payload, sort_keys=True)``
-    writes it: floats as float.__repr__ and a phase as its value. ``rows``
-    and ``overlays`` are as render_csv takes them. The tables, the last two
-    keys in sorted order, are written from arrays a block of rows at a
-    time, after json.dumps writes the other keys. A NaN or inf cell raises
+) -> list[bytes]:
+    """The file's bytes a block at a time: the payload on one line, as
+    ``json.dumps(payload, sort_keys=True)`` writes it, floats as repr and a
+    phase as its value. ``rows`` and ``overlays`` are as render_csv takes
+    them; the tables, the last two keys in sorted order, are written from
+    arrays after json.dumps writes the other keys. A NaN or inf cell raises
     ValueError, as json.dumps does."""
     head = {
         "command": command,
@@ -317,14 +314,14 @@ def render_json(
     floats = [overlays[name] for name in names] + [rows[name] for name in columns if rows[name].dtype.kind == "f"]
     if not all(np.isfinite(cells).all() for cells in floats):
         raise ValueError("Out of range float values are not JSON compliant")
-    out = [json.dumps(head, sort_keys=True, allow_nan=False)[:-1]]
+    out = [json.dumps(head, sort_keys=True, allow_nan=False)[:-1].encode()]
     if names:
-        out.append(', "overlays": {')
+        out.append(b', "overlays": {')
         for k, name in enumerate(names):
-            out += [", " * bool(k), json.dumps(name), ": ", *_json_list(list(overlays[name].T))]
-        out.append("}")
-    out += [', "rows": ', *_json_list([rows[name] for name in columns]), "}\n"]
-    return "".join(out)
+            out += [b", " * bool(k), json.dumps(name).encode(), b": ", *_json_list(list(overlays[name].T))]
+        out.append(b"}")
+    out += [b', "rows": ', *_json_list([rows[name] for name in columns]), b"}\n"]
+    return out
 
 
 # The options that name the run's files rather than the run, and the handler.
@@ -352,9 +349,9 @@ def _emit(args, cfg, table: dict, summary: str, overlays=None, **resolved) -> in
         flags.update(resolved)
         fmt = args.format or ("json" if args.command == "ep-locate" else "csv")
         rows = _table_rows(table)
-        text = (render_csv if fmt == "csv" else render_json)(cfg, args.command, flags, list(table), rows, overlays)
-        with open(args.output, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(text)
+        chunks = (render_csv if fmt == "csv" else render_json)(cfg, args.command, flags, list(table), rows, overlays)
+        with open(args.output, "wb") as fh:
+            fh.writelines(chunks)
         summary += f"\nwrote {args.output} ({fmt}, {len(rows)} rows)"
     print(summary)
     return 0

@@ -119,8 +119,7 @@ class TooFewSamplesError(_DomainError):
 
 
 class ConfigParseError(EpgwError):
-    """A line of structured text input (config file, override, overlay CSV)
-    could not be parsed."""
+    """A line of a config file or an overlay CSV could not be parsed."""
 
     def __init__(self, line: int, message: str):
         self.line = line
@@ -328,8 +327,8 @@ def require_strain(strain: float) -> None:
         raise InvalidRangeError(f"strain h = {strain!r}; need h = 0 or a normal double with |h| < 1/2")
 
 
-# A sweep run peaks at about 0.45 KB per point (sweep-ncav at 2^20 points:
-# 459 MB of RSS as CSV, 409 MB as JSON), so the largest grid stays under 1 GB.
+# A sweep run peaks at about 0.3 KB per point (sweep-ncav at 2^20 points:
+# 313 MB of RSS as CSV, 285 MB as JSON), so the largest grid stays under 1 GB.
 _MAX_POINTS = 1 << 20
 
 

@@ -535,7 +535,7 @@ def test_json_file_is_what_json_dumps_writes(run_cli, tmp_path, argv):
 
 def _header(path):
     """(format, command, config, flags) as the file at ``path`` records them."""
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     if text.startswith("{"):
         payload = json.loads(text)
         return "json", payload["command"], payload["config"], payload["flags"]
@@ -575,21 +575,27 @@ def _header(path):
         ),
         pytest.param(["simulate"], "", id="argv7-"),
         pytest.param(["simulate", "--strain", "-1e-4", "--duration", "1e-6"], "", id="argv8-"),
+        pytest.param(["sensitivity", "--overlay", "NON_ASCII_OVERLAY"], "", id="non-ascii-overlay-csv"),
     ],
 )
 def test_header_replays_the_run(run_cli, tmp_path, argv, config):
     # a second run built from the first file's header alone writes the same
     # bytes: the config from its keys, argv from its flags
-    overlay = tmp_path / "reference.csv"
-    overlay.write_text("frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\n0.1,3.5e-22\n")
+    overlays = {"OVERLAY": tmp_path / "reference.csv", "NON_ASCII_OVERLAY": tmp_path / "référence.csv"}
+    for overlay in overlays.values():
+        overlay.write_text("frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\n0.1,3.5e-22\n")
     conf = tmp_path / "run.conf"
     conf.write_text(config)
-    argv = [str(overlay) if word == "OVERLAY" else word for word in argv]
+    argv = [str(overlays[word]) if word in overlays else word for word in argv]
     first = tmp_path / "first.out"
     assert run_cli(*argv, "--config", str(conf), "--output", str(first))[0] == 0
 
     fmt, command, recorded, flags = _header(first)
     assert command == argv[0]
+    if fmt == "csv" and "overlay" in flags:  # the header's names, raw and UTF-8
+        lines = first.read_bytes().splitlines()
+        assert f"# flag.overlay = {flags['overlay']!r}".encode() in lines
+        assert all(f"# overlay = {name}".encode() in lines for name in flags["overlay"])
     replay_conf = tmp_path / "replay.conf"
     replay_conf.write_text("".join(f"{key} = {value!r}\n" for key, value in recorded.items()))
     replay = [command, "--format", fmt, "--config", str(replay_conf)]

@@ -332,6 +332,11 @@ def test_no_overlay_or_config_text_makes_main_raise(text, flag, start):
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
+def _json(*args):
+    """render_json's file as text: its chunks joined and decoded."""
+    return b"".join(render_json(*args)).decode()
+
+
 def _reprs(table):
     return [[repr(cell) for cell in row] for row in table]
 
@@ -355,7 +360,7 @@ def test_json_cells_round_trip_exactly(table, overlay, bad, at):
     # json.loads gives back every cell with the same repr, a phase as its
     # value, and a table holding NaN or +-inf is refused rather than written
     overlays = {"reference.csv": np.array(overlay).reshape(-1, 2)} if overlay else None
-    text = render_json(RunConfig(), "sensitivity", {"points": 3}, list(table), _table_rows(table), overlays)
+    text = _json(RunConfig(), "sensitivity", {"points": 3}, list(table), _table_rows(table), overlays)
     payload = json.loads(text)
     rows = zip(table["x"].tolist(), table["peak"].tolist(), [phase.value for phase in table["phase"]])
     assert _reprs(payload["rows"]) == _reprs(rows)
@@ -363,4 +368,4 @@ def test_json_cells_round_trip_exactly(table, overlay, bad, at):
     at = min(at, len(table["x"]))
     poisoned = {name: np.insert(column, at, cell) for (name, column), cell in zip(table.items(), (bad, 0, Phase.BROKEN))}
     with pytest.raises(ValueError, match="not JSON compliant"):
-        render_json(RunConfig(), "sensitivity", {"points": 3}, list(table), _table_rows(poisoned), overlays)
+        _json(RunConfig(), "sensitivity", {"points": 3}, list(table), _table_rows(poisoned), overlays)

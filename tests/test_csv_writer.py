@@ -60,6 +60,11 @@ def _percent_csv(columns, rows):
     return "\n".join(lines) + "\n"
 
 
+def _csv(*args):
+    """render_csv's file as text: its chunks joined and decoded."""
+    return b"".join(render_csv(*args)).decode()
+
+
 def _table_text(text):
     """render_csv's text after its # header."""
     return "".join(line for line in text.splitlines(keepends=True) if not line.startswith("# "))
@@ -77,7 +82,7 @@ def test_render_csv_matches_the_percent_loop():
         "phase": np.array(list(Phase), dtype=object)[rng.integers(0, 3, n)],
         "y": rng.uniform(0.0, 1.0, n),
     }
-    text = render_csv(RunConfig(), "sweep-ncav", {"points": n}, list(table), _table_rows(table))
+    text = _csv(RunConfig(), "sweep-ncav", {"points": n}, list(table), _table_rows(table))
     rows = zip(table["x"].tolist(), table["peak"].tolist(), [p.value for p in table["phase"]], table["y"].tolist())
     assert _table_text(text) == _percent_csv(list(table), rows)
 
@@ -87,7 +92,7 @@ def test_phase_and_integer_cells_are_written_as_percent_s():
         "peak": np.array([0, 1, -7, 2**63 - 1, -(2**63)]),
         "phase": np.array([*Phase, Phase.BROKEN, Phase.PT_SYMMETRIC], dtype=object),
     }
-    text = render_csv(RunConfig(), "simulate", {}, list(table), _table_rows(table))
+    text = _csv(RunConfig(), "simulate", {}, list(table), _table_rows(table))
     lines = [f"{peak},{phase.value}" for peak, phase in zip(table["peak"].tolist(), table["phase"])]
     assert _table_text(text) == "\n".join(["peak,phase", *lines]) + "\n"
 
@@ -95,7 +100,7 @@ def test_phase_and_integer_cells_are_written_as_percent_s():
 def test_zero_row_table_writes_only_its_header_and_column_line():
     table = {"frequency_hz": np.array([]), "h_min": np.array([]), "peak": np.array([], dtype=int)}
     overlays = {"empty.csv": np.empty((0, 2))}
-    text = render_csv(RunConfig(), "sensitivity", {"points": 2}, list(table), _table_rows(table), overlays)
+    text = _csv(RunConfig(), "sensitivity", {"points": 2}, list(table), _table_rows(table), overlays)
     header = [line for line in text.splitlines() if line.startswith("# ") and not line.startswith("# overlay")]
     assert header[0] == "# command = sensitivity" and header[-1] == "# flag.points = 2"
     assert text.endswith("frequency_hz,h_min,peak\n# overlay = empty.csv\nfrequency_hz,strain\n")
@@ -103,9 +108,9 @@ def test_zero_row_table_writes_only_its_header_and_column_line():
 
 def test_render_csv_formats_in_blocks():
     # The cells are formatted a block of rows at a time, so the peak is the
-    # text twice (its blocks, then their join) and a small block's scratch,
-    # not a per-row cell matrix and its intermediates for the whole table
-    # (about 650 bytes per row on this table).
+    # file once (its blocks) and a small block's scratch, not a per-row cell
+    # matrix and its intermediates for the whole table (about 650 bytes per
+    # row on this table).
     n = 100_000
     rng = np.random.default_rng(3)
     table = {f"c{k}": rng.standard_normal(n) for k in range(5)}
@@ -113,9 +118,10 @@ def test_render_csv_formats_in_blocks():
     rows = _table_rows(table)
     tracemalloc.start()
     try:
-        text = render_csv(RunConfig(), "sweep-ncav", {}, list(table), rows)
+        chunks = render_csv(RunConfig(), "sweep-ncav", {}, list(table), rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    text = b"".join(chunks).decode()
     assert text.count("\n") == n + 1 + len(RunConfig().to_text().splitlines()) + 1
-    assert peak <= 2 * len(text) + (2 << 20)
+    assert peak <= len(text) + (2 << 20)

@@ -44,8 +44,18 @@ def test_every_traced_name_resolves():
         (["sweep-ncav", "--points", "5", "--format", "csv"], 5),
         (["sensitivity", "--points", "5", "--overlay", "OVERLAY", "--format", "json"], 8),
         (["sensitivity", "--points", "5", "--overlay", "OVERLAY", "--format", "csv"], 8),
+        # above 2 * _BLOCK_ROWS, so a renderer returns several chunks
+        (["sweep-ncav", "--points", "9000", "--format", "json"], 9000),
+        (["sensitivity", "--points", "9000", "--overlay", "OVERLAY", "--format", "csv"], 9003),
     ],
-    ids=["sweep-ncav-json", "sweep-ncav-csv", "sensitivity-overlay-json", "sensitivity-overlay-csv"],
+    ids=[
+        "sweep-ncav-json",
+        "sweep-ncav-csv",
+        "sensitivity-overlay-json",
+        "sensitivity-overlay-csv",
+        "sweep-ncav-json-chunks",
+        "sensitivity-overlay-csv-chunks",
+    ],
 )
 def test_traced_renderers_count_rows_and_overlays(tmp_path, argv, rendered):
     # the tracer counts a renderer's rows and overlay rows from its
