@@ -43,7 +43,8 @@ from .core import (
     UnknownKeyError,
     ValidationError,
     _check,
-    _read_utf8,
+    _LINE_END,
+    _decode_utf8,
     _zero_or_normal,
     balanced_system,
     drive_amplitude_from_thickness,
@@ -148,6 +149,7 @@ _MAY_BE_ZERO = {"resonator.gamma_m_hz", "coupling.j_hz"}
 def parse_config_text(text: str) -> RunConfig:
     """Parse config text over the defaults, validate it and return it.
 
+    Lines end at ``core._LINE_END``, so a form feed or U+2028 ends none.
     Later lines win over earlier ones. Every value must be finite and
     within its range, 0 or a normal double, and 2 pi times each ``_hz``
     value must be finite; ``coupling.j_hz = 0`` is valid (decoupled modes).
@@ -158,7 +160,7 @@ def parse_config_text(text: str) -> RunConfig:
             its key as written.
     """
     values = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -200,7 +202,10 @@ def parse_config(path: str | None) -> RunConfig:
         ValidationError: any physical field out of range or not finite.
         OSError: unreadable file.
     """
-    return parse_config_text("" if path is None else _read_utf8(path))
+    if path is None:
+        return parse_config_text("")
+    with open(path, "rb") as fh:
+        return parse_config_text(_decode_utf8(fh.read()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -119,7 +120,8 @@ class TooFewSamplesError(_DomainError):
 
 
 class ConfigParseError(EpgwError):
-    """A line of a config file or an overlay CSV could not be parsed."""
+    """A line of a config file or an overlay CSV could not be parsed; a byte
+    that is not UTF-8 is named before any other fault in the file."""
 
     def __init__(self, line: int, message: str):
         self.line = line
@@ -414,17 +416,15 @@ def drive_amplitude_from_thickness(thickness: float) -> float:
     return CRITICAL_AMPLITUDE_FACTOR * thickness
 
 
-def _read_utf8(path: str) -> str:
-    """The text of a UTF-8 file, a byte-order mark skipped.
+# A line ends at CR LF, CR or LF, as csv.reader counts lines; a form feed or U+2028 ends none.
+_LINE_END = re.compile(r"\r\n?|\n")
 
-    Raises:
-        ConfigParseError: a byte that is not UTF-8, named by its line.
-        OSError: unreadable file.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
+
+def _decode_utf8(data: bytes) -> str:
+    """The text of a file's bytes, UTF-8 after an optional byte-order mark.
+    A byte that is not UTF-8 raises ConfigParseError naming its line."""
     try:
         return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8-sig") + "x").splitlines())  # as str.splitlines counts
-        raise ConfigParseError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    except UnicodeDecodeError as exc:  # exc.object: the bytes after a byte-order mark, which exc.start indexes
+        line = len(_LINE_END.split(exc.object[: exc.start].decode()))
+        raise ConfigParseError(line, f"byte {exc.object[exc.start]:#04x} is not UTF-8") from None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .core import (
     K_BOLTZMANN,
     MechanicalResonator,
     SensitivityContext,
-    _read_utf8,
+    _decode_utf8,
     _zero_or_normal,
     require_positive,
     sweep_grid,
@@ -188,41 +189,35 @@ def read_overlay_csv(path: str) -> np.ndarray:
     per data row in file order, which may be any order; a header-only file
     gives shape (0, 2). A UTF-8 byte-order mark is skipped.
 
-    A file in the plain layout (``_plain_overlay``) is parsed from its
-    bytes. Every other file, and a plain one with a bad cell, is read again
-    through the csv module, so that one path raises every error below.
+    The path is read once, so it may be a pipe. A file in the plain layout
+    (``_plain_overlay``) is parsed from its bytes; every other file, and a
+    plain one with a bad cell, is decoded from the same bytes and streamed
+    to the csv module, so that one path raises every error below.
 
     Raises:
-        ConfigParseError: a byte that is not UTF-8, a line the csv module
-            refuses (a cell longer than its field limit), a missing/wrong
-            header, or a cell that is not a number, or is not 0 or a normal
-            double (NaN, inf or subnormal; see core._zero_or_normal).
+        ConfigParseError: a byte that is not UTF-8, named before any other
+            fault; a line the csv module refuses (a cell longer than its
+            field limit), a missing/wrong header, or a cell that is not a
+            number, or is not 0 or a normal double (NaN, inf or subnormal;
+            see core._zero_or_normal). Lines end at CR LF, CR or LF.
         OSError: unreadable file.
     """
     with open(path, "rb") as fh:
-        pairs = _plain_overlay(fh.read())
+        data = fh.read()
+    pairs = _plain_overlay(data)
     if pairs is not None:
         return pairs
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader if row]  # a quoted cell may span lines
-    except UnicodeDecodeError:
-        # The decoder's offset counts from its chunk, not the file: read
-        # the file whole again to name the line. The bytes of the plain
-        # check are dropped before the csv path streams, so a large overlay
-        # is never held as bytes and as csv rows at once.
-        _read_utf8(path)
-        raise
-    except csv.Error as exc:  # a cell over csv.field_size_limit, say
+        rows = [(reader.line_num, row) for row in reader if row]  # a quoted cell may span lines
+    except (UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell over csv.field_size_limit, say
+        _decode_utf8(data)  # names a byte that is not UTF-8 first, so it always raises on a UnicodeDecodeError
         raise ConfigParseError(reader.line_num, str(exc)) from None
     if not rows:
         raise ConfigParseError(1, "empty overlay file; expected header 'frequency_hz, strain'")
     header_no, header = rows[0]
     if [cell.strip().lower() for cell in header] != ["frequency_hz", "strain"]:
-        raise ConfigParseError(
-            header_no, f"expected header 'frequency_hz, strain', got {','.join(header)!r}"
-        )
+        raise ConfigParseError(header_no, f"expected header 'frequency_hz, strain', got {','.join(header)!r}")
     table: list[tuple[float, float]] = []
     fault = None  # the first row that is not two numbers
     for line_no, row in rows[1:]:

@@ -703,6 +703,7 @@ def test_usage_errors_exit_1(run_cli):
         (["simulate", "--strain", "0.5"], 1, "stderr", "error: strain h = 0.5"),
         # a cell one character longer than the csv module's field limit
         (["sensitivity", "--overlay", "BIG"], 1, "stderr", "error: line 2: field larger than field limit (131072)"),
+        (["sweep-ncav", "--points", "1"], 1, "stderr", "error: points = 1; need 2 to 1048576 points"),
     ],
 )
 def test_module_entry_point_exits_with_mains_status(tmp_path, argv, exit_code, stream, text):
@@ -827,11 +828,47 @@ def test_overlay_with_a_byte_order_mark_reads_as_without(run_cli, tmp_path):
     [
         ("--config", b"coupling.j_hz = 2e7\nnoise.temperature_k = 4.0  # \xb0K\n", "line 2: byte 0xb0"),
         ("--overlay", b"frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\xff\n", "line 3: byte 0xff"),
+        # a form feed or U+2028 ends no line; CR LF, CR and LF each end one
+        pytest.param(
+            "--config", b"# \x0c\nnoise.temperature_k = 4.0  # \xb0K\n", "line 2: byte 0xb0", id="config-form-feed"
+        ),
+        pytest.param(
+            "--config",
+            b"coupling.j_hz = 2e7\rnoise.temperature_k = 4.0  # \xb0K\r",
+            "line 2: byte 0xb0",
+            id="config-cr",
+        ),
+        pytest.param(
+            "--overlay", b"frequency_hz,strain\n1.0,1e-24\x0c\n10.0,\xff\n", "line 3: byte 0xff", id="overlay-form-feed"
+        ),
+        pytest.param(
+            "--overlay",
+            "frequency_hz,strain\n1.0,1e-24\u2028\n10.0,".encode() + b"\xff\n",
+            "line 3: byte 0xff",
+            id="overlay-u2028",
+        ),
+        pytest.param("--overlay", b"frequency_hz,strain\r1.0,1e-24\r10.0,\xff\r", "line 3: byte 0xff", id="overlay-cr"),
+        # after a byte-order mark, the byte named is the one at fault
+        pytest.param("--config", b"\xef\xbb\xbf# \xb0K\n", "line 1: byte 0xb0", id="config-bom"),
+        pytest.param(
+            "--overlay",
+            b"\xef\xbb\xbffrequency_hz,strain\r\n1.0,1e-24\r\n10.0,\xff\r\n",
+            "line 3: byte 0xff",
+            id="overlay-bom",
+        ),
+        # a bad byte is named before any other fault, wherever it sits
+        pytest.param(
+            "--overlay",
+            b"frequency_hz,strain\n" + b"1" * 131_073 + b",1e-24\n" + b"1.0,2.0\n" * 2000 + b"3.0,\xff\n",
+            "line 2003: byte 0xff",
+            id="overlay-bad-byte-after-cell-over-field-limit",
+        ),
     ],
 )
 def test_file_that_is_not_utf8_exits_1_naming_its_line(run_cli, tmp_path, flag, text, named):
     # a Latin-1 degree sign in a comment, or a stray byte in a cell: the
-    # error names the line that holds the first byte that is not UTF-8
+    # error names the line that holds the first byte that is not UTF-8,
+    # counting lines as the csv module does
     source = tmp_path / "input.txt"
     source.write_bytes(text)
     out = tmp_path / "out.csv"
@@ -839,6 +876,45 @@ def test_file_that_is_not_utf8_exits_1_naming_its_line(run_cli, tmp_path, flag, 
     assert code == 1
     assert not out.exists()
     assert err == f"error: {named} is not UTF-8\n"
+
+
+def test_config_line_ends_only_at_cr_or_lf(run_cli, tmp_path):
+    # a U+2028 inside a comment neither ends the comment nor its line
+    conf = tmp_path / "notes.conf"
+    conf.write_text("# see notes\u2028(see notes)\nnoise.temperature_k = warm\n", encoding="utf-8")
+    assert run_cli("ep-locate", "--config", str(conf)) == (1, "", "error: line 2: not a number: 'warm'\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+@pytest.mark.parametrize(
+    "flag, data, code, err",
+    [
+        ("--overlay", b"frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\n", 0, ""),
+        ("--overlay", b"frequency_hz,strain\r\n1.0,1e-24\r\n10.0,1e-23\r\n", 0, ""),
+        ("--overlay", b"frequency_hz,strain\r\n1.0,1e-24\r\n10.0,x\r\n", 1, "line 3: non-numeric cell"),
+        ("--overlay", b"frequency_hz,strain\n1.0,1e-24\n10.0,1e-23\xff\n", 1, "line 3: byte 0xff is not UTF-8"),
+        ("--config", b"noise.temperature_k = 4.0  # \xb0K\n", 1, "line 1: byte 0xb0 is not UTF-8"),
+    ],
+    ids=["plain-overlay", "crlf-overlay", "crlf-overlay-bad-cell", "overlay-bad-byte", "config-bad-byte"],
+)
+def test_input_read_from_a_pipe(run_cli, tmp_path, flag, data, code, err):
+    # a pipe can be read once: each reader opens its path once and reads it
+    # whole, on the plain, csv and error paths alike
+    read, write = os.pipe()
+    with os.fdopen(write, "wb") as fh:
+        fh.write(data)  # far below a pipe's buffer, so it does not block
+    out = tmp_path / "out.csv"
+    try:
+        result = run_cli("sensitivity", "--points", "3", flag, f"/dev/fd/{read}", "--output", str(out))
+    finally:
+        os.close(read)
+    assert result[0] == code
+    if code:
+        assert result[2].startswith(f"error: {err}") and result[2].count("\n") == 1
+        assert not out.exists()
+    else:
+        rows = "1.0000000000000000e+00,9.9999999999999992e-25\n1.0000000000000000e+01,9.9999999999999996e-24\n"
+        assert out.read_text().endswith(f"# overlay = {read}\nfrequency_hz,strain\n{rows}")
 
 
 @pytest.mark.parametrize("second", ["b/ref.csv", "a/ref.csv"], ids=["same-basename", "same-file"])

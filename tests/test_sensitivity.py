@@ -304,11 +304,12 @@ HEADER = "frequency_hz,strain\n"
         (HEADER + "1." + "0" * 131_071 + ",2.0\n", 2, "field larger than field limit (131072)"),
         (HEADER + "1.0,2.0,3.0\n4.0\n", 2, "expected 2 columns, got 3"),
         (HEADER + "1.0\n2.0\n", 2, "expected 2 columns, got 1"),
+        (HEADER + "1.0,1e-24\x0c\n2.0,1e-23\u2028\n3.0,x\n", 4, "non-numeric cell"),
     ],
     ids=[
         "bad-value-first", "non-numeric-first", "bad-value-before-wide-row", "wide-row-first",
         "empty-cell", "lone-sign", "overflow-to-inf", "blank-line", "no-final-newline", "byte-order-mark",
-        "cell-over-field-limit", "rows-whose-cells-pair-up", "one-cell-rows",
+        "cell-over-field-limit", "rows-whose-cells-pair-up", "one-cell-rows", "form-feed-and-u2028-end-no-line",
     ],
 )
 def test_overlay_names_the_first_bad_row(tmp_path, content, line, text):
