@@ -53,7 +53,7 @@ from .core import (
     require_strain,
 )
 from ._format import format_e16, format_repr
-from .dynamics import estimate_spectrum, propagate_exact
+from .dynamics import _mode_1_spectrum
 from .sensitivity import read_overlay_csv, sensitivity_curve
 from .spectral import (
     _arms,
@@ -452,12 +452,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     """Propagate the strained pair and read its peaks off the spectrum.
 
     The step defaults to propagate_exact's, a tenth of the fastest
-    period, and is read back from the trajectory. The duration
+    period, and is read back from the readout. The duration
     defaults to 100 beat periods of the predicted splitting, unrounded; an
     explicit --duration is used as given. Either way the readout pads its
     DFT to the next 5-smooth length m (dynamics._fft_length), so the
-    resolution is 2 pi / (m dt). The run holds about 32 bytes per sample
-    for the trajectory, and the padded readout besides.
+    resolution is 2 pi / (m dt). No trajectory is made: mode 1 goes straight
+    into the padded DFT, so the run holds about 40 bytes per padded bin.
     """
     h = args.strain
     require_strain(h)
@@ -485,8 +485,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             )
         duration = 100.0 * TWO_PI / split
 
-    trajectory = propagate_exact(strained, (1.0 + 0.0j, 0.0j), duration, args.dt)
-    estimate = estimate_spectrum(trajectory)
+    estimate, samples, dt = _mode_1_spectrum(strained, (1.0 + 0.0j, 0.0j), duration, args.dt)
 
     peaks = estimate.peak_frequencies
     table = {
@@ -497,12 +496,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         "resolution_hz": np.full(len(peaks), estimate.resolution / TWO_PI),
     }
     summary = (
-        f"{len(trajectory)} samples, dt = {trajectory.dt:.6e} s, duration = {duration:.6e} s, "
+        f"{samples} samples, dt = {dt:.6e} s, duration = {duration:.6e} s, "
         f"n_cav = {n_cav:.6e}, strain = {h:g}"
     )
     for peak, freq, _, near, res in zip(*table.values()):
         summary += f"\npeak {peak}: {freq:.6e} Hz (predicted {near:.6e} Hz, resolution {res:.6e} Hz)"
-    return _emit(args, cfg, table, summary, photon_number=n_cav, duration=duration, dt=trajectory.dt)
+    return _emit(args, cfg, table, summary, photon_number=n_cav, duration=duration, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ ACM TOMS 15, 144 (1989)) in blocks whose length is a power of two, so that
 the block span is exact. The RK4 cross-check steps by its one-step
 matrix. A trajectory is n samples dt apart from t = 0; it keeps dt and the
 samples, and derives its times. A windowed-DFT peak estimator recovers
-supermode frequencies from trajectories, zero-padded to the next length
-with only the factors 2, 3 and 5 (``_fft_length``), on which the DFT runs
-its fast radix passes.
+supermode frequencies from mode 1, zero-padded to the next length with
+only the factors 2, 3 and 5 (``_fft_length``), on which the DFT runs its
+fast radix passes: half its Hann window is mirrored, and its magnitude is
+written in shifted order. ``simulate`` reads mode 1 straight into the
+padded DFT, with no trajectory (``_mode_1_spectrum``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ _SECOND_PEAK_FRACTION = 0.05
 _MAX_SAMPLES = 1 << 24
 
 _PHASE_BLOCK = 1 << 10  # samples per block of the propagator table (see propagate_exact)
-_CHUNK_BLOCKS = 16  # blocks per chunk of the readout's window
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,18 +186,22 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
     return a0, m, (center, disc, root), dt, _sample_count(duration, dt)
 
 
-def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
-    """The trajectory of the samples dt apart, checked: a sample that is not
-    finite (a mode in runaway gain overflows) raises RunawayGainError
-    naming the time k * dt of the first one."""
+def _require_finite(dt: float, *modes: np.ndarray) -> None:
+    """Check the modes' samples, dt apart: one that is not finite (a mode in
+    runaway gain overflows) raises RunawayGainError naming the first's time."""
     with np.errstate(all="ignore"):  # a sum is finite only if every sample is; else they are scanned
-        finite = np.isfinite(a1.sum() + a2.sum()) or np.isfinite(a1) & np.isfinite(a2)
+        finite = np.isfinite(sum(mode.sum() for mode in modes)) or np.all([np.isfinite(mode) for mode in modes], axis=0)
     if not np.all(finite):
         first = int(np.argmin(finite))
         raise RunawayGainError(
             f"the trajectory overflows double precision at t = {first * dt:.6e} s"
-            f" (sample {first} of {len(a1)})"
+            f" (sample {first} of {len(modes[0])})"
         )
+
+
+def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
+    """The trajectory of the samples dt apart, checked by _require_finite."""
+    _require_finite(dt, a1, a2)
     return Trajectory(dt=dt, a1=a1, a2=a2)
 
 
@@ -222,6 +227,17 @@ def _propagator(center: complex, root: complex, drift: np.ndarray, times: np.nda
     sin_st_over_s = times * np.divide(expm1_z, z, out=np.ones_like(z), where=z != 0)
     phases = np.exp(-1j * (center + s) * times)[:, None, None]
     return phases * ((1.0 + 0.5 * expm1_z)[:, None, None] * np.eye(2) - 1j * sin_st_over_s[:, None, None] * drift)
+
+
+def _table(system: CoupledSystem, initial, duration: float, dt: float | None):
+    """dt, n and propagate_exact's table: the ceil(n / B) block starts
+    e^{-i M q B dt} and the B = _PHASE_BLOCK offsets e^{-i M r dt} a0."""
+    a0, m, (center, _, root), dt, n = _prepare(system, initial, duration, dt)
+    with np.errstate(all="ignore"):  # runaway gain overflows: the samples are checked
+        drift = m - center * np.eye(2)
+        starts = _propagator(center, root, drift, np.arange(-(-n // _PHASE_BLOCK)) * (_PHASE_BLOCK * dt))
+        offsets = _propagator(center, root, drift, np.arange(_PHASE_BLOCK) * dt) @ a0
+    return dt, n, starts, offsets
 
 
 def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float | None = None) -> Trajectory:
@@ -256,15 +272,27 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float |
         RunawayGainError: a sample overflows double precision (a mode in
             runaway gain), named by the time of the first one.
     """
-    a0, m, (center, _, root), dt, n = _prepare(system, initial, duration, dt)
-    blocks = -(-n // _PHASE_BLOCK)
-    amplitudes = np.empty((2, blocks * _PHASE_BLOCK), dtype=complex)
+    dt, n, starts, offsets = _table(system, initial, duration, dt)
+    amplitudes = np.empty((2, len(starts) * _PHASE_BLOCK), dtype=complex)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
-        drift = m - center * np.eye(2)
-        starts = _propagator(center, root, drift, np.arange(blocks) * (_PHASE_BLOCK * dt))
-        offsets = _propagator(center, root, drift, np.arange(_PHASE_BLOCK) * dt) @ a0
-        np.matmul(starts, offsets.T, out=amplitudes.reshape(2, blocks, _PHASE_BLOCK).transpose(1, 0, 2))
+        np.matmul(starts, offsets.T, out=amplitudes.reshape(2, -1, _PHASE_BLOCK).transpose(1, 0, 2))
     return _finite_trajectory(dt, amplitudes[0, :n], amplitudes[1, :n])
+
+
+def _mode_1_spectrum(system: CoupledSystem, initial, duration: float, dt: float | None = None):
+    """(estimate_spectrum(propagate_exact(...)), n, dt), bit for bit, with no
+    trajectory: mode 1 goes straight into the padded DFT, mode 2 nowhere. It
+    raises as the two do, but RunawayGainError names mode 1's first sample."""
+    dt, n, starts, offsets = _table(system, initial, duration, dt)
+    span = len(starts) * _PHASE_BLOCK  # whole blocks: the last may end past m
+
+    def write(spectrum):
+        with np.errstate(all="ignore"):  # runaway gain overflows: checked below
+            np.matmul(starts[:, 0], offsets.T, out=spectrum[:span].reshape(-1, _PHASE_BLOCK))
+        spectrum[n:span] = 0.0
+        _require_finite(dt, spectrum[:n])
+
+    return _readout(n, dt, write, span), n, dt
 
 
 def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float | None = None) -> Trajectory:
@@ -329,26 +357,39 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     A large prime factor of the DFT length takes a slow generic pass, so
     the windowed n samples are zero-padded to m = _fft_length(n), sampling
     the same windowed spectrum on m bins (Harris, Proc. IEEE 66, 51 (1978));
-    the resolution is 2 pi / (m dt). Windowed by chunks and transformed in
-    place, the padded DFT and its magnitude are its only arrays of m.
+    the resolution is 2 pi / (m dt). The window's first half is mirrored;
+    the DFT is transformed in place and its magnitude written in
+    np.fft.fftshift order, so the two are its only arrays of m.
 
     Raises:
         TooFewSamplesError: fewer than 1024 samples.
     """
     n = len(trajectory)
+    return _readout(n, trajectory.dt, lambda spectrum: np.copyto(spectrum[:n], trajectory.a1))
+
+
+def _readout(n: int, dt: float, write, length: int = 0) -> SpectralEstimate:
+    """estimate_spectrum of the n samples dt apart that write(buffer) puts at
+    the head of a zeroed buffer of max(m, length) bins, m = _fft_length(n).
+    The readout owns the buffer: it drops the padded DFT for its magnitude."""
+    m = _fft_length(n)
+    spectrum = np.zeros(max(m, length), dtype=complex)
+    write(spectrum)
     if n < 1024:
         raise TooFewSamplesError(f"{n} samples; need at least 1024 for a spectral estimate")
-    m = _fft_length(n)
-    spectrum = np.zeros(m, dtype=complex)
-    step = _CHUNK_BLOCKS * _PHASE_BLOCK
-    for start in range(0, n, step):  # the window np.hanning(n), bit for bit, a chunk at a time
-        span = slice(start, min(start + step, n))
-        k = np.arange(1 - n + 2 * span.start, 1 - n + 2 * span.stop, 2, dtype=float)
-        np.multiply(trajectory.a1[span], 0.5 + 0.5 * np.cos(np.pi * k / (n - 1.0)), out=spectrum[span])
-    mag = np.abs(np.fft.fft(spectrum, out=spectrum))
-    del spectrum  # before the shift copies the magnitude
-    mag = np.fft.fftshift(mag)
-    df = 1.0 / (m * trajectory.dt)
+    # the window np.hanning(n), bit for bit, is even about its middle, as np.cos is:
+    # the first half, with an odd n's middle sample, is computed and the rest mirrored
+    half = (n + 1) // 2
+    window = 0.5 + 0.5 * np.cos(np.pi * np.arange(1 - n, 1 - n + 2 * half, 2, dtype=float) / (n - 1.0))
+    spectrum[:half] *= window
+    spectrum[half:n] *= window[: n - half][::-1]
+    del window
+    np.fft.fft(spectrum[:m], out=spectrum[:m])
+    mag = np.empty(m)  # |DFT| in np.fft.fftshift order: bin 0 at m // 2
+    np.abs(spectrum[: m - m // 2], out=mag[m // 2 :])
+    np.abs(spectrum[m - m // 2 : m], out=mag[: m // 2])
+    del spectrum  # before the peak search's masks of m
+    df = 1.0 / (m * dt)
     # the lowest bin after the shift, as np.fft.fftfreq computes it
     f_first = -(m // 2) * df
     resolution = 2.0 * math.pi * df

@@ -1,13 +1,21 @@
-"""Independent reference for the supermode spectrum, used by the tests.
+"""Independent references for the supermode spectrum and its readout, used
+by the tests.
 
 ``eigenvalues_numeric`` solves the characteristic polynomial of M, a
 different route from the closed-form discriminant of
 ``epgw.spectral.eigenvalues_general``, so the tests can compare the two.
+``readout_reference`` is the spectral readout written plainly, with
+numpy's own window, DFT and shift, so the tests can pin the library's
+in-place readout to it bit for bit.
 """
 
 import cmath
+import math
+
+import numpy as np
 
 from epgw.core import CoupledSystem, SupermodePair
+from epgw.dynamics import SpectralEstimate, Trajectory, _fft_length, _peak_bins
 from epgw.spectral import _PHASES, _arms, _classify, _spectrum
 
 
@@ -48,3 +56,30 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
         discriminant=disc,
         phase=_PHASES[_classify(disc, j)],
     )
+
+
+def readout_reference(trajectory: Trajectory) -> SpectralEstimate:
+    """estimate_spectrum as np.hanning, np.fft.fft and np.fft.fftshift
+    compute it: a1 times the full window, zero-padded to _fft_length(n),
+    transformed into a new array and shifted by a copy; the peaks are those
+    of _peak_bins, each refined by three-bin parabolic interpolation of the
+    log magnitude."""
+    n = len(trajectory)
+    m = _fft_length(n)
+    padded = np.zeros(m, dtype=complex)
+    padded[:n] = np.hanning(n) * trajectory.a1
+    mag = np.fft.fftshift(np.abs(np.fft.fft(padded)))
+    df = 1.0 / (m * trajectory.dt)
+    resolution = 2.0 * math.pi * df
+    frequencies, widths = [], []
+    for k in _peak_bins(mag):
+        delta = width = 0.0
+        if mag[k - 1] > 0.0 and mag[k] > 0.0 and mag[k + 1] > 0.0:
+            lm_, l0, lp_ = math.log(mag[k - 1]), math.log(mag[k]), math.log(mag[k + 1])
+            curvature = lm_ - 2.0 * l0 + lp_
+            if curvature < 0.0:
+                delta = 0.5 * (lm_ - lp_) / curvature
+                width = 2.0 * resolution / math.sqrt(-curvature)
+        frequencies.append(-2.0 * math.pi * (-(m // 2) * df + (k + delta) * df))
+        widths.append(width)
+    return SpectralEstimate(peak_frequencies=frequencies, peak_linewidths=widths, resolution=resolution)

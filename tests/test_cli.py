@@ -1281,6 +1281,54 @@ def test_runaway_gain_exits_2_without_output(run_cli, tmp_path, config, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, first, samples",
+    [
+        # 1001 samples are too few for the readout, but the overflow is named first
+        (["--photon-number", "1e16", "--duration", "1e-7"], 16, 1001),
+        (["--photon-number", "1e16", "--duration", "1e-3"], 16, 10_000_001),
+        (["--photon-number", "3e15", "--duration", "1.5e-3"], 53, 15_000_001),
+        (["--strain", "-0.4", "--duration", "1e-3"], 36_655, 10_000_001),
+    ],
+    ids=["too-few-samples", "photon_number_1e16", "photon_number_3e15", "strain_-0.4"],
+)
+def test_runaway_gain_names_the_first_sample_that_overflows(run_cli, tmp_path, argv, first, samples):
+    # simulate reads mode 1 only; it overflows at the sample where the
+    # two-mode trajectory did, and ahead of the readout's sample-count check
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli("simulate", *argv, "--output", str(out))
+    assert code == 2
+    assert err == (
+        f"error: the trajectory overflows double precision at t = {first * 1e-10:.6e} s"
+        f" (sample {first} of {samples})\n"
+    )
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak from /proc/self/status")
+def test_simulate_at_its_defaults_peaks_below_140_mb(tmp_path):
+    # a fresh process's maximum resident set, imports included. Measured on
+    # x86-64 Linux with CPython 3.11 and numpy 2.4: 166 MB when simulate
+    # built the two-mode trajectory and copied mode 1 into the padded DFT,
+    # 113 MB with mode 1 written straight into it. The process reads its
+    # own VmHWM, the peak since exec: Linux keeps the peak of the process
+    # that spawned it, here the test run, in the child's ru_maxrss
+    script = (
+        "import re, sys\n"
+        "from epgw.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-c", script, "simulate", "--output", str(tmp_path / "run.csv")]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    max_rss_mb = int(run.stderr.split()[-1]) / 1024
+    assert max_rss_mb <= 140, f"{max_rss_mb:.0f} MB"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_cell_exits_1_without_output(run_cli, tmp_path, monkeypatch, fmt, value):

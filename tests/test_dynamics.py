@@ -26,7 +26,7 @@ from epgw import (
     propagate_exact,
     propagate_rk,
 )
-from epgw.dynamics import _PHASE_BLOCK, _fft_length, _finite_trajectory, _peak_bins
+from epgw.dynamics import _PHASE_BLOCK, _fft_length, _finite_trajectory, _mode_1_spectrum, _peak_bins
 
 TWO_PI = 2.0 * math.pi
 
@@ -625,6 +625,20 @@ def test_readout_holds_the_padded_dft_and_its_magnitude():
     assert _fft_length(n) == n
     est, peak = _traced_peak(estimate_spectrum, traj)
     assert abs(est.peak_frequencies[0] - 123.456) < est.resolution / 10.0
+    assert peak <= 24 * n + (2 << 20)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0], ids=["pt_phase", "ep"])
+def test_simulate_readout_holds_no_trajectory(device, device_n0, ratio):
+    # mode 1 goes straight into the padded DFT, 16 bytes a bin, and its
+    # magnitude takes 8 more; estimate_spectrum(propagate_exact(...)) holds
+    # the (2, N) amplitudes besides, 32 bytes a sample more
+    system = device.with_photon_number(ratio * device_n0)
+    n, dt = 1 << 20, 9e-11
+    assert _fft_length(n) == n
+    (est, samples, step), peak = _traced_peak(_mode_1_spectrum, system, (1.0, 0.0), (n - 1) * dt, dt)
+    assert (samples, step) == (n, dt)
+    assert len(est.peak_frequencies) == (1 if ratio == 1.0 else 2)
     assert peak <= 24 * n + (2 << 20)
 
 
