@@ -451,13 +451,13 @@ def cmd_sensitivity(cfg: RunConfig, args) -> int:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     """Propagate the strained pair and read its peaks off the spectrum.
 
-    The step defaults to propagate_exact's, a tenth of the fastest
-    period, and is read back from the readout. The duration
-    defaults to 100 beat periods of the predicted splitting, unrounded; an
-    explicit --duration is used as given. Either way the readout pads its
-    DFT to the next 5-smooth length m (dynamics._fft_length), so the
-    resolution is 2 pi / (m dt). No trajectory is made: mode 1 goes straight
-    into the padded DFT, so the run holds about 40 bytes per padded bin.
+    The step defaults to propagate_exact's, a tenth of the fastest period, and
+    is read back from the readout. The duration defaults to 100 beat periods of
+    the predicted splitting, unrounded; an explicit --duration is used as given.
+    Either way the readout pads its DFT to the next 5-smooth length m
+    (dynamics._fft_length), so the resolution is 2 pi / (m dt). No trajectory
+    is made: mode 1 goes straight into the padded DFT; with the FFT's own
+    scratch the run peaks at about 48 bytes per padded bin.
     """
     h = args.strain
     require_strain(h)

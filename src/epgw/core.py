@@ -108,7 +108,7 @@ class InvalidRangeError(EpgwError):
 
 
 class RunawayGainError(_DomainError):
-    """Valid input whose trajectory overflows double precision (runaway gain)."""
+    """A trajectory sample is not finite: valid input overflows in runaway gain, or a caller gave one."""
 
 
 class SamplingTooCoarseError(_DomainError):

@@ -5,13 +5,13 @@ Both propagators take the spectrum of the mode matrix M from
 every pair, at the EP and away from it, tabled (table-driven exp; Tang,
 ACM TOMS 15, 144 (1989)) in blocks whose length is a power of two, so that
 the block span is exact. The RK4 cross-check steps by its one-step
-matrix. A trajectory is n samples dt apart from t = 0; it keeps dt and the
-samples, and derives its times. A windowed-DFT peak estimator recovers
-supermode frequencies from mode 1, zero-padded to the next length with
-only the factors 2, 3 and 5 (``_fft_length``), on which the DFT runs its
-fast radix passes: half its Hann window is mirrored, and its magnitude is
-written in shifted order. ``simulate`` reads mode 1 straight into the
-padded DFT, with no trajectory (``_mode_1_spectrum``).
+matrix. A trajectory is n finite samples dt apart from t = 0, checked as
+it is made; it keeps dt and the samples, and derives its times. A windowed
+DFT peak estimator recovers supermode frequencies from mode 1, zero-padded
+to the next length with only the factors 2, 3 and 5 (``_fft_length``), on
+which the DFT runs its fast radix passes: half its Hann window is mirrored,
+and its magnitude is written in shifted order. ``simulate`` reads mode 1
+straight into the padded DFT, with no trajectory (``_mode_1_spectrum``).
 """
 
 from __future__ import annotations
@@ -42,12 +42,16 @@ _PHASE_BLOCK = 1 << 10  # samples per block of the propagator table (see propaga
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Complex amplitudes of the two modes; sample k is at t = k * dt.
+    """Finite complex amplitudes of the two modes; sample k is at t = k * dt.
 
     Attributes:
         dt: Sample step (s), finite and > 0.
         a1: Complex amplitude of mode 1 per sample (read-only).
         a2: Complex amplitude of mode 2 per sample (read-only).
+
+    Raises:
+        ValueError: a bad dt, or a1 and a2 not 1-D of one length >= 2.
+        RunawayGainError: a sample is not finite (see _require_finite).
     """
 
     dt: float
@@ -61,6 +65,7 @@ class Trajectory:
         a2 = np.asarray(self.a2, dtype=complex).view()
         if a1.ndim != 1 or a1.shape != a2.shape or len(a1) < 2:
             raise ValueError("a1 and a2 must be 1-D, of equal length, with at least two samples")
+        _require_finite(self.dt, a1, a2)
         a1.flags.writeable = a2.flags.writeable = False  # views: the caller's arrays stay writable
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "a1", a1)
@@ -199,12 +204,6 @@ def _require_finite(dt: float, *modes: np.ndarray) -> None:
         )
 
 
-def _finite_trajectory(dt: float, a1: np.ndarray, a2: np.ndarray) -> Trajectory:
-    """The trajectory of the samples dt apart, checked by _require_finite."""
-    _require_finite(dt, a1, a2)
-    return Trajectory(dt=dt, a1=a1, a2=a2)
-
-
 def _propagator(center: complex, root: complex, drift: np.ndarray, times: np.ndarray) -> np.ndarray:
     """e^{-i M t} for each t of ``times``, as (len(times), 2, 2) matrices.
 
@@ -276,7 +275,7 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float |
     amplitudes = np.empty((2, len(starts) * _PHASE_BLOCK), dtype=complex)
     with np.errstate(all="ignore"):  # runaway gain overflows: checked below
         np.matmul(starts, offsets.T, out=amplitudes.reshape(2, -1, _PHASE_BLOCK).transpose(1, 0, 2))
-    return _finite_trajectory(dt, amplitudes[0, :n], amplitudes[1, :n])
+    return Trajectory(dt=dt, a1=amplitudes[0, :n], a2=amplitudes[1, :n])
 
 
 def _mode_1_spectrum(system: CoupledSystem, initial, duration: float, dt: float | None = None):
@@ -318,7 +317,7 @@ def propagate_rk(system: CoupledSystem, initial, duration: float, dt: float | No
     for k in range(1, n):
         x1, x2 = p11 * x1 + p12 * x2, p21 * x1 + p22 * x2
         a1[k], a2[k] = x1, x2
-    return _finite_trajectory(dt, a1, a2)
+    return Trajectory(dt=dt, a1=a1, a2=a2)
 
 
 def _peak_bins(mag: np.ndarray) -> list[int]:
@@ -344,11 +343,11 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
 
     Amplitudes evolve as e^{-i lambda t}, so a supermode at Re(lambda) =
     Omega appears at DFT frequency -Omega / 2 pi; bins are mapped back
-    with that sign flip. The peaks are those of _peak_bins (none for a
-    spectrum without an interior local maximum), each refined
-    by three-bin parabolic interpolation of the log magnitude
-    (which is exact for a Gaussian peak and reduces the bin-center bias
-    far below the raw resolution). The linewidth is 2 dOmega / sqrt(-c)
+    with that sign flip. The samples are finite (see Trajectory). The
+    peaks are those of _peak_bins (none for a spectrum without an interior
+    local maximum), each refined by three-bin parabolic interpolation of
+    the log magnitude (exact for a Gaussian peak; it reduces the bin-center
+    bias far below the raw resolution). The linewidth is 2 dOmega / sqrt(-c)
     for log-magnitude curvature c per bin^2. For a line narrower than a
     few bins that parabola is the Hann window's main lobe, so the figure
     is about 1.7 bins whatever the mode's width: the default simulate run,
@@ -358,8 +357,8 @@ def estimate_spectrum(trajectory: Trajectory) -> SpectralEstimate:
     the windowed n samples are zero-padded to m = _fft_length(n), sampling
     the same windowed spectrum on m bins (Harris, Proc. IEEE 66, 51 (1978));
     the resolution is 2 pi / (m dt). The window's first half is mirrored;
-    the DFT is transformed in place and its magnitude written in
-    np.fft.fftshift order, so the two are its only arrays of m.
+    the DFT is transformed in place, though the FFT takes two arrays of m
+    as scratch, and its magnitude is written in np.fft.fftshift order.
 
     Raises:
         TooFewSamplesError: fewer than 1024 samples.

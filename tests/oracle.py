@@ -6,7 +6,9 @@ different route from the closed-form discriminant of
 ``epgw.spectral.eigenvalues_general``, so the tests can compare the two.
 ``readout_reference`` is the spectral readout written plainly, with
 numpy's own window, DFT and shift, so the tests can pin the library's
-in-place readout to it bit for bit.
+in-place readout to it bit for bit. ``strained_directly`` evaluates a
+strain's response at the rescaled drive, the route ``epgw.spectral.splitting``
+avoids, with the bound within which the two agree.
 """
 
 import cmath
@@ -16,7 +18,7 @@ import numpy as np
 
 from epgw.core import CoupledSystem, SupermodePair
 from epgw.dynamics import SpectralEstimate, Trajectory, _fft_length, _peak_bins
-from epgw.spectral import _PHASES, _arms, _classify, _spectrum
+from epgw.spectral import _PHASES, _arms, _classify, _spectrum, eigenvalues_general, ep_tolerance
 
 
 def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
@@ -83,3 +85,28 @@ def readout_reference(trajectory: Trajectory) -> SpectralEstimate:
         frequencies.append(-2.0 * math.pi * (-(m // 2) * df + (k + delta) * df))
         widths.append(width)
     return SpectralEstimate(peak_frequencies=frequencies, peak_linewidths=widths, resolution=resolution)
+
+
+def strained_directly(system: CoupledSystem, n0: float, strain: float) -> tuple[float, float, float]:
+    """(d_exact, linewidth_split, bound): the response of ``system``, biased
+    at its EP by n0, to ``strain`` h, from eigenvalues_general at the drive
+    n0 (1 - 2h)^2, as cli.cmd_simulate drives the pair.
+
+    Strain enters the model only as g0 -> g0 (1 - 2h), so gamma_opt ->
+    gamma_opt (1 - 2h)^2, exactly a rescale of the photon number; this
+    route and splitting's increment compute one quantity. Near the EP the
+    direct discriminant J^2 + B^2/4 is the difference of two terms of size
+    J^2, so it is off by a few ulps of J^2: the drive's own rounding, about
+    1.5 eps relative, moves B^2/4 by about 3 eps J^2, and the sum rounds
+    within a few eps J^2 more; ep_tolerance(J) = 8 eps J^2 holds both. An
+    error delta in disc moves the separation 2 sqrt(disc) by delta /
+    |sqrt(disc)| = 2 delta / split, split = |lambda+ - lambda-|. Then
+    lambda+- = center +- root each round within an ulp of |lambda+|, and
+    8 eps |lambda+| covers the difference of the two. ``bound`` is
+    2 ep_tolerance(J) / split + 8 eps |lambda+|.
+    """
+    pair = eigenvalues_general(system.with_photon_number(n0 * (1.0 - 2.0 * strain) ** 2))
+    separation = pair.lambda_plus - pair.lambda_minus
+    eps = np.finfo(float).eps
+    bound = 2.0 * ep_tolerance(system.coupling_j) / abs(separation) + 8.0 * eps * abs(pair.lambda_plus)
+    return abs(separation.real), abs(separation.imag), bound

@@ -13,8 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epgw import ConfigParseError, UnknownKeyError, ValidationError, eigenvalues_general, min_detectable_strain
+from epgw import (
+    ConfigParseError,
+    UnknownKeyError,
+    ValidationError,
+    eigenvalues_general,
+    ep_photon_number,
+    min_detectable_strain,
+    splitting,
+)
 from epgw.cli import CONFIG_DEFAULTS, RunConfig, build_parser, main, parse_config, parse_config_text
+from oracle import strained_directly
 
 TWO_PI = 2.0 * math.pi
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -405,6 +414,22 @@ def test_simulate_at_half_the_ep_drive_predicts_the_exact_peaks(run_cli, tmp_pat
     assert len(rows) == 2
     for _, freq, _, predicted, resolution in rows:
         assert abs(float(freq) - float(predicted)) < 0.1 * float(resolution)
+
+
+def test_simulate_predicts_the_splitting_of_its_strain(run_cli, tmp_path):
+    # simulate drives the pair at n0 (1 - 2h)^2: its two predicted_hz cells
+    # differ by splitting's d_exact within the drive identity's bound (see
+    # strained_directly) and the cells' rounding, each cell lambda.real / 2 pi
+    # rounded in the division and to 17 digits, within 2 eps of itself
+    path = tmp_path / "sim.csv"
+    assert run_cli("simulate", "--strain", "1e-2", "--output", str(path))[0] == 0
+    rows = [line.split(",") for line in path.read_text().splitlines() if line[:1].isdigit()]
+    low, high = sorted(float(row[3]) for row in rows)
+    system = parse_config(None).system()
+    n0 = ep_photon_number(system)
+    _, _, bound = strained_directly(system, n0, 1e-2)
+    rounding = 2.0 * 2.0 * sys.float_info.epsilon * high
+    assert abs((high - low) - splitting(system, n0, 1e-2).d_exact / TWO_PI) <= bound / TWO_PI + rounding
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from epgw import (
     propagate_exact,
     propagate_rk,
 )
-from epgw.dynamics import _PHASE_BLOCK, _fft_length, _finite_trajectory, _mode_1_spectrum, _peak_bins
+from epgw.dynamics import _PHASE_BLOCK, _fft_length, _mode_1_spectrum, _peak_bins
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,7 +128,8 @@ def test_mode_matrix_agrees_with_analytic_eigenvalues(device, device_n0):
 
 
 def test_trajectory_validation():
-    # the grid is dt and the sample count: only those can be wrong
+    # a trajectory is a grid, dt and the sample count, of finite samples:
+    # only those can be wrong; the samples are checked last
     z = np.zeros(8, dtype=complex)
     with pytest.raises(ValueError):
         Trajectory(dt=0.1, a1=z[:1], a2=z[:1])
@@ -139,6 +140,70 @@ def test_trajectory_validation():
     for dt in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="need a finite dt > 0"):
             Trajectory(dt=dt, a1=z, a2=z)
+
+
+def test_a_bad_grid_is_named_before_a_sample_that_is_not_finite():
+    z = np.zeros(8, dtype=complex)
+    bad = z.copy()
+    bad[5] = math.nan
+    for dt in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="need a finite dt > 0"):
+            Trajectory(dt=dt, a1=bad, a2=bad)
+    for a1, a2 in ((bad[:-1], bad), (bad[5:6], bad[5:6])):
+        with pytest.raises(ValueError, match="1-D, of equal length, with at least two samples"):
+            Trajectory(dt=0.1, a1=a1, a2=a2)
+
+
+@pytest.mark.parametrize("sample", [math.nan, math.inf, complex(0.0, math.inf)], ids=["nan", "inf", "inf_j"])
+def test_spectrum_of_a_given_trajectory_refuses_a_sample_that_is_not_finite(sample):
+    # a NaN once read as a spectrum without peaks, and an inf warned at the
+    # window and then did the same: the trajectory now refuses both
+    a = np.exp(-0.3j * np.arange(4096))
+    bad = a.copy()
+    bad[5] = sample
+    with pytest.raises(RunawayGainError, match=r"at t = 5\.000000e\+00 s \(sample 5 of 4096\)$"):
+        estimate_spectrum(Trajectory(dt=1.0, a1=bad, a2=a))
+
+
+def test_trajectory_refuses_a_sample_that_is_not_finite_in_mode_2_alone():
+    # estimate_spectrum reads mode 1 only, but a trajectory holds both
+    a = np.exp(-0.3j * np.arange(4096))
+    bad = a.copy()
+    bad[5] = math.nan
+    with pytest.raises(RunawayGainError, match=r"at t = 5\.000000e\+00 s \(sample 5 of 4096\)$"):
+        Trajectory(dt=1.0, a1=a, a2=bad)
+
+
+_NOT_FINITE = [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 1.0), complex(0.0, math.inf)]
+_FINITE = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308 + 1e308j, -(1e308 + 1e308j)]
+)
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(2, 64),
+    dt=st.floats(1e-12, 1e3),
+    data=st.data(),
+)
+def test_trajectory_names_the_first_sample_that_is_not_finite(n, dt, data):
+    # finite samples construct, ones whose sum overflows included; else the
+    # error names the smallest index of a sample that is not finite in
+    # either mode, at its time k * dt as _require_finite formats it
+    a1 = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)), dtype=complex)
+    a2 = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)), dtype=complex)
+    bad = data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, n - 1), st.sampled_from(_NOT_FINITE))))
+    for mode, k, sample in bad:
+        (a1, a2)[mode][k] = sample
+    if not bad:
+        traj = Trajectory(dt=dt, a1=a1, a2=a2)
+        assert np.array_equal(traj.a1, a1) and np.array_equal(traj.a2, a2)
+        return
+    first = min(k for _, k, _ in bad)
+    message = f"the trajectory overflows double precision at t = {first * dt:.6e} s (sample {first} of {n})"
+    with pytest.raises(RunawayGainError) as info:
+        Trajectory(dt=dt, a1=a1, a2=a2)
+    assert str(info.value) == message
 
 
 def test_trajectory_is_frozen():
@@ -443,10 +508,10 @@ def test_finite_check_scans_the_samples_when_their_sum_is_not_finite():
     # the sum of the samples is only a fast path: finite samples whose sum
     # overflows are accepted, and a sample that is not finite is named
     big = np.full(4, 1e308 + 1e308j)
-    assert len(_finite_trajectory(1.0, big, -big)) == 4
+    assert len(Trajectory(1.0, big, -big)) == 4
     a1 = np.array([1.0, 1.0, np.inf, 1.0], dtype=complex)
     with pytest.raises(RunawayGainError, match=r"t = 2\.000000e\+00 s \(sample 2 of 4\)"):
-        _finite_trajectory(1.0, a1, np.zeros(4, dtype=complex))
+        Trajectory(1.0, a1, np.zeros(4, dtype=complex))
 
 
 def test_initial_state_must_be_a_pair(device):

@@ -28,7 +28,7 @@ from epgw import (
     zero_point_fluctuation,
 )
 from epgw.spectral import _arms
-from oracle import eigenvalues_numeric
+from oracle import eigenvalues_numeric, strained_directly
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -428,6 +428,20 @@ def test_splitting_accurate_at_tiny_strain(device, device_n0):
     result = splitting(device, device_n0, 1e-26)
     assert result.rel_error < 1e-12
     assert result.d_exact > 0.0
+
+
+@pytest.mark.parametrize("kappa_2_factor", [1.0, 1.2], ids=["reference", "kappa_mismatched"])
+def test_splitting_is_the_direct_response_at_the_strained_drive(device, kappa_2_factor):
+    # the drive identity: strain h is the photon-number rescale (1 - 2h)^2,
+    # on which cmd_simulate relies; the direct eigenvalues agree with the
+    # increment within their own cancellation (see strained_directly)
+    system = _kappa_mismatched(device, kappa_2_factor)
+    n0 = ep_photon_number(system)
+    for h in [sign * size for size in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10) for sign in (1.0, -1.0)] + [1e-12]:
+        result = splitting(system, n0, h)
+        d_exact, linewidth_split, bound = strained_directly(system, n0, h)
+        assert abs(d_exact - result.d_exact) <= bound, h
+        assert abs(linewidth_split - result.linewidth_split) <= bound, h
 
 
 def test_splitting_branch_exclusivity(device, device_n0):
