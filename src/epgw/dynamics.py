@@ -29,7 +29,7 @@ from .core import (
     TooFewSamplesError,
     validate_system,
 )
-from .spectral import _arms, _spectrum
+from .spectral import _arms, _root, _spectrum
 
 # Hann sidelobes peak at -31.5 dB (2.7% in magnitude); a 5% floor rejects
 # them while keeping any genuine secondary line.
@@ -156,9 +156,9 @@ def _fft_length(n: int) -> int:
 
 
 def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
-    """Both propagators' checked inputs: a0, M, M's spectrum (center, disc,
-    root) from spectral._spectrum, the step dt and the sample count n: the
-    grid is n samples dt apart from t = 0.
+    """Both propagators' checked inputs: a0, M, M's spectrum (center and
+    disc from spectral._spectrum, root = _root(disc)), the step dt and the
+    sample count n: the grid is n samples dt apart from t = 0.
 
     The step is bounded by a tenth of the fastest period, 0.1 * 2 pi /
     max|Re lambda|, where for lambda = center +- root max|Re lambda| =
@@ -173,9 +173,10 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
         raise InvalidRangeError(f"initial = {initial!r} is not finite")
     m = mode_matrix(system)
     n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
-    center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2)
+    center, disc = _spectrum(_arms(system), system.coupling_j, n_1, n_2)
     if not np.isfinite(disc):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
+    root = _root(disc)
     bound = 0.1 * 2.0 * math.pi / (abs(center.real) + abs(root.real))
     if dt is None:
         dt = bound
@@ -192,14 +193,14 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
 
 
 def _require_finite(dt: float, *modes: np.ndarray) -> None:
-    """Check the modes' samples, dt apart: one that is not finite (a mode in
-    runaway gain overflows) raises RunawayGainError naming the first's time."""
+    """Check the modes' samples, dt apart: RunawayGainError names the time of
+    the first that is not finite (an overflow in runaway gain, a caller's NaN)."""
     with np.errstate(all="ignore"):  # a sum is finite only if every sample is; else they are scanned
         finite = np.isfinite(sum(mode.sum() for mode in modes)) or np.all([np.isfinite(mode) for mode in modes], axis=0)
     if not np.all(finite):
         first = int(np.argmin(finite))
         raise RunawayGainError(
-            f"the trajectory overflows double precision at t = {first * dt:.6e} s"
+            f"the trajectory is not finite at t = {first * dt:.6e} s"
             f" (sample {first} of {len(modes[0])})"
         )
 

@@ -21,12 +21,15 @@ at Gamma = 2J.
 
 One kernel, ``_spectrum``, evaluates this closed form for every caller:
 single points (``eigenvalues_general``) and whole grids (the float polish
-of the closed-form EP photon number, both sweeps). It takes the
-photon-number-independent constants of each arm (``_arms``, computed once
-per system) and a photon number that is a float or an array, and works
-on real and imaginary parts written out the way CPython evaluates the
-complex expressions, so a grid point is bit for bit the value a
-single-point call gives. A sweep returns its arrays as they are, in the
+of the closed-form EP photon number, both sweeps). It gives the center and
+the discriminant. The root is taken by ``_root`` where it is read
+(``eigenvalues_general``, ``sweep_photon_number``, ``dynamics._prepare``);
+the polish and the strain response's EP gate read |disc| alone. The kernel
+takes the photon-number-independent constants of each arm (``_arms``,
+computed once per system) and a photon number that is a float or an
+array, and works on real and imaginary parts written out the way CPython
+evaluates the complex expressions, so a grid point is bit for bit the
+value a single-point call gives. A sweep returns its arrays as they are, in the
 record a single point fills with floats (SupermodePair, SplittingResult).
 numpy's complex ``*`` and ``abs`` are not used: they differ from
 CPython's in the last bit for some operands.
@@ -226,7 +229,7 @@ def _root(z):
 
 
 def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2):
-    """Center, discriminant and sqrt(discriminant) at photon numbers n_1, n_2.
+    """Center and discriminant at photon numbers n_1, n_2.
 
     The one closed-form evaluator. ``n_1`` and ``n_2`` (the photon numbers
     of the two cavities) are floats, giving Python complex results, or
@@ -237,8 +240,9 @@ def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2):
         b = complex(w1 - w2, (G2 - G1)/2)
         disc = J*J + 0.25*(b*b)
 
-    The principal root has Re >= 0 (Im >= 0 on the branch cut), so
-    center + root is the canonical lambda_plus: larger Re, larger Im on ties.
+    The root is left to the callers that read it: ``_root(disc)``, the
+    principal root, has Re >= 0 (Im >= 0 on the branch cut), so center +
+    root is the canonical lambda_plus: larger Re, larger Im on ties.
     """
     arm_1, arm_2 = arms
     gamma_1 = arm_1.damping(n_1)
@@ -253,7 +257,7 @@ def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2):
     sq_re, sq_im = 0.25 * sq_re - 0.0 * sq_im, 0.25 * sq_im + 0.0 * sq_re
     # J*J enters as complex(J*J, 0.0): an imaginary -0.0 becomes +0.0
     disc = _complex(coupling_j * coupling_j + sq_re, 0.0 + sq_im)
-    return center, disc, _root(disc)
+    return center, disc
 
 
 def ep_tolerance(coupling_j: float) -> float:
@@ -296,7 +300,8 @@ def eigenvalues_general(system: CoupledSystem) -> SupermodePair:
             double precision (see _arms), e.g. at an extreme photon number.
     """
     n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
-    center, disc, root = _spectrum(_arms(system), system.coupling_j, n_1, n_2)
+    center, disc = _spectrum(_arms(system), system.coupling_j, n_1, n_2)
+    root = _root(disc)
     plus, minus = center + root, center - root
     if not (cmath.isfinite(plus) and cmath.isfinite(minus) and cmath.isfinite(disc)):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
@@ -323,7 +328,7 @@ def _polish_photon_number(magnitude, n_guess: float) -> tuple[float, float]:
     Returns:
         (n, |disc(n)|) at the chosen float.
     """
-    bits = np.clip(np.float64(n_guess).view(np.int64) + _POLISH_OFFSETS, 0, _INF_BITS)
+    bits = np.minimum(np.maximum(np.float64(n_guess).view(np.int64) + _POLISH_OFFSETS, 0), _INF_BITS)
     window = bits.view(np.float64)
     with np.errstate(all="ignore"):
         values = magnitude(window)
@@ -466,11 +471,13 @@ def _strain_response(system: CoupledSystem, n0: float, h):
         # part is below 1e155 (J^2 is finite; a double's root is < 1.4e154).
         # With equal optical damping (no light at n0 = 0, say) the strain
         # has no lever: disc is exactly 0 at every h, a zero response and
-        # not an underflow, so only d_approx is tested.
-        disc_size = np.maximum(abs(disc.real), abs(disc.imag)) if opt_1 != opt_2 else math.inf
-        smallest = np.minimum(disc_size, response[1])
-        in_range = np.isfinite(sum(response)) & ((smallest >= sys.float_info.min) | (h == 0.0))
-    if not np.all(in_range):
+        # not an underflow, so only d_approx is tested. The comparisons
+        # read alike on a float and an array, and on the finite disc of a
+        # finite sum "a part >= tiny" is max(|re|, |im|) >= tiny.
+        tiny = sys.float_info.min
+        disc_normal = (abs(disc.real) >= tiny) | (abs(disc.imag) >= tiny) | (opt_1 == opt_2)
+        in_range = np.isfinite(sum(response)) & ((disc_normal & (response[1] >= tiny)) | (h == 0.0))
+    if not in_range.all():
         if not np.isfinite(sum(response)).all():
             raise InvalidRangeError(f"the strain response at n0 = {n0!r} overflows double precision")
         k = np.argmin(np.ravel(in_range))  # the first point out of range
@@ -526,7 +533,8 @@ def sweep_photon_number(
     validate_system(system)
     grid = sweep_grid("n", n_min, n_max, points, log)
     with np.errstate(all="ignore"):
-        center, disc, root = _spectrum(_arms(system), system.coupling_j, grid, grid)
+        center, disc = _spectrum(_arms(system), system.coupling_j, grid, grid)
+        root = _root(disc)
         plus, minus = center + root, center - root
         if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
             raise InvalidRangeError(f"n_max = {n_max!r}: the eigenvalues overflow double precision")

@@ -46,7 +46,8 @@ def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
     else:
         r1 = q
         r2 = c / q
-    center, _, root = _spectrum(arms, j, n_1, n_2)
+    center, closed_form_disc = _spectrum(arms, j, n_1, n_2)
+    root = cmath.sqrt(closed_form_disc)
     plus, minus = center + root, center - root
     keep = abs(r1 - plus) + abs(r2 - minus)
     swap = abs(r2 - plus) + abs(r1 - minus)

@@ -1324,7 +1324,7 @@ def test_runaway_gain_names_the_first_sample_that_overflows(run_cli, tmp_path, a
     code, stdout, err = run_cli("simulate", *argv, "--output", str(out))
     assert code == 2
     assert err == (
-        f"error: the trajectory overflows double precision at t = {first * 1e-10:.6e} s"
+        f"error: the trajectory is not finite at t = {first * 1e-10:.6e} s"
         f" (sample {first} of {samples})\n"
     )
     assert stdout == ""

@@ -200,7 +200,7 @@ def test_trajectory_names_the_first_sample_that_is_not_finite(n, dt, data):
         assert np.array_equal(traj.a1, a1) and np.array_equal(traj.a2, a2)
         return
     first = min(k for _, k, _ in bad)
-    message = f"the trajectory overflows double precision at t = {first * dt:.6e} s (sample {first} of {n})"
+    message = f"the trajectory is not finite at t = {first * dt:.6e} s (sample {first} of {n})"
     with pytest.raises(RunawayGainError) as info:
         Trajectory(dt=dt, a1=a1, a2=a2)
     assert str(info.value) == message
@@ -445,7 +445,7 @@ def test_runaway_gain_raises_at_the_first_overflowing_sample(device, device_n0, 
     # about 1.4 e-folds a sample: the samples overflow some 500 steps in
     dt = 0.05 * TWO_PI / device.resonator_1.omega_m
     runaway = device.with_photon_number(device_n0 * (710.0 / (500 * dt)) / device.coupling_j)
-    with pytest.raises(RunawayGainError, match=r"overflows double precision at t = ") as info:
+    with pytest.raises(RunawayGainError, match=r"^the trajectory is not finite at t = ") as info:
         propagate(runaway, (1.0, 0.0), 2000 * dt, dt)
     first = int(re.search(r"sample (\d+) of 2001", str(info.value)).group(1))
     assert 0 < first < 2000

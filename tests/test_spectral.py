@@ -27,6 +27,7 @@ from epgw import (
     vacuum_coupling,
     zero_point_fluctuation,
 )
+from epgw import spectral
 from epgw.spectral import _arms
 from oracle import eigenvalues_numeric, strained_directly
 
@@ -326,6 +327,45 @@ def test_no_ep_for_detuned_resonators(device, device_resonator):
     system = dataclasses.replace(device, resonator_2=shifted)
     with pytest.raises(NoEPError):
         ep_photon_number(system)
+
+
+def _count_roots(monkeypatch):
+    """The values of every spectral._root call from now on, in call order."""
+    roots, root_of = [], spectral._root
+
+    def counted(z):
+        roots.append(root_of(z))
+        return roots[-1]
+
+    monkeypatch.setattr(spectral, "_root", counted)
+    return roots
+
+
+@pytest.mark.parametrize("kind", ["balanced", "kappa-mismatched", "detuned"])
+def test_ep_location_takes_no_square_root(device, kind, monkeypatch):
+    # the polish reads |disc| only: no caller of the EP search takes a root,
+    # on the path that finds an EP or on the NoEPError one
+    if kind == "kappa-mismatched":
+        red = dataclasses.replace(device.cavity_2, kappa=device.cavity_2.kappa * 1.2)
+        device = dataclasses.replace(device, cavity_2=red)
+    elif kind == "detuned":
+        omega_2 = device.resonator_2.omega_m + 0.3 * device.coupling_j
+        device = dataclasses.replace(device, resonator_2=dataclasses.replace(device.resonator_2, omega_m=omega_2))
+    roots = _count_roots(monkeypatch)
+    if kind == "detuned":
+        with pytest.raises(NoEPError):
+            ep_photon_number(device)
+    else:
+        ep_photon_number(device)
+    assert roots == []
+
+
+def test_splitting_takes_one_square_root(device, device_n0, monkeypatch):
+    # the EP gate reads |disc(n0)| only; the one root is the strained alpha
+    roots = _count_roots(monkeypatch)
+    result = splitting(device, device_n0, 1e-18)
+    assert len(roots) == 1
+    assert (2.0 * roots[0].real, 2.0 * abs(roots[0].imag)) == (result.d_exact, result.linewidth_split)
 
 
 def test_discriminant_that_overflows_at_the_ep_is_a_range_error(device_resonator):

@@ -23,6 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from epgw import (  # noqa: E402
     K_BOLTZMANN,
+    InvalidRangeError,
     MechanicalResonator,
     NoEPError,
     Phase,
@@ -99,10 +100,11 @@ def _ref_polish(magnitude, n_guess, reach):
     return best_n, best
 
 
-def _ref_ep(system):
-    """(n0, |disc(n0)|) as ep_photon_number finds them, before its accept
-    gate: the lower nonnegative root of the closed form, polished. None
-    when both roots are negative."""
+def _ref_ep(system, reach=512):
+    """(n0, |disc(n0)|, guess) as ep_photon_number finds them, before its
+    accept gate: the guess is the lower nonnegative root of the closed
+    form, and n0 the float within ``reach`` of it with the smallest |disc|.
+    None when both roots are negative."""
     magnitude = lambda n: _ref_magnitude(system, n)  # noqa: E731
     slopes = []
     for res, cav in ((system.resonator_1, system.cavity_1), (system.resonator_2, system.cavity_2)):
@@ -114,9 +116,10 @@ def _ref_ep(system):
     roots = [n for n in ((4.0 * j - d_gamma) / d_slope, (-4.0 * j - d_gamma) / d_slope) if n >= 0.0]
     if not roots:
         return None
-    # 512 floats each way, 32 times the library's reach, which must not
-    # change the n0 it finds
-    return _ref_polish(magnitude, min(roots) + 0.0, 512)
+    guess = min(roots) + 0.0
+    # by default 512 floats each way, 32 times the library's reach, which
+    # must not change the n0 it finds
+    return (*_ref_polish(magnitude, guess, reach), guess)
 
 
 def _ref_relabel(pairs):
@@ -235,12 +238,20 @@ def test_array_root_matches_cmath_sqrt_bitwise(parts, on_axis):
 
 
 @settings(max_examples=100)
-@given(system=balanced_systems() | mismatched_systems())
+@given(system=balanced_systems() | mismatched_systems() | detuned_systems())
 def test_ep_photon_number_matches_scalar_reference_bitwise(system):
     ref = _ref_ep(system)
-    if ref is None or ref[1] > ep_tolerance(system.coupling_j):
-        with pytest.raises(NoEPError):
+    j = system.coupling_j
+    if ref is None or ref[1] > ep_tolerance(j):
+        with pytest.raises(NoEPError) as info:
             ep_photon_number(system)
+        if ref is not None:
+            # a detuned pair's |disc| falls all through the window: the error
+            # quotes the polish at the library's own reach
+            _, best, guess = _ref_ep(system, _POLISH_STEPS)
+            assert str(info.value) == (
+                f"discriminant magnitude {best:.3e} above threshold {ep_tolerance(j):.3e} near n = {guess:.6e}"
+            )
     else:
         assert _bits(ep_photon_number(system)) == _bits(ref[0])
 
@@ -337,13 +348,13 @@ def test_continuity_swaps_match_relabel_loop(points):
     assert _bits(got) == _bits(_ref_relabel(pairs))
 
 
-def _unlit_ep():
+def _unlit_ep(coupling_j=1e4):
     """A pair at its EP with no light, n0 = 0: arm 1's intrinsic damping
     alone (4J) closes the gap. The strain rescales only
     optical damping, so the discriminant is exactly 0 at every h."""
     res = MechanicalResonator(omega_m=1e6, mass=1e-13, quality_factor=1e5, thickness=1e-7)
-    system = balanced_system(res, length=1e-4, kappa=1e7, coupling_j=1e4)
-    damped = dataclasses.replace(system.resonator_1, gamma_m=4e4)
+    system = balanced_system(res, length=1e-4, kappa=1e7, coupling_j=coupling_j)
+    damped = dataclasses.replace(system.resonator_1, gamma_m=4.0 * coupling_j)
     return dataclasses.replace(system, resonator_1=damped)
 
 
@@ -392,6 +403,95 @@ def test_sweep_rel_error_matches_splitting_bitwise(system, h_max, points, log):
     expected = [splitting(system, n0, h).rel_error for h in sweep.strain.tolist()]
     assert _bits(sweep.rel_error.tolist()) == _bits(expected)
     assert log or sweep.d_approx[0] == sweep.rel_error[0] == 0.0
+
+
+DBL_MIN = sys.float_info.min
+
+
+def _ref_strain_refusal(system, n0, h):
+    """The message with which the strain response at n0 refuses h, or None:
+    the scalar response and its range test written out with np.maximum
+    and np.minimum, and core.require_strain's rule for a subnormal h."""
+    if h != 0.0 and abs(h) < DBL_MIN:
+        return f"strain h = {h!r}; need h = 0 or a normal double with |h| < 1/2"
+    arm_1, arm_2 = _arms(system)
+    j = system.coupling_j
+    b0_re = arm_1.omega_m - arm_2.omega_m
+    b0_im = 0.5 * (arm_2.damping(n0) - arm_1.damping(n0))
+    scale = -4.0 * h * (1.0 - h)
+    opt_1, opt_2 = arm_1.optical_damping(n0), arm_2.optical_damping(n0)
+    db_im = 0.5 * (scale * opt_2 - scale * opt_1)
+    t_im = 2.0 * b0_im + db_im
+    disc = complex(0.25 * -(db_im * t_im), 0.25 * (db_im * (2.0 * b0_re)))
+    alpha = cmath.sqrt(disc)
+    response = (2.0 * alpha.real, 4.0 * math.sqrt(2.0) * j * math.sqrt(abs(h)), 2.0 * abs(alpha.imag))
+    with np.errstate(all="ignore"):
+        disc_size = np.maximum(abs(disc.real), abs(disc.imag)) if opt_1 != opt_2 else math.inf
+        smallest = np.minimum(disc_size, response[1])
+    if not math.isfinite(sum(response)):
+        return f"the strain response at n0 = {n0!r} overflows double precision"
+    if smallest >= DBL_MIN or h == 0.0:
+        return None
+    return (
+        f"coupling_j = {j!r}: the strain response at h = {h!r} underflows double precision"
+        f" (disc = {disc!r}, d_approx = {response[1]!r}; each must be a normal double)"
+    )
+
+
+@st.composite
+def strain_edge_systems(draw):
+    """Systems at the ends of the strain response's range: a balanced one;
+    the same with J near 2 pi 1e-300, where d_approx leaves the normal
+    range at h ~ 4e-19 and the discriminant at every h, or near 2 pi
+    1e-150, where the discriminant (~ 8 h J^2) leaves it at h in (0, 1/2);
+    and the unlit pair, n0 = 0 with equal optical damping, at either J."""
+    kind = draw(st.sampled_from(["balanced", "faint", "unlit"]))
+    if kind == "unlit":
+        return _unlit_ep(draw(st.sampled_from([1e4, 2.0 * math.pi * 1e-300])))
+    system = draw(balanced_systems())
+    if kind == "faint":
+        exponent = draw(st.floats(-300.3, -299.7) | st.floats(-156.0, -145.0))
+        system = dataclasses.replace(system, coupling_j=2.0 * math.pi * 10.0**exponent)
+    return system
+
+
+@settings(max_examples=200)
+@given(system=strain_edge_systems(), data=st.data())
+def test_strain_response_refuses_exactly_where_the_reference_does(system, data):
+    # the range test, as comparisons joined by | and &, refuses the same
+    # strains with the same messages as the max/min form, for a float and
+    # on a sweep grid [0, |h|] (its h = 0 row is never refused)
+    try:
+        n0 = ep_photon_number(system)
+    except NoEPError:
+        return
+    j = system.coupling_j
+    # the strains at which d_approx and |disc| ~ 8 h J^2 reach DBL_MIN
+    crossings = ((DBL_MIN / (4.0 * math.sqrt(2.0) * j)) ** 2, DBL_MIN / (8.0 * j) / j)
+    edges = [0.0, DBL_MIN, math.nextafter(DBL_MIN, 0.0), math.nextafter(DBL_MIN, 1.0), 1e-300, 0.49]
+    edges += [c * f for c in crossings for f in (0.9, 1.0, 1.1) if c * f < 0.5]
+    h = data.draw(st.sampled_from(edges) | log_uniform(-307.0, -0.31)) * data.draw(st.sampled_from([1.0, -1.0]))
+    expected = _ref_strain_refusal(system, n0, h)
+    if expected is None:
+        splitting(system, n0, h)
+    else:
+        with pytest.raises(InvalidRangeError) as info:
+            splitting(system, n0, h)
+        assert str(info.value) == expected
+    if h == 0.0:
+        return
+    g = abs(h)
+    expected = _ref_strain_refusal(system, n0, g)
+    if expected is None:
+        sweep = sweep_strain(system, n0, 0.0, g, 2)
+        single = splitting(system, n0, g)
+        assert _bits([sweep.d_exact[1].item(), sweep.linewidth_split[1].item()]) == _bits(
+            [single.d_exact, single.linewidth_split]
+        )
+    else:
+        with pytest.raises(InvalidRangeError) as info:
+            sweep_strain(system, n0, 0.0, g, 2)
+        assert str(info.value) == expected
 
 
 @pytest.mark.parametrize(
