@@ -9,6 +9,8 @@ the splitting response and the thermal-noise-limited minimum detectable
 strain, and cross-checks everything against time-domain propagation.
 """
 
+import numpy as _np
+
 from .core import (
     C_LIGHT,
     HBAR,
@@ -33,8 +35,6 @@ from .core import (
     ZeroCouplingError,
     balanced_system,
     drive_amplitude_from_thickness,
-    system_violations,
-    validate_system,
 )
 from .dynamics import (
     SpectralEstimate,
@@ -65,6 +65,15 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+
+def _require_numpy(version: str) -> None:
+    """Refuse a numpy before 2.0, whose np.fft takes no ``out`` (dynamics._readout)."""
+    if int(version.split(".")[0]) < 2:
+        raise ImportError(f"epgw needs numpy >= 2.0; numpy {version} is installed")
+
+
+_require_numpy(_np.__version__)
 
 __all__ = [
     "C_LIGHT",
@@ -108,9 +117,7 @@ __all__ = [
     "splitting",
     "sweep_photon_number",
     "sweep_strain",
-    "system_violations",
     "thermal_frequency_noise",
     "vacuum_coupling",
-    "validate_system",
     "zero_point_fluctuation",
 ]

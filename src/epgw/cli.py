@@ -471,7 +471,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
     # Strain rescales both vacuum couplings g0 -> g0 (1 - 2h); in the mode
     # matrix that is exactly a photon-number rescale by (1 - 2h)^2.
-    strained = system.with_photon_number(n_cav * (1.0 - 2.0 * h) ** 2)
+    n_strained = n_cav * (1.0 - 2.0 * h) ** 2
+    if math.isinf(n_strained):  # the eigenvalues at an inf drive overflow: a range error, as for a finite one
+        raise InvalidRangeError(f"n_cav = {n_strained!r}, {n_strained!r}: the eigenvalues overflow double precision")
+    strained = system.with_photon_number(n_strained)
     pair = eigenvalues_general(strained)
     predicted = (pair.lambda_plus.real, pair.lambda_minus.real)
 

@@ -4,12 +4,11 @@ All quantities are SI. Frequencies, damping rates and cavity decay rates
 are angular (rad/s) everywhere inside the library; the Hz values used in
 config files are converted at the interface layer only.
 
-Validation happens once per public call, with the validators below:
-``cli.parse_config`` checks a config, and the entry points of ``spectral``,
-``dynamics`` and ``sensitivity`` check their arguments (finite values,
-signs, ranges) before any per-point work. The leaf formulas of ``spectral``
-and the evaluators they feed (``eigenvalues_general``, ``mode_matrix``)
-check no input and expect values already validated. Valid but extreme
+Validation happens once, with the validators below: a ``CoupledSystem``
+checks itself as it is built, ``cli.parse_config`` checks a config, and
+the entry points of ``spectral``, ``dynamics`` and ``sensitivity`` check
+their other arguments (finite values, signs, ranges) before any per-point
+work. The leaf formulas of ``spectral`` check no input. Valid but extreme
 values that overflow the model's arithmetic are rejected where that
 arises, as InvalidRangeError (see ``spectral``). Every sign rule, the
 config's included, is the one check ``_check``. At the edges, each config
@@ -198,6 +197,9 @@ class OpticalCavity:
 class CoupledSystem:
     """Two mechanical modes, each with its own cavity, coupled at rate J.
 
+    Valid by construction (``with_photon_number`` and ``dataclasses.replace``
+    too): an invalid field raises ValidationError (see system_violations).
+
     Attributes:
         resonator_1: First mechanical mode (by convention the blue side).
         resonator_2: Second mechanical mode (by convention the red side).
@@ -211,6 +213,9 @@ class CoupledSystem:
     cavity_1: OpticalCavity
     cavity_2: OpticalCavity
     coupling_j: float
+
+    def __post_init__(self):
+        validate_system(self)
 
     def with_photon_number(self, n_cav: float) -> "CoupledSystem":
         """Copy of the system with both cavities driven at ``n_cav`` photons."""
@@ -384,9 +389,9 @@ def validate_cavity(cavity: OpticalCavity, where: str | None = None) -> list[Non
 def system_violations(system: CoupledSystem) -> list[NonPositiveParameterError]:
     """Collect every parameter violation of a coupled system.
 
-    Dataclass construction never validates, so invalid systems can be
-    built and inspected freely; this reports the complete list of
-    violations rather than stopping at the first. A zero coupling J is
+    ``CoupledSystem`` runs it as it is built (through validate_system) and
+    leaves its records unchecked, so the one error reports the complete
+    list of violations rather than stopping at the first. A zero coupling J is
     valid (two decoupled modes); the operations that need the coupling
     reject it themselves, e.g. ep_photon_number with ZeroCouplingError.
     """

@@ -27,7 +27,6 @@ from .core import (
     RunawayGainError,
     SamplingTooCoarseError,
     TooFewSamplesError,
-    validate_system,
 )
 from .spectral import _arms, _root, _spectrum
 
@@ -106,8 +105,8 @@ def mode_matrix(system: CoupledSystem) -> np.ndarray:
     """The 2x2 matrix M with da/dt = -i M a.
 
     Diagonal entries are omega_j - i Gamma_j / 2 with each arm's total
-    damping from its own cavity; off-diagonal entries are J. The system is
-    not validated (see validate_system).
+    damping from its own cavity; off-diagonal entries are J. A system is
+    valid as it is built.
 
     Raises:
         InvalidRangeError: an entry, or an arm constant behind it (see
@@ -165,7 +164,6 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
     |Re center| + |Re root| > 0 (Re center is the mean of two omega_m > 0).
     A dt of None takes the bound itself; a larger dt raises
     SamplingTooCoarseError."""
-    validate_system(system)
     a0 = np.asarray(initial, dtype=complex)
     if a0.shape != (2,):
         raise ValueError("initial must be a pair of complex amplitudes")
@@ -264,7 +262,6 @@ def propagate_exact(system: CoupledSystem, initial, duration: float, dt: float |
             guard accepts, 0.1 * 2 pi / max|Re lambda|.
 
     Raises:
-        ValidationError: invalid system.
         InvalidRangeError: initial, dt or duration not finite, non-positive
             dt, duration < dt, a grid beyond the sample-count limit, or M or
             its eigenvalues overflow double precision.

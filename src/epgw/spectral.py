@@ -26,7 +26,7 @@ the discriminant. The root is taken by ``_root`` where it is read
 (``eigenvalues_general``, ``sweep_photon_number``, ``dynamics._prepare``);
 the polish and the strain response's EP gate read |disc| alone. The kernel
 takes the photon-number-independent constants of each arm (``_arms``,
-computed once per system) and a photon number that is a float or an
+derived once per system object) and a photon number that is a float or an
 array, and works on real and imaginary parts written out the way CPython
 evaluates the complex expressions, so a grid point is bit for bit the
 value a single-point call gives. A sweep returns its arrays as they are, in the
@@ -75,7 +75,6 @@ from .core import (
     require_nonnegative,
     require_strain,
     sweep_grid,
-    validate_system,
 )
 
 # The EP rule's threshold relative to J^2. The damping gamma(n_cav) moves on
@@ -183,7 +182,12 @@ def _arms(system: CoupledSystem) -> tuple[_Arm, _Arm]:
 
     The only caller of the leaf formulas. An overflow or a zero divisor in
     them, or a g0^2, phi or J^2 that is not finite, raises InvalidRangeError
-    naming the arm (or coupling_j) and the quantity."""
+    naming the arm (or coupling_j) and the quantity, on every call. The
+    pair is derived once per system object and kept on it, outside its
+    fields, so eq, hash and repr do not see it."""
+    cached = getattr(system, "_arm_pair", None)
+    if cached is not None:
+        return cached
     if not math.isfinite(system.coupling_j * system.coupling_j):
         raise InvalidRangeError(f"coupling_j = {system.coupling_j!r}: J^2 overflows double precision")
     arms = []
@@ -202,7 +206,8 @@ def _arms(system: CoupledSystem) -> tuple[_Arm, _Arm]:
             if not math.isfinite(value):
                 raise InvalidRangeError(f"arm {k}: {quantity} = {value!r} is out of double-precision range")
         arms.append(arm)
-    return arms[0], arms[1]
+    object.__setattr__(system, "_arm_pair", tuple(arms))
+    return system._arm_pair
 
 
 def _complex(re, im):
@@ -285,8 +290,7 @@ def _classify(disc, coupling_j: float):
 def eigenvalues_general(system: CoupledSystem) -> SupermodePair:
     """Supermode pair of a coupled system from the analytic discriminant.
 
-    The single-point evaluator: it does not validate ``system`` (see
-    validate_system).
+    The single-point evaluator; a system is valid as it is built.
 
     Args:
         system: The system; each arm's damping is computed from its own
@@ -355,7 +359,6 @@ def ep_photon_number(system: CoupledSystem) -> float:
     bounds apply.
 
     Raises:
-        ValidationError: invalid system.
         InvalidRangeError: an arm constant or J^2 overflows (see _arms),
             or the discriminant at the polished root does (inf or NaN).
         ZeroCouplingError: J = 0, or the photon number does not move the
@@ -364,7 +367,6 @@ def ep_photon_number(system: CoupledSystem) -> float:
             fails the EP rule (a finite |disc| above ep_tolerance(J)). No
             exact EP exists when omega_1 != omega_2; the rule decides.
     """
-    validate_system(system)
     j = system.coupling_j
     if j == 0:
         raise ZeroCouplingError("coupling_j is zero; the spectrum has no tunable degeneracy")
@@ -421,14 +423,13 @@ def splitting(system: CoupledSystem, n0: float, strain: float) -> SplittingResul
         magnitude of the predicted splitting for either sign.
 
     Raises:
-        ValidationError, NonPositiveParameterError: invalid system or n0.
+        NonPositiveParameterError: n0 not finite or negative.
         InvalidRangeError: |h| >= 1/2, or h not finite; or an arm
             constant (see _arms) or the response overflows; or, at
             h != 0, d_approx or a discriminant that the strain moves (the
             arms' optical dampings differ) is not a normal double.
         NotAtEPError: ``n0`` does not put the unstrained system at its EP.
     """
-    validate_system(system)
     require_nonnegative("n0", n0)
     require_strain(strain)
     strain = float(strain)
@@ -526,11 +527,9 @@ def sweep_photon_number(
         arrays over it (``pair.phase[k] is Phase.BROKEN`` works).
 
     Raises:
-        ValidationError: invalid system.
         InvalidRangeError: bad grid (see core.sweep_grid), or eigenvalues
             that overflow double precision on it.
     """
-    validate_system(system)
     grid = sweep_grid("n", n_min, n_max, points, log)
     with np.errstate(all="ignore"):
         center, disc = _spectrum(_arms(system), system.coupling_j, grid, grid)
@@ -557,12 +556,11 @@ def sweep_strain(
     bit for bit what ``splitting`` gives at that strain.
 
     Raises:
-        ValidationError, NonPositiveParameterError: invalid system or n0.
+        NonPositiveParameterError: n0 not finite or negative.
         InvalidRangeError: bad grid (see core.sweep_grid), or a grid value
             that core.require_strain refuses.
         NotAtEPError: ``n0`` is not the exceptional-point photon number.
     """
-    validate_system(system)
     require_nonnegative("n0", n0)
     grid = sweep_grid("h", h_min, h_max, points, log)
     require_strain(h_max)

@@ -1263,6 +1263,13 @@ def test_help_exits_0_on_stdout(capsys, command):
             "the strain response at h = 1e-200 underflows",
             id="coupling.j_hz = 1e-300-argv57-the strain response at h = 1e-200 underflows",
         ),
+        # a strained drive that overflows is the eigenvalues' range error, not an invalid system
+        pytest.param(
+            "",
+            ["simulate", "--photon-number", "1e308", "--strain", "-0.4"],
+            "error: n_cav = inf, inf: the eigenvalues overflow double precision",
+            id="-argv62-n_cav = inf, inf: the eigenvalues overflow double precision",
+        ),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

@@ -26,7 +26,7 @@ from epgw import (
     propagate_exact,
     propagate_rk,
 )
-from epgw.dynamics import _PHASE_BLOCK, _fft_length, _mode_1_spectrum, _peak_bins
+from epgw.dynamics import _MAX_SAMPLES, _PHASE_BLOCK, _fft_length, _mode_1_spectrum, _peak_bins, _sample_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -747,3 +747,10 @@ def test_peak_bins_of_equal_magnitudes_take_the_lower_bin_first():
     assert _peak_bins(np.array([0.0, 1.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0])) == [3, 5]
     assert _peak_bins(np.array([0.0, 2.0, 0.0, 2.0, 0.0])) == [1, 3]
 
+
+def test_the_largest_grid_has_exactly_the_sample_cap():
+    # duration/dt = 2^24 - 1 spans 2^24 samples, the most a grid may have;
+    # at 2^24 steps the count is refused, before anything is allocated
+    assert _sample_count(float(_MAX_SAMPLES - 1), 1.0) == _MAX_SAMPLES
+    with pytest.raises(InvalidRangeError, match=r"^duration/dt = 1\.677722e\+07 yields more than 16777216 samples$"):
+        _sample_count(float(_MAX_SAMPLES), 1.0)

@@ -27,7 +27,8 @@ from epgw import (
     vacuum_coupling,
     zero_point_fluctuation,
 )
-from epgw import spectral
+from epgw import core, spectral
+from epgw.dynamics import mode_matrix, propagate_exact
 from epgw.spectral import _arms
 from oracle import eigenvalues_numeric, strained_directly
 
@@ -366,6 +367,77 @@ def test_splitting_takes_one_square_root(device, device_n0, monkeypatch):
     result = splitting(device, device_n0, 1e-18)
     assert len(roots) == 1
     assert (2.0 * roots[0].real, 2.0 * abs(roots[0].imag)) == (result.d_exact, result.linewidth_split)
+
+
+def _count_calls(monkeypatch, module, name):
+    """A one-item list counting the calls of module.name from now on."""
+    calls, function = [0], getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_public_calls_on_a_valid_system_do_not_validate_it(device, device_n0, monkeypatch):
+    # a system is checked once, as it is built; no public call checks it again
+    biased = device.with_photon_number(0.5 * device_n0)
+    validations = _count_calls(monkeypatch, core, "system_violations")
+    ep_photon_number(device)
+    splitting(device, device_n0, 1e-18)
+    sweep_photon_number(device, 0.0, 2.0 * device_n0, 8)
+    sweep_strain(device, device_n0, 1e-24, 1e-12, 8, log=True)
+    propagate_exact(biased, (1.0, 0.0), 1e-8)
+    assert validations == [0]
+    device.with_photon_number(device_n0)
+    assert validations == [1]
+
+
+def test_arms_are_derived_once_per_system_object(device_resonator, monkeypatch):
+    system = balanced_system(device_resonator, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=TWO_PI * 1e7)
+    derived = _count_calls(monkeypatch, spectral, "zero_point_fluctuation")  # once per arm and derivation
+    n0 = ep_photon_number(system)
+    for strain in (1e-20, 1e-12):
+        splitting(system, n0, strain)
+    sweep_strain(system, n0, 1e-24, 1e-12, 8, log=True)
+    eigenvalues_general(system)
+    mode_matrix(system)
+    propagate_exact(system, (1.0, 0.0), 1e-8)
+    assert derived == [2]
+    # the pair is tied to the object, not to its value, and no field sees it
+    copy = dataclasses.replace(system)
+    eigenvalues_general(copy)
+    assert derived == [4]
+    assert copy == system and hash(copy) == hash(system) and repr(copy) == repr(system)
+    assert [f.name for f in dataclasses.fields(system)] == [
+        "resonator_1", "resonator_2", "cavity_1", "cavity_2", "coupling_j"
+    ]
+
+
+@pytest.mark.parametrize(
+    "length, coupling_j, message",
+    [(1e-4, 1e200, r"coupling_j = 1e\+200: J\^2 overflows"), (1e-300, TWO_PI * 1e7, "arm 1: g0 is out of")],
+)
+def test_arm_constants_out_of_range_are_refused_on_every_call(device_resonator, monkeypatch, length, coupling_j, message):
+    system = balanced_system(device_resonator, length=length, kappa=TWO_PI * 1e8, coupling_j=coupling_j)
+    derived = _count_calls(monkeypatch, spectral, "zero_point_fluctuation")
+    for _ in range(2):
+        with pytest.raises(InvalidRangeError, match=message):
+            eigenvalues_general(system)
+    # nothing is kept from a failed derivation: the second call derives again
+    assert derived == [0 if coupling_j == 1e200 else 2]
+
+
+def test_a_discriminant_on_the_imaginary_axis_outside_the_ep_rule_is_pt_symmetric():
+    # Re(disc) = 0 with Im(disc) != 0 and |disc| > ep_tolerance(J) reads
+    # PT-symmetric (Re >= 0), for a zero of either sign, at a point and on a grid
+    j = 1.0
+    discs = [complex(0.0, 1.0), complex(-0.0, -1.0), complex(0.0, 1e-14)]
+    assert all(abs(disc) > ep_tolerance(j) for disc in discs)
+    assert [spectral._PHASES[spectral._classify(disc, j)] for disc in discs] == [Phase.PT_SYMMETRIC] * 3
+    assert list(spectral._PHASES[spectral._classify(np.array(discs), j)]) == [Phase.PT_SYMMETRIC] * 3
 
 
 def test_discriminant_that_overflows_at_the_ep_is_a_range_error(device_resonator):
