@@ -11,6 +11,16 @@ strain, and cross-checks everything against time-domain propagation.
 
 import numpy as _np
 
+
+def _require_numpy(version: str) -> None:
+    """Refuse a numpy before 2.0, whose np.fft takes no ``out`` (dynamics._readout)."""
+    if int(version.split(".")[0]) < 2:
+        raise ImportError(f"epgw needs numpy >= 2.0; numpy {version} is installed")
+
+
+_require_numpy(_np.__version__)
+
+# the submodules import only after the numpy check, so an old numpy is named, not a traceback
 from .core import (
     C_LIGHT,
     HBAR,
@@ -65,15 +75,6 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
-
-
-def _require_numpy(version: str) -> None:
-    """Refuse a numpy before 2.0, whose np.fft takes no ``out`` (dynamics._readout)."""
-    if int(version.split(".")[0]) < 2:
-        raise ImportError(f"epgw needs numpy >= 2.0; numpy {version} is installed")
-
-
-_require_numpy(_np.__version__)
 
 __all__ = [
     "C_LIGHT",

@@ -32,11 +32,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 ROOT = Path(__file__).resolve().parents[1]
+# a mutant may loop forever; one that runs this many times the unmutated run (and at least
+# the floor, in seconds) is stopped and counted as caught
+TIMEOUT_FACTOR = 10.0
+TIMEOUT_FLOOR_S = 10.0
 
 
 def sites(source: str) -> list[tuple[int, int, str]]:
@@ -58,7 +63,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="the module to mutate, e.g. src/epgw/spectral.py")
     parser.add_argument("tests", nargs="+", help="the test selection, as pytest takes it")
     parser.add_argument("--line", type=int, action="append", help="mutate only this line (repeatable)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per run; a slower mutant counts as caught")
     args = parser.parse_args(argv)
     module = Path(args.module).resolve().relative_to(ROOT)
     source = (ROOT / module).read_text(encoding="utf-8")
@@ -71,22 +75,23 @@ def main(argv: list[str] | None = None) -> int:
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(Path(work, "src"))}
         command = [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args.tests]
 
-        def run() -> subprocess.CompletedProcess | None:
+        def run(timeout: float | None = None) -> subprocess.CompletedProcess | None:
             try:
-                return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True, timeout=args.timeout)
+                return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True, timeout=timeout)
             except subprocess.TimeoutExpired:
                 return None
 
+        start = time.perf_counter()
         baseline = run()
-        if baseline is None or baseline.returncode != 0:
-            report = "it timed out" if baseline is None else baseline.stdout[-2000:]
-            print(f"the selection fails on the unmutated module; nothing to measure:\n{report}", file=sys.stderr)
+        timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * (time.perf_counter() - start))
+        if baseline.returncode != 0:
+            print(f"the selection fails on the unmutated module; nothing to measure:\n{baseline.stdout[-2000:]}", file=sys.stderr)
             return 2
         survivors = []
         for line, column, op in todo:
             Path(work, module).write_text(mutant(source, line, column, op), encoding="utf-8")
             flip = f"{module}:{line}:{column + 1}  {op} -> {FLIPS[op]}"
-            result = run()
+            result = run(timeout)
             survived = result is not None and result.returncode == 0
             print(f"{'SURVIVED' if survived else 'caught  '} {flip}", flush=True)
             if survived:
