@@ -57,6 +57,7 @@ from .dynamics import _mode_1_spectrum
 from .sensitivity import read_overlay_csv, sensitivity_curve
 from .spectral import (
     _arms,
+    _pair,
     ep_photon_number,
     eigenvalues_general,
     sweep_photon_number,
@@ -470,13 +471,11 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         n_cav = ep_photon_number(system)
 
     # Strain rescales both vacuum couplings g0 -> g0 (1 - 2h); in the mode
-    # matrix that is exactly a photon-number rescale by (1 - 2h)^2.
+    # matrix that is exactly a photon-number rescale by (1 - 2h)^2, on the same arms.
     n_strained = n_cav * (1.0 - 2.0 * h) ** 2
-    if math.isinf(n_strained):  # the eigenvalues at an inf drive overflow: a range error, as for a finite one
-        raise InvalidRangeError(f"n_cav = {n_strained!r}, {n_strained!r}: the eigenvalues overflow double precision")
+    center, root, _ = _pair(_arms(system), system.coupling_j, n_strained, n_strained)
+    predicted = ((center + root).real, (center - root).real)
     strained = system.with_photon_number(n_strained)
-    pair = eigenvalues_general(strained)
-    predicted = (pair.lambda_plus.real, pair.lambda_minus.real)
 
     if args.duration is not None:
         duration = args.duration

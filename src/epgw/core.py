@@ -11,8 +11,8 @@ their other arguments (finite values, signs, ranges) before any per-point
 work. The leaf formulas of ``spectral`` check no input. Valid but extreme
 values that overflow the model's arithmetic are rejected where that
 arises, as InvalidRangeError (see ``spectral``). Every sign rule, the
-config's included, is the one check ``_check``. At the edges, each config
-value, strain, overlay cell and written cell must pass ``_zero_or_normal``.
+config's included, is the one check ``_check``; every normal-double rule is
+``_normal``, and configs, strains and cells pass ``_zero_or_normal`` (0 or it).
 """
 
 from __future__ import annotations
@@ -297,11 +297,16 @@ class SensitivityContext:
 # ---------------------------------------------------------------------------
 
 
+def _normal(x):
+    """Whether x, a float or elementwise an array, is finite with |x| >= DBL_MIN."""
+    magnitude = abs(x)
+    return (magnitude >= sys.float_info.min) & (magnitude < math.inf)
+
+
 def _zero_or_normal(x):
     """Whether x, a float or elementwise an array, is 0 or a normal double;
     a subnormal carries fewer digits than its written text, NaN or inf none."""
-    magnitude = abs(x)
-    return (magnitude == 0.0) | ((magnitude >= sys.float_info.min) & (magnitude < math.inf))
+    return (x == 0.0) | _normal(x)
 
 
 def _check(name: str, value: float, where: str | None = None, zero: bool = False):

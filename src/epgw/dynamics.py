@@ -1,7 +1,7 @@
 """Time-domain propagation of the coupled-mode equation and spectral readout.
 
 Both propagators take the spectrum of the mode matrix M from
-``spectral._spectrum``. The exact one is e^{-i M t} in one closed form for
+``spectral._pair``. The exact one is e^{-i M t} in one closed form for
 every pair, at the EP and away from it, tabled (table-driven exp; Tang,
 ACM TOMS 15, 144 (1989)) in blocks whose length is a power of two, so that
 the block span is exact. The RK4 cross-check steps by its one-step
@@ -28,7 +28,7 @@ from .core import (
     SamplingTooCoarseError,
     TooFewSamplesError,
 )
-from .spectral import _arms, _root, _spectrum
+from .spectral import _arms, _pair
 
 # Hann sidelobes peak at -31.5 dB (2.7% in magnitude); a 5% floor rejects
 # them while keeping any genuine secondary line.
@@ -155,9 +155,9 @@ def _fft_length(n: int) -> int:
 
 
 def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
-    """Both propagators' checked inputs: a0, M, M's spectrum (center and
-    disc from spectral._spectrum, root = _root(disc)), the step dt and the
-    sample count n: the grid is n samples dt apart from t = 0.
+    """Both propagators' checked inputs: a0, M, M's spectrum (center, root)
+    from spectral._pair, the step dt and the sample count n: the grid is n
+    samples dt apart from t = 0.
 
     The step is bounded by a tenth of the fastest period, 0.1 * 2 pi /
     max|Re lambda|, where for lambda = center +- root max|Re lambda| =
@@ -170,11 +170,7 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
     if not np.isfinite(a0).all():
         raise InvalidRangeError(f"initial = {initial!r} is not finite")
     m = mode_matrix(system)
-    n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
-    center, disc = _spectrum(_arms(system), system.coupling_j, n_1, n_2)
-    if not np.isfinite(disc):
-        raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
-    root = _root(disc)
+    center, root, _ = _pair(_arms(system), system.coupling_j, system.cavity_1.n_cav, system.cavity_2.n_cav)
     bound = 0.1 * 2.0 * math.pi / (abs(center.real) + abs(root.real))
     if dt is None:
         dt = bound
@@ -187,7 +183,7 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
     # not trip the guard
     if dt > bound * (1.0 + 1e-6):
         raise SamplingTooCoarseError(f"dt = {dt:.6e} s exceeds 0.1 * 2 pi / max|Re lambda| = {bound:.6e} s")
-    return a0, m, (center, disc, root), dt, _sample_count(duration, dt)
+    return a0, m, (center, root), dt, _sample_count(duration, dt)
 
 
 def _require_finite(dt: float, *modes: np.ndarray) -> None:
@@ -230,7 +226,7 @@ def _propagator(center: complex, root: complex, drift: np.ndarray, times: np.nda
 def _table(system: CoupledSystem, initial, duration: float, dt: float | None):
     """dt, n and propagate_exact's table: the ceil(n / B) block starts
     e^{-i M q B dt} and the B = _PHASE_BLOCK offsets e^{-i M r dt} a0."""
-    a0, m, (center, _, root), dt, n = _prepare(system, initial, duration, dt)
+    a0, m, (center, root), dt, n = _prepare(system, initial, duration, dt)
     with np.errstate(all="ignore"):  # runaway gain overflows: the samples are checked
         drift = m - center * np.eye(2)
         starts = _propagator(center, root, drift, np.arange(-(-n // _PHASE_BLOCK)) * (_PHASE_BLOCK * dt))

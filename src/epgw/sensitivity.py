@@ -12,8 +12,9 @@ time: ``min_detectable_strain`` uses it as given, and ``sensitivity_curve``
 caps it per frequency by the signal period, evaluating its frequency grid
 as one array and returning one SensitivityCurve of arrays. All three
 evaluate one kernel, ``_thermal_floor``, the module's one range check: a
-noise or floor that is not a normal positive double (0 and subnormals
-fail) raises InvalidRangeError naming the term at fault, tau and every factor.
+noise or floor that is not a normal double (``core._normal``) raises
+InvalidRangeError naming the term at fault, tau and every factor; a curve
+is checked at the extremes of its tau.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import codecs
 import csv
 import io
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,7 @@ from .core import (
     MechanicalResonator,
     SensitivityContext,
     _decode_utf8,
+    _normal,
     _zero_or_normal,
     require_positive,
     sweep_grid,
@@ -85,36 +86,31 @@ def min_detectable_strain(
     return _thermal_floor(ctx, resonator, coupling_j, ctx.sample_time)
 
 
-def _in_range(x) -> bool:
-    """Whether x, a float or an array, lies in [sys.float_info.min, inf)
-    throughout: a normal positive double."""
-    lo = sys.float_info.min
-    return bool(np.all((x >= lo) & (x < math.inf))) if isinstance(x, np.ndarray) else lo <= x < math.inf
-
-
 def _thermal_floor(ctx: SensitivityContext, resonator: MechanicalResonator, coupling_j, tau, cap: str = ""):
     """k_B T / den, den = 2 pi tau m omega_m <x_c^2> Q, the squared noise;
-    or, given coupling_j, the strain floor k_B T / (32 den J^2). A float tau
-    stays in Python floats, an array runs under the caller's np.errstate. A
-    k_B T, divisor or result outside _in_range raises InvalidRangeError,
-    prefixed by ``cap``, naming it, the shortest tau and every factor."""
+    or, given coupling_j, the strain floor k_B T / (32 den J^2). An array tau
+    runs unchecked under the caller's np.errstate (sensitivity_curve checks
+    its extremes). At a float tau a k_B T, divisor or result that is not _normal
+    raises InvalidRangeError, prefixed by ``cap``, naming it, tau and every factor."""
     mean_square_drive = ctx.drive_amplitude * ctx.drive_amplitude
     den = 2.0 * math.pi * tau * resonator.mass * resonator.omega_m * mean_square_drive * ctx.quality_factor
     divisor = den if coupling_j is None else 32.0 * den * coupling_j * coupling_j
     thermal = K_BOLTZMANN * ctx.temperature
-    if _in_range(thermal) and _in_range(divisor):
+    if isinstance(tau, np.ndarray):
+        return thermal / divisor
+    if _normal(thermal) and _normal(divisor):
         value = thermal / divisor
-        if _in_range(value):
+        if _normal(value):
             return value
     what, coupling = ("thermal noise", "") if coupling_j is None else ("strain floor", f", J = {coupling_j!r} rad/s")
     culprit = (
-        f"k_B T = {thermal!r} J" if not _in_range(thermal)
-        else "the quotient k_B T / divisor" if _in_range(divisor)
+        f"k_B T = {thermal!r} J" if not _normal(thermal)
+        else "the quotient k_B T / divisor" if _normal(divisor)
         else "the divisor 2 pi tau m omega_m x_c^2 Q" + (" 32 J^2" if coupling else "")
     )
     raise InvalidRangeError(
         f"{cap}{culprit} is outside the normal double range: no {what} at the integration time"
-        f" {float(np.min(tau))!r} s (T = {ctx.temperature!r} K, m = {resonator.mass!r} kg, omega_m ="
+        f" {float(tau)!r} s (T = {ctx.temperature!r} K, m = {resonator.mass!r} kg, omega_m ="
         f" {resonator.omega_m!r} rad/s, x_c = {ctx.drive_amplitude!r} m, Q = {ctx.quality_factor!r}{coupling})"
     )
 
@@ -143,18 +139,21 @@ def sensitivity_curve(
     Raises:
         NonPositiveParameterError: invalid context, resonator or coupling.
         InvalidRangeError: unusable frequency range (see core.sweep_grid),
-            or a strain floor outside _in_range at a tau the grid uses;
-            f_max is named when the floor at the longest, tau[0], is in
-            range, so its cap set the tau.
+            or a strain floor that is not a normal double at a tau the grid
+            uses; f_max is named when the floor at the longest, tau[0], is
+            normal, so its cap set the tau.
     """
     _validate(ctx, resonator)
     require_positive("coupling_j", coupling_j)
     grid = sweep_grid("f", f_min, f_max, points, log=True)
     with np.errstate(all="ignore"):
         tau = np.minimum(ctx.sample_time, (0.5 if half_period_cap else 1.0) / grid)
-        # the grid increases, so tau[0] is the longest tau the curve uses
+        # the floor is monotone in tau, so tau's extremes bound the rest; they
+        # need not be its ends, as geomspace's inner points may pass them by an ulp
         _thermal_floor(ctx, resonator, coupling_j, float(tau[0]))
-        h_min = _thermal_floor(ctx, resonator, coupling_j, tau, cap=f"f_max = {f_max!r}: ")
+        for t in (tau.min(), tau.max()):
+            _thermal_floor(ctx, resonator, coupling_j, float(t), cap=f"f_max = {f_max!r}: ")
+        h_min = _thermal_floor(ctx, resonator, coupling_j, tau)
     return SensitivityCurve(grid, tau, h_min)
 
 

@@ -22,9 +22,9 @@ at Gamma = 2J.
 One kernel, ``_spectrum``, evaluates this closed form for every caller:
 single points (``eigenvalues_general``) and whole grids (the float polish
 of the closed-form EP photon number, both sweeps). It gives the center and
-the discriminant. The root is taken by ``_root`` where it is read
-(``eigenvalues_general``, ``sweep_photon_number``, ``dynamics._prepare``);
-the polish and the strain response's EP gate read |disc| alone. The kernel
+the discriminant. The root is taken by ``_root`` where it is read (``_pair``
+at a single point, ``sweep_photon_number`` on a grid); the polish and the
+strain response's EP gate read |disc| alone. The kernel
 takes the photon-number-independent constants of each arm (``_arms``,
 derived once per system object) and a photon number that is a float or an
 array, and works on real and imaginary parts written out the way CPython
@@ -45,9 +45,9 @@ rule for a point or a grid, and ``_at_ep`` the one EP rule, |disc| <=
 (``dynamics.propagate_exact`` needs no EP rule: its closed form holds for
 every pair). Overflow of valid but extreme
 inputs is an InvalidRangeError, checked where it arises: ``_arms``
-checks the arm constants and J^2, ``eigenvalues_general`` and
-``dynamics.mode_matrix`` their one result, the sweeps and the strain
-response their arrays.
+checks the arm constants and J^2, ``dynamics.mode_matrix`` its matrix,
+``_pair`` a single point's spectrum, the sweeps and the strain response
+their arrays (the latter with ``core._normal``).
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .core import (
     Phase,
     SupermodePair,
     ZeroCouplingError,
+    _normal,
     require_nonnegative,
     require_strain,
     sweep_grid,
@@ -303,18 +304,20 @@ def eigenvalues_general(system: CoupledSystem) -> SupermodePair:
         InvalidRangeError: the arm constants or the eigenvalues overflow
             double precision (see _arms), e.g. at an extreme photon number.
     """
-    n_1, n_2 = system.cavity_1.n_cav, system.cavity_2.n_cav
-    center, disc = _spectrum(_arms(system), system.coupling_j, n_1, n_2)
+    center, root, disc = _pair(_arms(system), system.coupling_j, system.cavity_1.n_cav, system.cavity_2.n_cav)
+    phase = _PHASES[_classify(disc, system.coupling_j)]
+    return SupermodePair(lambda_plus=center + root, lambda_minus=center - root, discriminant=disc, phase=phase)
+
+
+def _pair(arms: tuple[_Arm, _Arm], coupling_j: float, n_1: float, n_2: float):
+    """(center, root, disc) at photon numbers n_1, n_2, floats; the eigenvalues
+    are center +- root. InvalidRangeError unless all are finite: a finite center
+    + root has a finite disc, whose root (at most 1.6e154) leaves center - root finite."""
+    center, disc = _spectrum(arms, coupling_j, n_1, n_2)
     root = _root(disc)
-    plus, minus = center + root, center - root
-    if not (cmath.isfinite(plus) and cmath.isfinite(minus) and cmath.isfinite(disc)):
+    if not cmath.isfinite(center + root):
         raise InvalidRangeError(f"n_cav = {n_1!r}, {n_2!r}: the eigenvalues overflow double precision")
-    return SupermodePair(
-        lambda_plus=plus,
-        lambda_minus=minus,
-        discriminant=disc,
-        phase=_PHASES[_classify(disc, system.coupling_j)],
-    )
+    return center, root, disc
 
 
 def _polish_photon_number(magnitude, n_guess: float) -> tuple[float, float]:
@@ -472,12 +475,10 @@ def _strain_response(system: CoupledSystem, n0: float, h):
         # part is below 1e155 (J^2 is finite; a double's root is < 1.4e154).
         # With equal optical damping (no light at n0 = 0, say) the strain
         # has no lever: disc is exactly 0 at every h, a zero response and
-        # not an underflow, so only d_approx is tested. The comparisons
-        # read alike on a float and an array, and on the finite disc of a
-        # finite sum "a part >= tiny" is max(|re|, |im|) >= tiny.
-        tiny = sys.float_info.min
-        disc_normal = (abs(disc.real) >= tiny) | (abs(disc.imag) >= tiny) | (opt_1 == opt_2)
-        in_range = np.isfinite(sum(response)) & ((disc_normal & (response[1] >= tiny)) | (h == 0.0))
+        # not an underflow, so only d_approx is tested. _normal reads alike
+        # on a float and an array; an inf part it refuses makes the sum inf.
+        disc_normal = _normal(disc.real) | _normal(disc.imag) | (opt_1 == opt_2)
+        in_range = np.isfinite(sum(response)) & ((disc_normal & _normal(response[1])) | (h == 0.0))
     if not in_range.all():
         if not np.isfinite(sum(response)).all():
             raise InvalidRangeError(f"the strain response at n0 = {n0!r} overflows double precision")

@@ -1,4 +1,4 @@
-"""Flip one comparison at a time in a module of epgw, and print the flips no test catches.
+"""Flip one operator at a time in a module of epgw, and print the flips no test catches.
 
 A by-hand mutation pass, stdlib only. pytest does not collect this file,
 and the test suite does not run it: a module takes minutes. From the
@@ -6,10 +6,12 @@ repository root:
 
     python tests/mutate.py src/epgw/dynamics.py tests/test_dynamics.py tests/test_readout_properties.py
 
-Each comparison operator of the module is swapped for its partner
-(``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), one at a time, in
-a copy of the checkout made in a temporary directory, so the checkout is
-never edited. The test selection (the arguments after the module, as
+Each comparison, bitwise and boolean operator of the module is swapped
+for its partner (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
+``&`` and ``|``, ``and`` and ``or``), one at a time, in a copy of the
+checkout made in a temporary directory, so the checkout is never edited.
+An operator inside an annotation is left alone: annotations are not
+evaluated. The test selection (the arguments after the module, as
 pytest takes them; put ``--`` before options such as ``-k``) runs on each
 mutant with ``-x``. A mutant that the selection passes survives, and the
 survivors are printed as path:line:column with the flip. ``--line``
@@ -21,11 +23,21 @@ Known equivalent mutants, which no input can tell from the original:
 - ``spectral._continuity_swaps``, ``swap < keep`` in ``flips`` -> ``<=``:
   a tie is also a reset, and the labeling after a reset is read relative
   to the parity there, so the flip a tie adds cancels.
+- ``dynamics._fft_length``, ``power_3 < m`` and ``odd < m`` -> ``<=``: at
+  power_3 = m the inner loop does not run, and at odd = m >= n the least
+  multiple of odd that is >= n is m itself, so m stays.
+- ``dynamics._peak_bins``, ``candidates.size > 2`` -> ``>=``: the
+  partition of two candidates keeps both, each >= the smaller.
+- ``dynamics._readout``, ``y0 > 0.0`` -> ``>=``: y0 is a peak, above
+  ym >= 0.
+- ``sensitivity._plain_overlay``, the field-limit ``>`` -> ``>=``: a cell
+  of exactly the limit goes to the csv path, which reads the same table.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import os
 import shutil
@@ -36,7 +48,10 @@ import time
 import tokenize
 from pathlib import Path
 
-FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
+FLIPS = {
+    "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
+    "&": "|", "|": "&", "and": "or", "or": "and",
+}
 ROOT = Path(__file__).resolve().parents[1]
 # a mutant may loop forever; one that runs this many times the unmutated run (and at least
 # the floor, in seconds) is stopped and counted as caught
@@ -45,9 +60,20 @@ TIMEOUT_FLOOR_S = 10.0
 
 
 def sites(source: str) -> list[tuple[int, int, str]]:
-    """(line, column, operator) of every comparison operator in the source."""
+    """(line, column, operator) of every operator in FLIPS in the source, outside annotations."""
+    annotations = [
+        ((node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset))
+        for parent in ast.walk(ast.parse(source))
+        for node in (getattr(parent, "annotation", None), getattr(parent, "returns", None))
+        if node is not None
+    ]
     tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-    return [(t.start[0], t.start[1], t.string) for t in tokens if t.type == tokenize.OP and t.string in FLIPS]
+    return [
+        (t.start[0], t.start[1], t.string)
+        for t in tokens
+        if t.type in (tokenize.OP, tokenize.NAME) and t.string in FLIPS
+        and not any(start <= t.start < end for start, end in annotations)
+    ]
 
 
 def mutant(source: str, line: int, column: int, op: str) -> str:

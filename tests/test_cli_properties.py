@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from epgw import EpgwError, Phase  # noqa: E402
 from epgw.cli import CONFIG_DEFAULTS, RunConfig, _table_rows, main, parse_config_text, render_json  # noqa: E402
-from epgw.core import _zero_or_normal  # noqa: E402
+from epgw.core import _normal, _zero_or_normal  # noqa: E402
 
 # log10 range of each config value, around the reference device. A key
 # left out of an example keeps its default (zero for gamma_m).
@@ -283,10 +283,11 @@ def tables(draw):
     }
 
 
-# Bit patterns of the values at the rule's edges: +-0, +-inf, nan, the
-# smallest normal and the largest subnormal, each with either sign.
+# Bit patterns of the values at the rules' edges: +-0, +-inf, nan, the
+# smallest normal, the largest and the smallest subnormal and the largest
+# double, each with either sign.
 EDGE_BITS = np.array(
-    [0.0, math.inf, math.nan, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0)]
+    [0.0, math.inf, math.nan, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0), 5e-324, sys.float_info.max]
 ).view(np.uint64).tolist()
 EDGE_BITS += [bits | 1 << 63 for bits in EDGE_BITS]
 
@@ -295,14 +296,16 @@ EDGE_BITS += [bits | 1 << 63 for bits in EDGE_BITS]
 @given(bits=st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_BITS), max_size=20))
 @example(bits=EDGE_BITS)
 def test_zero_or_normal_is_the_edge_rule(bits):
-    # any float64, by its bit pattern: a float gets the rule's bool, and an
-    # array the same answers elementwise
+    # any float64, by its bit pattern: a float gets each rule's bool, and an
+    # array the same answers elementwise; _normal is the rule without 0
     floats = np.array(bits, dtype=np.uint64).view(np.float64)
-    expected = [x == 0 or (math.isfinite(x) and abs(x) >= sys.float_info.min) for x in floats.tolist()]
-    answers = [_zero_or_normal(x) for x in floats.tolist()]
-    assert all(type(answer) is bool for answer in answers)
-    assert answers == expected
-    assert _zero_or_normal(floats).tolist() == expected
+    normal = [math.isfinite(x) and abs(x) >= sys.float_info.min for x in floats.tolist()]
+    zero_or_normal = [x == 0 or is_normal for x, is_normal in zip(floats.tolist(), normal)]
+    for rule, expected in ((_normal, normal), (_zero_or_normal, zero_or_normal)):
+        answers = [rule(x) for x in floats.tolist()]
+        assert all(type(answer) is bool for answer in answers)
+        assert answers == expected
+        assert rule(floats).tolist() == expected
 
 
 # The characters of numbers and of CSV and line syntax, NUL and the

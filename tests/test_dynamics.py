@@ -26,7 +26,14 @@ from epgw import (
     propagate_exact,
     propagate_rk,
 )
-from epgw.dynamics import _MAX_SAMPLES, _PHASE_BLOCK, _fft_length, _mode_1_spectrum, _peak_bins, _sample_count
+from epgw.dynamics import (
+    _MAX_SAMPLES,
+    _PHASE_BLOCK,
+    _fft_length,
+    _mode_1_spectrum,
+    _peak_bins,
+    _sample_count,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -422,6 +429,11 @@ def test_default_step_is_the_sampling_bound(device, device_n0, ratio):
         assert propagate(system, (1.0, 0.0), 1e-8).dt == bound
         with pytest.raises(SamplingTooCoarseError):
             propagate(system, (1.0, 0.0), 1e-8, 1.00001 * bound)
+        # a dt rounded to a decimal may pass the bound by 1e-6 relative, and no more
+        edge = bound * (1.0 + 1e-6)
+        assert propagate(system, (1.0, 0.0), 1e-8, edge).dt == edge
+        with pytest.raises(SamplingTooCoarseError):
+            propagate(system, (1.0, 0.0), 1e-8, math.nextafter(edge, math.inf))
 
 
 def test_grid_range_errors(device):
@@ -456,19 +468,25 @@ def test_runaway_gain_raises_at_the_first_overflowing_sample(device, device_n0, 
 
 
 @pytest.mark.parametrize(
-    "propagate, n_cav, message",
+    "propagate, n_cav, gamma_m, message",
     [
         # M is finite, but its discriminant overflows: no sample is valid
-        pytest.param(propagate_exact, 1e200, "the eigenvalues overflow", id="propagate_exact"),
-        pytest.param(propagate_rk, 1e200, "the eigenvalues overflow", id="propagate_rk"),
+        pytest.param(propagate_exact, 1e200, 0.0, "the eigenvalues overflow", id="propagate_exact"),
+        pytest.param(propagate_rk, 1e200, 0.0, "the eigenvalues overflow", id="propagate_rk"),
+        # M and its discriminant are finite, but the eigenvalues' center
+        # -(G1 + G2)/4 overflows: a range error, not a runaway at sample 0
+        pytest.param(propagate_exact, 0.0, 1e308, "the eigenvalues overflow", id="propagate_exact-gamma_m"),
+        pytest.param(propagate_rk, 0.0, 1e308, "the eigenvalues overflow", id="propagate_rk-gamma_m"),
         # an entry of M itself overflows
-        pytest.param(propagate_exact, 1e305, "the mode matrix overflows", id="propagate_exact-1e305"),
-        pytest.param(propagate_rk, 1e305, "the mode matrix overflows", id="propagate_rk-1e305"),
+        pytest.param(propagate_exact, 1e305, 0.0, "the mode matrix overflows", id="propagate_exact-1e305"),
+        pytest.param(propagate_rk, 1e305, 0.0, "the mode matrix overflows", id="propagate_rk-1e305"),
     ],
 )
-def test_overflowing_spectrum_is_a_range_error(device, propagate, n_cav, message):
+def test_overflowing_spectrum_is_a_range_error(device, propagate, n_cav, gamma_m, message):
+    resonator = dataclasses.replace(device.resonator_1, gamma_m=gamma_m)
+    system = dataclasses.replace(device, resonator_1=resonator, resonator_2=resonator).with_photon_number(n_cav)
     with pytest.raises(InvalidRangeError, match=re.escape(f"n_cav = {n_cav!r}, {n_cav!r}: {message}")):
-        propagate(device.with_photon_number(n_cav), (1.0, 0.0), 1e-8, 1e-11)
+        propagate(system, (1.0, 0.0), 1e-8, 1e-11)
 
 
 @pytest.mark.parametrize("propagate", [propagate_exact, propagate_rk])
@@ -746,6 +764,45 @@ def test_peak_bins_of_equal_magnitudes_take_the_lower_bin_first():
     # three equal maxima: the two lowest bins, in bin order
     assert _peak_bins(np.array([0.0, 1.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0])) == [3, 5]
     assert _peak_bins(np.array([0.0, 2.0, 0.0, 2.0, 0.0])) == [1, 3]
+    # a plateau of two equal bins: its lower bin, which rises from below
+    assert _peak_bins(np.array([0.0, 2.0, 0.0, 1.0, 1.0, 0.0])) == [1, 3]
+
+
+def _bin_frequencies(m, dt):
+    """Every angular frequency an unrefined peak of an m-bin readout reads."""
+    df = 1.0 / (m * dt)
+    return {-2.0 * math.pi * (-(m // 2) * df + (k + 0.0) * df) for k in range(m)}
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["as_placed", "conjugated"])
+def test_a_peak_beside_an_exactly_zero_bin_is_read_unrefined(conjugate):
+    # four impulses a quarter of the 5-smooth length m apart, on two pairs
+    # of samples where the Hann window is equal (W0 outside, W1 inside): in
+    # every bin k = 1 mod 4 their terms -i W0, -0.5i W1, 0.5i W1 and i W0
+    # cancel exactly (k = 3 mod 4 once conjugated). So each peak has one
+    # neighbour of magnitude 0, below or above it, where the log parabola is
+    # undefined: the peak keeps its bin and a width of 0
+    m = 4 * 3**6
+    a1 = np.zeros(m, dtype=complex)
+    a1[(m // 4 - 1) // 2 + np.arange(4) * (m // 4)] = [-1j, 0.5, -0.5j, 1.0]
+    if conjugate:
+        a1 = a1.conj()
+    mag = np.abs(np.fft.fft(a1 * np.hanning(m)))
+    assert np.all(mag[(3 if conjugate else 1) :: 4] == 0.0) and mag.min(initial=1.0, where=mag > 0.0) > 0.5
+    est = estimate_spectrum(Trajectory(1.0, a1, a1))
+    assert est.peak_linewidths == [0.0, 0.0]
+    assert set(est.peak_frequencies) <= _bin_frequencies(m, 1.0)
+
+
+def test_a_peak_whose_log_parabola_is_flat_is_read_unrefined():
+    # one impulse of 1e100: the magnitude is flat but for rounding, and its
+    # ulp-high peaks have the same log as both neighbours, a curvature of
+    # exactly 0: the peak keeps its bin and a width of 0
+    a1 = np.zeros(1024, dtype=complex)
+    a1[301] = 1e100
+    est = estimate_spectrum(Trajectory(1.0, a1, a1))
+    assert len(est.peak_frequencies) == 2 and est.peak_linewidths == [0.0, 0.0]
+    assert set(est.peak_frequencies) <= _bin_frequencies(1024, 1.0)
 
 
 def test_the_largest_grid_has_exactly_the_sample_cap():

@@ -55,6 +55,7 @@ def _full_sort_peaks(mag):
 
 
 @given(st.lists(st.floats(0.0, 1e6), min_size=3, max_size=400, unique=True))
+@example([0.0, 1.0, 0.01, _SECOND_PEAK_FRACTION, 0.02])  # a second peak at exactly the fraction is kept
 def test_top_two_selection_matches_a_full_sort(values):
     mag = np.array(values)
     assert _peak_bins(mag) == _full_sort_peaks(mag)

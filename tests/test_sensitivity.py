@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epgw import (
+    K_BOLTZMANN,
     ConfigParseError,
     InvalidRangeError,
     MechanicalResonator,
@@ -220,6 +222,80 @@ def test_curve_is_checked_only_at_the_taus_it_uses(device_resonator):
     # a grid that reaches the knee integrates for t_max, and is refused there
     with pytest.raises(InvalidRangeError, match=r"integration time 3600\.0 s"):
         sensitivity_curve(cold, device_resonator, COUPLING_J, 1e-7, 1e3, 3)
+
+
+def _curve_refusal(ctx, resonator, coupling_j, f_min, f_max, points):
+    """The text of sensitivity_curve's InvalidRangeError, written out point by
+    point: k_B T, each divisor and each floor must lie in [DBL_MIN, inf),
+    first at the longest tau alone, then over the whole grid, whose message
+    names the shortest tau after an ``f_max = ...: `` prefix. None if all do,
+    with the floors."""
+    tau = np.minimum(ctx.sample_time, 0.5 / np.geomspace(f_min, f_max, points)).tolist()
+    thermal = K_BOLTZMANN * ctx.temperature
+    x_c, q, mass, omega_m = ctx.drive_amplitude, ctx.quality_factor, resonator.mass, resonator.omega_m
+    divisors = [32.0 * (2.0 * math.pi * t * mass * omega_m * (x_c * x_c) * q) * coupling_j * coupling_j for t in tau]
+    floors = [thermal / d if d else math.inf for d in divisors]
+
+    def normal(x):
+        return sys.float_info.min <= x < math.inf
+
+    for cap, points_checked in (("", [0]), (f"f_max = {f_max!r}: ", range(len(tau)))):
+        if normal(thermal) and all(normal(divisors[k]) and normal(floors[k]) for k in points_checked):
+            continue
+        culprit = (
+            f"k_B T = {thermal!r} J" if not normal(thermal)
+            else "the quotient k_B T / divisor" if all(normal(divisors[k]) for k in points_checked)
+            else "the divisor 2 pi tau m omega_m x_c^2 Q 32 J^2"
+        )
+        return (
+            f"{cap}{culprit} is outside the normal double range: no strain floor at the integration time"
+            f" {min(tau[k] for k in points_checked)!r} s (T = {ctx.temperature!r} K, m = {mass!r} kg, omega_m ="
+            f" {omega_m!r} rad/s, x_c = {x_c!r} m, Q = {q!r}, J = {coupling_j!r} rad/s)"
+        ), None
+    return None, floors
+
+
+@settings(max_examples=300)
+@given(
+    edge=st.sampled_from(["divisor", "floor"]),
+    log_tau=st.floats(-290.0, -50.0),
+    log_other=st.floats(-1.0, 1.0),
+    ulps=st.integers(-40, 40),
+    decades=st.floats(0.0, 20.0),
+    log_knee=st.floats(-1.0, 25.0),
+    points=st.integers(2, 6),
+)
+# inner points of a grid whose ends are adjacent floats pass f_max, so tau[-1] is not the shortest tau
+@example(edge="floor", log_tau=-257.0, log_other=0.0, ulps=0, decades=0.0, log_knee=0.0, points=3)
+def test_curve_is_refused_exactly_where_a_pointwise_check_refuses_it(
+    device_resonator, edge, log_tau, log_other, ulps, decades, log_knee, points
+):
+    # tau_edge is the tau at which the divisor falls below DBL_MIN (a weak
+    # coupling) or the floor rises above DBL_MAX (a hot bath); f_max, a few
+    # floats either side of 1/(2 tau_edge), puts the curve's shortest tau
+    # across that edge. Below f_max the grid spans ``decades`` and the knee
+    # sits at tau_edge 10^log_knee, so the longest tau passes or fails too.
+    # Every partial product of the divisor stays normal.
+    tau_edge = 10.0**log_tau
+    resonator = dataclasses.replace(device_resonator, mass=device_resonator.mass * 10.0 ** (5.0 * log_other))
+    den_per_tau = 2.0 * math.pi * resonator.mass * resonator.omega_m * CTX.drive_amplitude**2 * CTX.quality_factor
+    if edge == "divisor":
+        coupling_j = math.sqrt(sys.float_info.min / (32.0 * den_per_tau * tau_edge))
+        temperature = 10.0 ** (-10.0 + 10.0 * log_other)
+    else:
+        coupling_j = COUPLING_J
+        temperature = sys.float_info.max * (32.0 * den_per_tau * tau_edge * coupling_j**2) / K_BOLTZMANN
+    f_max = (np.float64(0.5 / tau_edge).view(np.int64) + ulps).view(np.float64).item()
+    f_min = min(f_max / 10.0**decades, math.nextafter(f_max, 0.0))
+    ctx = dataclasses.replace(CTX, temperature=temperature, sample_time=tau_edge * 10.0**log_knee)
+    expected, floors = _curve_refusal(ctx, resonator, coupling_j, f_min, f_max, points)
+    if expected is None:
+        curve = sensitivity_curve(ctx, resonator, coupling_j, f_min, f_max, points)
+        assert curve.h_min.tolist() == floors
+    else:
+        with pytest.raises(InvalidRangeError) as info:
+            sensitivity_curve(ctx, resonator, coupling_j, f_min, f_max, points)
+        assert str(info.value) == expected
 
 
 def test_curve_range_errors(device_resonator):
