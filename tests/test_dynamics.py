@@ -26,14 +26,7 @@ from epgw import (
     propagate_exact,
     propagate_rk,
 )
-from epgw.dynamics import (
-    _MAX_SAMPLES,
-    _PHASE_BLOCK,
-    _fft_length,
-    _mode_1_spectrum,
-    _peak_bins,
-    _sample_count,
-)
+from epgw.dynamics import _MAX_SAMPLES, _PHASE_BLOCK, _fft_length, _mode_1_spectrum, _peak_bins, _sample_count
 
 TWO_PI = 2.0 * math.pi
 
