@@ -36,6 +36,12 @@ CPython's in the last bit for some operands.
 Magnitudes come from ``np.hypot``, the C library hypot that CPython's
 ``abs(complex)`` calls. Grids and single points share one square root,
 ``cmath.sqrt`` (per element; numpy's differs on the imaginary axis).
+Where floats and arrays need different primitives, one helper dispatches
+on the type, so every line of a kernel runs for both and a float stays a
+Python float: ``_complex`` builds a complex, ``_magnitude`` takes |z|
+(inf where abs() would raise), ``_root`` the complex root, ``_sqrt`` the
+real one (math.sqrt or np.sqrt, both correctly rounded) and ``_all``
+reduces a range test.
 
 Each rule of the model is written once: ``_arms`` evaluates the arm
 constants (g0, phi; ``_Arm.damping`` is Gamma), ``_classify`` is the phase
@@ -221,10 +227,14 @@ def _complex(re, im):
 
 
 def _magnitude(z):
-    """abs(z); for an array, the same hypot elementwise."""
+    """abs(z); for an array, the same hypot elementwise. A finite z whose
+    modulus overflows gives inf, as np.hypot does, where abs() raises."""
     if isinstance(z, np.ndarray):
         return np.hypot(z.real, z.imag)
-    return abs(z)
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _root(z):
@@ -232,6 +242,20 @@ def _root(z):
     if not isinstance(z, np.ndarray):
         return cmath.sqrt(z)
     return np.asarray(_SQRT(z), dtype=complex)
+
+
+def _sqrt(x):
+    """math.sqrt(x); np.sqrt for an array. Both are correctly rounded."""
+    if isinstance(x, np.ndarray):
+        return np.sqrt(x)
+    return math.sqrt(x)
+
+
+def _all(x):
+    """x.all() for an array; a bool as it is."""
+    if isinstance(x, np.ndarray):
+        return x.all()
+    return x
 
 
 def _spectrum(arms: tuple[_Arm, _Arm], coupling_j: float, n_1, n_2):
@@ -323,7 +347,9 @@ def _pair(arms: tuple[_Arm, _Arm], coupling_j: float, n_1: float, n_2: float):
 def _polish_photon_number(magnitude, n_guess: float) -> tuple[float, float]:
     """The float within +-_POLISH_STEPS steps of n_guess that minimizes |disc|.
 
-    An analytic guess is only good to a few ulps because it cannot
+    ep_photon_number tries the guess alone first and calls this only when
+    its |disc| is not 0, the one value no neighbour can beat. An analytic
+    guess is only good to a few ulps because it cannot
     anticipate the rounding of the damping chain, so the discriminant at
     the guess may sit far above the few ulps of J^2 that the EP rule
     allows, where a neighbour cancels it bit-exactly. The neighbouring
@@ -353,13 +379,15 @@ def ep_photon_number(system: CoupledSystem) -> float:
 
         n = (+-4 J - (gamma_m,2 - gamma_m,1)) / (s_2 - s_1).
 
-    The smaller nonnegative root is float-polished: neighbouring floats of
-    n are tried so that feeding the result back through
-    eigenvalues_general cancels the discriminant bit-exactly whenever the
-    float grid allows it (it does for the reference device), and to within
-    ep_tolerance(J) = 8 eps J^2 otherwise. A balanced system has gamma_m,2
-    = gamma_m,1 and s_2 = -s_1, so n0 = 2 J / (g0^2 |phi|). No search
-    bounds apply.
+    The smaller nonnegative root is tried first: if the discriminant there
+    is exactly 0 it is returned, the float the polish window would pick,
+    since the guess leads the window's order. Otherwise it is
+    float-polished: neighbouring floats of n are tried so that feeding the
+    result back through eigenvalues_general cancels the discriminant
+    bit-exactly whenever the float grid allows it (the reference device
+    needs the float above its guess), and to within ep_tolerance(J) =
+    8 eps J^2 otherwise. A balanced system has gamma_m,2 = gamma_m,1 and
+    s_2 = -s_1, so n0 = 2 J / (g0^2 |phi|). No search bounds apply.
 
     Raises:
         InvalidRangeError: an arm constant or J^2 overflows (see _arms),
@@ -385,6 +413,9 @@ def ep_photon_number(system: CoupledSystem) -> float:
         raise NoEPError(f"no EP at n >= 0: the closed form gives n = {roots[0]:.6e} and {roots[1]:.6e}")
     # + 0.0 turns a root of -0.0 into 0.0, the bottom of the polish window
     guess = min(nonnegative) + 0.0
+    # the guess leads the polish window and nothing beats |disc| = 0
+    if _spectrum(arms, j, guess, guess)[1] == 0:
+        return guess
     best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n)[1]), guess)
     if not math.isfinite(best):
         raise InvalidRangeError(
@@ -437,7 +468,7 @@ def splitting(system: CoupledSystem, n0: float, strain: float) -> SplittingResul
     require_strain(strain)
     strain = float(strain)
     d_exact, d_approx, linewidth = _strain_response(system, n0, strain)
-    return SplittingResult(strain, d_exact, float(d_approx), linewidth)
+    return SplittingResult(strain, d_exact, d_approx, linewidth)
 
 
 def _strain_response(system: CoupledSystem, n0: float, h):
@@ -465,7 +496,7 @@ def _strain_response(system: CoupledSystem, n0: float, h):
         alpha = _root(disc)
         response = (
             2.0 * alpha.real,
-            4.0 * math.sqrt(2.0) * j * np.sqrt(abs(h)),
+            4.0 * math.sqrt(2.0) * j * _sqrt(abs(h)),
             2.0 * abs(alpha.imag),
         )
         # One test of the whole response: it is finite, and at h != 0 the
@@ -478,9 +509,10 @@ def _strain_response(system: CoupledSystem, n0: float, h):
         # not an underflow, so only d_approx is tested. _normal reads alike
         # on a float and an array; an inf part it refuses makes the sum inf.
         disc_normal = _normal(disc.real) | _normal(disc.imag) | (opt_1 == opt_2)
-        in_range = np.isfinite(sum(response)) & ((disc_normal & _normal(response[1])) | (h == 0.0))
-    if not in_range.all():
-        if not np.isfinite(sum(response)).all():
+        finite = abs(sum(response)) < math.inf
+        in_range = finite & ((disc_normal & _normal(response[1])) | (h == 0.0))
+    if not _all(in_range):
+        if not _all(finite):
             raise InvalidRangeError(f"the strain response at n0 = {n0!r} overflows double precision")
         k = np.argmin(np.ravel(in_range))  # the first point out of range
         h_k, disc_k, approx_k = (np.ravel(x)[k].item() for x in (h, disc, response[1]))

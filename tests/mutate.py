@@ -8,10 +8,11 @@ repository root:
 
 Each comparison, bitwise and boolean operator of the module is swapped
 for its partner (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
-``&`` and ``|``, ``and`` and ``or``), one at a time, in a copy of the
-checkout made in a temporary directory, so the checkout is never edited.
-An operator inside an annotation is left alone: annotations are not
-evaluated. The test selection (the arguments after the module, as
+``&`` and ``|``, ``and`` and ``or``), and so is each name ``minimum`` and
+``maximum`` (``np.minimum`` and ``np.maximum``, ``.accumulate`` included),
+one at a time, in a copy of the checkout made in a temporary directory,
+so the checkout is never edited. An operator inside an annotation is left
+alone: annotations are not evaluated. The test selection (the arguments after the module, as
 pytest takes them; put ``--`` before options such as ``-k``) runs on each
 mutant with ``-x``. A mutant that the selection passes survives, and the
 survivors are printed as path:line:column with the flip. ``--line``
@@ -23,6 +24,10 @@ Known equivalent mutants, which no input can tell from the original:
 - ``spectral._continuity_swaps``, ``swap < keep`` in ``flips`` -> ``<=``:
   a tie is also a reset, and the labeling after a reset is read relative
   to the parity there, so the flip a tie adds cancels.
+- ``spectral.sweep_photon_number``, the overflow test's ``and`` -> ``or``:
+  center + root is finite exactly when center - root is (a finite root is
+  at most 1.6e154, far below an ulp of a center near the double range's
+  end), so both branches' checks agree at every point.
 - ``dynamics._fft_length``, ``power_3 < m`` and ``odd < m`` -> ``<=``: at
   power_3 = m the inner loop does not run, and at odd = m >= n the least
   multiple of odd that is >= n is m itself, so m stays.
@@ -50,7 +55,7 @@ from pathlib import Path
 
 FLIPS = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
-    "&": "|", "|": "&", "and": "or", "or": "and",
+    "&": "|", "|": "&", "and": "or", "or": "and", "minimum": "maximum", "maximum": "minimum",
 }
 ROOT = Path(__file__).resolve().parents[1]
 # a mutant may loop forever; one that runs this many times the unmutated run (and at least

@@ -8,7 +8,9 @@ different route from the closed-form discriminant of
 numpy's own window, DFT and shift, so the tests can pin the library's
 in-place readout to it bit for bit. ``strained_directly`` evaluates a
 strain's response at the rescaled drive, the route ``epgw.spectral.splitting``
-avoids, with the bound within which the two agree.
+avoids, with the bound within which the two agree. ``ep_photon_number_scanned``
+locates the EP by always scanning the whole float polish window, so the
+tests can pin the library's early return at an exactly cancelling guess to it.
 """
 
 import cmath
@@ -16,9 +18,19 @@ import math
 
 import numpy as np
 
-from epgw.core import CoupledSystem, SupermodePair
+from epgw.core import CoupledSystem, InvalidRangeError, NoEPError, SupermodePair, ZeroCouplingError
 from epgw.dynamics import SpectralEstimate, Trajectory, _fft_length, _peak_bins
-from epgw.spectral import _PHASES, _arms, _classify, _spectrum, eigenvalues_general, ep_tolerance
+from epgw.spectral import (
+    _PHASES,
+    _arms,
+    _at_ep,
+    _classify,
+    _magnitude,
+    _polish_photon_number,
+    _spectrum,
+    eigenvalues_general,
+    ep_tolerance,
+)
 
 
 def eigenvalues_numeric(system: CoupledSystem) -> SupermodePair:
@@ -111,3 +123,33 @@ def strained_directly(system: CoupledSystem, n0: float, strain: float) -> tuple[
     eps = np.finfo(float).eps
     bound = 2.0 * ep_tolerance(system.coupling_j) / abs(separation) + 8.0 * eps * abs(pair.lambda_plus)
     return abs(separation.real), abs(separation.imag), bound
+
+
+def ep_photon_number_scanned(system: CoupledSystem) -> float:
+    """epgw.spectral.ep_photon_number without its early return: the closed-form
+    guess is always polished over the full window, whose first minimum of
+    |disc| wins, and every error is raised with the library's class and text."""
+    j = system.coupling_j
+    if j == 0:
+        raise ZeroCouplingError("coupling_j is zero; the spectrum has no tunable degeneracy")
+    arms = _arms(system)
+    arm_1, arm_2 = arms
+    d_slope = arm_2.g0_sq * arm_2.phi - arm_1.g0_sq * arm_1.phi
+    if d_slope == 0.0:
+        raise ZeroCouplingError("g0^2 * phi is equal in both arms; photon number cannot tune the discriminant")
+    d_gamma = arm_2.gamma_m - arm_1.gamma_m
+    roots = ((4.0 * j - d_gamma) / d_slope, (-4.0 * j - d_gamma) / d_slope)
+    nonnegative = [n for n in roots if n >= 0.0]
+    if not nonnegative:
+        raise NoEPError(f"no EP at n >= 0: the closed form gives n = {roots[0]:.6e} and {roots[1]:.6e}")
+    guess = min(nonnegative) + 0.0
+    best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n)[1]), guess)
+    if not math.isfinite(best):
+        raise InvalidRangeError(
+            f"coupling_j = {j!r}: the discriminant overflows double precision near the EP at n = {guess:.6e}"
+        )
+    if not _at_ep(best, j):
+        raise NoEPError(
+            f"discriminant magnitude {best:.3e} above threshold {ep_tolerance(j):.3e} near n = {guess:.6e}"
+        )
+    return best_n

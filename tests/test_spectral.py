@@ -9,6 +9,7 @@ import pytest
 
 from epgw import (
     CoupledSystem,
+    EpgwError,
     InvalidRangeError,
     MechanicalResonator,
     NoEPError,
@@ -30,7 +31,7 @@ from epgw import (
 from epgw import core, spectral
 from epgw.dynamics import mode_matrix, propagate_exact
 from epgw.spectral import _arms
-from oracle import eigenvalues_numeric, strained_directly
+from oracle import eigenvalues_numeric, ep_photon_number_scanned, strained_directly
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -330,6 +331,85 @@ def test_no_ep_for_detuned_resonators(device, device_resonator):
         ep_photon_number(system)
 
 
+def _design_population(seed, count=60):
+    """(kind, system) for seeded designs around the reference device: a third
+    balanced, a third with a faster-decaying red cavity (kappa mismatch) and
+    a third with detuned mechanics, for which NoEPError is the answer."""
+    rng = np.random.default_rng(seed)
+    designs = []
+    for index in range(count):
+        resonator = MechanicalResonator(
+            omega_m=TWO_PI * 1e9 * float(rng.uniform(0.8, 1.2)),
+            mass=5.3e-15 * float(rng.uniform(0.8, 1.2)),
+            quality_factor=1e5 * float(rng.uniform(0.5, 2.0)),
+            thickness=8e-8 * float(rng.uniform(0.8, 1.2)),
+        )
+        system = balanced_system(
+            resonator,
+            length=1e-4 * float(rng.uniform(0.8, 1.2)),
+            kappa=TWO_PI * 1e8 * float(rng.uniform(0.8, 1.2)),
+            coupling_j=TWO_PI * 1e7 * float(rng.uniform(0.8, 1.2)),
+        )
+        kind = ("balanced", "kappa-mismatched", "detuned")[index % 3]
+        if kind == "kappa-mismatched":
+            system = _kappa_mismatched(system, float(rng.uniform(1.05, 1.3)))
+        elif kind == "detuned":
+            omega_2 = resonator.omega_m + system.coupling_j * float(rng.uniform(0.05, 0.5))
+            system = dataclasses.replace(system, resonator_2=dataclasses.replace(resonator, omega_m=omega_2))
+        designs.append((kind, system))
+    return designs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ep_location_is_the_full_window_scan_on_a_design_population(seed, monkeypatch):
+    # the early return at an exactly cancelling guess picks the float the
+    # whole window picks, and every other design fails alike
+    windows = _count_calls(monkeypatch, spectral, "_polish_photon_number")
+    for kind, system in _design_population(seed):
+        try:
+            expected = ep_photon_number_scanned(system)
+        except EpgwError as err:
+            with pytest.raises(EpgwError) as info:
+                ep_photon_number(system)
+            assert (type(info.value), str(info.value)) == (type(err), str(err)), kind
+        else:
+            assert ep_photon_number(system).hex() == expected.hex(), kind
+    # both branches ran: of the 60, the 20 detuned designs and some others
+    # took the window, and the rest returned their guess
+    assert 20 < windows[0] < 60
+
+
+def test_an_exactly_cancelling_guess_is_returned_without_the_window(device_resonator, monkeypatch):
+    # J/2pi = 12 MHz: the closed-form guess already cancels the discriminant
+    system = balanced_system(device_resonator, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=TWO_PI * 1.2e7)
+    expected = ep_photon_number_scanned(system)
+    assert eigenvalues_general(system.with_photon_number(expected)).discriminant == 0
+
+    def no_window(magnitude, n_guess):
+        raise AssertionError("the polish window ran")
+
+    monkeypatch.setattr(spectral, "_polish_photon_number", no_window)
+    assert ep_photon_number(system).hex() == expected.hex() == (1687527107922.6628).hex()
+
+
+def test_the_reference_device_goes_through_the_window(device, device_n0, monkeypatch):
+    # its guess leaves |disc| = 2; the float one step up cancels it
+    windows = _count_calls(monkeypatch, spectral, "_polish_photon_number")
+    assert ep_photon_number(device) == device_n0
+    assert windows == [1]
+    guess = math.nextafter(device_n0, 0.0)
+    assert eigenvalues_general(device.with_photon_number(guess)).discriminant == 2.0
+    assert eigenvalues_general(device.with_photon_number(device_n0)).discriminant == 0
+
+
+def test_a_detuned_design_keeps_its_no_ep_text(device):
+    omega_2 = device.resonator_2.omega_m + 0.3 * device.coupling_j
+    system = dataclasses.replace(device, resonator_2=dataclasses.replace(device.resonator_2, omega_m=omega_2))
+    with pytest.raises(NoEPError) as info:
+        ep_photon_number(system)
+    assert str(info.value) == "discriminant magnitude 1.188e+15 above threshold 7.013e+00 near n = 1.410906e+12"
+
+
 def _count_roots(monkeypatch):
     """The values of every spectral._root call from now on, in call order."""
     roots, root_of = [], spectral._root
@@ -516,6 +596,15 @@ def test_splitting_vanishes_at_zero_strain(device, device_n0):
     assert result.d_exact == 0.0
     assert result.d_approx == 0.0
     assert result.linewidth_split == 0.0
+
+
+@pytest.mark.parametrize(
+    "strain", [0.0, 1e-18, -1e-18, np.float64(1e-18)], ids=["zero", "positive", "negative", "float64"]
+)
+def test_splitting_at_a_float_strain_gives_python_floats(device, device_n0, strain):
+    result = splitting(device, device_n0, strain)
+    assert [type(getattr(result, f.name)) for f in dataclasses.fields(result)] == [float] * 4
+    assert type(result.rel_error) is float
 
 
 def test_splitting_reference_values(device, device_n0):

@@ -23,6 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from epgw import (  # noqa: E402
     K_BOLTZMANN,
+    EpgwError,
     InvalidRangeError,
     MechanicalResonator,
     NoEPError,
@@ -492,6 +493,62 @@ def test_strain_response_refuses_exactly_where_the_reference_does(system, data):
         with pytest.raises(InvalidRangeError) as info:
             sweep_strain(system, n0, 0.0, g, 2)
         assert str(info.value) == expected
+
+
+def _reference_device(coupling_j=2.0 * math.pi * 1e7, omega_2=None, kappa_2_factor=1.0, n_cav=0.0):
+    """The reference device with another J, resonator 2's frequency, red
+    cavity decay and photon number in both cavities."""
+    res = MechanicalResonator(omega_m=2.0 * math.pi * 1e9, mass=5.3e-15, quality_factor=1e5, thickness=8e-8)
+    system = balanced_system(res, length=1e-4, kappa=2.0 * math.pi * 1e8, coupling_j=coupling_j)
+    res_2 = dataclasses.replace(res, omega_m=res.omega_m if omega_2 is None else omega_2)
+    cav_2 = dataclasses.replace(system.cavity_2, kappa=system.cavity_2.kappa * kappa_2_factor)
+    return dataclasses.replace(system, resonator_2=res_2, cavity_2=cav_2).with_photon_number(n_cav)
+
+
+@st.composite
+def extreme_systems(draw):
+    """The reference device with J and |omega_1 - omega_2| up to about 1e154
+    and both photon numbers up to about 1e300, balanced or kappa-mismatched."""
+    return _reference_device(
+        coupling_j=draw(log_uniform(-3.0, 154.2)),
+        omega_2=draw(st.none() | log_uniform(6.0, 154.2)),
+        kappa_2_factor=draw(st.sampled_from([1.0, 1.2])),
+        n_cav=draw(st.just(0.0) | log_uniform(0.0, 300.0)),
+    )
+
+
+@settings(max_examples=200)
+@given(system=extreme_systems(), strain=st.sampled_from([0.0, 1e-20, -1e-3, 0.49]))
+# a finite disc ~ 1.79e308 - 2.28e307j whose modulus overflows
+@example(
+    system=_reference_device(
+        coupling_j=1.3218468929391967e154, omega_2=7.408800984916117e153, n_cav=1.3789067060798393e158
+    ),
+    strain=1e-3,
+)
+def test_single_point_calls_raise_only_library_errors_at_extreme_inputs(system, strain):
+    # a point either raises an EpgwError or agrees with the first point of
+    # a two-point sweep there, bit for bit and in phase
+    n = system.cavity_1.n_cav
+    try:
+        pair = eigenvalues_general(system)
+    except EpgwError:
+        pass
+    else:
+        grid, sweep = sweep_photon_number(system, n, math.nextafter(n, math.inf), 2)
+        assert grid[0] == n
+        assert _bits([sweep.lambda_plus[0].item(), sweep.lambda_minus[0].item(), sweep.discriminant[0].item()]) == (
+            _bits([pair.lambda_plus, pair.lambda_minus, pair.discriminant])
+        )
+        assert sweep.phase[0] is pair.phase
+    try:
+        n = ep_photon_number(system)
+    except EpgwError:
+        pass
+    try:
+        splitting(system, n, strain)
+    except EpgwError:
+        pass
 
 
 @pytest.mark.parametrize(
