@@ -4,14 +4,14 @@ All quantities are SI. Frequencies, damping rates and cavity decay rates
 are angular (rad/s) everywhere inside the library; the Hz values used in
 config files are converted at the interface layer only.
 
-Validation happens once, with the validators below: a ``CoupledSystem``
-checks itself as it is built, ``cli.parse_config`` checks a config, and
-the entry points of ``spectral``, ``dynamics`` and ``sensitivity`` check
-their other arguments (finite values, signs, ranges) before any per-point
-work. The leaf formulas of ``spectral`` check no input. Valid but extreme
-values that overflow the model's arithmetic are rejected where that
-arises, as InvalidRangeError (see ``spectral``). Every sign rule, the
-config's included, is the one check ``_check``; every normal-double rule is
+Validation happens once, with the validators below: the records valid as built,
+``CoupledSystem`` and ``SensitivityContext``, check themselves,
+``cli.parse_config`` a config, and the entry points of ``spectral``,
+``dynamics`` and ``sensitivity`` their other arguments (finite values, signs,
+ranges) before any per-point work; the leaf formulas of ``spectral`` none.
+Valid but extreme values that overflow the model's arithmetic are rejected
+where that arises, as InvalidRangeError (see ``spectral``). Every sign rule,
+the config's included, is the one check ``_check``; every normal-double rule is
 ``_normal``, and configs, strains and cells pass ``_zero_or_normal`` (0 or it).
 """
 
@@ -216,6 +216,7 @@ class CoupledSystem:
 
     def __post_init__(self):
         validate_system(self)
+        object.__setattr__(self, "coupling_j", float(self.coupling_j))  # a point's arithmetic stays in floats
 
     def with_photon_number(self, n_cav: float) -> "CoupledSystem":
         """Copy of the system with both cavities driven at ``n_cav`` photons."""
@@ -276,7 +277,8 @@ class SupermodePair:
 
 @dataclass(frozen=True)
 class SensitivityContext:
-    """Thermal-noise environment for sensitivity estimates.
+    """Thermal-noise environment for sensitivity estimates, valid by
+    construction (``dataclasses.replace`` too): each field is finite and > 0.
 
     Attributes:
         temperature: Bath temperature (K).
@@ -290,6 +292,10 @@ class SensitivityContext:
     sample_time: float
     drive_amplitude: float
     quality_factor: float
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            require_positive(field.name, getattr(self, field.name))
 
 
 # ---------------------------------------------------------------------------

@@ -393,7 +393,7 @@ def _readout(n: int, dt: float, write, length: int = 0) -> SpectralEstimate:
         ym, y0, yp = mag[k - 1], mag[k], mag[k + 1]
         delta = 0.0
         width = 0.0
-        if ym > 0.0 and y0 > 0.0 and yp > 0.0:
+        if ym > 0.0 and yp > 0.0:  # y0 > ym too: a peak (_peak_bins) tops its lower neighbour
             lm_, l0, lp_ = math.log(ym), math.log(y0), math.log(yp)
             curvature = lm_ - 2.0 * l0 + lp_
             if curvature < 0.0:

@@ -56,18 +56,15 @@ class SensitivityCurve:
     h_min: np.ndarray
 
 
-def _validate(ctx: SensitivityContext, resonator: MechanicalResonator) -> None:
-    require_positive("temperature", ctx.temperature)
-    require_positive("sample_time", ctx.sample_time)
-    require_positive("drive_amplitude", ctx.drive_amplitude)
-    require_positive("quality_factor", ctx.quality_factor)
+def _validate(resonator: MechanicalResonator) -> None:
+    """The resonator fields the noise model reads; a context is valid as built."""
     require_positive("mass", resonator.mass)
     require_positive("omega_m", resonator.omega_m)
 
 
 def thermal_frequency_noise(ctx: SensitivityContext, resonator: MechanicalResonator) -> float:
     """Thermal frequency fluctuation delta_omega (rad/s) after time tau."""
-    _validate(ctx, resonator)
+    _validate(resonator)
     return math.sqrt(_thermal_floor(ctx, resonator, None, ctx.sample_time))
 
 
@@ -81,7 +78,7 @@ def min_detectable_strain(
     contract thermal_frequency_noise(ctx) == 4 sqrt(2) J sqrt(h_min)
     holds to rounding.
     """
-    _validate(ctx, resonator)
+    _validate(resonator)
     require_positive("coupling_j", coupling_j)
     return _thermal_floor(ctx, resonator, coupling_j, ctx.sample_time)
 
@@ -137,13 +134,13 @@ def sensitivity_curve(
     its tau.
 
     Raises:
-        NonPositiveParameterError: invalid context, resonator or coupling.
+        NonPositiveParameterError: invalid resonator or coupling.
         InvalidRangeError: unusable frequency range (see core.sweep_grid),
             or a strain floor that is not a normal double at a tau the grid
             uses; f_max is named when the floor at the longest, tau[0], is
             normal, so its cap set the tau.
     """
-    _validate(ctx, resonator)
+    _validate(resonator)
     require_positive("coupling_j", coupling_j)
     grid = sweep_grid("f", f_min, f_max, points, log=True)
     with np.errstate(all="ignore"):

@@ -41,7 +41,9 @@ on the type, so every line of a kernel runs for both and a float stays a
 Python float: ``_complex`` builds a complex, ``_magnitude`` takes |z|
 (inf where abs() would raise), ``_root`` the complex root, ``_sqrt`` the
 real one (math.sqrt or np.sqrt, both correctly rounded) and ``_all``
-reduces a range test.
+reduces a range test. A single point is Python floats throughout, which
+warn of nothing, so ``np.errstate`` wraps array arithmetic alone: the
+polish window and the two sweeps.
 
 Each rule of the model is written once: ``_arms`` evaluates the arm
 constants (g0, phi; ``_Arm.damping`` is Gamma), ``_classify`` is the phase
@@ -61,7 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -199,6 +201,8 @@ def _arms(system: CoupledSystem) -> tuple[_Arm, _Arm]:
         raise InvalidRangeError(f"coupling_j = {system.coupling_j!r}: J^2 overflows double precision")
     arms = []
     for k, resonator, cavity in ((1, system.resonator_1, system.cavity_1), (2, system.resonator_2, system.cavity_2)):
+        # float copies: a Python float's overflow raises, where a numpy scalar's only warns
+        resonator, cavity = (type(r)(*map(float, astuple(r))) for r in (resonator, cavity))
         quantity = "x_zpf"
         try:
             x_zpf = zero_point_fluctuation(resonator)
@@ -328,7 +332,8 @@ def eigenvalues_general(system: CoupledSystem) -> SupermodePair:
         InvalidRangeError: the arm constants or the eigenvalues overflow
             double precision (see _arms), e.g. at an extreme photon number.
     """
-    center, root, disc = _pair(_arms(system), system.coupling_j, system.cavity_1.n_cav, system.cavity_2.n_cav)
+    n_1, n_2 = float(system.cavity_1.n_cav), float(system.cavity_2.n_cav)
+    center, root, disc = _pair(_arms(system), system.coupling_j, n_1, n_2)
     phase = _PHASES[_classify(disc, system.coupling_j)]
     return SupermodePair(lambda_plus=center + root, lambda_minus=center - root, discriminant=disc, phase=phase)
 
@@ -466,14 +471,14 @@ def splitting(system: CoupledSystem, n0: float, strain: float) -> SplittingResul
     """
     require_nonnegative("n0", n0)
     require_strain(strain)
-    strain = float(strain)
-    d_exact, d_approx, linewidth = _strain_response(system, n0, strain)
-    return SplittingResult(strain, d_exact, d_approx, linewidth)
+    n0, strain = float(n0), float(strain)
+    return SplittingResult(strain, *_strain_response(system, n0, strain))
 
 
 def _strain_response(system: CoupledSystem, n0: float, h):
     """(d_exact, d_approx, linewidth_split) at strain h, a float or an
-    array, for a system biased at n0 (see splitting)."""
+    array, for a system biased at n0, a float (see splitting). An array h
+    runs under the caller's np.errstate; a float needs none."""
     arms = _arms(system)
     j = system.coupling_j
     disc0 = _magnitude(_spectrum(arms, j, n0, n0)[1])
@@ -484,33 +489,28 @@ def _strain_response(system: CoupledSystem, n0: float, h):
     arm_1, arm_2 = arms
     b0_re = arm_1.omega_m - arm_2.omega_m
     b0_im = 0.5 * (arm_2.damping(n0) - arm_1.damping(n0))
-    with np.errstate(all="ignore"):
-        scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
-        # disc(h) = 0.25 db (2 b0 + db) with db = i db_im. CPython's complex
-        # product adds zero terms here that can only flip the sign of a
-        # zero part, which neither output below keeps.
-        opt_1, opt_2 = arm_1.optical_damping(n0), arm_2.optical_damping(n0)
-        db_im = 0.5 * (scale * opt_2 - scale * opt_1)
-        t_im = 2.0 * b0_im + db_im
-        disc = _complex(0.25 * -(db_im * t_im), 0.25 * (db_im * (2.0 * b0_re)))
-        alpha = _root(disc)
-        response = (
-            2.0 * alpha.real,
-            4.0 * math.sqrt(2.0) * j * _sqrt(abs(h)),
-            2.0 * abs(alpha.imag),
-        )
-        # One test of the whole response: it is finite, and at h != 0 the
-        # discriminant and d_approx are normal doubles; below that range
-        # they have lost the sqrt(h) law's digits, down to a splitting of
-        # 0. The sum is finite exactly when every part is, since a finite
-        # part is below 1e155 (J^2 is finite; a double's root is < 1.4e154).
-        # With equal optical damping (no light at n0 = 0, say) the strain
-        # has no lever: disc is exactly 0 at every h, a zero response and
-        # not an underflow, so only d_approx is tested. _normal reads alike
-        # on a float and an array; an inf part it refuses makes the sum inf.
-        disc_normal = _normal(disc.real) | _normal(disc.imag) | (opt_1 == opt_2)
-        finite = abs(sum(response)) < math.inf
-        in_range = finite & ((disc_normal & _normal(response[1])) | (h == 0.0))
+    scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
+    # disc(h) = 0.25 db (2 b0 + db) with db = i db_im. CPython's complex
+    # product adds zero terms here that can only flip the sign of a
+    # zero part, which neither output below keeps.
+    opt_1, opt_2 = arm_1.optical_damping(n0), arm_2.optical_damping(n0)
+    db_im = 0.5 * (scale * opt_2 - scale * opt_1)
+    t_im = 2.0 * b0_im + db_im
+    disc = _complex(0.25 * -(db_im * t_im), 0.25 * (db_im * (2.0 * b0_re)))
+    alpha = _root(disc)
+    response = (2.0 * alpha.real, 4.0 * math.sqrt(2.0) * j * _sqrt(abs(h)), 2.0 * abs(alpha.imag))
+    # One test of the whole response: it is finite, and at h != 0 the
+    # discriminant and d_approx are normal doubles; below that range
+    # they have lost the sqrt(h) law's digits, down to a splitting of
+    # 0. The sum is finite exactly when every part is, since a finite
+    # part is below 1e155 (J^2 is finite; a double's root is < 1.4e154).
+    # With equal optical damping (no light at n0 = 0, say) the strain
+    # has no lever: disc is exactly 0 at every h, a zero response and
+    # not an underflow, so only d_approx is tested. _normal reads alike
+    # on a float and an array; an inf part it refuses makes the sum inf.
+    disc_normal = _normal(disc.real) | _normal(disc.imag) | (opt_1 == opt_2)
+    finite = abs(sum(response)) < math.inf
+    in_range = finite & ((disc_normal & _normal(response[1])) | (h == 0.0))
     if not _all(in_range):
         if not _all(finite):
             raise InvalidRangeError(f"the strain response at n0 = {n0!r} overflows double precision")
@@ -568,7 +568,7 @@ def sweep_photon_number(
         center, disc = _spectrum(_arms(system), system.coupling_j, grid, grid)
         root = _root(disc)
         plus, minus = center + root, center - root
-        if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+        if not np.isfinite(plus).all():  # then minus is finite too (see _pair)
             raise InvalidRangeError(f"n_max = {n_max!r}: the eigenvalues overflow double precision")
         phase = _PHASES[_classify(disc, system.coupling_j)]
     swapped = _continuity_swaps(plus, minus)
@@ -586,7 +586,8 @@ def sweep_strain(
 ) -> SplittingResult:
     """Splitting response over a strain range at fixed EP bias: one
     SplittingResult of arrays over the grid, each element (rel_error too)
-    bit for bit what ``splitting`` gives at that strain.
+    bit for bit what ``splitting`` gives at that strain. The grid's
+    arithmetic runs under np.errstate, the one the strain response needs.
 
     Raises:
         NonPositiveParameterError: n0 not finite or negative.
@@ -598,4 +599,5 @@ def sweep_strain(
     grid = sweep_grid("h", h_min, h_max, points, log)
     require_strain(h_max)
     require_strain(float(grid[grid > 0.0].min()))
-    return SplittingResult(grid, *_strain_response(system, n0, grid))
+    with np.errstate(all="ignore"):
+        return SplittingResult(grid, *_strain_response(system, float(n0), grid))

@@ -24,17 +24,11 @@ Known equivalent mutants, which no input can tell from the original:
 - ``spectral._continuity_swaps``, ``swap < keep`` in ``flips`` -> ``<=``:
   a tie is also a reset, and the labeling after a reset is read relative
   to the parity there, so the flip a tie adds cancels.
-- ``spectral.sweep_photon_number``, the overflow test's ``and`` -> ``or``:
-  center + root is finite exactly when center - root is (a finite root is
-  at most 1.6e154, far below an ulp of a center near the double range's
-  end), so both branches' checks agree at every point.
 - ``dynamics._fft_length``, ``power_3 < m`` and ``odd < m`` -> ``<=``: at
   power_3 = m the inner loop does not run, and at odd = m >= n the least
   multiple of odd that is >= n is m itself, so m stays.
 - ``dynamics._peak_bins``, ``candidates.size > 2`` -> ``>=``: the
   partition of two candidates keeps both, each >= the smaller.
-- ``dynamics._readout``, ``y0 > 0.0`` -> ``>=``: y0 is a peak, above
-  ym >= 0.
 - ``sensitivity._plain_overlay``, the field-limit ``>`` -> ``>=``: a cell
   of exactly the limit goes to the csv path, which reads the same table.
 """

@@ -1270,6 +1270,13 @@ def test_help_exits_0_on_stdout(capsys, command):
             "error: n_cav = inf, inf: the eigenvalues overflow double precision",
             id="-argv62-n_cav = inf, inf: the eigenvalues overflow double precision",
         ),
+        # min == max is an empty range, not a grid of one repeated photon number
+        pytest.param(
+            "",
+            ["sweep-ncav", "--min", "1e12", "--max", "1e12"],
+            "error: empty range [n_min, n_max] = [1000000000000.0, 1000000000000.0]",
+            id="-argv63-empty range",
+        ),
     ],
 )
 def test_bad_input_exits_1_without_output(run_cli, tmp_path, config, argv, named):

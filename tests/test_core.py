@@ -266,6 +266,14 @@ def test_balanced_system_factory_shares_resonator(device):
     assert device.cavity_1.n_cav == 0.0
 
 
+@pytest.mark.parametrize("lo, hi", [(1e12, 1e12), (0.0, 0.0), (2.0, 1.0)], ids=["equal", "zero", "reversed"])
+@pytest.mark.parametrize("log", [False, True])
+def test_sweep_grid_refuses_an_empty_or_reversed_range(lo, hi, log):
+    # min == max is empty: a grid of one repeated value is refused, not returned
+    with pytest.raises(InvalidRangeError, match=re.escape(f"empty range [n_min, n_max] = [{lo!r}, {hi!r}]")):
+        sweep_grid("n", lo, hi, 3, log=log)
+
+
 def test_sweep_grid_caps_the_point_count():
     # 1 << 20 points is the largest grid; more are refused before allocation
     assert len(sweep_grid("n", 0.0, 1.0, 1 << 20, log=False)) == 1 << 20

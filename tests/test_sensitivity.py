@@ -20,6 +20,8 @@ from epgw import (
     sensitivity_curve,
     thermal_frequency_noise,
 )
+from epgw import core, sensitivity
+from epgw.cli import RunConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,6 +102,48 @@ def test_validation_of_inputs(device_resonator):
         min_detectable_strain(dataclasses.replace(CTX, sample_time=-1.0), device_resonator, COUPLING_J)
     with pytest.raises(NonPositiveParameterError):
         min_detectable_strain(CTX, device_resonator, 0.0)
+
+
+FIELDS = ["temperature", "sample_time", "drive_amplitude", "quality_factor"]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, np.float64(-0.0)], ids=repr)
+@pytest.mark.parametrize("name", FIELDS)
+def test_a_context_is_valid_as_built(name, value):
+    # each field is checked as the context is made, directly or by replace,
+    # with the text require_positive gives, not at the first noise call
+    expected = f"^{re.escape(str(NonPositiveParameterError(name, value)))}$"
+    with pytest.raises(NonPositiveParameterError, match=expected):
+        SensitivityContext(**{**dataclasses.asdict(CTX), name: value})
+    with pytest.raises(NonPositiveParameterError, match=expected) as info:
+        dataclasses.replace(CTX, **{name: value})
+    assert (info.value.name, info.value.where) == (name, None)
+
+
+def test_a_context_names_its_first_bad_field_in_field_order():
+    for k, name in enumerate(FIELDS):
+        with pytest.raises(NonPositiveParameterError) as info:
+            SensitivityContext(**dict.fromkeys(FIELDS[:k], 1.0), **dict.fromkeys(FIELDS[k:], 0.0))
+        assert info.value.name == name
+
+
+def test_a_config_with_a_bad_context_value_fails_as_its_context_is_made():
+    # parse_config refuses such a value; a RunConfig built in code is checked here
+    with pytest.raises(NonPositiveParameterError, match=r"^temperature = -1\.0 violates"):
+        RunConfig(noise_temperature_k=-1.0).context()
+
+
+def test_a_floor_checks_the_resonator_and_coupling_alone(device_resonator, monkeypatch):
+    # the context is valid as built, so a call checks mass, omega_m and J once each
+    checked = []
+
+    def require_positive(name, value, where=None):
+        checked.append(name)
+        return core.require_positive(name, value, where)
+
+    monkeypatch.setattr(sensitivity, "require_positive", require_positive)
+    min_detectable_strain(CTX, device_resonator, COUPLING_J)
+    assert checked == ["mass", "omega_m", "coupling_j"]
 
 
 @pytest.mark.parametrize(
@@ -305,7 +349,7 @@ def test_curve_range_errors(device_resonator):
         sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1e3, 1e-7, 10)
     with pytest.raises(InvalidRangeError):
         sensitivity_curve(HOUR, device_resonator, COUPLING_J, 1e-7, 1e3, 1)
-    # the integration time is the context's, checked with the rest of it
+    # the integration time is the context's, checked as the context is built
     with pytest.raises(NonPositiveParameterError):
         sensitivity_curve(dataclasses.replace(CTX, sample_time=0.0), device_resonator, COUPLING_J, 1e-7, 1e3, 10)
 

@@ -607,6 +607,25 @@ def test_splitting_at_a_float_strain_gives_python_floats(device, device_n0, stra
     assert type(result.rel_error) is float
 
 
+def test_a_single_point_enters_no_numpy_error_state(device, device_n0, monkeypatch):
+    # a point is Python floats, which warn of nothing; np.errstate is for arrays
+    entered = []
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    for strain in (0.0, 1e-18, -1e-3, np.float64(1e-18)):
+        splitting(device, device_n0, strain)
+        splitting(device, np.float64(device_n0), strain)
+    eigenvalues_general(device.with_photon_number(np.float64(device_n0)))
+    assert entered == []
+    sweep_strain(device, device_n0, 0.0, 1e-18, 3)
+    assert entered == [{"all": "ignore"}]
+
+
 def test_splitting_reference_values(device, device_n0):
     r24 = splitting(device, device_n0, 1e-24)
     assert r24.d_approx == pytest.approx(3.554306350526693e-4, rel=1e-13)

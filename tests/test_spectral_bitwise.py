@@ -551,6 +551,66 @@ def test_single_point_calls_raise_only_library_errors_at_extreme_inputs(system, 
         pass
 
 
+def _as_float64(record):
+    """The record with every field an np.float64, its records' fields too."""
+    if not dataclasses.is_dataclass(record):
+        return np.float64(record)
+    fields = {f.name: _as_float64(getattr(record, f.name)) for f in dataclasses.fields(record)}
+    return dataclasses.replace(record, **fields)
+
+
+def _typed_bits(value):
+    """_bits with each value's type (an array's dtype), field by field."""
+    if dataclasses.is_dataclass(value):
+        return [_typed_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, np.ndarray):
+        return value.dtype, _bits(value.tolist())
+    return type(value), _bits(value)
+
+
+def _single_point_outcomes(system, strain, number):
+    """What the single-point calls give, each as _typed_bits or its error's
+    class and text: the pair at the system's photon number, the EP, and the
+    splitting at the EP (else at that photon number) at ``strain`` and over
+    [0, |strain|]. ``number`` makes every number argument."""
+
+    def outcome(call, *args):
+        try:
+            return _typed_bits(call(*args))
+        except EpgwError as exc:
+            return type(exc), str(exc)
+
+    n = system.cavity_1.n_cav
+    try:
+        n = number(ep_photon_number(system))
+    except EpgwError:
+        pass
+    return [
+        outcome(eigenvalues_general, system),
+        outcome(ep_photon_number, system),
+        outcome(splitting, system, n, number(strain)),
+        outcome(sweep_strain, system, n, number(0.0), number(abs(strain)), 2) if strain else None,
+    ]
+
+
+@settings(max_examples=200)
+@given(system=extreme_systems(), strain=st.sampled_from([0.0, 1e-20, -1e-3, 0.49]))
+@example(
+    system=_reference_device(
+        coupling_j=1.3218468929391967e154, omega_2=7.408800984916117e153, n_cav=1.3789067060798393e158
+    ),
+    strain=1e-3,
+)
+# resonator 2's phi overflows: (Delta - omega_2)^2 leaves the double range
+@example(system=_reference_device(omega_2=10.0**154.2), strain=1e-20)
+def test_float64_inputs_take_the_python_float_path_at_extreme_inputs(system, strain):
+    # numpy float64 fields and arguments give the bits, types and errors that
+    # Python floats give, and no numpy warning (pytest makes one an error)
+    numpy_system = _as_float64(system)
+    assert type(numpy_system.resonator_2.omega_m) is np.float64
+    assert _single_point_outcomes(numpy_system, strain, np.float64) == _single_point_outcomes(system, strain, float)
+
+
 @pytest.mark.parametrize(
     "n_guess",
     [3 * 5e-324, 1.4e12, math.nextafter(sys.float_info.max, 0.0), sys.float_info.max, math.inf],
