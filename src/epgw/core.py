@@ -13,6 +13,9 @@ Valid but extreme values that overflow the model's arithmetic are rejected
 where that arises, as InvalidRangeError (see ``spectral``). Every sign rule,
 the config's included, is the one check ``_check``; every normal-double rule is
 ``_normal``, and configs, strains and cells pass ``_zero_or_normal`` (0 or it).
+Numbers become Python floats here alone, so that an overflow raises where a
+numpy scalar's only warns: each record stores its fields as floats as it is
+built (``_store_floats``), and each ``require_*`` returns the float it passed.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class NonPositiveParameterError(EpgwError):
         self.where = where
         prefix = f"{where}." if where else ""
         problem = "violates its positivity constraint" if math.isfinite(value) else "is not finite"
-        super().__init__(f"{prefix}{name} = {value!r} {problem}")
+        super().__init__(f"{prefix}{name} = {float(value)!r} {problem}")
 
 
 class ValidationError(EpgwError):
@@ -154,6 +157,14 @@ class Phase(Enum):
     EXCEPTIONAL_POINT = "exceptional_point"
 
 
+def _store_floats(record) -> None:
+    """Store each field of a record as a Python float; refuse text, which float() would parse, with TypeError."""
+    for field in dataclasses.fields(record):
+        if isinstance(value := getattr(record, field.name), (str, bytes, bytearray)):
+            raise TypeError(f"{type(record).__name__}.{field.name} = {value!r} is not a number")
+        object.__setattr__(record, field.name, float(value))
+
+
 @dataclass(frozen=True)
 class MechanicalResonator:
     """A single mechanical mode.
@@ -172,6 +183,7 @@ class MechanicalResonator:
     quality_factor: float
     thickness: float
     gamma_m: float = 0.0
+    __post_init__ = _store_floats
 
 
 @dataclass(frozen=True)
@@ -191,6 +203,7 @@ class OpticalCavity:
     kappa: float
     detuning: float
     n_cav: float
+    __post_init__ = _store_floats
 
 
 @dataclass(frozen=True)
@@ -295,7 +308,7 @@ class SensitivityContext:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            require_positive(field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, require_positive(field.name, getattr(self, field.name)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,26 +336,29 @@ def _check(name: str, value: float, where: str | None = None, zero: bool = False
     return NonPositiveParameterError(name, value, where)
 
 
-def require_positive(name: str, value: float, where: str | None = None) -> None:
-    """Raise NonPositiveParameterError unless ``value`` is finite and > 0."""
+def require_positive(name: str, value: float, where: str | None = None) -> float:
+    """``value`` as a Python float; NonPositiveParameterError unless it is finite and > 0."""
     err = _check(name, value, where)
     if err is not None:
         raise err
+    return float(value)
 
 
-def require_nonnegative(name: str, value: float, where: str | None = None) -> None:
-    """Raise NonPositiveParameterError unless ``value`` is finite and >= 0."""
+def require_nonnegative(name: str, value: float, where: str | None = None) -> float:
+    """``value`` as a Python float; NonPositiveParameterError unless it is finite and >= 0."""
     err = _check(name, value, where, True)
     if err is not None:
         raise err
+    return float(value)
 
 
-def require_strain(strain: float) -> None:
-    """Raise InvalidRangeError unless |h| < 1/2, where the strained g0 (1 - 2h)
-    keeps its sign, and h is 0 or normal: a subnormal h has too few bits for
-    the sqrt(h) splitting."""
+def require_strain(strain: float) -> float:
+    """``strain`` as a Python float; InvalidRangeError unless |h| < 1/2, where
+    the strained g0 (1 - 2h) keeps its sign, and h is 0 or normal: a subnormal
+    h has too few bits for the sqrt(h) splitting."""
     if not (abs(strain) < 0.5 and _zero_or_normal(strain)):
-        raise InvalidRangeError(f"strain h = {strain!r}; need h = 0 or a normal double with |h| < 1/2")
+        raise InvalidRangeError(f"strain h = {float(strain)!r}; need h = 0 or a normal double with |h| < 1/2")
+    return float(strain)
 
 
 # A sweep run peaks at about 0.3 KB per point (sweep-ncav at 2^20 points:
@@ -360,13 +376,13 @@ def sweep_grid(name: str, lo: float, hi: float, points: int, log: bool) -> np.nd
     """
     for end, value in (("min", lo), ("max", hi)):
         if not math.isfinite(value):
-            raise InvalidRangeError(f"{name}_{end} = {value!r} is not finite")
+            raise InvalidRangeError(f"{name}_{end} = {float(value)!r} is not finite")
     if not 2 <= points <= _MAX_POINTS:
         raise InvalidRangeError(f"points = {points}; need 2 to {_MAX_POINTS} points")
     if not lo < hi:
-        raise InvalidRangeError(f"empty range [{name}_min, {name}_max] = [{lo!r}, {hi!r}]")
+        raise InvalidRangeError(f"empty range [{name}_min, {name}_max] = [{float(lo)!r}, {float(hi)!r}]")
     if lo < 0:
-        raise InvalidRangeError(f"{name}_min = {lo!r} is negative")
+        raise InvalidRangeError(f"{name}_min = {float(lo)!r} is negative")
     if log:
         if lo == 0:
             raise InvalidRangeError(f"a log-spaced grid needs {name}_min > 0")
@@ -428,8 +444,7 @@ def validate_system(system: CoupledSystem) -> CoupledSystem:
 
 def drive_amplitude_from_thickness(thickness: float) -> float:
     """Critical rms drive amplitude of a doubly-clamped beam, 0.53 * thickness."""
-    require_positive("thickness", thickness)
-    return CRITICAL_AMPLITUDE_FACTOR * thickness
+    return CRITICAL_AMPLITUDE_FACTOR * require_positive("thickness", thickness)
 
 
 # A line ends at CR LF, CR or LF, as csv.reader counts lines; a form feed or U+2028 ends none.

@@ -130,7 +130,7 @@ def _sample_count(duration: float, dt: float) -> int:
     """The number of samples dt apart that span ``duration``, t = 0 included,
     for a finite dt > 0 and a finite duration."""
     if not duration >= dt:
-        raise InvalidRangeError(f"duration = {duration!r}; need a finite duration >= dt = {dt!r}")
+        raise InvalidRangeError(f"duration = {float(duration)!r}; need a finite duration >= dt = {float(dt)!r}")
     steps = duration / dt + 1e-9  # compared as a float: it may be inf
     if steps >= _MAX_SAMPLES:
         raise InvalidRangeError(f"duration/dt = {duration / dt:.6e} yields more than {_MAX_SAMPLES} samples")
@@ -176,9 +176,9 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
         dt = bound
     # input errors, ahead of the sampling guard
     if not (math.isfinite(dt) and dt > 0):
-        raise InvalidRangeError(f"dt = {dt!r}; need a finite dt > 0")
+        raise InvalidRangeError(f"dt = {float(dt)!r}; need a finite dt > 0")
     if not math.isfinite(duration):
-        raise InvalidRangeError(f"duration = {duration!r} is not finite")
+        raise InvalidRangeError(f"duration = {float(duration)!r} is not finite")
     # 1e-6 relative slack: a dt rounded to a decimal (1e-10 at 1 GHz) must
     # not trip the guard
     if dt > bound * (1.0 + 1e-6):

@@ -79,7 +79,7 @@ def min_detectable_strain(
     holds to rounding.
     """
     _validate(resonator)
-    require_positive("coupling_j", coupling_j)
+    coupling_j = require_positive("coupling_j", coupling_j)
     return _thermal_floor(ctx, resonator, coupling_j, ctx.sample_time)
 
 
@@ -107,7 +107,7 @@ def _thermal_floor(ctx: SensitivityContext, resonator: MechanicalResonator, coup
     )
     raise InvalidRangeError(
         f"{cap}{culprit} is outside the normal double range: no {what} at the integration time"
-        f" {float(tau)!r} s (T = {ctx.temperature!r} K, m = {resonator.mass!r} kg, omega_m ="
+        f" {tau!r} s (T = {ctx.temperature!r} K, m = {resonator.mass!r} kg, omega_m ="
         f" {resonator.omega_m!r} rad/s, x_c = {ctx.drive_amplitude!r} m, Q = {ctx.quality_factor!r}{coupling})"
     )
 
@@ -141,7 +141,7 @@ def sensitivity_curve(
             normal, so its cap set the tau.
     """
     _validate(resonator)
-    require_positive("coupling_j", coupling_j)
+    coupling_j = require_positive("coupling_j", coupling_j)
     grid = sweep_grid("f", f_min, f_max, points, log=True)
     with np.errstate(all="ignore"):
         tau = np.minimum(ctx.sample_time, (0.5 if half_period_cap else 1.0) / grid)
@@ -149,7 +149,7 @@ def sensitivity_curve(
         # need not be its ends, as geomspace's inner points may pass them by an ulp
         _thermal_floor(ctx, resonator, coupling_j, float(tau[0]))
         for t in (tau.min(), tau.max()):
-            _thermal_floor(ctx, resonator, coupling_j, float(t), cap=f"f_max = {f_max!r}: ")
+            _thermal_floor(ctx, resonator, coupling_j, float(t), cap=f"f_max = {float(f_max)!r}: ")
         h_min = _thermal_floor(ctx, resonator, coupling_j, tau)
     return SensitivityCurve(grid, tau, h_min)
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -189,11 +189,11 @@ class _Arm(NamedTuple):
 def _arms(system: CoupledSystem) -> tuple[_Arm, _Arm]:
     """Per-arm constants of a system, each from its own cavity and resonator.
 
-    The only caller of the leaf formulas. An overflow or a zero divisor in
-    them, or a g0^2, phi or J^2 that is not finite, raises InvalidRangeError
-    naming the arm (or coupling_j) and the quantity, on every call. The
-    pair is derived once per system object and kept on it, outside its
-    fields, so eq, hash and repr do not see it."""
+    The only caller of the leaf formulas. An overflow (the records hold
+    Python floats) or a zero divisor in them, or a g0^2, phi or J^2 that is
+    not finite, raises InvalidRangeError naming the arm (or coupling_j) and
+    the quantity, on every call. The pair is derived once per system object
+    and kept on it, outside its fields, so eq, hash and repr do not see it."""
     cached = getattr(system, "_arm_pair", None)
     if cached is not None:
         return cached
@@ -201,8 +201,6 @@ def _arms(system: CoupledSystem) -> tuple[_Arm, _Arm]:
         raise InvalidRangeError(f"coupling_j = {system.coupling_j!r}: J^2 overflows double precision")
     arms = []
     for k, resonator, cavity in ((1, system.resonator_1, system.cavity_1), (2, system.resonator_2, system.cavity_2)):
-        # float copies: a Python float's overflow raises, where a numpy scalar's only warns
-        resonator, cavity = (type(r)(*map(float, astuple(r))) for r in (resonator, cavity))
         quantity = "x_zpf"
         try:
             x_zpf = zero_point_fluctuation(resonator)
@@ -332,8 +330,7 @@ def eigenvalues_general(system: CoupledSystem) -> SupermodePair:
         InvalidRangeError: the arm constants or the eigenvalues overflow
             double precision (see _arms), e.g. at an extreme photon number.
     """
-    n_1, n_2 = float(system.cavity_1.n_cav), float(system.cavity_2.n_cav)
-    center, root, disc = _pair(_arms(system), system.coupling_j, n_1, n_2)
+    center, root, disc = _pair(_arms(system), system.coupling_j, system.cavity_1.n_cav, system.cavity_2.n_cav)
     phase = _PHASES[_classify(disc, system.coupling_j)]
     return SupermodePair(lambda_plus=center + root, lambda_minus=center - root, discriminant=disc, phase=phase)
 
@@ -469,9 +466,7 @@ def splitting(system: CoupledSystem, n0: float, strain: float) -> SplittingResul
             arms' optical dampings differ) is not a normal double.
         NotAtEPError: ``n0`` does not put the unstrained system at its EP.
     """
-    require_nonnegative("n0", n0)
-    require_strain(strain)
-    n0, strain = float(n0), float(strain)
+    n0, strain = require_nonnegative("n0", n0), require_strain(strain)
     return SplittingResult(strain, *_strain_response(system, n0, strain))
 
 
@@ -569,7 +564,7 @@ def sweep_photon_number(
         root = _root(disc)
         plus, minus = center + root, center - root
         if not np.isfinite(plus).all():  # then minus is finite too (see _pair)
-            raise InvalidRangeError(f"n_max = {n_max!r}: the eigenvalues overflow double precision")
+            raise InvalidRangeError(f"n_max = {float(n_max)!r}: the eigenvalues overflow double precision")
         phase = _PHASES[_classify(disc, system.coupling_j)]
     swapped = _continuity_swaps(plus, minus)
     plus, minus = np.where(swapped, minus, plus), np.where(swapped, plus, minus)
@@ -595,9 +590,9 @@ def sweep_strain(
             that core.require_strain refuses.
         NotAtEPError: ``n0`` is not the exceptional-point photon number.
     """
-    require_nonnegative("n0", n0)
+    n0 = require_nonnegative("n0", n0)
     grid = sweep_grid("h", h_min, h_max, points, log)
     require_strain(h_max)
     require_strain(float(grid[grid > 0.0].min()))
     with np.errstate(all="ignore"):
-        return SplittingResult(grid, *_strain_response(system, float(n0), grid))
+        return SplittingResult(grid, *_strain_response(system, n0, grid))

@@ -23,6 +23,7 @@ from epgw import (
     Phase,
     RunawayGainError,
     SamplingTooCoarseError,
+    SensitivityContext,
     TooFewSamplesError,
     UnknownKeyError,
     ValidationError,
@@ -35,6 +36,7 @@ from epgw.core import (
     _DomainError,
     require_nonnegative,
     require_positive,
+    require_strain,
     sweep_grid,
     system_violations,
     validate_cavity,
@@ -223,6 +225,34 @@ def test_require_helpers():
         require_positive("x", 0.0)
     with pytest.raises(NonPositiveParameterError):
         require_nonnegative("x", -1e-300)
+    # each returns the checked value as a Python float
+    for value in (np.float64(2.5), np.float32(0.5), 3, True):
+        for checked in (require_positive("x", value), require_nonnegative("x", value)):
+            assert type(checked) is float and checked == value
+    assert type(require_strain(np.float64(-1e-3))) is float and require_strain(np.float64(-1e-3)) == -1e-3
+    assert math.copysign(1.0, require_nonnegative("x", np.float64(-0.0))) == -1.0
+
+
+def test_records_store_python_floats_as_built(device):
+    res = MechanicalResonator(omega_m=np.float64(1e9), mass=np.float32(5.3e-15), quality_factor=100000, thickness=8e-8)
+    cav = OpticalCavity(length=np.float64(1e-4), kappa=1, detuning=np.float64(-0.0), n_cav=False)
+    system = dataclasses.replace(device, resonator_2=res, cavity_2=cav, coupling_j=np.float64(1e7))
+    ctx = SensitivityContext(np.float64(4.0), 1, np.float32(4e-8), np.float64(1e5))
+    for record in (res, cav, ctx, system.with_photon_number(np.float64(3.0)).cavity_2):
+        assert all(type(getattr(record, f.name)) is float for f in dataclasses.fields(record))
+    assert type(system.coupling_j) is float
+    assert (res.mass, res.quality_factor, cav.kappa, cav.n_cav) == (float(np.float32(5.3e-15)), 1e5, 1.0, 0.0)
+    assert math.copysign(1.0, cav.detuning) == -1.0
+
+
+@pytest.mark.parametrize("text", ["5.3e-15", b"5.3e-15", bytearray(b"5.3e-15")], ids=["str", "bytes", "bytearray"])
+@pytest.mark.parametrize("record", [MechanicalResonator, OpticalCavity])
+def test_a_record_refuses_a_text_field_rather_than_parsing_it(record, text):
+    # float() would read "5.3e-15" as a number; a record refuses it as it is built
+    fields = {f.name: 1.0 for f in dataclasses.fields(record)}
+    name = "mass" if record is MechanicalResonator else "n_cav"
+    with pytest.raises(TypeError, match=rf"^{record.__name__}\.{name} = {re.escape(repr(text))} is not a number$"):
+        record(**{**fields, name: text})
 
 
 def test_drive_amplitude_from_thickness():

@@ -35,6 +35,9 @@ from epgw import (  # noqa: E402
     ep_photon_number,
     ep_tolerance,
     min_detectable_strain,
+    mode_matrix,
+    propagate_exact,
+    sensitivity_curve,
     splitting,
     sweep_photon_number,
     sweep_strain,
@@ -42,6 +45,7 @@ from epgw import (  # noqa: E402
     vacuum_coupling,
     zero_point_fluctuation,
 )
+from epgw.core import sweep_grid  # noqa: E402
 from epgw.sensitivity import _thermal_floor as _strain_floor  # noqa: E402
 from epgw.spectral import _POLISH_STEPS, _arms, _complex, _continuity_swaps, _polish_photon_number, _root  # noqa: E402
 
@@ -568,28 +572,29 @@ def _typed_bits(value):
     return type(value), _bits(value)
 
 
+def _outcome(call, *args):
+    """call(*args) as _typed_bits, or its error's class and text."""
+    try:
+        return _typed_bits(call(*args))
+    except EpgwError as exc:
+        return type(exc), str(exc)
+
+
 def _single_point_outcomes(system, strain, number):
     """What the single-point calls give, each as _typed_bits or its error's
     class and text: the pair at the system's photon number, the EP, and the
     splitting at the EP (else at that photon number) at ``strain`` and over
     [0, |strain|]. ``number`` makes every number argument."""
-
-    def outcome(call, *args):
-        try:
-            return _typed_bits(call(*args))
-        except EpgwError as exc:
-            return type(exc), str(exc)
-
     n = system.cavity_1.n_cav
     try:
         n = number(ep_photon_number(system))
     except EpgwError:
         pass
     return [
-        outcome(eigenvalues_general, system),
-        outcome(ep_photon_number, system),
-        outcome(splitting, system, n, number(strain)),
-        outcome(sweep_strain, system, n, number(0.0), number(abs(strain)), 2) if strain else None,
+        _outcome(eigenvalues_general, system),
+        _outcome(ep_photon_number, system),
+        _outcome(splitting, system, n, number(strain)),
+        _outcome(sweep_strain, system, n, number(0.0), number(abs(strain)), 2) if strain else None,
     ]
 
 
@@ -607,8 +612,99 @@ def test_float64_inputs_take_the_python_float_path_at_extreme_inputs(system, str
     # numpy float64 fields and arguments give the bits, types and errors that
     # Python floats give, and no numpy warning (pytest makes one an error)
     numpy_system = _as_float64(system)
-    assert type(numpy_system.resonator_2.omega_m) is np.float64
+    assert type(numpy_system.resonator_2.omega_m) is float  # records store Python floats as built
     assert _single_point_outcomes(numpy_system, strain, np.float64) == _single_point_outcomes(system, strain, float)
+
+
+def _reference_context(temperature=4.0, sample_time=1.0):
+    """The reference device's noise context at another temperature and tau."""
+    return SensitivityContext(
+        temperature=temperature, sample_time=sample_time, drive_amplitude=4.24e-8, quality_factor=1e5
+    )
+
+
+@st.composite
+def extreme_contexts(draw):
+    """Noise contexts with each field from about 1e-300 to 1e300."""
+    return SensitivityContext(
+        temperature=draw(log_uniform(-3.0, 300.0)),
+        sample_time=draw(log_uniform(-300.0, 6.0)),
+        drive_amplitude=draw(log_uniform(-300.0, -6.0)),
+        quality_factor=draw(log_uniform(0.0, 300.0)),
+    )
+
+
+def _noise_and_dynamics_outcomes(system, ctx, coupling_j, f_max, number):
+    """What mode_matrix, a propagate_exact of about 64 default steps, the
+    thermal noise, the strain floor and a 3-point sensitivity curve from
+    1 Hz to f_max give, each as _outcome. ``number`` makes every number
+    argument; the duration is taken from the system's Python-float pair."""
+    try:
+        pair = eigenvalues_general(system)
+        duration = 64 * 0.2 * math.pi / max(abs(pair.lambda_plus.real), abs(pair.lambda_minus.real))
+    except EpgwError:
+        duration = 1e-9
+    resonator = system.resonator_1
+    return [
+        _outcome(mode_matrix, system),
+        _outcome(propagate_exact, system, (1.0, 0.0), number(duration)),
+        _outcome(thermal_frequency_noise, ctx, resonator),
+        _outcome(min_detectable_strain, ctx, resonator, number(coupling_j)),
+        _outcome(sensitivity_curve, ctx, resonator, number(coupling_j), number(1.0), number(f_max), 3),
+    ]
+
+
+@settings(max_examples=150)
+@given(
+    system=extreme_systems(),
+    ctx=extreme_contexts(),
+    coupling_j=log_uniform(-3.0, 300.0),
+    f_max=log_uniform(-1.0, 308.0),
+)
+# T = 1e300 K, tau = 1e-300 s: the noise's divisor underflows, the strain floor overflows
+@example(system=_reference_device(), ctx=_reference_context(1e300, 1e-300), coupling_j=1e7, f_max=1e3)
+# the spectrum overflows in the mode matrix's photon numbers
+@example(system=_reference_device(n_cav=1e290), ctx=_reference_context(), coupling_j=1e7, f_max=1e3)
+# J^2 overflows in the strain floor's divisor
+@example(system=_reference_device(), ctx=_reference_context(), coupling_j=1e300, f_max=1e3)
+def test_float64_inputs_take_the_python_float_path_in_dynamics_and_noise(system, ctx, coupling_j, f_max):
+    # numpy float64 fields and arguments give the bits, types and errors that
+    # Python floats give, and no numpy warning (pytest makes one an error)
+    numpy_outcomes = _noise_and_dynamics_outcomes(_as_float64(system), _as_float64(ctx), coupling_j, f_max, np.float64)
+    assert numpy_outcomes == _noise_and_dynamics_outcomes(system, ctx, coupling_j, f_max, float)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: sweep_grid("h", x(0.0), x(0.0), 2, False),
+        lambda x: sweep_grid("f", x(-1.0), x(1.0), 2, False),
+        lambda x: sweep_grid("n", x(math.nan), x(1.0), 2, False),
+        lambda x: splitting(_reference_device(), x(0.0), x(0.5)),
+        lambda x: splitting(_reference_device(), x(-1.0), x(0.0)),
+        lambda x: SensitivityContext(x(0.0), x(1.0), x(4.24e-8), x(1e5)),
+        lambda x: sweep_photon_number(_reference_device(), x(0.0), x(1e308), 2),
+        lambda x: sensitivity_curve(
+            _reference_context(1e30), _reference_device().resonator_1, x(1e7), x(1.0), x(1e308), 3
+        ),
+        lambda x: propagate_exact(_reference_device(), (1.0, 0.0), x(1e-9), x(-1.0)),
+        lambda x: propagate_exact(_reference_device(), (1.0, 0.0), x(math.inf)),
+        lambda x: propagate_exact(_reference_device(), (1.0, 0.0), x(1e-12), x(1e-11)),
+    ],
+    ids=[
+        "sweep_grid-empty", "sweep_grid-negative", "sweep_grid-nan", "splitting-strain", "splitting-n0",
+        "context", "sweep_photon_number-n_max", "sensitivity_curve-f_max", "propagate-dt", "propagate-duration",
+        "propagate-duration-below-dt",
+    ],
+)
+def test_error_texts_name_a_numpy_number_as_its_python_float(call):
+    # a numpy caller reads the text a Python-float caller reads, not np.float64(...)
+    with pytest.raises(EpgwError) as numpy_error:
+        call(np.float64)
+    with pytest.raises(EpgwError) as float_error:
+        call(float)
+    assert (type(numpy_error.value), str(numpy_error.value)) == (type(float_error.value), str(float_error.value))
+    assert "np." not in str(numpy_error.value)
 
 
 @pytest.mark.parametrize(
