@@ -179,6 +179,7 @@ def _prepare(system: CoupledSystem, initial, duration: float, dt: float | None):
         raise InvalidRangeError(f"dt = {float(dt)!r}; need a finite dt > 0")
     if not math.isfinite(duration):
         raise InvalidRangeError(f"duration = {float(duration)!r} is not finite")
+    dt, duration = float(dt), float(duration)  # numbers checked, now Python floats: a ratio overflows to inf
     # 1e-6 relative slack: a dt rounded to a decimal (1e-10 at 1 GHz) must
     # not trip the guard
     if dt > bound * (1.0 + 1e-6):

@@ -95,7 +95,8 @@ _EPS = sys.float_info.epsilon
 
 # Reach of the float polish of the closed-form EP photon number, in floats
 # each side of it. Located EPs have needed at most 2 (6,400 seeded designs);
-# the rest is margin. A system without an EP fails the EP rule at any reach.
+# the rest is margin. A detuned pair is refused by a bound ahead of the
+# window; any other system without an EP fails the EP rule at any reach.
 _POLISH_STEPS = 16
 
 # Float-step offsets of the polish window, in the order the neighbours are
@@ -396,9 +397,11 @@ def ep_photon_number(system: CoupledSystem) -> float:
             or the discriminant at the polished root does (inf or NaN).
         ZeroCouplingError: J = 0, or the photon number does not move the
             discriminant (equal slopes, s_2 = s_1).
-        NoEPError: both roots are negative (or NaN), or the polished root
-            fails the EP rule (a finite |disc| above ep_tolerance(J)). No
-            exact EP exists when omega_1 != omega_2; the rule decides.
+        NoEPError: both roots are negative (or NaN), or there is no EP
+            near them. The bound decides first: a detuned pair has |disc|
+            >= |omega_1 - omega_2| J at every n, and is refused when
+            |omega_1 - omega_2| > 64 eps J; then the EP rule (a finite
+            |disc| above ep_tolerance(J) at the polished root).
     """
     j = system.coupling_j
     if j == 0:
@@ -416,8 +419,22 @@ def ep_photon_number(system: CoupledSystem) -> float:
     # + 0.0 turns a root of -0.0 into 0.0, the bottom of the polish window
     guess = min(nonnegative) + 0.0
     # the guess leads the polish window and nothing beats |disc| = 0
-    if _spectrum(arms, j, guess, guess)[1] == 0:
+    disc = _spectrum(arms, j, guess, guess)[1]
+    if disc == 0:
         return guess
+    # A detuned pair: _spectrum's Im disc is fl(b_re b_im)/2 while that product
+    # is normal, so the EP rule |disc| <= 8 eps J^2 needs |b_im| <= 16 eps
+    # J^2/|b_re| (1 + O(eps)), below J/4 once |b_re| > 64 eps J; then Re disc
+    # >= J^2 (1 - 1/64 - O(eps)), far above 8 eps J^2, and no float n passes.
+    # A threshold that is not normal (J^2 near the subnormal range) is left
+    # to the window, and so is a guess whose |disc| overflows, where the
+    # window raises InvalidRangeError.
+    b_re, tolerance = arm_1.omega_m - arm_2.omega_m, ep_tolerance(j)
+    if abs(b_re) > 64.0 * _EPS * j and _normal(tolerance) and _magnitude(disc) < math.inf:
+        raise NoEPError(
+            f"omega_1 - omega_2 = {b_re:.6e} rad/s: |disc| >= |omega_1 - omega_2| J = {abs(b_re) * j:.3e}"
+            f" above threshold {tolerance:.3e} at every n"
+        )
     best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n)[1]), guess)
     if not math.isfinite(best):
         raise InvalidRangeError(

@@ -15,12 +15,31 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from epgw import _format
+
 MIN_NORMAL = 2.2250738585072014e-308
 
 
 def cells(formatter, values):
     """The formatter's cells as text, NUL bytes dropped."""
     return [bytes(row).replace(b"\0", b"").decode() for row in formatter(np.array(values, dtype=float))]
+
+
+def fallback_counts(write, monkeypatch):
+    """How many cells ``write`` hands to CPython's formatter (_format._fall_back)
+    in each of two seeded draws: 2^16 uniform from -1e3 to 1e3, and 2^16
+    evenly spaced from 1e11 to 5e12. The bytes do not show this count: a
+    fallback cell has the same text, written several times slower."""
+    counts, fall_back = [], _format._fall_back
+
+    def counted(cells, x, fallback, text):
+        counts.append(len(fallback))
+        return fall_back(cells, x, fallback, text)
+
+    monkeypatch.setattr(_format, "_fall_back", counted)
+    for values in (np.random.default_rng(22).uniform(-1e3, 1e3, 2**16), np.linspace(1e11, 5e12, 2**16)):
+        write(values)
+    return counts
 
 
 def _neighbours(x):

@@ -17,6 +17,7 @@ from epgw.cli import RunConfig, _table_rows, render_csv  # noqa: E402
 from formatter_cases import (  # noqa: E402,F401  the shared cases, collected and run here on format_e16
     PERCENT_TIES,
     cells,
+    fallback_counts,
     test_any_bit_pattern as test_any_bit_pattern_formats_as_percent,
     test_edges,
     test_every_power_of_ten_and_its_neighbours,
@@ -125,3 +126,11 @@ def test_render_csv_formats_in_blocks():
     text = b"".join(chunks).decode()
     assert text.count("\n") == n + 1 + len(RunConfig().to_text().splitlines()) + 1
     assert peak <= len(text) + (2 << 20)
+
+
+def test_the_array_path_writes_all_but_a_few_cells(monkeypatch):
+    # 137 and 479 cells of 2^16 fall back today; a change that sends more there
+    # keeps every byte and makes the writer slower
+    uniform, spaced = fallback_counts(format_e16, monkeypatch)
+    assert uniform <= 170
+    assert spaced <= 600

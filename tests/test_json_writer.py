@@ -21,6 +21,7 @@ from formatter_cases import (  # noqa: E402,F401  the shared cases, collected an
     NOTATION_EDGES,
     REPR_TIES,
     cells,
+    fallback_counts,
     test_any_bit_pattern as test_any_bit_pattern_formats_as_repr,
     test_edges,
     test_every_power_of_ten_and_its_neighbours,
@@ -148,3 +149,11 @@ def test_render_json_writes_in_blocks():
     text = b"".join(chunks).decode()
     assert len(json.loads(text)["rows"]) == n
     assert peak <= len(text) + (2 << 20)
+
+
+def test_the_array_path_writes_all_but_a_few_cells(monkeypatch):
+    # 182 and 828 cells of 2^16 fall back today; a change that sends more there
+    # keeps every byte and makes the writer slower
+    uniform, spaced = fallback_counts(format_repr, monkeypatch)
+    assert uniform <= 230
+    assert spaced <= 1040

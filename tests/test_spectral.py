@@ -360,23 +360,38 @@ def _design_population(seed, count=60):
     return designs
 
 
+def _located(call, system):
+    """call(system) as a float's hex, or its error's class and text."""
+    try:
+        return call(system).hex()
+    except EpgwError as err:
+        return type(err), str(err)
+
+
+# how the detuning bound's NoEPError text begins; the window's reads otherwise
+_BOUND_TEXT = "omega_1 - omega_2 = "
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ep_location_is_the_full_window_scan_on_a_design_population(seed, monkeypatch):
     # the early return at an exactly cancelling guess picks the float the
-    # whole window picks, and every other design fails alike
+    # whole window picks, a design the detuning bound refuses has no EP in
+    # the whole window either, and every other design fails alike
     windows = _count_calls(monkeypatch, spectral, "_polish_photon_number")
+    opened = dict.fromkeys(["balanced", "kappa-mismatched", "detuned"], 0)
     for kind, system in _design_population(seed):
-        try:
-            expected = ep_photon_number_scanned(system)
-        except EpgwError as err:
-            with pytest.raises(EpgwError) as info:
-                ep_photon_number(system)
-            assert (type(info.value), str(info.value)) == (type(err), str(err)), kind
+        before = windows[0]
+        found = _located(ep_photon_number, system)
+        opened[kind] += windows[0] - before
+        expected = _located(ep_photon_number_scanned, system)
+        if found[0] is NoEPError and found[1].startswith(_BOUND_TEXT):
+            assert expected[0] is NoEPError, kind
         else:
-            assert ep_photon_number(system).hex() == expected.hex(), kind
-    # both branches ran: of the 60, the 20 detuned designs and some others
-    # took the window, and the rest returned their guess
-    assert 20 < windows[0] < 60
+            assert found == expected, kind
+    # the bound refused every detuned design ahead of the window, and some
+    # other design still took the window
+    assert opened["detuned"] == 0
+    assert opened["balanced"] + opened["kappa-mismatched"] > 0
 
 
 def test_an_exactly_cancelling_guess_is_returned_without_the_window(device_resonator, monkeypatch):
@@ -407,7 +422,29 @@ def test_a_detuned_design_keeps_its_no_ep_text(device):
     system = dataclasses.replace(device, resonator_2=dataclasses.replace(device.resonator_2, omega_m=omega_2))
     with pytest.raises(NoEPError) as info:
         ep_photon_number(system)
-    assert str(info.value) == "discriminant magnitude 1.188e+15 above threshold 7.013e+00 near n = 1.410906e+12"
+    assert str(info.value) == (
+        "omega_1 - omega_2 = -1.884956e+07 rad/s: |disc| >= |omega_1 - omega_2| J = 1.184e+15"
+        " above threshold 7.013e+00 at every n"
+    )
+
+
+@pytest.mark.parametrize(
+    "coupling_j, window",
+    [
+        # |b_re| = 2^-20 (one ulp of omega_1) is exactly 64 eps J at J = 2^26: the window decides
+        (2.0**26, [1]),
+        (math.nextafter(2.0**26, 0.0), [0]),
+    ],
+)
+def test_the_detuning_bound_starts_above_64_eps_j(device_resonator, coupling_j, window, monkeypatch):
+    omega_2 = math.nextafter(device_resonator.omega_m, math.inf)
+    system = balanced_system(device_resonator, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=coupling_j)
+    system = dataclasses.replace(system, resonator_2=dataclasses.replace(device_resonator, omega_m=omega_2))
+    windows = _count_calls(monkeypatch, spectral, "_polish_photon_number")
+    with pytest.raises(NoEPError) as info:
+        ep_photon_number(system)
+    assert windows == window
+    assert str(info.value).startswith(_BOUND_TEXT) is (window == [0])
 
 
 def _count_roots(monkeypatch):

@@ -48,6 +48,7 @@ from epgw import (  # noqa: E402
 from epgw.core import sweep_grid  # noqa: E402
 from epgw.sensitivity import _thermal_floor as _strain_floor  # noqa: E402
 from epgw.spectral import _POLISH_STEPS, _arms, _complex, _continuity_swaps, _polish_photon_number, _root  # noqa: E402
+from oracle import ep_photon_number_scanned  # noqa: E402
 
 
 def _bits(value):
@@ -250,9 +251,16 @@ def test_ep_photon_number_matches_scalar_reference_bitwise(system):
     if ref is None or ref[1] > ep_tolerance(j):
         with pytest.raises(NoEPError) as info:
             ep_photon_number(system)
-        if ref is not None:
-            # a detuned pair's |disc| falls all through the window: the error
-            # quotes the polish at the library's own reach
+        b_re = system.resonator_1.omega_m - system.resonator_2.omega_m
+        if ref is not None and abs(b_re) > 64.0 * sys.float_info.epsilon * j:
+            # a pair detuned above the bound's margin: the error states the bound
+            assert str(info.value) == (
+                f"omega_1 - omega_2 = {b_re:.6e} rad/s: |disc| >= |omega_1 - omega_2| J = {abs(b_re) * j:.3e}"
+                f" above threshold {ep_tolerance(j):.3e} at every n"
+            )
+        elif ref is not None:
+            # below it, a detuned pair's |disc| falls all through the window:
+            # the error quotes the polish at the library's own reach
             _, best, guess = _ref_ep(system, _POLISH_STEPS)
             assert str(info.value) == (
                 f"discriminant magnitude {best:.3e} above threshold {ep_tolerance(j):.3e} near n = {guess:.6e}"
@@ -616,6 +624,60 @@ def test_float64_inputs_take_the_python_float_path_at_extreme_inputs(system, str
     assert _single_point_outcomes(numpy_system, strain, np.float64) == _single_point_outcomes(system, strain, float)
 
 
+def _off_by_ulps(omega, ulps):
+    """omega moved ``ulps`` floats up (down where ulps < 0)."""
+    return float(np.int64(np.float64(omega).view(np.int64) + ulps).view(np.float64))
+
+
+def _tiny_pair(coupling_j, ulps):
+    """The reference resonator at omega_m = 2^-508, kappa alike, with 1e76 m
+    cavities (an optical slope of about 2) and omega_2 ``ulps`` floats off:
+    |omega_1 - omega_2| J underflows, and J^2 is subnormal below J = 2^-511."""
+    omega = 2.0**-508
+    res = MechanicalResonator(omega_m=omega, mass=5.3e-15, quality_factor=1e5, thickness=8e-8)
+    system = balanced_system(res, length=1e76, kappa=omega, coupling_j=coupling_j)
+    return dataclasses.replace(system, resonator_2=dataclasses.replace(res, omega_m=_off_by_ulps(omega, ulps)))
+
+
+@st.composite
+def detuned_pairs(draw):
+    """Detuned pairs on both sides of the detuning bound's margin 64 eps J:
+    the reference device with omega_2 1 to 64 floats off omega_1 at J from
+    1e-3 to 10 times omega_1, where the window can still locate an EP; with
+    omega_2 shifted up by 0.05 J to 10 J at J from 1e-3 to 1e154.2, often
+    above 1e153.8, where the guess's |disc| overflows; and _tiny_pair at J
+    from 2^-560 to 2^-500."""
+    kind = draw(st.sampled_from(["ulps", "shift", "tiny"]))
+    ulps = draw(st.integers(1, 64)) * draw(st.sampled_from([1, -1]))
+    if kind == "tiny":
+        return _tiny_pair(2.0 ** draw(st.floats(-560.0, -500.0)), ulps)
+    omega, kappa_2_factor = 2.0 * math.pi * 1e9, draw(st.sampled_from([1.0, 1.2]))
+    if kind == "ulps":
+        return _reference_device(omega * draw(log_uniform(-3.0, 1.0)), _off_by_ulps(omega, ulps), kappa_2_factor)
+    j = draw(log_uniform(-3.0, 154.2) | log_uniform(153.8, 154.2))
+    return _reference_device(j, omega + j * draw(st.floats(0.05, 10.0)), kappa_2_factor)
+
+
+@settings(max_examples=200)
+@given(system=detuned_pairs())
+# one float off at J = omega_1/4: the window locates an EP
+@example(system=_reference_device(0.5 * math.pi * 1e9, _off_by_ulps(2.0 * math.pi * 1e9, 1)))
+# 8 eps J^2 underflows to 0 and |omega_1 - omega_2| J to 0: the guess's disc is
+# 5e-324, and the window locates an EP one float off it
+@example(system=_tiny_pair(2.0**-514.5625, 1))
+# the guess's discriminant overflows: the window raises InvalidRangeError
+@example(system=_reference_device(1.3218468929391967e154, 7.408800984916117e153))
+def test_the_detuning_bound_refuses_only_pairs_the_window_refuses(system):
+    # the bound's NoEPError appears only where the full-window oracle raises
+    # NoEPError; every other outcome is the oracle's, in bits or in class and text
+    found = _outcome(ep_photon_number, system)
+    expected = _outcome(ep_photon_number_scanned, system)
+    if found[0] is NoEPError and found[1].startswith("omega_1 - omega_2 = "):
+        assert expected[0] is NoEPError
+    else:
+        assert found == expected
+
+
 def _reference_context(temperature=4.0, sample_time=1.0):
     """The reference device's noise context at another temperature and tau."""
     return SensitivityContext(
@@ -690,11 +752,13 @@ def test_float64_inputs_take_the_python_float_path_in_dynamics_and_noise(system,
         lambda x: propagate_exact(_reference_device(), (1.0, 0.0), x(1e-9), x(-1.0)),
         lambda x: propagate_exact(_reference_device(), (1.0, 0.0), x(math.inf)),
         lambda x: propagate_exact(_reference_device(), (1.0, 0.0), x(1e-12), x(1e-11)),
+        # duration/dt overflows: inf, more samples than the cap
+        lambda x: propagate_exact(_reference_device(), (1, 0), x(1e300), x(1e-300)),
     ],
     ids=[
         "sweep_grid-empty", "sweep_grid-negative", "sweep_grid-nan", "splitting-strain", "splitting-n0",
         "context", "sweep_photon_number-n_max", "sensitivity_curve-f_max", "propagate-dt", "propagate-duration",
-        "propagate-duration-below-dt",
+        "propagate-duration-below-dt", "propagate-duration-over-dt",
     ],
 )
 def test_error_texts_name_a_numpy_number_as_its_python_float(call):
