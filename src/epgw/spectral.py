@@ -390,7 +390,9 @@ def ep_photon_number(system: CoupledSystem) -> float:
     bit-exactly whenever the float grid allows it (the reference device
     needs the float above its guess), and to within ep_tolerance(J) =
     8 eps J^2 otherwise. A balanced system has gamma_m,2 = gamma_m,1 and
-    s_2 = -s_1, so n0 = 2 J / (g0^2 |phi|). No search bounds apply.
+    s_2 = -s_1, so n0 = 2 J / (g0^2 |phi|). No search bounds apply. The
+    located n0 is kept on the system object (see _keep_bias), so splitting
+    and sweep_strain at it do not check it again.
 
     Raises:
         InvalidRangeError: an arm constant or J^2 overflows (see _arms),
@@ -418,23 +420,23 @@ def ep_photon_number(system: CoupledSystem) -> float:
         raise NoEPError(f"no EP at n >= 0: the closed form gives n = {roots[0]:.6e} and {roots[1]:.6e}")
     # + 0.0 turns a root of -0.0 into 0.0, the bottom of the polish window
     guess = min(nonnegative) + 0.0
-    # the guess leads the polish window and nothing beats |disc| = 0
     disc = _spectrum(arms, j, guess, guess)[1]
-    if disc == 0:
-        return guess
-    # A detuned pair: _spectrum's Im disc is fl(b_re b_im)/2 while that product
-    # is normal, so the EP rule |disc| <= 8 eps J^2 needs |b_im| <= 16 eps
-    # J^2/|b_re| (1 + O(eps)), below J/4 once |b_re| > 64 eps J; then Re disc
-    # >= J^2 (1 - 1/64 - O(eps)), far above 8 eps J^2, and no float n passes.
-    # A threshold that is not normal (J^2 near the subnormal range) is left
-    # to the window, and so is a guess whose |disc| overflows, where the
-    # window raises InvalidRangeError.
-    b_re, tolerance = arm_1.omega_m - arm_2.omega_m, ep_tolerance(j)
-    if abs(b_re) > 64.0 * _EPS * j and _normal(tolerance) and _magnitude(disc) < math.inf:
+    # A detuned pair has |disc| >= |b_re| J at every n, in exact arithmetic,
+    # above 8 eps J^2 once |b_re| > 64 eps J. In floats, while fl(b_re b_im)
+    # is normal, the EP rule needs |b_im| <= 16 eps J^2/|b_re| (1 + O(eps)),
+    # below J/4; then Re disc >= J^2 (1 - 1/64 - O(eps)) and no float n
+    # passes. Where 8 eps J^2 is not normal, a float disc can underflow to
+    # pass it, to 0 included, so the bound decides alone. A guess whose
+    # |disc| overflows is left to the window, which raises InvalidRangeError.
+    b_re = arm_1.omega_m - arm_2.omega_m
+    if abs(b_re) > 64.0 * _EPS * j and _magnitude(disc) < math.inf:
         raise NoEPError(
             f"omega_1 - omega_2 = {b_re:.6e} rad/s: |disc| >= |omega_1 - omega_2| J = {abs(b_re) * j:.3e}"
-            f" above threshold {tolerance:.3e} at every n"
+            f" above threshold {ep_tolerance(j):.3e} at every n"
         )
+    # the guess leads the polish window and nothing beats |disc| = 0
+    if disc == 0:
+        return _keep_bias(system, arms, guess)[0]
     best_n, best = _polish_photon_number(lambda n: _magnitude(_spectrum(arms, j, n, n)[1]), guess)
     if not math.isfinite(best):
         raise InvalidRangeError(
@@ -444,7 +446,20 @@ def ep_photon_number(system: CoupledSystem) -> float:
         raise NoEPError(
             f"discriminant magnitude {best:.3e} above threshold {ep_tolerance(j):.3e} near n = {guess:.6e}"
         )
-    return best_n
+    return _keep_bias(system, arms, best_n)[0]
+
+
+def _keep_bias(system: CoupledSystem, arms: tuple[_Arm, _Arm], n0: float) -> tuple:
+    """The strain response's terms at a bias n0 that passed the EP rule,
+    (n0, b0_re, b0_im, opt_1, opt_2), kept on the system object in place of
+    any earlier bias, outside its fields as _arms' pair is. It is read by
+    n0's value: at n0 = 0.0 and -0.0 the terms differ at most in the sign
+    of a zero, which no output of the response keeps."""
+    arm_1, arm_2 = arms
+    b0_im = 0.5 * (arm_2.damping(n0) - arm_1.damping(n0))
+    bias = (n0, arm_1.omega_m - arm_2.omega_m, b0_im, arm_1.optical_damping(n0), arm_2.optical_damping(n0))
+    object.__setattr__(system, "_ep_bias", bias)
+    return bias
 
 
 def splitting(system: CoupledSystem, n0: float, strain: float) -> SplittingResult:
@@ -464,6 +479,8 @@ def splitting(system: CoupledSystem, n0: float, strain: float) -> SplittingResul
     The unstrained discriminant is gated by the EP rule (see ep_tolerance)
     and then treated as exactly zero, so the response vanishes identically
     at h = 0 instead of sitting on sub-ulp residue from the bias point.
+    The gate runs once per system object and bias: an n0 that
+    ep_photon_number located, or that the last check passed, is kept.
 
     Args:
         system: The system, biased at its EP by ``n0``.
@@ -490,22 +507,24 @@ def splitting(system: CoupledSystem, n0: float, strain: float) -> SplittingResul
 def _strain_response(system: CoupledSystem, n0: float, h):
     """(d_exact, d_approx, linewidth_split) at strain h, a float or an
     array, for a system biased at n0, a float (see splitting). An array h
-    runs under the caller's np.errstate; a float needs none."""
-    arms = _arms(system)
+    runs under the caller's np.errstate; a float needs none. The system's
+    bias record, when it holds n0, stands for the EP gate and the terms at
+    n0; otherwise n0 is gated and its record replaces the kept one."""
     j = system.coupling_j
-    disc0 = _magnitude(_spectrum(arms, j, n0, n0)[1])
-    if not _at_ep(disc0, j):
-        raise NotAtEPError(
-            f"|disc| = {disc0:.3e} exceeds threshold {ep_tolerance(j):.3e} at n_cav = {n0!r}; locate the EP first"
-        )
-    arm_1, arm_2 = arms
-    b0_re = arm_1.omega_m - arm_2.omega_m
-    b0_im = 0.5 * (arm_2.damping(n0) - arm_1.damping(n0))
+    bias = getattr(system, "_ep_bias", None)
+    if bias is None or bias[0] != n0:
+        arms = _arms(system)
+        disc0 = _magnitude(_spectrum(arms, j, n0, n0)[1])
+        if not _at_ep(disc0, j):
+            raise NotAtEPError(
+                f"|disc| = {disc0:.3e} exceeds threshold {ep_tolerance(j):.3e} at n_cav = {n0!r}; locate the EP first"
+            )
+        bias = _keep_bias(system, arms, n0)
+    _, b0_re, b0_im, opt_1, opt_2 = bias
     scale = -4.0 * h * (1.0 - h)  # (1 - 2h)^2 - 1, exactly
     # disc(h) = 0.25 db (2 b0 + db) with db = i db_im. CPython's complex
     # product adds zero terms here that can only flip the sign of a
     # zero part, which neither output below keeps.
-    opt_1, opt_2 = arm_1.optical_damping(n0), arm_2.optical_damping(n0)
     db_im = 0.5 * (scale * opt_2 - scale * opt_1)
     t_im = 2.0 * b0_im + db_im
     disc = _complex(0.25 * -(db_im * t_im), 0.25 * (db_im * (2.0 * b0_re)))

@@ -12,13 +12,18 @@ for its partner (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
 ``maximum`` (``np.minimum`` and ``np.maximum``, ``.accumulate`` included),
 one at a time, in a copy of the checkout made in a temporary directory,
 so the checkout is never edited. An operator inside an annotation is left
-alone: annotations are not evaluated. The test selection (the arguments after the module, as
-pytest takes them; put ``--`` before options such as ``-k``) runs on each
-mutant with ``-x``. A mutant that the selection passes survives, and the
-survivors are printed as path:line:column with the flip. ``--line``
-limits the pass to chosen lines. A survivor of a subset may still fail
-elsewhere: re-run it against the whole suite before reading it as an
-unpinned boundary.
+alone: annotations are not evaluated. The test selection (the arguments
+after the module, as pytest takes them) runs on each mutant with ``-x``.
+A mutant that the selection passes survives, and the survivors are
+printed as path:line:column with the flip. ``--line`` limits the pass to
+chosen lines; it may come before or after the selection, but not after a
+``--``, which passes everything after it to pytest, so put ``--`` before
+pytest's own options:
+
+    python tests/mutate.py src/epgw/spectral.py tests --line 432 --line 515 -- -k splitting
+
+A survivor of a subset may still fail elsewhere: re-run it against the
+whole suite before reading it as an unpinned boundary.
 
 Known equivalent mutants, which no input can tell from the original:
 - ``spectral._continuity_swaps``, ``swap < keep`` in ``flips`` -> ``<=``:
@@ -88,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="the module to mutate, e.g. src/epgw/spectral.py")
     parser.add_argument("tests", nargs="+", help="the test selection, as pytest takes it")
     parser.add_argument("--line", type=int, action="append", help="mutate only this line (repeatable)")
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     module = Path(args.module).resolve().relative_to(ROOT)
     source = (ROOT / module).read_text(encoding="utf-8")
     todo = [site for site in sites(source) if not args.line or site[0] in args.line]

@@ -533,6 +533,46 @@ def test_arms_are_derived_once_per_system_object(device_resonator, monkeypatch):
     ]
 
 
+# J/2pi = 10 MHz takes the polish window, 12 MHz cancels at the closed-form guess
+@pytest.mark.parametrize("coupling_j", [TWO_PI * 1e7, TWO_PI * 1.2e7])
+def test_a_located_bias_is_checked_once_per_system_object(device_resonator, coupling_j, monkeypatch):
+    system = balanced_system(device_resonator, length=1e-4, kappa=TWO_PI * 1e8, coupling_j=coupling_j)
+    n0 = ep_photon_number(system)
+    spectra = _count_calls(monkeypatch, spectral, "_spectrum")  # one per EP check
+    roots = _count_roots(monkeypatch)
+    for strain in (1e-24, 1e-20, 1e-16, 1e-12):
+        splitting(system, n0, strain)
+    sweep_strain(system, n0, 1e-24, 1e-12, 8, log=True)
+    # at the located bias only the strains' own discriminants are evaluated
+    assert spectra == [0] and len(roots) == 5
+    # another bias on the EP is checked once and replaces the record; the
+    # located one is then checked again
+    other = math.nextafter(n0, math.inf)
+    assert abs(eigenvalues_general(system.with_photon_number(other)).discriminant) <= ep_tolerance(coupling_j)
+    spectra[0] = 0
+    for n in (other, other, n0, n0):
+        splitting(system, n, 1e-20)
+    assert spectra == [2]
+    # a bias off the EP is checked on every call and keeps nothing
+    for _ in range(2):
+        with pytest.raises(NotAtEPError, match="locate the EP first"):
+            splitting(system, 1.5 * n0, 1e-20)
+    assert spectra == [4]
+    splitting(system, n0, 1e-20)
+    assert spectra == [4]
+    # a copy starts with no record, and no field sees one
+    for copy in (dataclasses.replace(system), system.with_photon_number(1.0)):
+        assert not hasattr(copy, "_ep_bias")
+        splitting(copy, n0, 1e-20)
+        splitting(copy, n0, 1e-18)
+    assert spectra == [6]
+    copy = dataclasses.replace(system)
+    assert copy == system and hash(copy) == hash(system) and repr(copy) == repr(system)
+    assert [f.name for f in dataclasses.fields(system)] == [
+        "resonator_1", "resonator_2", "cavity_1", "cavity_2", "coupling_j"
+    ]
+
+
 @pytest.mark.parametrize(
     "length, coupling_j, message",
     [(1e-4, 1e200, r"coupling_j = 1e\+200: J\^2 overflows"), (1e-300, TWO_PI * 1e7, "arm 1: g0 is out of")],

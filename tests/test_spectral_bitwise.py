@@ -10,9 +10,11 @@ denominator, are checked against their formulas written out in full.
 """
 
 import cmath
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -45,9 +47,17 @@ from epgw import (  # noqa: E402
     vacuum_coupling,
     zero_point_fluctuation,
 )
-from epgw.core import sweep_grid  # noqa: E402
+from epgw.core import _normal, sweep_grid  # noqa: E402
 from epgw.sensitivity import _thermal_floor as _strain_floor  # noqa: E402
-from epgw.spectral import _POLISH_STEPS, _arms, _complex, _continuity_swaps, _polish_photon_number, _root  # noqa: E402
+from epgw.spectral import (  # noqa: E402
+    _POLISH_STEPS,
+    _arms,
+    _complex,
+    _continuity_swaps,
+    _polish_photon_number,
+    _root,
+    _spectrum,
+)
 from oracle import ep_photon_number_scanned  # noqa: E402
 
 
@@ -663,19 +673,82 @@ def detuned_pairs(draw):
 # one float off at J = omega_1/4: the window locates an EP
 @example(system=_reference_device(0.5 * math.pi * 1e9, _off_by_ulps(2.0 * math.pi * 1e9, 1)))
 # 8 eps J^2 underflows to 0 and |omega_1 - omega_2| J to 0: the guess's disc is
-# 5e-324, and the window locates an EP one float off it
+# 5e-324, the window would locate an EP one float off it, and the bound refuses it
 @example(system=_tiny_pair(2.0**-514.5625, 1))
 # the guess's discriminant overflows: the window raises InvalidRangeError
 @example(system=_reference_device(1.3218468929391967e154, 7.408800984916117e153))
 def test_the_detuning_bound_refuses_only_pairs_the_window_refuses(system):
     # the bound's NoEPError appears only where the full-window oracle raises
-    # NoEPError; every other outcome is the oracle's, in bits or in class and text
+    # NoEPError, or where 8 eps J^2 is not normal: there a float |disc| can
+    # underflow to pass the EP rule although |disc| >= |omega_1 - omega_2| J
+    # exactly, and the oracle locates an EP the bound refuses. Every other
+    # outcome is the oracle's, in bits or in class and text.
     found = _outcome(ep_photon_number, system)
     expected = _outcome(ep_photon_number_scanned, system)
     if found[0] is NoEPError and found[1].startswith("omega_1 - omega_2 = "):
-        assert expected[0] is NoEPError
+        assert expected[0] is NoEPError or not _normal(ep_tolerance(system.coupling_j))
     else:
         assert found == expected
+
+
+def test_a_detuned_pair_whose_threshold_underflows_has_no_ep():
+    # |disc| >= |omega_1 - omega_2| J > 0 exactly, but 8 eps J^2 is not
+    # normal: at J = 2^-537 the guess's float disc underflows to 0, at
+    # 2^-514.5625 to 5e-324 with 0 one float off. The bound refuses both.
+    guess = float.fromhex("0x1.b6ea9cc7947dap-538")
+    assert _spectrum(_arms(_tiny_pair(2.0**-537, 1)), 2.0**-537, guess, guess)[1] == 0
+    for coupling_j in (2.0**-537, 2.0**-514.5625):
+        with pytest.raises(NoEPError, match="^omega_1 - omega_2 = "):
+            ep_photon_number(_tiny_pair(coupling_j, 1))
+
+
+@st.composite
+def zero_bias_systems(draw):
+    """Balanced systems whose resonator 2 has intrinsic damping 4 J: the
+    EP sits at n = 0, where the discriminant cancels exactly."""
+    system = draw(balanced_systems())
+    damped = dataclasses.replace(system.resonator_2, gamma_m=4.0 * system.coupling_j)
+    return dataclasses.replace(system, resonator_2=damped)
+
+
+def _strain_outcomes(system, n0):
+    """splitting at four strains and sweep_strain over two grids, at bias
+    n0 on ``system()``, each as _outcome."""
+    return [_outcome(splitting, system(), n0, h) for h in (0.0, 1e-20, -1e-3, 0.49)] + [
+        _outcome(sweep_strain, system(), n0, -1e-3, 1e-3, 5),
+        _outcome(sweep_strain, system(), n0, 1e-24, 1e-12, 4, True),
+    ]
+
+
+_BIASES = ["located", "above", "zero", "negative zero", "off"]
+
+
+@settings(max_examples=150)
+@given(
+    system=any_systems | zero_bias_systems(),
+    record=st.sampled_from(["ep_photon_number", *_BIASES]),
+    copy_by=st.sampled_from([None, copy.copy, lambda s: pickle.loads(pickle.dumps(s))]),
+    query=st.sampled_from(_BIASES),
+)
+def test_a_kept_bias_never_changes_a_strain_response(system, record, copy_by, query):
+    # a system object holds a bias record from ep_photon_number or from a
+    # strain response at some bias (a copy of such an object holds its
+    # record); each strain response on it, in bits or in class and text, is
+    # the one a fresh object gives
+    try:
+        n0 = ep_photon_number(dataclasses.replace(system))
+    except EpgwError:
+        n0 = 1.0
+    biases = dict(zip(_BIASES, [n0, math.nextafter(n0, math.inf), 0.0, -0.0, 1.5 * n0]))
+    recorded = dataclasses.replace(system)
+    if record == "ep_photon_number":
+        _outcome(ep_photon_number, recorded)
+    else:
+        _outcome(splitting, recorded, biases[record], 1e-20)
+    if copy_by is not None:
+        recorded = copy_by(recorded)
+    fresh = _strain_outcomes(lambda: dataclasses.replace(system), biases[query])
+    assert _strain_outcomes(lambda: recorded, biases[query]) == fresh
 
 
 def _reference_context(temperature=4.0, sample_time=1.0):
